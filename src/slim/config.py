@@ -96,10 +96,18 @@ def _build(cls, data: dict, where: str, **extra):
         raise ConfigError(f"bad {where}: {exc}") from exc
 
 
+def _number(kind, value, where: str):
+    """``kind(value)`` for int/float settings; a bad value is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+
+
 def _tupleize(obj, where: str) -> tuple[float, ...]:
-    if not isinstance(obj, (list, tuple)):
-        raise ConfigError(f"{where} must be a list")
-    vals = tuple(float(v) for v in obj)
+    if not isinstance(obj, (list, tuple)) or not obj:
+        raise ConfigError(f"{where} must be a non-empty list")
+    vals = tuple(_number(float, v, where) for v in obj)
     for v in vals:
         if not (0.0 <= v < 1.0):
             raise ConfigError(f"{where} entries must lie in [0, 1), got {v}")
@@ -128,7 +136,7 @@ def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> S
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
 
-    seed = int(doc.get("seed", 0))
+    seed = _number(int, doc.get("seed", 0), "seed")
     if seed_override is not None:
         seed = seed_override
 
@@ -187,9 +195,13 @@ def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> S
         if b not in BASELINE_KINDS:
             raise ConfigError(f"unknown baseline {b!r}; have {BASELINE_KINDS}")
 
-    baseline_sparsity = float(doc.get("baseline_sparsity", 0.0))
+    baseline_sparsity = _number(float, doc.get("baseline_sparsity", 0.0), "baseline_sparsity")
     if not (0.0 <= baseline_sparsity < 1.0):
         raise ConfigError(f"baseline_sparsity must lie in [0, 1)")
+
+    bytes_per_elem = _number(int, doc.get("bytes_per_elem", 1), "bytes_per_elem")
+    if bytes_per_elem < 1:
+        raise ConfigError(f"bytes_per_elem must be >= 1, got {bytes_per_elem}")
 
     return ScenarioConfig(
         model_name=model_name,
@@ -210,8 +222,8 @@ def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> S
         baselines=baselines,
         baseline_sparsity=baseline_sparsity,
         seed=seed,
-        n_tokens=int(doc.get("n_tokens", 100)),
-        bytes_per_elem=int(doc.get("bytes_per_elem", 1)),
+        n_tokens=_number(int, doc.get("n_tokens", 100), "n_tokens"),
+        bytes_per_elem=bytes_per_elem,
         train=_build(TrainParams, doc.get("train", {}), "train"),
         paths=_build(ScenarioPaths, doc.get("paths", {}), "paths"),
         emit_trace=bool(doc.get("emit_trace", False)),

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +108,9 @@ def scenario_rows(cfg: ScenarioConfig, sweep: bool = False,
                   trace_sink: list | None = None) -> list[dict]:
     """Evaluate the scenario's design points over its sparsity grid, plus the
     selected baselines. ``sweep`` expands to all four design-level/NAND
-    combinations. Points run in a work pool; rows come back in a fixed order."""
+    combinations. Points run one after another in a fixed order (design
+    point-major, then sparsity), followed by the baselines; the first
+    point's events go to ``trace_sink``."""
     digest = config_hash(cfg)
     if sweep:
         points = [(nand, level) for level in ("die", "channel")
@@ -119,14 +120,9 @@ def scenario_rows(cfg: ScenarioConfig, sweep: bool = False,
     jobs = [(nand, level, s) for nand, level in points
             for s in cfg.sparsity_targets]
 
-    first = jobs[0]
-    def work(job):
-        nand, level, s = job
-        sink = trace_sink if (job == first) else None
-        return _slim_row(cfg, nand, level, s, digest, emit_trace_to=sink)
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(work, jobs))
+    rows = [_slim_row(cfg, *job, digest,
+                      emit_trace_to=trace_sink if job == jobs[0] else None)
+            for job in jobs]
     for kind in cfg.baselines:
         rows.append(_baseline_row(cfg, kind, digest))
     return rows

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,13 +111,18 @@ class FusedVectorId:
     neuron: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightLayout:
-    """Associative map from fused vectors to physical pages.
+    """Closed-form map from fused vectors to physical pages.
 
-    Entry i (flat order: layer-major, then expert, then neuron) lives on die
-    ``die_of[i]`` starting at per-die page ``page_of[i]`` with byte offset
-    ``offset_of[i]``; every vector's pages are consecutive within one die.
+    Vectors are placed in packing groups of ``packing_factor`` consecutive
+    neurons of one slot (``layer * n_expert + expert``). Neuron j of a slot
+    belongs to group ``g = slot * ceil(dim_h / packing_factor) +
+    j // packing_factor``, which lives on die ``g mod n_dies`` starting at
+    per-die page ``(g // n_dies) * span_pages``; the vector sits at byte
+    offset ``(j mod packing_factor) * vector_bytes``. Every vector's pages are
+    consecutive within one die. The per-entry tables (flat order: layer-major,
+    then expert, then neuron) are computed on demand.
     """
 
     geo: SsdGeometry
@@ -129,29 +134,59 @@ class WeightLayout:
     vector_bytes: int
     packing_factor: int  # vectors per page (1 when a vector spans pages)
     span_pages: int  # pages per vector (1 when packing)
-    die_of: np.ndarray = field(repr=False)
-    page_of: np.ndarray = field(repr=False)
-    offset_of: np.ndarray = field(repr=False)
-    pages_used_per_die: np.ndarray = field(repr=False)
 
     @property
     def n_entries(self) -> int:
         return self.n_dec * self.n_expert * self.dim_h
 
-    def flat_index(self, layer: int, expert: int, neuron: int) -> int:
-        if not (0 <= neuron < self.dim_h):
-            raise ShapeError(f"neuron {neuron} out of range dim_h={self.dim_h}")
-        return (layer * self.n_expert + expert) * self.dim_h + neuron
+    @property
+    def groups_per_slot(self) -> int:
+        return -(-self.dim_h // self.packing_factor)
+
+    @property
+    def n_groups(self) -> int:
+        return self.n_dec * self.n_expert * self.groups_per_slot
+
+    def place(self, slot, neuron):
+        """(die index, first per-die page, byte offset) of a neuron of a slot;
+        elementwise on integer arrays."""
+        group = slot * self.groups_per_slot + neuron // self.packing_factor
+        return (group % self.geo.n_dies, group // self.geo.n_dies * self.span_pages,
+                neuron % self.packing_factor * self.vector_bytes)
+
+    def _tables(self):
+        flat = np.arange(self.n_entries, dtype=np.int64)
+        return self.place(flat // self.dim_h, flat % self.dim_h)
+
+    @property
+    def die_of(self) -> np.ndarray:
+        return self._tables()[0].astype(np.int32)
+
+    @property
+    def page_of(self) -> np.ndarray:
+        return self._tables()[1]
+
+    @property
+    def offset_of(self) -> np.ndarray:
+        return self._tables()[2]
+
+    @property
+    def pages_used_per_die(self) -> np.ndarray:
+        full, extra = divmod(self.n_groups, self.geo.n_dies)
+        return (full + (np.arange(self.geo.n_dies) < extra)) * self.span_pages
 
     def lookup(self, vid: FusedVectorId):
         """(ch, chip, die, plane, block, page, byte_offset, span_pages)."""
-        i = self.flat_index(vid.layer, vid.expert, vid.neuron)
-        ch, chip, die = self.geo.die_coords(int(self.die_of[i]))
-        p = int(self.page_of[i])
+        if not (0 <= vid.layer < self.n_dec and 0 <= vid.expert < self.n_expert
+                and 0 <= vid.neuron < self.dim_h):
+            raise ShapeError(f"{vid} outside the layout")
+        die_index, first, offset = self.place(vid.layer * self.n_expert + vid.expert,
+                                              vid.neuron)
+        ch, chip, die = self.geo.die_coords(die_index)
         per_plane = self.geo.blocks_per_plane * self.geo.pages_per_block
-        plane, rest = divmod(p, per_plane)
+        plane, rest = divmod(first, per_plane)
         block, page = divmod(rest, self.geo.pages_per_block)
-        return ch, chip, die, plane, block, page, int(self.offset_of[i]), self.span_pages
+        return ch, chip, die, plane, block, page, offset, self.span_pages
 
 
 def map_weights(cfg: ModelConfig, geo: SsdGeometry, bytes_per_elem: int = 1) -> WeightLayout:
@@ -160,7 +195,9 @@ def map_weights(cfg: ModelConfig, geo: SsdGeometry, bytes_per_elem: int = 1) -> 
     Vectors no larger than a page are packed floor(page/vector) per page;
     larger vectors span ceil(vector/page) consecutive pages on one die.
     Packing groups never cross an (layer, expert) boundary so one page only
-    holds neurons of a single expert matrix.
+    holds neurons of a single expert matrix. Groups are dealt to dies in
+    order, which gives the closed form documented on WeightLayout: the
+    busiest die holds ceil(groups / n_dies) * span pages.
     """
     vector_bytes = 3 * cfg.dim_e * bytes_per_elem
     if vector_bytes <= geo.page_bytes:
@@ -170,36 +207,16 @@ def map_weights(cfg: ModelConfig, geo: SsdGeometry, bytes_per_elem: int = 1) -> 
         packing = 1
         span = math.ceil(vector_bytes / geo.page_bytes)
 
-    n_entries = cfg.n_dec * cfg.n_expert * cfg.dim_h
-    die_of = np.empty(n_entries, dtype=np.int32)
-    page_of = np.empty(n_entries, dtype=np.int64)
-    offset_of = np.empty(n_entries, dtype=np.int64)
-    pages_used = np.zeros(geo.n_dies, dtype=np.int64)
-
-    group = 0
-    for layer in range(cfg.n_dec):
-        for expert in range(cfg.n_expert):
-            base = (layer * cfg.n_expert + expert) * cfg.dim_h
-            for j0 in range(0, cfg.dim_h, packing):
-                die = group % geo.n_dies
-                start_page = pages_used[die]
-                if start_page + span > geo.pages_per_die:
-                    raise MappingError(
-                        f"die {die} overflows at {start_page + span} pages "
-                        f"(capacity {geo.pages_per_die})")
-                for slot, j in enumerate(range(j0, min(j0 + packing, cfg.dim_h))):
-                    die_of[base + j] = die
-                    page_of[base + j] = start_page
-                    offset_of[base + j] = slot * vector_bytes
-                pages_used[die] += span
-                group += 1
-
-    return WeightLayout(geo=geo, n_dec=cfg.n_dec, n_expert=cfg.n_expert,
-                        dim_h=cfg.dim_h, dim_e=cfg.dim_e,
-                        bytes_per_elem=bytes_per_elem, vector_bytes=vector_bytes,
-                        packing_factor=packing, span_pages=span,
-                        die_of=die_of, page_of=page_of, offset_of=offset_of,
-                        pages_used_per_die=pages_used)
+    layout = WeightLayout(geo=geo, n_dec=cfg.n_dec, n_expert=cfg.n_expert,
+                          dim_h=cfg.dim_h, dim_e=cfg.dim_e,
+                          bytes_per_elem=bytes_per_elem, vector_bytes=vector_bytes,
+                          packing_factor=packing, span_pages=span)
+    # a die fits pages_per_die // span groups; the first group past that lands on die 0
+    fitting = geo.pages_per_die // span
+    if layout.n_groups > fitting * geo.n_dies:
+        raise MappingError(f"die 0 overflows at {(fitting + 1) * span} pages "
+                           f"(capacity {geo.pages_per_die})")
+    return layout
 
 
 @dataclass(frozen=True)
@@ -226,43 +243,47 @@ class ReadTransaction:
 def generate_read_transactions(layout: WeightLayout, layer: int,
                                masks: dict[int, np.ndarray]) -> list[ReadTransaction]:
     """Transactions for one layer given per-expert neuron masks; a page is
-    read iff it holds at least one active neuron's data."""
-    geo = layout.geo
-    pages_by_die: dict[int, dict[int, tuple[int, int]]] = {}  # die -> page -> (active, resident)
-    order_by_die: dict[int, list[int]] = {}
-    elems_by_die: dict[int, int] = {}
+    read iff it holds at least one active neuron's data.
 
-    for expert in sorted(masks):
-        mask = np.asarray(masks[expert], dtype=bool)
+    Each die's pages come in visiting order (experts ascending, then neurons),
+    which the layout makes ascending page order; its useful bytes are summed
+    left to right over those pages."""
+    geo, span = layout.geo, layout.span_pages
+    experts = sorted(masks)
+    if not experts:
+        return []
+    if not (0 <= layer < layout.n_dec and 0 <= experts[0] and experts[-1] < layout.n_expert):
+        raise ShapeError(f"layer {layer} / experts {experts} outside the layout")
+    stacked = [np.asarray(masks[e], dtype=bool) for e in experts]
+    for mask in stacked:
         if mask.shape != (layout.dim_h,):
             raise ShapeError(f"mask shape {mask.shape} vs dim_h {layout.dim_h}")
-        base = (layer * layout.n_expert + expert) * layout.dim_h
-        for j0 in range(0, layout.dim_h, layout.packing_factor):
-            j1 = min(j0 + layout.packing_factor, layout.dim_h)
-            active = int(np.count_nonzero(mask[j0:j1]))
-            if active == 0:
-                continue
-            i = base + j0
-            die = int(layout.die_of[i])
-            first = int(layout.page_of[i])
-            d_pages = pages_by_die.setdefault(die, {})
-            d_order = order_by_die.setdefault(die, [])
-            for p in range(first, first + layout.span_pages):
-                if p not in d_pages:
-                    d_order.append(p)
-                d_pages[p] = (active, j1 - j0)
-            elems_by_die[die] = elems_by_die.get(die, 0) + active * 3 * layout.dim_e
 
+    # active and resident vectors of every packing group, in visiting order
+    starts = np.arange(0, layout.dim_h, layout.packing_factor)
+    active = np.add.reduceat(np.array(stacked, dtype=np.int64), starts, axis=1)
+    resident = np.broadcast_to(np.minimum(layout.packing_factor, layout.dim_h - starts),
+                               active.shape)
+    slots = layer * layout.n_expert + np.array(experts, dtype=np.int64)
+    dies, first, _ = layout.place(slots[:, None], starts)
+    hit = active > 0
+    # a stable sort by die keeps each die's groups in visiting order
+    order = np.argsort(dies[hit], kind="stable")
+    dies, first, active, resident = (a[hit][order] for a in (dies, first, active, resident))
+    pages = (first[:, None] + np.arange(span)).ravel()
+    page_useful = np.repeat(geo.page_bytes * active / resident, span)
+
+    edges = np.flatnonzero(np.diff(dies, prepend=-1, append=-1)).tolist()
     txns = []
-    for die in sorted(pages_by_die):
-        pages = tuple(order_by_die[die])
-        useful = sum(geo.page_bytes * a / r for a, r in
-                     (pages_by_die[die][p] for p in pages))
-        ch, chip, d = geo.die_coords(die)
-        txns.append(ReadTransaction(die_index=die, ch=ch, chip=chip, die=d,
-                                    pages=pages, useful_bytes=useful,
-                                    total_bytes=len(pages) * geo.page_bytes,
-                                    active_elems=elems_by_die[die]))
+    for lo, hi in zip(edges, edges[1:]):
+        die_index = int(dies[lo])
+        die_pages = tuple(pages[lo * span:hi * span].tolist())
+        ch, chip, d = geo.die_coords(die_index)
+        txns.append(ReadTransaction(
+            die_index=die_index, ch=ch, chip=chip, die=d, pages=die_pages,
+            useful_bytes=sum(page_useful[lo * span:hi * span].tolist()),
+            total_bytes=len(die_pages) * geo.page_bytes,
+            active_elems=int(active[lo:hi].sum()) * 3 * layout.dim_e))
     return txns
 
 

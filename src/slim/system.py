@@ -243,16 +243,19 @@ def run_baseline(cfg: BaselineConfig, model: ModelConfig, sparsity: float,
 # --- scenario evaluation -----------------------------------------------------
 
 def nested_masks(cfg: ModelConfig, sparsity: float, seed: int) -> dict[tuple[int, int], np.ndarray]:
-    """Deterministic synthetic masks per (layer, expert): one fixed random
-    neuron permutation per slot, truncated by the target sparsity. Nesting
-    across sparsity levels makes page counts monotone for any packing."""
+    """Deterministic synthetic masks per routed (layer, expert): one fixed
+    random neuron permutation per slot, truncated by the target sparsity.
+    Only the experts ``active_experts`` routes to get a mask; each mask is
+    seeded by its own slot, so it does not depend on which others are drawn.
+    Nesting across sparsity levels makes page counts monotone for any
+    packing."""
     if not (0.0 <= sparsity < 1.0):
         raise ShapeError(f"sparsity {sparsity} outside [0, 1)")
     n_active = cfg.dim_h - int(round(sparsity * cfg.dim_h))
     n_active = max(1, n_active)
     masks = {}
     for layer in range(cfg.n_dec):
-        for expert in range(cfg.n_expert):
+        for expert in active_experts(cfg, layer):
             rng = np.random.default_rng([seed, 0x3A5C, layer, expert])
             perm = rng.permutation(cfg.dim_h)
             m = np.zeros(cfg.dim_h, dtype=bool)

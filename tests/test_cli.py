@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,9 @@ from slim.cli import main
 from slim.config import load_scenario
 from slim.container import read_tensors
 from slim.runner import REPORT_FIELDS, scenario_rows, write_report
+from slim.trace import read_ldjson
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TOY_DOC = {
     "model": "toy",
@@ -130,6 +137,34 @@ class TestSimulate:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": "not_a_model"}))
         assert run("simulate", path, tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("bad", [{"seed": "x"}, {"sparsity_targets": ["a"]},
+                                     {"sparsity_targets": []}, {"bytes_per_elem": 0}])
+    def test_bad_value_exits_2_without_traceback(self, tmp_path, bad):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TOY_DOC, **bad)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "slim.cli", "simulate",
+                               "--config", str(path), "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_moe_trace_round_trips(self, tmp_path):
+        doc = {"model": "toy_moe", "seed": 3, "sparsity_targets": [0.5],
+               "emit_trace": True}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run("simulate", path, out) == 0
+        events = []
+        scenario_rows(load_scenario(doc), trace_sink=events)
+        assert events and read_ldjson(out / "trace.ldjson") == events
+        for ev in events:
+            assert type(ev.time_ns) is int
+            assert type(ev.unit) is str and type(ev.event) is str
+            assert type(ev.bytes) in (int, float)
 
 
 def test_rows_fixed_order_without_pool_jitter(cfg_path, tmp_path):

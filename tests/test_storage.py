@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slim.errors import MappingError, ShapeError
 from slim.model import ModelConfig
 from slim.storage import (
     FusedVectorId,
     NandTiming,
+    ReadTransaction,
     SsdGeometry,
     generate_read_transactions,
     map_weights,
@@ -230,3 +235,133 @@ def test_geometry_capacity():
 def test_bad_pe_level():
     with pytest.raises(ShapeError):
         NandTiming(pe_level="fmc")
+
+
+# --- reference: the per-entry placement loop the closed form must reproduce ---
+
+def reference_layout(cfg, geo, bytes_per_elem):
+    """Deal packing groups to dies one by one, filling per-entry tables."""
+    vector_bytes = 3 * cfg.dim_e * bytes_per_elem
+    if vector_bytes <= geo.page_bytes:
+        packing, span = geo.page_bytes // vector_bytes, 1
+    else:
+        packing, span = 1, math.ceil(vector_bytes / geo.page_bytes)
+    n_entries = cfg.n_dec * cfg.n_expert * cfg.dim_h
+    die_of = np.empty(n_entries, dtype=np.int32)
+    page_of = np.empty(n_entries, dtype=np.int64)
+    offset_of = np.empty(n_entries, dtype=np.int64)
+    pages_used = np.zeros(geo.n_dies, dtype=np.int64)
+    group = 0
+    for layer in range(cfg.n_dec):
+        for expert in range(cfg.n_expert):
+            base = (layer * cfg.n_expert + expert) * cfg.dim_h
+            for j0 in range(0, cfg.dim_h, packing):
+                die = group % geo.n_dies
+                start_page = pages_used[die]
+                if start_page + span > geo.pages_per_die:
+                    raise MappingError(f"die {die} overflows")
+                for slot, j in enumerate(range(j0, min(j0 + packing, cfg.dim_h))):
+                    die_of[base + j] = die
+                    page_of[base + j] = start_page
+                    offset_of[base + j] = slot * vector_bytes
+                pages_used[die] += span
+                group += 1
+    return dict(die_of=die_of, page_of=page_of, offset_of=offset_of,
+                pages_used_per_die=pages_used, packing=packing, span=span)
+
+
+def reference_transactions(ref, cfg, geo, layer, masks):
+    """Walk every packing group of the masked experts, page by page."""
+    packing, span = ref["packing"], ref["span"]
+    pages_by_die, order_by_die, elems_by_die = {}, {}, {}
+    for expert in sorted(masks):
+        mask = np.asarray(masks[expert], dtype=bool)
+        base = (layer * cfg.n_expert + expert) * cfg.dim_h
+        for j0 in range(0, cfg.dim_h, packing):
+            j1 = min(j0 + packing, cfg.dim_h)
+            active = int(np.count_nonzero(mask[j0:j1]))
+            if active == 0:
+                continue
+            die = int(ref["die_of"][base + j0])
+            first = int(ref["page_of"][base + j0])
+            d_pages = pages_by_die.setdefault(die, {})
+            d_order = order_by_die.setdefault(die, [])
+            for p in range(first, first + span):
+                if p not in d_pages:
+                    d_order.append(p)
+                d_pages[p] = (active, j1 - j0)
+            elems_by_die[die] = elems_by_die.get(die, 0) + active * 3 * cfg.dim_e
+    txns = []
+    for die in sorted(pages_by_die):
+        pages = tuple(order_by_die[die])
+        useful = sum(geo.page_bytes * a / r for a, r in
+                     (pages_by_die[die][p] for p in pages))
+        ch, chip, d = geo.die_coords(die)
+        txns.append(ReadTransaction(die_index=die, ch=ch, chip=chip, die=d,
+                                    pages=pages, useful_bytes=useful,
+                                    total_bytes=len(pages) * geo.page_bytes,
+                                    active_elems=elems_by_die[die]))
+    return txns
+
+
+@st.composite
+def layout_cases(draw):
+    n_expert = draw(st.integers(1, 4))
+    cfg = ModelConfig(n_dec=draw(st.integers(1, 3)), dim_e=draw(st.integers(1, 700)),
+                      dim_h=draw(st.integers(1, 40)), n_heads=1, n_expert=n_expert,
+                      top_k=1, seed=0)
+    # page sizes from 1 KB down to 128 B give packing > 1 with a short last
+    # group as well as vectors spanning many pages; tiny dies overflow
+    geo = SsdGeometry(n_ch=draw(st.integers(1, 4)), chips_per_ch=draw(st.integers(1, 3)),
+                      dies_per_chip=draw(st.integers(1, 2)),
+                      planes_per_die=draw(st.integers(1, 2)),
+                      blocks_per_plane=draw(st.integers(1, 3)),
+                      pages_per_block=draw(st.integers(1, 16)),
+                      page_bytes=draw(st.sampled_from([128, 256, 1024])))
+    bytes_per_elem = draw(st.integers(1, 2))
+    layer = draw(st.integers(0, cfg.n_dec - 1))
+    experts = draw(st.sets(st.integers(0, n_expert - 1)))
+    masks = {e: np.array(draw(st.lists(st.booleans(), min_size=cfg.dim_h,
+                                       max_size=cfg.dim_h)), dtype=bool)
+             for e in experts}
+    return cfg, geo, bytes_per_elem, layer, masks
+
+
+@given(layout_cases())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_matches_reference(case):
+    cfg, geo, bytes_per_elem, layer, masks = case
+    try:
+        ref = reference_layout(cfg, geo, bytes_per_elem)
+    except MappingError:
+        with pytest.raises(MappingError):
+            map_weights(cfg, geo, bytes_per_elem)
+        return
+    layout = map_weights(cfg, geo, bytes_per_elem)
+    for name in ("die_of", "page_of", "offset_of", "pages_used_per_die"):
+        got = getattr(layout, name)
+        assert got.dtype == ref[name].dtype and np.array_equal(got, ref[name]), name
+
+    per_plane = geo.blocks_per_plane * geo.pages_per_block
+    for layer_i in range(cfg.n_dec):
+        for expert in range(cfg.n_expert):
+            for j in range(cfg.dim_h):
+                i = (layer_i * cfg.n_expert + expert) * cfg.dim_h + j
+                p = int(ref["page_of"][i])
+                plane, rest = divmod(p, per_plane)
+                block, page = divmod(rest, geo.pages_per_block)
+                expect = (*geo.die_coords(int(ref["die_of"][i])), plane, block, page,
+                          int(ref["offset_of"][i]), ref["span"])
+                assert layout.lookup(FusedVectorId(layer_i, expert, j)) == expect
+
+    got = generate_read_transactions(layout, layer, masks)
+    want = reference_transactions(ref, cfg, geo, layer, masks)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in ("die_index", "ch", "chip", "die", "pages", "useful_bytes",
+                     "total_bytes", "active_elems"):
+            assert getattr(g, name) == getattr(w, name), name
+        assert g.useful_bytes.hex() == w.useful_bytes.hex()
+        assert all(type(v) is int for v in (g.die_index, g.ch, g.chip, g.die,
+                                            g.total_bytes, g.active_elems, *g.pages))
+        assert type(g.useful_bytes) is float

@@ -9,6 +9,7 @@ from slim.pim import DDR4_2400, BitSerialCostModel
 from slim.storage import nand_preset
 from slim.system import (
     BaselineConfig,
+    active_experts,
     EnergyConstants,
     PhaseTimes,
     baseline_preset,
@@ -157,6 +158,16 @@ class TestMasks:
     def test_distinct_per_layer(self):
         masks = nested_masks(TOY, 0.5, seed=3)
         assert not np.array_equal(masks[(0, 0)], masks[(1, 0)])
+
+    def test_routed_experts_only_and_seeded_per_slot(self):
+        moe = ModelConfig(n_dec=3, dim_e=64, dim_h=48, n_heads=4, n_expert=8,
+                          top_k=2, seq_len=16, seed=0)
+        masks = nested_masks(moe, 0.5, seed=4)
+        assert set(masks) == {(layer, e) for layer in range(moe.n_dec)
+                              for e in active_experts(moe, layer)}
+        for (layer, e), m in masks.items():
+            perm = np.random.default_rng([4, 0x3A5C, layer, e]).permutation(moe.dim_h)
+            assert np.array_equal(np.flatnonzero(m), np.sort(perm[:24]))
 
 
 class TestEvaluateSlim:
