@@ -281,7 +281,7 @@ def generate_read_transactions(layout: WeightLayout, layer: int,
         ch, chip, d = geo.die_coords(die_index)
         txns.append(ReadTransaction(
             die_index=die_index, ch=ch, chip=chip, die=d, pages=die_pages,
-            useful_bytes=sum(page_useful[lo * span:hi * span].tolist()),
+            useful_bytes=float(np.add.accumulate(page_useful[lo * span:hi * span])[-1]),
             total_bytes=len(die_pages) * geo.page_bytes,
             active_elems=int(active[lo:hi].sum()) * 3 * layout.dim_e))
     return txns
@@ -296,6 +296,111 @@ class FfnPassResult:
     macs: int
 
 
+def _confirmed_steps(start, waits_on, first_ready, step_slot, bus_t, t_r):
+    """How many leading steps of a guessed schedule the page-by-page heap
+    loop of ``_channel_bus_end`` takes exactly as guessed, and the ready
+    times the guess gives: the queued dies' ``first_ready``, then each
+    step's start + t_r. Step i waits for ready time ``waits_on[i]``.
+
+    A step is confirmed when its guessed start equals the loop's own
+    max(bus free, page ready), computed from the guess, and the ready time
+    it pushes is later than every one already queued, so that heap order,
+    die-index tie-breaks included, stays round-robin. (The loop's third
+    term, the broadcast's end, cannot bind: the bus was already busy past it
+    when the ramp ended.)"""
+    m = len(first_ready)
+    readies = np.concatenate((first_ready, start + t_r))
+    bus_free = np.concatenate(([bus_t], start[:-1] + step_slot[:-1]))
+    ok = start == np.maximum(bus_free, readies[waits_on])
+    ok &= readies[m:] > readies[m - 1:-1]
+    return (len(ok) if ok.all() else int(ok.argmin())), readies
+
+
+def _channel_bus_end(ready: dict[int, float], pages: dict[int, int],
+                     slot: dict[int, float], t_r: float, bcast: float) -> float:
+    """When one channel's shared bus finishes streaming its dies' pages.
+
+    Die d has ``pages[d]`` pages, the first ready at ``ready[d]``, and each
+    holds the bus ``slot[d]``. The rule is a heap loop over pages: serve the
+    die whose page is ready first (lower die index on ties) at max(bus free,
+    page ready, bcast); its next page is ready t_r after that start. The
+    loop runs page by page only where the schedule has no closed form:
+
+    1. ramp: heap steps until every die has read once. From then on the
+       queued dies are served round-robin, each leaving when out of pages.
+    2. rounds: all remaining starts are guessed bus-bound (a running sum of
+       slots) and die-bound (a running sum of t_r down each die's column);
+       the longer prefix that ``_confirmed_steps`` confirms is taken.
+    3. fallback: when that prefix is shorter than a budget (at first one
+       round of the dies), that many heap steps, and the budget doubles.
+
+    Accepted values are the loop's own IEEE sums in the loop's order, so the
+    result is bit-identical to stepping every page.
+    """
+    left = dict(pages)
+    heap = [(r, d) for d, r in ready.items()]
+    heapq.heapify(heap)
+    bus_t = 0.0
+
+    def heap_step():
+        nonlocal bus_t
+        r, d = heapq.heappop(heap)
+        start = max(bus_t, r, bcast)
+        bus_t = start + slot[d]
+        left[d] -= 1
+        if left[d]:
+            heapq.heappush(heap, (start + t_r, d))
+        return d
+
+    unread = set(left)
+    while unread:
+        unread.discard(heap_step())
+    budget = len(pages)
+    while heap:
+        heap.sort()  # pop order; a sorted list is also a valid heap
+        m = len(heap)
+        dies = [d for _, d in heap]
+        first_ready = np.array([r for r, _ in heap])
+        n_left = [left[d] for d in dies]
+        # round r serves, in queue order, every die with more than r pages left
+        served = np.arange(max(n_left))[:, None] < np.array(n_left)
+        step_slot = np.array([slot[d] for d in dies])[served.nonzero()[1]]
+        n = len(step_slot)
+        # step_no[r + 1, j]: the step that serves queue die j's page r; row 0
+        # counts up from -m, so m + step_no indexes _confirmed_steps' readies
+        step_no = np.cumsum(served.ravel()).reshape(served.shape) - 1
+        step_no = np.vstack((np.arange(-m, 0), step_no))
+        waits_on = m + step_no[:-1][served]
+        start = np.add.accumulate(np.concatenate(([bus_t], step_slot[:-1])))
+        steps, readies = _confirmed_steps(start, waits_on, first_ready, step_slot,
+                                          bus_t, t_r)
+        if steps < n:
+            die_bound = np.full(served.shape, t_r)
+            die_bound[0] = first_ready
+            die_start = np.add.accumulate(die_bound, axis=0)[served]
+            die_steps, die_readies = _confirmed_steps(die_start, waits_on, first_ready,
+                                                      step_slot, bus_t, t_r)
+            if die_steps > steps:
+                start, steps, readies = die_start, die_steps, die_readies
+        if steps:
+            bus_t = float(start[steps - 1] + step_slot[steps - 1])
+            if steps == n:
+                break
+            done = ((step_no[1:] < steps) & served).sum(axis=0)
+            next_ready = readies[m + step_no[done, np.arange(m)]].tolist()
+            heap = []
+            for j, d in enumerate(dies):
+                left[d] -= int(done[j])
+                if left[d]:
+                    heap.append((next_ready[j], d))
+            heapq.heapify(heap)
+        if steps < budget:
+            for _ in range(min(budget, n - steps)):
+                heap_step()
+            budget *= 2
+    return bus_t
+
+
 def simulate_ffn_pass(transactions: list[ReadTransaction], timing: NandTiming,
                       geo: SsdGeometry, batch_tokens: int = 1, *, dim_e: int,
                       params: NspParams = NspParams(), trace: list | None = None,
@@ -308,11 +413,23 @@ def simulate_ffn_pass(transactions: list[ReadTransaction], timing: NandTiming,
     costs max(read, compute)), and finally collect partial sums over the
     channel bus (die-level PEs) or the on-chip bus (channel-level PEs).
 
-    Channel-level PEs additionally serialize every page on the shared ONFI
-    bus; die-level PEs consume pages in-die and only their partial sums touch
-    the bus. Within a transaction the per-page compute time uses the
-    transaction's mean active elements per page. Transactions must target
-    distinct dies (generate_read_transactions emits at most one per die).
+    Die-level PEs consume pages in-die and only their partial sums touch
+    the bus. Channel-level PEs serialize every page on their channel's
+    shared ONFI bus: the bus takes the die whose page is ready earliest
+    (lower die index on ties), a die holds one buffered page and starts its
+    next array read when that page goes onto the bus, and each page holds
+    the bus for max(transfer, compute). After a ramp in which every die has
+    read once, the dies take turns round-robin. The rounds are evaluated in
+    closed form when the bus is the bottleneck (pages back to back) or the
+    dies are (each page t_R after its die's previous one), and page by page
+    where neither holds (``_channel_bus_end``). Every closed-form start is
+    checked against the page-by-page rule with the same float operations,
+    so the latency is bit-identical to stepping every page.
+
+    Within a transaction the per-page compute time uses the transaction's
+    mean active elements per page. Transactions must target distinct dies
+    and hold at least one page (generate_read_transactions emits at most
+    one per die, never an empty one); ShapeError otherwise.
     """
     t_r = timing.t_r_us * 1e-6
     ftl = params.ftl_txn_us * 1e-6
@@ -342,7 +459,6 @@ def simulate_ffn_pass(transactions: list[ReadTransaction], timing: NandTiming,
         emit(t, "onchip", "onchip_bus", geo.n_ch * in_bytes)
 
     ftl_t = 0.0
-    die_free: dict[int, float] = {}
     bus_free = [0.0] * geo.n_ch  # ONFI channel bus
     onchip_free = 0.0
     pe_done: dict[int, float] = {}
@@ -352,56 +468,46 @@ def simulate_ffn_pass(transactions: list[ReadTransaction], timing: NandTiming,
 
     issue_at = {}
     for txn in transactions:
+        if txn.die_index in issue_at:
+            raise ShapeError(f"two transactions target die {txn.die_index}")
+        if not txn.pages:
+            raise ShapeError(f"transaction for die {txn.die_index} has no pages")
         ftl_t += ftl  # step 2: LPA translation, serialized in firmware
         issue_at[txn.die_index] = ftl_t
         raw += txn.total_bytes
         useful += txn.useful_bytes
         elems += txn.active_elems
 
+    def compute_page(txn):
+        return (txn.active_elems * batch_tokens / len(txn.pages)) / pe_rate
+
     if timing.pe_level == "die":
         for txn in transactions:
-            n_pages = len(txn.pages)
             macs = txn.active_elems * batch_tokens
-            compute_page = (macs / n_pages) / pe_rate if n_pages else 0.0
-            ready = max(die_free.get(txn.die_index, 0.0), issue_at[txn.die_index])
-            done = ready + n_pages * max(t_r, compute_page)
+            ready = max(0.0, issue_at[txn.die_index])  # no read before t = 0
+            done = ready + len(txn.pages) * max(t_r, compute_page(txn))
             done = max(done, bcast_end[txn.ch])  # PE needs the input to finish
-            die_free[txn.die_index] = done
             pe_done[txn.die_index] = done
             emit(done, f"die{txn.die_index}", "nand_read", txn.total_bytes)
             emit(done, f"die{txn.die_index}", "pe_mac", macs)
     else:
-        # The shared channel bus arbitrates over its dies' ready pages in
-        # chronological order; a die holds one buffered page and starts its
-        # next array read when that buffer drains onto the bus.
+        by_ch: dict[int, list[ReadTransaction]] = {}
+        for txn in transactions:
+            by_ch.setdefault(txn.ch, []).append(txn)
         for ch in range(geo.n_ch):
-            ch_txns = [t for t in transactions if t.ch == ch]
+            ch_txns = by_ch.get(ch)
             if not ch_txns:
                 continue
-            pages_left = {}
-            per_page_compute = {}
-            heap = []
+            bus_free[ch] = _channel_bus_end(
+                {t.die_index: issue_at[t.die_index] + t_r for t in ch_txns},
+                {t.die_index: len(t.pages) for t in ch_txns},
+                {t.die_index: max(xfer, compute_page(t)) for t in ch_txns},
+                t_r, bcast_end[ch])
+            pe_done[ch] = bus_free[ch]
             for t in ch_txns:
-                n_pages = len(t.pages)
-                macs = t.active_elems * batch_tokens
-                pages_left[t.die_index] = n_pages
-                per_page_compute[t.die_index] = (macs / n_pages) / pe_rate if n_pages else 0.0
-                heapq.heappush(heap, (issue_at[t.die_index] + t_r, t.die_index))
-            bus_t = bus_free[ch]
-            while heap:
-                ready, die_index = heapq.heappop(heap)
-                start = max(bus_t, ready, bcast_end[ch])
-                bus_t = start + max(xfer, per_page_compute[die_index])
-                die_free[die_index] = start
-                pages_left[die_index] -= 1
-                if pages_left[die_index] > 0:
-                    heapq.heappush(heap, (start + t_r, die_index))
-            bus_free[ch] = bus_t
-            pe_done[ch] = bus_t
-            for t in ch_txns:
-                emit(bus_t, f"die{t.die_index}", "nand_read", t.total_bytes)
-                emit(bus_t, f"ch{ch}", "ch_bus", t.total_bytes)
-                emit(bus_t, f"fmc{ch}", "pe_mac", t.active_elems * batch_tokens)
+                emit(bus_free[ch], f"die{t.die_index}", "nand_read", t.total_bytes)
+                emit(bus_free[ch], f"ch{ch}", "ch_bus", t.total_bytes)
+                emit(bus_free[ch], f"fmc{ch}", "pe_mac", t.active_elems * batch_tokens)
 
     # step 4: reduce and collect partial sums from every PE that did work
     end = max(bcast_end.values())

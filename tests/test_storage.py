@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slim import storage
 from slim.errors import MappingError, ShapeError
 from slim.model import ModelConfig
 from slim.storage import (
+    FfnPassResult,
     FusedVectorId,
     NandTiming,
+    NspParams,
     ReadTransaction,
     SsdGeometry,
     generate_read_transactions,
@@ -18,6 +22,7 @@ from slim.storage import (
     simulate_ffn_pass,
     write_model,
 )
+from slim.trace import TraceEvent
 
 LLAMA = ModelConfig(n_dec=32, dim_e=4096, dim_h=11008, n_heads=32, seq_len=2048, seed=1)
 TOY = ModelConfig(n_dec=2, dim_e=512, dim_h=64, n_heads=4, seq_len=32, seed=1)
@@ -25,6 +30,16 @@ TOY = ModelConfig(n_dec=2, dim_e=512, dim_h=64, n_heads=4, seq_len=32, seed=1)
 
 def full_masks(cfg, value=True):
     return {e: np.full(cfg.dim_h, value, dtype=bool) for e in range(cfg.n_expert)}
+
+
+def page_txn(geo, die_index, n_pages, elems_per_page):
+    """A hand-built transaction of n_pages full pages on one die."""
+    ch, chip, die = geo.die_coords(die_index)
+    return ReadTransaction(die_index=die_index, ch=ch, chip=chip, die=die,
+                           pages=tuple(range(n_pages)),
+                           useful_bytes=float(n_pages * geo.page_bytes),
+                           total_bytes=n_pages * geo.page_bytes,
+                           active_elems=n_pages * elems_per_page)
 
 
 class TestMapping:
@@ -196,6 +211,15 @@ class TestFfnPass:
         assert r8.raw_bytes == r1.raw_bytes
         assert r8.macs == 8 * r1.macs
 
+    @pytest.mark.parametrize("level", ["die", "channel"])
+    @pytest.mark.parametrize("n_pages, copies", [(10, 2), (0, 1)])
+    def test_one_nonempty_transaction_per_die(self, level, n_pages, copies):
+        # a die listed twice would share one bus stream, an empty one would take a slot
+        geo, timing = nand_preset("slc", level)
+        txn = page_txn(geo, 0, n_pages, 4096)
+        with pytest.raises(ShapeError):
+            simulate_ffn_pass([txn] * copies, timing, geo, dim_e=4096)
+
 
 class TestWriteModel:
     def test_single_page_per_die(self):
@@ -294,8 +318,10 @@ def reference_transactions(ref, cfg, geo, layer, masks):
     txns = []
     for die in sorted(pages_by_die):
         pages = tuple(order_by_die[die])
-        useful = sum(geo.page_bytes * a / r for a, r in
-                     (pages_by_die[die][p] for p in pages))
+        useful = 0.0  # left to right, never compensated
+        for p in pages:
+            active, resident = pages_by_die[die][p]
+            useful += geo.page_bytes * active / resident
         ch, chip, d = geo.die_coords(die)
         txns.append(ReadTransaction(die_index=die, ch=ch, chip=chip, die=d,
                                     pages=pages, useful_bytes=useful,
@@ -365,3 +391,198 @@ def test_closed_form_matches_reference(case):
         assert all(type(v) is int for v in (g.die_index, g.ch, g.chip, g.die,
                                             g.total_bytes, g.active_elems, *g.pages))
         assert type(g.useful_bytes) is float
+
+
+# --- reference: the FFN pass as one heap push/pop per channel-level page ---
+
+def reference_ffn_pass(transactions: list[ReadTransaction], timing: NandTiming,
+                      geo: SsdGeometry, batch_tokens: int = 1, *, dim_e: int,
+                      params: NspParams = NspParams(), trace: list | None = None,
+                      t_start: float = 0.0) -> FfnPassResult:
+    """The per-page heap loop the channel-level schedule must reproduce."""
+    t_r = timing.t_r_us * 1e-6
+    ftl = params.ftl_txn_us * 1e-6
+    ch_rate = timing.ch_bus_mbps * 1e6
+    onchip_rate = params.onchip_bus_gbps * 1e9
+    pe_rate = timing.pe_macs * timing.pe_clock_ghz * 1e9
+    xfer = geo.page_bytes / ch_rate
+    in_bytes = dim_e * params.act_bytes_per_elem * batch_tokens
+    psum_bytes = dim_e * params.psum_bytes_per_elem * batch_tokens
+
+    def emit(t, unit, event, qty):
+        if trace is not None:
+            trace.append(TraceEvent(time_ns=int(round((t_start + t) * 1e9)),
+                                    unit=unit, event=event, bytes=qty))
+
+    # step 1: broadcast inputs to PE input SRAMs
+    bcast_end = {}
+    if timing.pe_level == "die":
+        pes_per_ch = geo.chips_per_ch * geo.dies_per_chip
+        for ch in range(geo.n_ch):
+            bcast_end[ch] = pes_per_ch * in_bytes / ch_rate
+            emit(bcast_end[ch], f"ch{ch}", "ch_bus", pes_per_ch * in_bytes)
+    else:
+        t = geo.n_ch * in_bytes / onchip_rate
+        for ch in range(geo.n_ch):
+            bcast_end[ch] = t
+        emit(t, "onchip", "onchip_bus", geo.n_ch * in_bytes)
+
+    ftl_t = 0.0
+    die_free: dict[int, float] = {}
+    bus_free = [0.0] * geo.n_ch  # ONFI channel bus
+    onchip_free = 0.0
+    pe_done: dict[int, float] = {}
+    raw = 0
+    useful = 0.0
+    elems = 0
+
+    issue_at = {}
+    for txn in transactions:
+        ftl_t += ftl  # step 2: LPA translation, serialized in firmware
+        issue_at[txn.die_index] = ftl_t
+        raw += txn.total_bytes
+        useful += txn.useful_bytes
+        elems += txn.active_elems
+
+    if timing.pe_level == "die":
+        for txn in transactions:
+            n_pages = len(txn.pages)
+            macs = txn.active_elems * batch_tokens
+            compute_page = (macs / n_pages) / pe_rate if n_pages else 0.0
+            ready = max(die_free.get(txn.die_index, 0.0), issue_at[txn.die_index])
+            done = ready + n_pages * max(t_r, compute_page)
+            done = max(done, bcast_end[txn.ch])  # PE needs the input to finish
+            die_free[txn.die_index] = done
+            pe_done[txn.die_index] = done
+            emit(done, f"die{txn.die_index}", "nand_read", txn.total_bytes)
+            emit(done, f"die{txn.die_index}", "pe_mac", macs)
+    else:
+        # The shared channel bus arbitrates over its dies' ready pages in
+        # chronological order; a die holds one buffered page and starts its
+        # next array read when that buffer drains onto the bus.
+        for ch in range(geo.n_ch):
+            ch_txns = [t for t in transactions if t.ch == ch]
+            if not ch_txns:
+                continue
+            pages_left = {}
+            per_page_compute = {}
+            heap = []
+            for t in ch_txns:
+                n_pages = len(t.pages)
+                macs = t.active_elems * batch_tokens
+                pages_left[t.die_index] = n_pages
+                per_page_compute[t.die_index] = (macs / n_pages) / pe_rate if n_pages else 0.0
+                heapq.heappush(heap, (issue_at[t.die_index] + t_r, t.die_index))
+            bus_t = bus_free[ch]
+            while heap:
+                ready, die_index = heapq.heappop(heap)
+                start = max(bus_t, ready, bcast_end[ch])
+                bus_t = start + max(xfer, per_page_compute[die_index])
+                die_free[die_index] = start
+                pages_left[die_index] -= 1
+                if pages_left[die_index] > 0:
+                    heapq.heappush(heap, (start + t_r, die_index))
+            bus_free[ch] = bus_t
+            pe_done[ch] = bus_t
+            for t in ch_txns:
+                emit(bus_t, f"die{t.die_index}", "nand_read", t.total_bytes)
+                emit(bus_t, f"ch{ch}", "ch_bus", t.total_bytes)
+                emit(bus_t, f"fmc{ch}", "pe_mac", t.active_elems * batch_tokens)
+
+    # step 4: reduce and collect partial sums from every PE that did work
+    end = max(bcast_end.values())
+    if timing.pe_level == "die":
+        for die_index in sorted(pe_done):
+            ch, _, _ = geo.die_coords(die_index)
+            start = max(bus_free[ch], pe_done[die_index])
+            bus_free[ch] = start + psum_bytes / ch_rate
+            emit(bus_free[ch], f"ch{ch}", "ch_bus", psum_bytes)
+            end = max(end, bus_free[ch])
+    else:
+        for ch in sorted(pe_done):
+            onchip_free = max(onchip_free, pe_done[ch]) + psum_bytes / onchip_rate
+            emit(onchip_free, "onchip", "onchip_bus", psum_bytes)
+            end = max(end, onchip_free)
+
+    return FfnPassResult(latency_s=end, raw_bytes=raw, useful_bytes=useful,
+                         active_elems=elems, macs=elems * batch_tokens)
+
+
+@st.composite
+def ffn_cases(draw):
+    geo = SsdGeometry(n_ch=draw(st.integers(1, 3)), chips_per_ch=draw(st.integers(1, 8)),
+                      dies_per_chip=draw(st.integers(1, 2)),
+                      page_bytes=draw(st.sampled_from([2048, 4096, 16384])))
+    # datasheet values and arbitrary ones: bus-bound, die-bound and mixed
+    # channels, compute-bound slots from large batches on few MACs
+    timing = NandTiming(t_r_us=draw(st.sampled_from([3.0, 40.0, 100.0]) | st.floats(0.5, 120)),
+                        ch_bus_mbps=draw(st.just(1200.0) | st.floats(100, 4000)),
+                        pe_macs=draw(st.sampled_from([16, 64]) | st.integers(1, 256)),
+                        pe_level=draw(st.sampled_from(["channel", "die"])))
+    params = NspParams(ftl_txn_us=draw(st.sampled_from([0.5, 0.0]) | st.floats(0, 20)))
+    dies = draw(st.lists(st.integers(0, geo.n_dies - 1), unique=True, max_size=geo.n_dies))
+    txns = [page_txn(geo, d, draw(st.integers(1, 600)),
+                     draw(st.integers(1, geo.page_bytes))) for d in dies]
+    return txns, timing, geo, draw(st.integers(1, 64)), draw(st.integers(1, 8192)), params
+
+
+def assert_same_pass(txns, timing, geo, batch, dim_e, params=NspParams(), t_start=0.0):
+    got_events, want_events = [], []
+    got = simulate_ffn_pass(txns, timing, geo, batch, dim_e=dim_e, params=params,
+                            trace=got_events, t_start=t_start)
+    want = reference_ffn_pass(txns, timing, geo, batch, dim_e=dim_e, params=params,
+                              trace=want_events, t_start=t_start)
+    assert got.latency_s.hex() == want.latency_s.hex()
+    assert got == want and got_events == want_events
+
+
+@given(ffn_cases(), st.floats(0, 1e-3))
+@settings(max_examples=300, deadline=None)
+def test_ffn_pass_matches_reference(case, t_start):
+    assert_same_pass(*case, t_start=t_start)
+
+
+@pytest.mark.parametrize("chips, t_r_us, ch_bus_mbps, pe_macs, ftl_txn_us, elems, path", [
+    # 4 dies, SLC: a round of 4 transfers outlasts t_R; one bus-bound guess covers all
+    (4, 3.0, 1200.0, 64, 0.5, [4096] * 4, "bus"),
+    # 2 dies issued 20 us apart, t_R 100 us: the die-bound guess covers all
+    (2, 100.0, 1200.0, 64, 20.0, [4096] * 2, "die"),
+    # compute-bound slots of unequal length: neither guess holds for a round
+    (3, 5.0, 4096.0, 2, 0.5, [1000, 3000, 4000], "fallback"),
+])
+def test_channel_schedule_paths(monkeypatch, chips, t_r_us, ch_bus_mbps, pe_macs,
+                                ftl_txn_us, elems, path):
+    """Each way of advancing the channel schedule is reached and is exact."""
+    attempts = []
+    confirm = storage._confirmed_steps
+
+    def spy(start, waits_on, first_ready, step_slot, bus_t, t_r):
+        steps, readies = confirm(start, waits_on, first_ready, step_slot, bus_t, t_r)
+        bus_bound = np.add.accumulate(np.concatenate(([bus_t], step_slot[:-1])))
+        attempts.append(("bus" if np.array_equal(start, bus_bound) else "die",
+                         steps, len(start), len(first_ready)))
+        return steps, readies
+
+    monkeypatch.setattr(storage, "_confirmed_steps", spy)
+    geo = SsdGeometry(n_ch=1, chips_per_ch=chips)
+    timing = NandTiming(t_r_us=t_r_us, ch_bus_mbps=ch_bus_mbps, pe_macs=pe_macs,
+                        pe_level="channel")
+    txns = [page_txn(geo, d, 60, e) for d, e in enumerate(elems)]
+    assert_same_pass(txns, timing, geo, 1, 64, NspParams(ftl_txn_us=ftl_txn_us))
+    if path == "fallback":
+        assert any(a[1] < a[3] and b[1] < b[3]
+                   for a, b in zip(attempts, attempts[1:]) if (a[0], b[0]) == ("bus", "die"))
+    else:
+        assert attempts[-1][0] == path and attempts[-1][1] == attempts[-1][2]
+        assert len(attempts) == (1 if path == "bus" else 2)
+
+
+def test_tied_ready_times_keep_heap_order():
+    """Slots below one ulp of a 3 s t_R make pushed ready times tie; the heap
+    then serves the lower die index first, not round-robin, and so must the
+    channel schedule."""
+    geo = SsdGeometry(n_ch=1, chips_per_ch=3)
+    timing = NandTiming(t_r_us=3e6, ch_bus_mbps=1e13, pe_macs=16, pe_clock_ghz=1e8,
+                        pe_level="channel")
+    txns = [page_txn(geo, 0, 6, 2421), page_txn(geo, 2, 6, 661), page_txn(geo, 1, 8, 3666)]
+    assert_same_pass(txns, timing, geo, 8, 64, NspParams(ftl_txn_us=3e-10))
