@@ -6,25 +6,11 @@ no function mutates its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import RankError, ShapeError
 
 Matrix = np.ndarray
-
-
-def as_matrix(data) -> Matrix:
-    """Coerce to a 2-D float64 array and reject non-finite entries."""
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise ShapeError(f"expected 2-D data, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ShapeError("matrix entries must be finite")
-    return m
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -75,45 +61,3 @@ def truncated_svd(m: Matrix, r: int) -> tuple[Matrix, np.ndarray, Matrix]:
         raise RankError(f"rank {r} out of range for shape {m.shape}")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     return u[:, :r].copy(), s[:r].copy(), vt[:r].T.copy()
-
-
-def round_half_away(x):
-    """Round to nearest integer, halves away from zero (single rounding rule
-    used for all quantization in the package)."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
-
-
-@dataclass(frozen=True)
-class QuantizedMatrix:
-    """Per-row symmetric 8-bit quantization: row i dequantizes as
-    values[i] * scales[i]."""
-
-    values: np.ndarray  # int8, row-major
-    scales: np.ndarray  # float64, one per row
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-
-def quantize_i8(m: Matrix) -> QuantizedMatrix:
-    """Per-row symmetric quantization; the row max-abs maps to 127.
-
-    All-zero rows get scale 1.0 by convention so dequantization stays a plain
-    scalar multiply. Roundtrip error is bounded by scale/2 elementwise.
-    """
-    m = as_matrix(m)
-    maxabs = np.max(np.abs(m), axis=1)
-    scales = np.where(maxabs > 0.0, maxabs / 127.0, 1.0)
-    q = round_half_away(m / scales[:, None])
-    q = np.clip(q, -127, 127).astype(np.int8)
-    return QuantizedMatrix(values=q, scales=scales)
-
-
-def dequantize(q: QuantizedMatrix) -> Matrix:
-    return q.values.astype(np.float64) * q.scales[:, None]

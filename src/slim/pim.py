@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ShapeError
 from .model import ModelConfig
+from .predictor import default_dim_lr
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,7 @@ def token_dram_cost(cfg: ModelConfig, geo: DramGeometry, timing: DramTiming,
     generated token across all decoder layers, attending over a full
     seq_len-deep cache."""
     if dim_lr is None:
-        dim_lr = max(1, cfg.dim_e // 4)
+        dim_lr = default_dim_lr(cfg.dim_e)
     qkvo = qkvo_cost(cfg.dim_e, bits, geo, timing, cm, cfg.batch)
     mha = mha_cost(cfg.seq_len, cfg.dim_e, cfg.n_heads, bits, geo, timing, cm)["total"]
     pred = predictor_cost(cfg.dim_e, dim_lr, cfg.dim_h, bits, geo, timing, cm, cfg.batch)

@@ -29,10 +29,6 @@ class Predictor:
     def dim_lr(self) -> int:
         return self.l.shape[1]
 
-    @property
-    def n_params(self) -> int:
-        return self.l.size + self.r.size
-
     def scores(self, x: Matrix) -> Matrix:
         """Predicted gate magnitudes |x @ L @ R|, one row per token."""
         return np.abs(matmul(matmul(x, self.l), self.r))

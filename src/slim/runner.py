@@ -16,6 +16,7 @@ from .model import Decoder, LayerWeights, harvest_ffn_inputs
 from .predictor import (
     Predictor,
     build_threshold_table,
+    default_dim_lr,
     init_from_svd,
     measured_sparsity,
     predict_mask,
@@ -191,7 +192,7 @@ def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
     loss histories."""
     dec = _load_decoder(cfg)
     tp = cfg.train
-    dim_lr = tp.dim_lr or max(1, cfg.model.dim_e // 4)
+    dim_lr = tp.dim_lr or default_dim_lr(cfg.model.dim_e)
     calib = harvest_ffn_inputs(dec, tp.calib_tokens, seed=cfg.seed + 1)
 
     tensors = {}

@@ -86,6 +86,12 @@ class NspParams:
     psum_bytes_per_elem: int = 2  # partial-sum width on the collection bus
     act_bytes_per_elem: int = 1  # activations move quantized
 
+    def __post_init__(self):
+        if not (self.ftl_txn_us >= 0 and self.onchip_bus_gbps > 0):
+            raise ShapeError("ftl_txn_us must be >= 0 and onchip_bus_gbps > 0")
+        if min(self.psum_bytes_per_elem, self.act_bytes_per_elem) < 1:
+            raise ShapeError("byte widths per element must be >= 1")
+
 
 SLC_GEOMETRY = SsdGeometry(page_bytes=4096)
 TLC_GEOMETRY = SsdGeometry(page_bytes=16384)
@@ -105,13 +111,6 @@ def nand_preset(nand: str, pe_level: str) -> tuple[SsdGeometry, NandTiming]:
 
 
 @dataclass(frozen=True)
-class FusedVectorId:
-    layer: int
-    expert: int
-    neuron: int
-
-
-@dataclass(frozen=True)
 class WeightLayout:
     """Closed-form map from fused vectors to physical pages.
 
@@ -121,8 +120,9 @@ class WeightLayout:
     j // packing_factor``, which lives on die ``g mod n_dies`` starting at
     per-die page ``(g // n_dies) * span_pages``; the vector sits at byte
     offset ``(j mod packing_factor) * vector_bytes``. Every vector's pages are
-    consecutive within one die. The per-entry tables (flat order: layer-major,
-    then expert, then neuron) are computed on demand.
+    consecutive within one die. ``place`` is the only address formula; no
+    per-neuron table is kept, and ``SsdGeometry.die_coords`` turns a die index
+    into (channel, chip, die).
     """
 
     geo: SsdGeometry
@@ -134,10 +134,6 @@ class WeightLayout:
     vector_bytes: int
     packing_factor: int  # vectors per page (1 when a vector spans pages)
     span_pages: int  # pages per vector (1 when packing)
-
-    @property
-    def n_entries(self) -> int:
-        return self.n_dec * self.n_expert * self.dim_h
 
     @property
     def groups_per_slot(self) -> int:
@@ -154,39 +150,10 @@ class WeightLayout:
         return (group % self.geo.n_dies, group // self.geo.n_dies * self.span_pages,
                 neuron % self.packing_factor * self.vector_bytes)
 
-    def _tables(self):
-        flat = np.arange(self.n_entries, dtype=np.int64)
-        return self.place(flat // self.dim_h, flat % self.dim_h)
-
-    @property
-    def die_of(self) -> np.ndarray:
-        return self._tables()[0].astype(np.int32)
-
-    @property
-    def page_of(self) -> np.ndarray:
-        return self._tables()[1]
-
-    @property
-    def offset_of(self) -> np.ndarray:
-        return self._tables()[2]
-
     @property
     def pages_used_per_die(self) -> np.ndarray:
         full, extra = divmod(self.n_groups, self.geo.n_dies)
         return (full + (np.arange(self.geo.n_dies) < extra)) * self.span_pages
-
-    def lookup(self, vid: FusedVectorId):
-        """(ch, chip, die, plane, block, page, byte_offset, span_pages)."""
-        if not (0 <= vid.layer < self.n_dec and 0 <= vid.expert < self.n_expert
-                and 0 <= vid.neuron < self.dim_h):
-            raise ShapeError(f"{vid} outside the layout")
-        die_index, first, offset = self.place(vid.layer * self.n_expert + vid.expert,
-                                              vid.neuron)
-        ch, chip, die = self.geo.die_coords(die_index)
-        per_plane = self.geo.blocks_per_plane * self.geo.pages_per_block
-        plane, rest = divmod(first, per_plane)
-        block, page = divmod(rest, self.geo.pages_per_block)
-        return ch, chip, die, plane, block, page, offset, self.span_pages
 
 
 def map_weights(cfg: ModelConfig, geo: SsdGeometry, bytes_per_elem: int = 1) -> WeightLayout:
@@ -221,33 +188,32 @@ def map_weights(cfg: ModelConfig, geo: SsdGeometry, bytes_per_elem: int = 1) -> 
 
 @dataclass(frozen=True)
 class ReadTransaction:
-    """All pages one die must read for one FFN pass, in neuron order.
+    """What one die reads for one FFN pass: a page count, not the pages.
 
-    useful_bytes prorates each page by the fraction of its resident vectors
-    that are active (a page serving a lone active vector counts fully, so
-    dense passes read at 100% efficiency and waste appears exactly when
-    packed neighbors are skipped). active_elems counts the weights actually
-    multiplied by the PE.
+    n_pages counts the die's pages that hold at least one active vector.
+    useful_bytes prorates each of those pages by the fraction of its resident
+    vectors that are active (a page serving a lone active vector counts
+    fully, so dense passes read at 100% efficiency and waste appears exactly
+    when packed neighbors are skipped). active_elems counts the weights
+    actually multiplied by the PE. The die's channel and the raw bytes follow
+    from ``die_index``, ``n_pages`` and the geometry.
     """
 
     die_index: int
-    ch: int
-    chip: int
-    die: int
-    pages: tuple[int, ...]
+    n_pages: int
     useful_bytes: float
-    total_bytes: int
     active_elems: int
 
 
 def generate_read_transactions(layout: WeightLayout, layer: int,
                                masks: dict[int, np.ndarray]) -> list[ReadTransaction]:
-    """Transactions for one layer given per-expert neuron masks; a page is
-    read iff it holds at least one active neuron's data.
+    """Per-die transactions for one layer given per-expert neuron masks; a
+    page is read iff it holds at least one active neuron's data.
 
-    Each die's pages come in visiting order (experts ascending, then neurons),
-    which the layout makes ascending page order; its useful bytes are summed
-    left to right over those pages."""
+    Each die's page count is its hit packing groups times ``span_pages``.
+    Its useful bytes are summed left to right over its pages in visiting
+    order (experts ascending, then neurons), which the layout makes ascending
+    page order."""
     geo, span = layout.geo, layout.span_pages
     experts = sorted(masks)
     if not experts:
@@ -265,26 +231,19 @@ def generate_read_transactions(layout: WeightLayout, layer: int,
     resident = np.broadcast_to(np.minimum(layout.packing_factor, layout.dim_h - starts),
                                active.shape)
     slots = layer * layout.n_expert + np.array(experts, dtype=np.int64)
-    dies, first, _ = layout.place(slots[:, None], starts)
+    dies, _, _ = layout.place(slots[:, None], starts)
     hit = active > 0
     # a stable sort by die keeps each die's groups in visiting order
     order = np.argsort(dies[hit], kind="stable")
-    dies, first, active, resident = (a[hit][order] for a in (dies, first, active, resident))
-    pages = (first[:, None] + np.arange(span)).ravel()
+    dies, active, resident = (a[hit][order] for a in (dies, active, resident))
     page_useful = np.repeat(geo.page_bytes * active / resident, span)
 
     edges = np.flatnonzero(np.diff(dies, prepend=-1, append=-1)).tolist()
-    txns = []
-    for lo, hi in zip(edges, edges[1:]):
-        die_index = int(dies[lo])
-        die_pages = tuple(pages[lo * span:hi * span].tolist())
-        ch, chip, d = geo.die_coords(die_index)
-        txns.append(ReadTransaction(
-            die_index=die_index, ch=ch, chip=chip, die=d, pages=die_pages,
-            useful_bytes=float(np.add.accumulate(page_useful[lo * span:hi * span])[-1]),
-            total_bytes=len(die_pages) * geo.page_bytes,
-            active_elems=int(active[lo:hi].sum()) * 3 * layout.dim_e))
-    return txns
+    return [ReadTransaction(
+        die_index=int(dies[lo]), n_pages=(hi - lo) * span,
+        useful_bytes=float(np.add.accumulate(page_useful[lo * span:hi * span])[-1]),
+        active_elems=int(active[lo:hi].sum()) * 3 * layout.dim_e)
+        for lo, hi in zip(edges, edges[1:])]
 
 
 @dataclass(frozen=True)
@@ -445,18 +404,15 @@ def simulate_ffn_pass(transactions: list[ReadTransaction], timing: NandTiming,
             trace.append(TraceEvent(time_ns=int(round((t_start + t) * 1e9)),
                                     unit=unit, event=event, bytes=qty))
 
-    # step 1: broadcast inputs to PE input SRAMs
-    bcast_end = {}
+    # step 1: broadcast inputs to PE input SRAMs, done at the same time on every channel
     if timing.pe_level == "die":
         pes_per_ch = geo.chips_per_ch * geo.dies_per_chip
+        bcast = pes_per_ch * in_bytes / ch_rate
         for ch in range(geo.n_ch):
-            bcast_end[ch] = pes_per_ch * in_bytes / ch_rate
-            emit(bcast_end[ch], f"ch{ch}", "ch_bus", pes_per_ch * in_bytes)
+            emit(bcast, f"ch{ch}", "ch_bus", pes_per_ch * in_bytes)
     else:
-        t = geo.n_ch * in_bytes / onchip_rate
-        for ch in range(geo.n_ch):
-            bcast_end[ch] = t
-        emit(t, "onchip", "onchip_bus", geo.n_ch * in_bytes)
+        bcast = geo.n_ch * in_bytes / onchip_rate
+        emit(bcast, "onchip", "onchip_bus", geo.n_ch * in_bytes)
 
     ftl_t = 0.0
     bus_free = [0.0] * geo.n_ch  # ONFI channel bus
@@ -470,47 +426,47 @@ def simulate_ffn_pass(transactions: list[ReadTransaction], timing: NandTiming,
     for txn in transactions:
         if txn.die_index in issue_at:
             raise ShapeError(f"two transactions target die {txn.die_index}")
-        if not txn.pages:
+        if txn.n_pages < 1:
             raise ShapeError(f"transaction for die {txn.die_index} has no pages")
         ftl_t += ftl  # step 2: LPA translation, serialized in firmware
         issue_at[txn.die_index] = ftl_t
-        raw += txn.total_bytes
+        raw += txn.n_pages * geo.page_bytes
         useful += txn.useful_bytes
         elems += txn.active_elems
 
     def compute_page(txn):
-        return (txn.active_elems * batch_tokens / len(txn.pages)) / pe_rate
+        return (txn.active_elems * batch_tokens / txn.n_pages) / pe_rate
 
     if timing.pe_level == "die":
         for txn in transactions:
             macs = txn.active_elems * batch_tokens
             ready = max(0.0, issue_at[txn.die_index])  # no read before t = 0
-            done = ready + len(txn.pages) * max(t_r, compute_page(txn))
-            done = max(done, bcast_end[txn.ch])  # PE needs the input to finish
+            done = ready + txn.n_pages * max(t_r, compute_page(txn))
+            done = max(done, bcast)  # PE needs the input to finish
             pe_done[txn.die_index] = done
-            emit(done, f"die{txn.die_index}", "nand_read", txn.total_bytes)
+            emit(done, f"die{txn.die_index}", "nand_read", txn.n_pages * geo.page_bytes)
             emit(done, f"die{txn.die_index}", "pe_mac", macs)
     else:
         by_ch: dict[int, list[ReadTransaction]] = {}
         for txn in transactions:
-            by_ch.setdefault(txn.ch, []).append(txn)
+            by_ch.setdefault(geo.die_coords(txn.die_index)[0], []).append(txn)
         for ch in range(geo.n_ch):
             ch_txns = by_ch.get(ch)
             if not ch_txns:
                 continue
             bus_free[ch] = _channel_bus_end(
                 {t.die_index: issue_at[t.die_index] + t_r for t in ch_txns},
-                {t.die_index: len(t.pages) for t in ch_txns},
+                {t.die_index: t.n_pages for t in ch_txns},
                 {t.die_index: max(xfer, compute_page(t)) for t in ch_txns},
-                t_r, bcast_end[ch])
+                t_r, bcast)
             pe_done[ch] = bus_free[ch]
             for t in ch_txns:
-                emit(bus_free[ch], f"die{t.die_index}", "nand_read", t.total_bytes)
-                emit(bus_free[ch], f"ch{ch}", "ch_bus", t.total_bytes)
+                emit(bus_free[ch], f"die{t.die_index}", "nand_read", t.n_pages * geo.page_bytes)
+                emit(bus_free[ch], f"ch{ch}", "ch_bus", t.n_pages * geo.page_bytes)
                 emit(bus_free[ch], f"fmc{ch}", "pe_mac", t.active_elems * batch_tokens)
 
     # step 4: reduce and collect partial sums from every PE that did work
-    end = max(bcast_end.values())
+    end = bcast
     if timing.pe_level == "die":
         for die_index in sorted(pe_done):
             ch, _, _ = geo.die_coords(die_index)

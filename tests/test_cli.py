@@ -139,7 +139,9 @@ class TestSimulate:
         assert run("simulate", path, tmp_path / "out") == 2
 
     @pytest.mark.parametrize("bad", [{"seed": "x"}, {"sparsity_targets": ["a"]},
-                                     {"sparsity_targets": []}, {"bytes_per_elem": 0}])
+                                     {"sparsity_targets": []}, {"bytes_per_elem": 0},
+                                     {"pe_level": "channel", "nsp": {"onchip_bus_gbps": 0}},
+                                     {"nsp": {"ftl_txn_us": -5}}])
     def test_bad_value_exits_2_without_traceback(self, tmp_path, bad):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(TOY_DOC, **bad)))

@@ -6,10 +6,7 @@ from numpy.testing import assert_allclose
 
 from slim.errors import RankError, ShapeError
 from slim.numerics import (
-    dequantize,
     matmul,
-    quantize_i8,
-    round_half_away,
     silu,
     softmax,
     truncated_svd,
@@ -145,27 +142,3 @@ class TestTruncatedSvd:
             truncated_svd(np.eye(3), 4)
         with pytest.raises(RankError):
             truncated_svd(np.eye(3), 0)
-
-
-class TestQuantize:
-    def test_zero_matrix(self):
-        q = quantize_i8(np.zeros((2, 3)))
-        assert np.all(q.values == 0) and np.all(q.scales == 1.0)
-        assert np.all(dequantize(q) == 0.0)
-
-    def test_hand_row(self):
-        q = quantize_i8(np.array([[-1.0, 0.5, 1.0]]))
-        assert q.values.tolist() == [[-127, 64, 127]]
-        assert_allclose(q.scales, [1.0 / 127.0])
-
-    def test_round_half_away(self):
-        assert round_half_away(np.array([0.5, -0.5, 1.5, -2.5])).tolist() == [1.0, -1.0, 2.0, -3.0]
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip_bound(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((4, 7)) * rng.uniform(0.1, 100)
-        q = quantize_i8(m)
-        err = np.abs(dequantize(q) - m)
-        assert np.all(err <= q.scales[:, None] / 2 + 1e-15)

@@ -11,7 +11,6 @@ from slim.errors import MappingError, ShapeError
 from slim.model import ModelConfig
 from slim.storage import (
     FfnPassResult,
-    FusedVectorId,
     NandTiming,
     NspParams,
     ReadTransaction,
@@ -34,12 +33,13 @@ def full_masks(cfg, value=True):
 
 def page_txn(geo, die_index, n_pages, elems_per_page):
     """A hand-built transaction of n_pages full pages on one die."""
-    ch, chip, die = geo.die_coords(die_index)
-    return ReadTransaction(die_index=die_index, ch=ch, chip=chip, die=die,
-                           pages=tuple(range(n_pages)),
+    return ReadTransaction(die_index=die_index, n_pages=n_pages,
                            useful_bytes=float(n_pages * geo.page_bytes),
-                           total_bytes=n_pages * geo.page_bytes,
                            active_elems=n_pages * elems_per_page)
+
+
+def raw_bytes(txns, geo):
+    return sum(t.n_pages for t in txns) * geo.page_bytes
 
 
 class TestMapping:
@@ -67,23 +67,23 @@ class TestMapping:
     def test_entry_count_exact(self):
         cfg = ModelConfig(n_dec=3, dim_e=64, dim_h=40, n_heads=4, n_expert=4, top_k=2, seed=0)
         layout = map_weights(cfg, SsdGeometry())
-        assert layout.n_entries == 3 * 4 * 40
-        assert layout.die_of.shape == (layout.n_entries,)
+        flat = np.arange(cfg.n_dec * cfg.n_expert * cfg.dim_h)
+        placed = layout.place(flat // cfg.dim_h, flat % cfg.dim_h)
+        # one distinct (die, page, offset) per entry: no two vectors share an address
+        assert len(set(zip(*(a.tolist() for a in placed)))) == 3 * 4 * 40
 
     def test_vector_pages_consecutive_in_one_die(self):
         geo, _ = nand_preset("slc", "die")
         cfg = ModelConfig(n_dec=1, dim_e=4096, dim_h=80, n_heads=4, seed=0)
         layout = map_weights(cfg, geo)
-        loc0 = layout.lookup(FusedVectorId(0, 0, 0))
-        loc1 = layout.lookup(FusedVectorId(0, 0, 1))
-        assert loc0[7] == 3  # span
-        assert (loc0[0], loc0[1], loc0[2]) != (loc1[0], loc1[1], loc1[2])  # round-robin
+        assert layout.span_pages == 3
+        assert layout.place(0, 0)[0] != layout.place(0, 1)[0]  # round-robin
 
     def test_round_robin_is_channel_major(self):
         geo = SsdGeometry(n_ch=4, chips_per_ch=2)
         cfg = ModelConfig(n_dec=1, dim_e=2048, dim_h=16, n_heads=4, seed=0)
         layout = map_weights(cfg, geo)  # vector 6144 B -> 2-page span, 8 dies
-        chs = [layout.lookup(FusedVectorId(0, 0, j))[0] for j in range(4)]
+        chs = [geo.die_coords(layout.place(0, j)[0])[0] for j in range(4)]
         assert chs == [0, 1, 2, 3]
 
     def test_capacity_error(self):
@@ -99,8 +99,8 @@ class TestTransactions:
         cfg = ModelConfig(n_dec=1, dim_e=4096, dim_h=128, n_heads=4, seed=0)
         layout = map_weights(cfg, geo)
         txns = generate_read_transactions(layout, 0, full_masks(cfg))
-        assert sum(len(t.pages) for t in txns) == cfg.dim_h * layout.span_pages
-        assert sum(t.useful_bytes for t in txns) == sum(t.total_bytes for t in txns)
+        assert sum(t.n_pages for t in txns) == cfg.dim_h * layout.span_pages
+        assert sum(t.useful_bytes for t in txns) == raw_bytes(txns, geo)
 
     def test_half_mask_half_pages(self):
         geo, _ = nand_preset("slc", "die")
@@ -109,8 +109,8 @@ class TestTransactions:
         mask = np.zeros(cfg.dim_h, dtype=bool)
         mask[::2] = True
         txns = generate_read_transactions(layout, 0, {0: mask})
-        assert sum(len(t.pages) for t in txns) == cfg.dim_h // 2 * layout.span_pages
-        assert sum(t.useful_bytes for t in txns) == sum(t.total_bytes for t in txns)
+        assert sum(t.n_pages for t in txns) == cfg.dim_h // 2 * layout.span_pages
+        assert sum(t.useful_bytes for t in txns) == raw_bytes(txns, geo)
 
     def test_packing_two_alternating_worst_case(self):
         geo = SsdGeometry(page_bytes=4096)
@@ -118,9 +118,9 @@ class TestTransactions:
         mask = np.zeros(TOY.dim_h, dtype=bool)
         mask[::2] = True  # one active vector in every packed pair
         txns = generate_read_transactions(layout, 0, {0: mask})
-        total = sum(t.total_bytes for t in txns)
+        total = raw_bytes(txns, geo)
         useful = sum(t.useful_bytes for t in txns)
-        assert sum(len(t.pages) for t in txns) == TOY.dim_h // 2  # every page still read
+        assert sum(t.n_pages for t in txns) == TOY.dim_h // 2  # every page still read
         assert useful == pytest.approx(total / 2)
 
     def test_conservation_random_masks(self):
@@ -130,7 +130,7 @@ class TestTransactions:
         for _ in range(20):
             mask = rng.random(TOY.dim_h) < rng.random()
             txns = generate_read_transactions(layout, 1, {0: mask})
-            assert sum(t.useful_bytes for t in txns) <= sum(t.total_bytes for t in txns) + 1e-9
+            assert sum(t.useful_bytes for t in txns) <= raw_bytes(txns, geo) + 1e-9
 
     def test_pages_monotone_in_sparsity(self):
         geo, _ = nand_preset("slc", "die")
@@ -140,8 +140,7 @@ class TestTransactions:
         for frac in (1.0, 0.75, 0.5, 0.25):
             mask = np.zeros(TOY.dim_h, dtype=bool)
             mask[perm[: int(frac * TOY.dim_h)]] = True
-            pages = sum(len(t.pages) for t in
-                        generate_read_transactions(layout, 0, {0: mask}))
+            pages = sum(t.n_pages for t in generate_read_transactions(layout, 0, {0: mask}))
             if prev is not None:
                 assert pages <= prev
             prev = pages
@@ -322,10 +321,7 @@ def reference_transactions(ref, cfg, geo, layer, masks):
         for p in pages:
             active, resident = pages_by_die[die][p]
             useful += geo.page_bytes * active / resident
-        ch, chip, d = geo.die_coords(die)
-        txns.append(ReadTransaction(die_index=die, ch=ch, chip=chip, die=d,
-                                    pages=pages, useful_bytes=useful,
-                                    total_bytes=len(pages) * geo.page_bytes,
+        txns.append(ReadTransaction(die_index=die, n_pages=len(pages), useful_bytes=useful,
                                     active_elems=elems_by_die[die]))
     return txns
 
@@ -364,32 +360,22 @@ def test_closed_form_matches_reference(case):
             map_weights(cfg, geo, bytes_per_elem)
         return
     layout = map_weights(cfg, geo, bytes_per_elem)
-    for name in ("die_of", "page_of", "offset_of", "pages_used_per_die"):
-        got = getattr(layout, name)
-        assert got.dtype == ref[name].dtype and np.array_equal(got, ref[name]), name
-
-    per_plane = geo.blocks_per_plane * geo.pages_per_block
-    for layer_i in range(cfg.n_dec):
-        for expert in range(cfg.n_expert):
-            for j in range(cfg.dim_h):
-                i = (layer_i * cfg.n_expert + expert) * cfg.dim_h + j
-                p = int(ref["page_of"][i])
-                plane, rest = divmod(p, per_plane)
-                block, page = divmod(rest, geo.pages_per_block)
-                expect = (*geo.die_coords(int(ref["die_of"][i])), plane, block, page,
-                          int(ref["offset_of"][i]), ref["span"])
-                assert layout.lookup(FusedVectorId(layer_i, expert, j)) == expect
+    flat = np.arange(cfg.n_dec * cfg.n_expert * cfg.dim_h)
+    placed = layout.place(flat // cfg.dim_h, flat % cfg.dim_h)
+    for got, name in zip(placed, ("die_of", "page_of", "offset_of")):
+        assert np.array_equal(got, ref[name]), name
+    got = layout.pages_used_per_die
+    assert got.dtype == ref["pages_used_per_die"].dtype
+    assert np.array_equal(got, ref["pages_used_per_die"])
 
     got = generate_read_transactions(layout, layer, masks)
     want = reference_transactions(ref, cfg, geo, layer, masks)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        for name in ("die_index", "ch", "chip", "die", "pages", "useful_bytes",
-                     "total_bytes", "active_elems"):
+        for name in ("die_index", "n_pages", "useful_bytes", "active_elems"):
             assert getattr(g, name) == getattr(w, name), name
         assert g.useful_bytes.hex() == w.useful_bytes.hex()
-        assert all(type(v) is int for v in (g.die_index, g.ch, g.chip, g.die,
-                                            g.total_bytes, g.active_elems, *g.pages))
+        assert all(type(v) is int for v in (g.die_index, g.n_pages, g.active_elems))
         assert type(g.useful_bytes) is float
 
 
@@ -440,35 +426,36 @@ def reference_ffn_pass(transactions: list[ReadTransaction], timing: NandTiming,
     for txn in transactions:
         ftl_t += ftl  # step 2: LPA translation, serialized in firmware
         issue_at[txn.die_index] = ftl_t
-        raw += txn.total_bytes
+        raw += txn.n_pages * geo.page_bytes
         useful += txn.useful_bytes
         elems += txn.active_elems
 
     if timing.pe_level == "die":
         for txn in transactions:
-            n_pages = len(txn.pages)
+            n_pages = txn.n_pages
             macs = txn.active_elems * batch_tokens
             compute_page = (macs / n_pages) / pe_rate if n_pages else 0.0
             ready = max(die_free.get(txn.die_index, 0.0), issue_at[txn.die_index])
             done = ready + n_pages * max(t_r, compute_page)
-            done = max(done, bcast_end[txn.ch])  # PE needs the input to finish
+            # PE needs the input to finish
+            done = max(done, bcast_end[geo.die_coords(txn.die_index)[0]])
             die_free[txn.die_index] = done
             pe_done[txn.die_index] = done
-            emit(done, f"die{txn.die_index}", "nand_read", txn.total_bytes)
+            emit(done, f"die{txn.die_index}", "nand_read", n_pages * geo.page_bytes)
             emit(done, f"die{txn.die_index}", "pe_mac", macs)
     else:
         # The shared channel bus arbitrates over its dies' ready pages in
         # chronological order; a die holds one buffered page and starts its
         # next array read when that buffer drains onto the bus.
         for ch in range(geo.n_ch):
-            ch_txns = [t for t in transactions if t.ch == ch]
+            ch_txns = [t for t in transactions if geo.die_coords(t.die_index)[0] == ch]
             if not ch_txns:
                 continue
             pages_left = {}
             per_page_compute = {}
             heap = []
             for t in ch_txns:
-                n_pages = len(t.pages)
+                n_pages = t.n_pages
                 macs = t.active_elems * batch_tokens
                 pages_left[t.die_index] = n_pages
                 per_page_compute[t.die_index] = (macs / n_pages) / pe_rate if n_pages else 0.0
@@ -485,8 +472,8 @@ def reference_ffn_pass(transactions: list[ReadTransaction], timing: NandTiming,
             bus_free[ch] = bus_t
             pe_done[ch] = bus_t
             for t in ch_txns:
-                emit(bus_t, f"die{t.die_index}", "nand_read", t.total_bytes)
-                emit(bus_t, f"ch{ch}", "ch_bus", t.total_bytes)
+                emit(bus_t, f"die{t.die_index}", "nand_read", t.n_pages * geo.page_bytes)
+                emit(bus_t, f"ch{ch}", "ch_bus", t.n_pages * geo.page_bytes)
                 emit(bus_t, f"fmc{ch}", "pe_mac", t.active_elems * batch_tokens)
 
     # step 4: reduce and collect partial sums from every PE that did work
