@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,6 +115,20 @@ def _tupleize(obj, where: str) -> tuple[float, ...]:
     return vals
 
 
+def _check_train(tp: TrainParams, model: ModelConfig) -> None:
+    """The counts of ``tp`` must fit ``model``: `train` and `infer` decode
+    calib_tokens/eval_tokens steps into a cache of seq_len rows, and the
+    predictor rank is at most min(dim_e, dim_h)."""
+    bounds = {"epochs": (0, math.inf), "calib_tokens": (1, model.seq_len),
+              "eval_tokens": (1, model.seq_len)}
+    if tp.dim_lr is not None:
+        bounds["dim_lr"] = (1, min(model.dim_e, model.dim_h))
+    for name, (lo, hi) in bounds.items():
+        v = getattr(tp, name)
+        if type(v) is not int or not lo <= v <= hi:
+            raise ConfigError(f"train.{name} must be an integer in [{lo}, {hi}], got {v!r}")
+
+
 _TOP_KEYS = {"model", "nand", "pe_level", "dram", "sparsity_targets", "scheduler",
              "baselines", "baseline_sparsity", "seed", "n_tokens",
              "bytes_per_elem", "train", "paths", "energy", "cost", "nsp",
@@ -203,6 +218,9 @@ def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> S
     if bytes_per_elem < 1:
         raise ConfigError(f"bytes_per_elem must be >= 1, got {bytes_per_elem}")
 
+    train = _build(TrainParams, doc.get("train", {}), "train")
+    _check_train(train, model)
+
     return ScenarioConfig(
         model_name=model_name,
         model=model,
@@ -224,7 +242,7 @@ def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> S
         seed=seed,
         n_tokens=_number(int, doc.get("n_tokens", 100), "n_tokens"),
         bytes_per_elem=bytes_per_elem,
-        train=_build(TrainParams, doc.get("train", {}), "train"),
+        train=train,
         paths=_build(ScenarioPaths, doc.get("paths", {}), "paths"),
         emit_trace=bool(doc.get("emit_trace", False)),
     )

@@ -91,32 +91,66 @@ def synth_model(cfg: ModelConfig) -> list[LayerWeights]:
 
 
 class KVCache:
-    """Per-layer key/value rows, append-only during generation."""
+    """Per-layer key/value rows, append-only during generation.
+
+    Each layer keeps its keys and its values in one (rows, dim) buffer per
+    kind, and every row is written once, in place. A buffer starts at
+    ``INITIAL_ROWS`` rows and doubles, up to ``capacity``, when it fills, so
+    it holds at most ``INITIAL_ROWS`` or twice the rows written, whichever
+    is larger. ``stacked`` returns
+    views of the rows written so far; a later append never changes them,
+    because it writes past them or copies into a new buffer.
+    """
+
+    INITIAL_ROWS = 16
 
     def __init__(self, n_layers: int, capacity: int):
         self.capacity = capacity
-        self.keys: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
-        self.values: list[list[np.ndarray]] = [[] for _ in range(n_layers)]
+        self._keys: list[np.ndarray | None] = [None] * n_layers
+        self._values: list[np.ndarray | None] = [None] * n_layers
+        self._lens = [0] * n_layers
 
     @property
     def current_len(self) -> int:
-        return len(self.keys[0])
+        return self._lens[0]
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        if len(self.keys[layer]) >= self.capacity:
+        n = self._lens[layer]
+        if n >= self.capacity:
             raise CapacityError(f"KV cache full at capacity {self.capacity}")
-        self.keys[layer].append(np.asarray(k, dtype=np.float64).reshape(-1))
-        self.values[layer].append(np.asarray(v, dtype=np.float64).reshape(-1))
+        self._keys[layer] = _write_row(self._keys[layer], n, k, self.capacity)
+        self._values[layer] = _write_row(self._values[layer], n, v, self.capacity)
+        self._lens[layer] = n + 1
 
     def stacked(self, layer: int) -> tuple[Matrix, Matrix]:
-        return np.vstack(self.keys[layer]), np.vstack(self.values[layer])
+        n = self._lens[layer]
+        return self._keys[layer][:n], self._values[layer][:n]
+
+
+def _write_row(buf: np.ndarray | None, n: int, row: np.ndarray,
+               capacity: int) -> np.ndarray:
+    """Write ``row`` as row ``n`` of ``buf``, first doubling a full buffer
+    (or allocating a missing one) up to ``capacity`` rows."""
+    row = np.asarray(row, dtype=np.float64).reshape(-1)
+    if buf is None or n == buf.shape[0]:
+        grown = np.empty((min(capacity, max(KVCache.INITIAL_ROWS, 2 * n)), row.size))
+        if buf is not None:
+            grown[:n] = buf
+        buf = grown
+    if row.size != buf.shape[1]:
+        raise ShapeError(f"KV row of {row.size} values vs cache width {buf.shape[1]}")
+    buf[n] = row
+    return buf
 
 
 def mha_forward(q: Matrix, k: Matrix, v: Matrix, n_heads: int,
                 attn_scale: str = "head_dim") -> Matrix:
-    """Per-head scaled dot-product attention; concatenates heads.
+    """Scaled dot-product attention of every head at once; concatenates heads.
 
-    The output projection is deliberately excluded (decode_step applies it).
+    Heads are stacked as strided views ``(h, rows, d)`` of q, k and v, so
+    each head's product sees the same operands, strides included, as a slice
+    ``[:, h*d:(h+1)*d]`` would. The output projection is deliberately
+    excluded (decode_step applies it).
     """
     if q.shape[1] != k.shape[1] or k.shape != v.shape:
         raise ShapeError(f"mha shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
@@ -125,12 +159,13 @@ def mha_forward(q: Matrix, k: Matrix, v: Matrix, n_heads: int,
         raise ShapeError(f"dim_e={dim_e} not divisible by n_heads={n_heads}")
     d = dim_e // n_heads
     scale = np.sqrt(dim_e) if attn_scale == "model_dim" else np.sqrt(d)
-    out = np.empty((q.shape[0], dim_e))
-    for h in range(n_heads):
-        sl = slice(h * d, (h + 1) * d)
-        scores = matmul(q[:, sl], k[:, sl].T) / scale
-        out[:, sl] = matmul(softmax(scores, axis="row"), v[:, sl])
-    return out
+
+    def heads(m):
+        return m.reshape(m.shape[0], n_heads, d).transpose(1, 0, 2)
+
+    scores = matmul(heads(q), heads(k).transpose(0, 2, 1)) / scale
+    out = matmul(softmax(scores, axis="row"), heads(v))
+    return out.transpose(1, 0, 2).reshape(q.shape[0], dim_e)
 
 
 def ffn_forward(x: Matrix, w_g: Matrix, w_u: Matrix, w_d: Matrix) -> Matrix:

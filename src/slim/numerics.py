@@ -1,7 +1,8 @@
 """Dense linear algebra primitives used throughout the package.
 
-A "matrix" is a 2-D float64 numpy array, row-major. Everything here is pure:
-no function mutates its arguments.
+A "matrix" is a 2-D float64 numpy array, row-major; ``matmul`` and
+``softmax`` also take stacks of matrices (leading axes are batch axes).
+Everything here is pure: no function mutates its arguments.
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ Matrix = np.ndarray
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product with an explicit shape check.
 
+    Operands are matrices, or stacks of matrices of the same rank whose
+    leading (batch) axes match; a stack is multiplied matrix by matrix.
     Backed by numpy's GEMM; deterministic for a fixed build. The naive
     triple-loop reference lives in the tests as an independent oracle.
     """
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     return a @ b
 
@@ -41,9 +45,10 @@ def silu(x: Matrix) -> Matrix:
 
 
 def softmax(v: Matrix, axis: str = "row") -> Matrix:
-    """Max-shifted softmax along rows or columns; each slice sums to 1."""
+    """Max-shifted softmax along rows (the last axis) or columns (the one
+    before it); each slice sums to 1."""
     v = np.asarray(v, dtype=np.float64)
-    ax = {"row": 1, "col": 0}.get(axis)
+    ax = {"row": -1, "col": -2}.get(axis)
     if ax is None:
         raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
     shifted = v - np.max(v, axis=ax, keepdims=True)

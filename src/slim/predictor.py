@@ -135,7 +135,8 @@ def quantile_threshold(scores: np.ndarray, target: float) -> float:
 
 def build_threshold_table(p: Predictor, calib: Matrix, targets) -> ThresholdTable:
     """Pool |x @ L @ R| over the calibration set and pick one threshold per
-    target sparsity."""
+    target sparsity. The pool is sorted once, so each target's own sort in
+    ``quantile_threshold`` runs over presorted scores."""
     x = np.asarray(calib, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ShapeError("calibration set is empty")
@@ -143,7 +144,7 @@ def build_threshold_table(p: Predictor, calib: Matrix, targets) -> ThresholdTabl
     for t in targets:
         if not (0.0 <= t < 1.0):
             raise ShapeError(f"target sparsity {t} outside [0, 1)")
-    pooled = p.scores(x).ravel()
+    pooled = np.sort(p.scores(x).ravel(), kind="stable")
     entries = tuple(sorted((t, quantile_threshold(pooled, t)) for t in targets))
     return ThresholdTable(entries=entries)
 

@@ -211,9 +211,12 @@ def generate_read_transactions(layout: WeightLayout, layer: int,
     page is read iff it holds at least one active neuron's data.
 
     Each die's page count is its hit packing groups times ``span_pages``.
-    Its useful bytes are summed left to right over its pages in visiting
+    Its useful bytes are summed left to right over those groups in visiting
     order (experts ascending, then neurons), which the layout makes ascending
-    page order."""
+    page order, then multiplied by ``span_pages``. That equals the page by
+    page sum bit for bit: a group spans several pages only with packing
+    factor 1, where every page is wholly useful and the sums are integers
+    below 2**53."""
     geo, span = layout.geo, layout.span_pages
     experts = sorted(masks)
     if not experts:
@@ -236,12 +239,12 @@ def generate_read_transactions(layout: WeightLayout, layer: int,
     # a stable sort by die keeps each die's groups in visiting order
     order = np.argsort(dies[hit], kind="stable")
     dies, active, resident = (a[hit][order] for a in (dies, active, resident))
-    page_useful = np.repeat(geo.page_bytes * active / resident, span)
+    group_useful = geo.page_bytes * active / resident
 
     edges = np.flatnonzero(np.diff(dies, prepend=-1, append=-1)).tolist()
     return [ReadTransaction(
         die_index=int(dies[lo]), n_pages=(hi - lo) * span,
-        useful_bytes=float(np.add.accumulate(page_useful[lo * span:hi * span])[-1]),
+        useful_bytes=float(np.add.accumulate(group_useful[lo:hi])[-1]) * span,
         active_elems=int(active[lo:hi].sum()) * 3 * layout.dim_e)
         for lo, hi in zip(edges, edges[1:])]
 

@@ -10,7 +10,15 @@ import pytest
 from slim.cli import main
 from slim.config import load_scenario
 from slim.container import read_tensors
-from slim.runner import REPORT_FIELDS, scenario_rows, write_report
+from slim.predictor import measured_sparsity, predict_mask
+from slim.runner import (
+    REPORT_FIELDS,
+    _load_decoder,
+    infer_report,
+    load_predictors,
+    scenario_rows,
+    write_report,
+)
 from slim.trace import read_ldjson
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -78,7 +86,46 @@ class TestTrain:
         assert (tmp_path / "out" / "predictor.slimwt").exists()
 
 
+def reference_infer_report(cfg, out_dir):
+    """infer_report as a loop that decodes a fresh dense reference next to
+    each target's masked decode."""
+    dec = _load_decoder(cfg)
+    predictors, tables = load_predictors(cfg, out_dir)
+    rng = np.random.default_rng([cfg.seed, 0xE7A1])
+    inputs = [rng.standard_normal((1, cfg.model.dim_e))
+              for _ in range(cfg.train.eval_tokens)]
+    report = {"targets": []}
+    for target in cfg.train.targets:
+        cache_d, cache_m = dec.new_cache(), dec.new_cache()
+        sq_err, n_vals, sparsities = 0.0, 0, []
+
+        def mask_fn(layer, expert, x_row):
+            thr = tables[(layer, expert)].threshold_for(target)
+            m = predict_mask(predictors[(layer, expert)], x_row, thr)
+            sparsities.append(measured_sparsity(m))
+            return m
+
+        for x in inputs:
+            dense = dec.decode_step(x, cache_d)
+            masked = dec.decode_step(x, cache_m, mask_fn=mask_fn)
+            sq_err += float(np.sum((dense - masked) ** 2))
+            n_vals += dense.size
+        report["targets"].append({"target_sparsity": target,
+                                  "output_mse": sq_err / n_vals,
+                                  "measured_sparsity": float(np.mean(sparsities))})
+    return report
+
+
 class TestInfer:
+    @pytest.mark.parametrize("model", ["toy", "toy_moe"])
+    def test_matches_per_target_dense_loop(self, tmp_path, model):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TOY_DOC, model=model)))
+        out = tmp_path / "out"
+        assert run("train", path, out) == 0
+        cfg = load_scenario(path)
+        assert infer_report(cfg, out) == reference_infer_report(cfg, out)
+
     def test_reports_mse_and_sparsity(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         assert run("train", cfg_path, out) == 0
@@ -141,7 +188,13 @@ class TestSimulate:
     @pytest.mark.parametrize("bad", [{"seed": "x"}, {"sparsity_targets": ["a"]},
                                      {"sparsity_targets": []}, {"bytes_per_elem": 0},
                                      {"pe_level": "channel", "nsp": {"onchip_bus_gbps": 0}},
-                                     {"nsp": {"ftl_txn_us": -5}}])
+                                     {"nsp": {"ftl_txn_us": -5}},
+                                     {"train": dict(TOY_DOC["train"], calib_tokens=100)},
+                                     {"train": dict(TOY_DOC["train"], eval_tokens=100)},
+                                     {"train": dict(TOY_DOC["train"], dim_lr=1000)},
+                                     {"train": dict(TOY_DOC["train"], calib_tokens=0)},
+                                     {"train": dict(TOY_DOC["train"], eval_tokens=0)},
+                                     {"train": dict(TOY_DOC["train"], dim_lr=0)}])
     def test_bad_value_exits_2_without_traceback(self, tmp_path, bad):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(TOY_DOC, **bad)))

@@ -18,9 +18,84 @@ from slim.model import (
     synth_model,
     union_masks,
 )
-from slim.numerics import silu, softmax
+from slim.numerics import matmul, silu, softmax
 
 TOY = ModelConfig(n_dec=2, dim_e=16, dim_h=24, n_heads=4, seq_len=32, seed=9)
+
+
+# Bit-exact oracles. BLAS kernels differ across CPUs, so the tests compare the
+# decoder with these loops on the same machine instead of with stored values.
+
+def reference_mha(q, k, v, n_heads, attn_scale="head_dim"):
+    """mha_forward as a loop over heads: one product pair and one softmax per
+    head, on column slices of q, k and v."""
+    dim_e = q.shape[1]
+    d = dim_e // n_heads
+    scale = np.sqrt(dim_e) if attn_scale == "model_dim" else np.sqrt(d)
+    out = np.empty((q.shape[0], dim_e))
+    for h in range(n_heads):
+        sl = slice(h * d, (h + 1) * d)
+        scores = matmul(q[:, sl], k[:, sl].T) / scale
+        out[:, sl] = matmul(softmax(scores, axis="row"), v[:, sl])
+    return out
+
+
+class ReferenceCache:
+    """KVCache as one list of rows per layer, stacked by np.vstack on every
+    read."""
+
+    def __init__(self, n_layers, capacity):
+        self.capacity = capacity
+        self.keys = [[] for _ in range(n_layers)]
+        self.values = [[] for _ in range(n_layers)]
+
+    @property
+    def current_len(self):
+        return len(self.keys[0])
+
+    def append(self, layer, k, v):
+        if len(self.keys[layer]) >= self.capacity:
+            raise CapacityError(f"KV cache full at capacity {self.capacity}")
+        self.keys[layer].append(np.asarray(k, dtype=np.float64).reshape(-1))
+        self.values[layer].append(np.asarray(v, dtype=np.float64).reshape(-1))
+
+    def stacked(self, layer):
+        return np.vstack(self.keys[layer]), np.vstack(self.values[layer])
+
+
+def reference_decode_step(dec, x, cache, mask_fn=None):
+    """Decoder.decode_step over a ReferenceCache with reference_mha."""
+    cfg = dec.cfg
+    x = np.asarray(x, dtype=np.float64).reshape(1, cfg.dim_e)
+    for li, lw in enumerate(dec.layers):
+        q = matmul(x, lw.w_q.T)
+        k = matmul(x, lw.w_k.T)
+        v = matmul(x, lw.w_v.T)
+        cache.append(li, k[0], v[0])
+        ks, vs = cache.stacked(li)
+        x = x + matmul(reference_mha(q, ks, vs, cfg.n_heads, cfg.attn_scale), lw.w_o.T)
+        masks = None
+        if mask_fn is not None:
+            masks = {e: m for e in range(cfg.n_expert)
+                     if (m := mask_fn(li, e, x[0])) is not None} or None
+        x = x + moe_forward(x, lw, cfg.top_k, masks)
+    return x
+
+
+@st.composite
+def decode_cases(draw):
+    n_heads = draw(st.sampled_from([1, 2, 4, 8]))
+    n_expert = draw(st.sampled_from([1, 3]))
+    cfg = ModelConfig(n_dec=draw(st.integers(1, 2)),
+                      dim_e=n_heads * draw(st.integers(1, 6)),
+                      dim_h=draw(st.integers(2, 16)), n_heads=n_heads,
+                      n_expert=n_expert, top_k=draw(st.integers(1, n_expert)),
+                      seq_len=draw(st.integers(1, 40)),
+                      attn_scale=draw(st.sampled_from(["head_dim", "model_dim"])),
+                      seed=draw(st.integers(0, 2**16)))
+    # None: dense; inf: every neuron masked off
+    threshold = draw(st.sampled_from([None, 0.0, 0.5, 2.0, np.inf]))
+    return cfg, threshold
 
 
 def test_synth_deterministic():
@@ -103,6 +178,21 @@ class TestMha:
             sl = slice(head * d, (head + 1) * d)
             lo, hi = v[:, sl].min(axis=0), v[:, sl].max(axis=0)
             assert np.all(out[:, sl] >= lo - 1e-12) and np.all(out[:, sl] <= hi + 1e-12)
+
+    @given(st.integers(0, 10_000), st.sampled_from([1, 2, 4, 8]),
+           st.integers(1, 6), st.integers(1, 3), st.integers(1, 40),
+           st.sampled_from(["head_dim", "model_dim"]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_head_loop_bitwise(self, seed, n_heads, d, rows, n, attn_scale):
+        rng = np.random.default_rng(seed)
+        dim_e = n_heads * d
+        q = rng.standard_normal((rows, dim_e)) * 3.0
+        # k and v are row views of larger buffers, as KVCache.stacked returns
+        k = rng.standard_normal((n + 5, dim_e))[:n]
+        v = rng.standard_normal((n + 5, dim_e))[:n]
+        assert np.array_equal(mha_forward(q, k, v, n_heads, attn_scale),
+                              reference_mha(q, np.vstack(list(k)), np.vstack(list(v)),
+                                            n_heads, attn_scale))
 
 
 class TestFfn:
@@ -209,6 +299,32 @@ class TestMoe:
 
 
 class TestDecode:
+    @given(decode_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_decode_bitwise(self, case):
+        cfg, threshold = case
+        dec = Decoder.synth(cfg)
+        rng = np.random.default_rng([cfg.seed, 1])
+        proj = rng.standard_normal((cfg.n_dec, cfg.n_expert, cfg.dim_e, cfg.dim_h))
+
+        def mask_fn(layer, expert, row):
+            if expert == 1:
+                return None  # this expert runs dense
+            return np.abs(row @ proj[layer, expert]) > threshold
+
+        fn = None if threshold is None else mask_fn
+        cache, ref = dec.new_cache(), ReferenceCache(cfg.n_dec, cfg.seq_len)
+        for n in range(1, cfg.seq_len + 1):
+            x = rng.standard_normal((1, cfg.dim_e))
+            got = dec.decode_step(x, cache, mask_fn=fn)
+            assert np.array_equal(got, reference_decode_step(dec, x, ref, mask_fn=fn))
+            assert cache.current_len == n
+            for li in range(cfg.n_dec):
+                for a, b in zip(cache.stacked(li), ref.stacked(li)):
+                    assert np.array_equal(a, b)
+        with pytest.raises(CapacityError):
+            dec.decode_step(x, cache, mask_fn=fn)
+
     def test_first_token_attention_is_v(self):
         dec = Decoder.synth(TOY)
         cache = dec.new_cache()
@@ -217,7 +333,7 @@ class TestDecode:
         v = x @ lw.w_v.T
         # after one step the layer-0 cache holds exactly that V row
         dec.decode_step(x, cache)
-        assert_allclose(np.asarray(cache.values[0][0]), v[0], atol=1e-14)
+        assert_allclose(cache.stacked(0)[1][0], v[0], atol=1e-14)
 
     def test_all_ones_masks_match_dense(self):
         dec = Decoder.synth(TOY)
@@ -272,7 +388,7 @@ class TestDecode:
         for n in range(1, 4):
             x = dec.decode_step(x, cache)
             assert cache.current_len == n
-            assert all(len(cache.keys[li]) == n for li in range(TOY.n_dec))
+            assert all(len(cache.stacked(li)[0]) == n for li in range(TOY.n_dec))
 
     def test_cache_capacity_error(self):
         cfg = ModelConfig(n_dec=1, dim_e=16, dim_h=8, n_heads=2, seq_len=2, seed=3)
@@ -290,6 +406,23 @@ class TestDecode:
         cache.append(0, np.ones(4), np.ones(4))
         with pytest.raises(CapacityError):
             cache.append(0, np.ones(4), np.ones(4))
+
+    def test_stacked_view_unchanged_by_append(self):
+        # 40 rows take the buffers through both doublings and up to capacity
+        cache = KVCache(2, 40)
+        rng = np.random.default_rng(18)
+        taken = []
+        for _ in range(40):
+            for li in range(2):
+                cache.append(li, rng.standard_normal(6), rng.standard_normal(6))
+            taken += [(view, view.copy()) for li in range(2) for view in cache.stacked(li)]
+        assert all(np.array_equal(view, snap) for view, snap in taken)
+
+    def test_kv_row_width_checked(self):
+        cache = KVCache(1, 4)
+        cache.append(0, np.ones(4), np.ones(4))
+        with pytest.raises(ShapeError):
+            cache.append(0, np.ones(5), np.ones(5))
 
 
 def test_union_masks():

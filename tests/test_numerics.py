@@ -58,6 +58,22 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
+    def test_stack_is_matrix_by_matrix(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((3, 2, 5))
+        b = rng.standard_normal((3, 5, 4))
+        out = matmul(a, b)
+        assert out.shape == (3, 2, 4)
+        for i in range(3):
+            assert np.array_equal(out[i], matmul(a[i], b[i]))
+
+    @pytest.mark.parametrize("shapes", [((3, 2, 5), (5, 4)), ((5,), (5, 4)),
+                                        ((3, 2, 5), (2, 5, 4)), ((3, 2, 5), (3, 4, 5))])
+    def test_stack_shape_mismatch(self, shapes):
+        a, b = (np.zeros(s) for s in shapes)
+        with pytest.raises(ShapeError):
+            matmul(a, b)
+
     def test_identity_associativity_bitwise(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((4, 4))
@@ -100,6 +116,13 @@ class TestSoftmax:
         rng = np.random.default_rng(6)
         v = rng.standard_normal((4, 3))
         assert_allclose(softmax(v, axis="col").sum(axis=0), np.ones(3), atol=1e-12)
+
+    def test_stack_reduces_last_axis(self):
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal((3, 2, 6)) * 10.0
+        out = softmax(v, axis="row")
+        for i in range(3):
+            assert np.array_equal(out[i], softmax(v[i], axis="row"))
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8))
     @settings(max_examples=50, deadline=None)
