@@ -9,6 +9,7 @@ All projections apply as ``x @ W.T``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,14 @@ class LayerWeights:
     w_u: list[Matrix]
     w_d: list[Matrix]
     router: Matrix | None = None
+
+    @cached_property
+    def down_rows(self) -> list[Matrix]:
+        """Per expert, w_d[e].T as a contiguous dim_h x dim_e array: one down
+        row per hidden neuron, so a masked FFN gathers rows, not columns.
+        Built on first use; only the masked path uses it, so dense decoding
+        never holds the copy."""
+        return [np.ascontiguousarray(w.T) for w in self.w_d]
 
 
 def synth_model(cfg: ModelConfig) -> list[LayerWeights]:
@@ -179,18 +188,31 @@ def ffn_forward(x: Matrix, w_g: Matrix, w_u: Matrix, w_d: Matrix) -> Matrix:
 NeuronMask = np.ndarray  # bool vector of length dim_h
 
 
-def ffn_forward_masked(x: Matrix, w_g: Matrix, w_u: Matrix, w_d: Matrix,
+def ffn_forward_masked(x: Matrix, w_g: Matrix, w_u: Matrix, down_rows: Matrix,
                        mask: NeuronMask) -> Matrix:
     """FFN restricted to the hidden neurons selected by ``mask``; equals the
-    dense FFN with masked hidden coordinates zeroed after the gating product."""
+    dense FFN with masked hidden coordinates zeroed after the gating product.
+
+    ``down_rows`` is w_d.T as a contiguous dim_h x dim_e array
+    (``LayerWeights.down_rows``), so each selected neuron is one gate row, one
+    up row and one down row, and a full mask gathers nothing. The down
+    product reads row-major rows, while ``ffn_forward`` reads w_d.T as an
+    F-ordered operand, and BLAS rounds the two layouts differently. So an
+    all-true mask matches the dense FFN to rounding, not bitwise: target 0
+    of ``slim infer`` (every neuron on) reports an output MSE near 1e-31,
+    not 0, and the tests compare the two within 1e-12.
+    """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (w_g.shape[0],):
         raise ShapeError(f"mask length {mask.shape} vs dim_h {w_g.shape[0]}")
     idx = np.flatnonzero(mask)
     if idx.size == 0:
-        return np.zeros((x.shape[0], w_d.shape[0]))
-    hidden = silu(matmul(x, w_g[idx].T)) * matmul(x, w_u[idx].T)
-    return matmul(hidden, w_d[:, idx].T)
+        return np.zeros((x.shape[0], down_rows.shape[1]))
+    # a full mask selects by a slice, which gathers nothing; gathering inline
+    # keeps one gathered copy alive at a time
+    sel = slice(None) if idx.size == mask.size else idx
+    hidden = silu(matmul(x, w_g[sel].T)) * matmul(x, w_u[sel].T)
+    return matmul(hidden, down_rows[sel])
 
 
 def union_masks(masks: list[NeuronMask]) -> NeuronMask:
@@ -221,7 +243,8 @@ def moe_forward(x: Matrix, weights: LayerWeights, top_k: int,
     n_expert = len(weights.w_g)
     if n_expert == 1:
         if masks is not None and 0 in masks:
-            return ffn_forward_masked(x, weights.w_g[0], weights.w_u[0], weights.w_d[0], masks[0])
+            return ffn_forward_masked(x, weights.w_g[0], weights.w_u[0],
+                                      weights.down_rows[0], masks[0])
         return ffn_forward(x, weights.w_g[0], weights.w_u[0], weights.w_d[0])
     logits = matmul(x, weights.router.T)
     out = np.zeros((x.shape[0], x.shape[1]))
@@ -230,8 +253,8 @@ def moe_forward(x: Matrix, weights: LayerWeights, top_k: int,
         xt = x[t : t + 1]
         for e, w in zip(chosen, wts):
             if masks is not None and int(e) in masks:
-                y = ffn_forward_masked(xt, weights.w_g[e], weights.w_u[e], weights.w_d[e],
-                                       masks[int(e)])
+                y = ffn_forward_masked(xt, weights.w_g[e], weights.w_u[e],
+                                       weights.down_rows[e], masks[int(e)])
             else:
                 y = ffn_forward(xt, weights.w_g[e], weights.w_u[e], weights.w_d[e])
             out[t] += w * y[0]

@@ -81,8 +81,9 @@ def train(p: Predictor, calib: Matrix, w_g: Matrix, epochs: int = 50,
     history = [loss]
     step = lr
     for _ in range(epochs):
-        grad_l = (2.0 / n) * matmul(x.T, matmul(err, r.T))
-        grad_r = (2.0 / n) * matmul(matmul(x, l).T, err)
+        prod_l, prod_r = _gradient_products(x, l, r, err)
+        grad_l = (2.0 / n) * prod_l
+        grad_r = (2.0 / n) * prod_r
         cand_l = l - step * grad_l
         cand_r = r - step * grad_r
         with np.errstate(over="ignore", invalid="ignore"):
@@ -102,11 +103,20 @@ def train(p: Predictor, calib: Matrix, w_g: Matrix, epochs: int = 50,
     return Predictor(l=l, r=r), history
 
 
+def _gradient_products(x: Matrix, l: Matrix, r: Matrix, err: Matrix) -> tuple[Matrix, Matrix]:
+    """x.T @ err @ R.T and (x @ L).T @ err: the gradients of sum(err**2)
+    w.r.t. (L, R), where err = x @ L @ R - x @ w_g.T, without their factor
+    2. ``train`` and ``loss_gradients`` each apply their own scale."""
+    return matmul(x.T, matmul(err, r.T)), matmul(matmul(x, l).T, err)
+
+
 def loss_gradients(p: Predictor, x: Matrix, w_g: Matrix) -> tuple[Matrix, Matrix]:
-    """Analytic gradients of the reconstruction loss w.r.t. (L, R); checked
-    against central finite differences in the tests."""
+    """Analytic gradients of the reconstruction loss w.r.t. (L, R), by the
+    formula ``train`` steps with; checked against central finite
+    differences in the tests."""
     err = matmul(matmul(x, p.l), p.r) - matmul(x, w_g.T)
-    return 2.0 * matmul(x.T, matmul(err, p.r.T)), 2.0 * matmul(matmul(x, p.l).T, err)
+    prod_l, prod_r = _gradient_products(x, p.l, p.r, err)
+    return 2.0 * prod_l, 2.0 * prod_r
 
 
 @dataclass(frozen=True)

@@ -82,9 +82,10 @@ def test_criterion_1_masked_ffn_equivalence():
         hidden = silu(x @ w_g.T) * (x @ w_u.T)
         hidden[:, ~mask] = 0.0
         oracle = hidden @ w_d.T
-        got = ffn_forward_masked(x, w_g, w_u, w_d, mask)
+        down_rows = np.ascontiguousarray(w_d.T)
+        got = ffn_forward_masked(x, w_g, w_u, down_rows, mask)
         worst = max(worst, float(np.max(np.abs(got - oracle))))
-        ones = ffn_forward_masked(x, w_g, w_u, w_d, np.ones(dim_h, dtype=bool))
+        ones = ffn_forward_masked(x, w_g, w_u, down_rows, np.ones(dim_h, dtype=bool))
         dense = ffn_forward(x, w_g, w_u, w_d)
         worst = max(worst, float(np.max(np.abs(ones - dense))))
     dt = time.time() - t0
@@ -165,7 +166,8 @@ def test_criterion_3_threshold_semantics():
             for row in range(evalset[li].shape[0]):
                 mask = predict_mask(p, evalset[li][row], thr)
                 got_row = ffn_forward_masked(evalset[li][row:row + 1], lw.w_g[0],
-                                             lw.w_u[0], lw.w_d[0], mask)
+                                             lw.w_u[0], np.ascontiguousarray(lw.w_d[0].T),
+                                             mask)
                 total += float(np.mean((got_row - dense[row:row + 1]) ** 2))
         mses.append(total)
     monotone = all(b >= a - 1e-15 for a, b in zip(mses, mses[1:]))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import slim.model
 from slim.errors import CapacityError, ShapeError
 from slim.model import (
     Decoder,
@@ -38,6 +39,23 @@ def reference_mha(q, k, v, n_heads, attn_scale="head_dim"):
         scores = matmul(q[:, sl], k[:, sl].T) / scale
         out[:, sl] = matmul(softmax(scores, axis="row"), v[:, sl])
     return out
+
+
+def reference_ffn_masked(x, w_g, w_u, w_d, mask):
+    """ffn_forward_masked before down rows: gate and up rows and strided
+    down columns gathered on every call, full mask included."""
+    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
+    if idx.size == 0:
+        return np.zeros((x.shape[0], w_d.shape[0]))
+    hidden = silu(matmul(x, w_g[idx].T)) * matmul(x, w_u[idx].T)
+    return matmul(hidden, w_d[:, idx].T)
+
+
+def reference_ffn_masked_rows(x, w_g, w_u, down_rows, mask):
+    """reference_ffn_masked behind ffn_forward_masked's signature, to patch
+    into the decoder. w_d is rebuilt from the down rows as a C-ordered copy,
+    the layout LayerWeights holds."""
+    return reference_ffn_masked(x, w_g, w_u, np.ascontiguousarray(down_rows.T), mask)
 
 
 class ReferenceCache:
@@ -227,15 +245,19 @@ class TestMaskedFfn:
         x = rng.standard_normal((2, 16))
         return rng, x, lw.w_g[0], lw.w_u[0], lw.w_d[0]
 
+    @staticmethod
+    def _masked(x, wg, wu, wd, mask):
+        return ffn_forward_masked(x, wg, wu, np.ascontiguousarray(wd.T), mask)
+
     def test_all_ones_equals_dense(self):
         _, x, wg, wu, wd = self._setup(6)
         dense = ffn_forward(x, wg, wu, wd)
-        masked = ffn_forward_masked(x, wg, wu, wd, np.ones(24, dtype=bool))
+        masked = self._masked(x, wg, wu, wd, np.ones(24, dtype=bool))
         assert np.max(np.abs(dense - masked)) <= 1e-12
 
     def test_all_zeros_mask(self):
         _, x, wg, wu, wd = self._setup(7)
-        assert np.all(ffn_forward_masked(x, wg, wu, wd, np.zeros(24, dtype=bool)) == 0.0)
+        assert np.all(self._masked(x, wg, wu, wd, np.zeros(24, dtype=bool)) == 0.0)
 
     def test_equals_zeroed_hidden_oracle(self):
         rng, x, wg, wu, wd = self._setup(8)
@@ -243,7 +265,7 @@ class TestMaskedFfn:
         hidden = silu(x @ wg.T) * (x @ wu.T)
         hidden[:, ~mask] = 0.0
         oracle = hidden @ wd.T
-        assert np.max(np.abs(ffn_forward_masked(x, wg, wu, wd, mask) - oracle)) < 1e-12
+        assert np.max(np.abs(self._masked(x, wg, wu, wd, mask) - oracle)) < 1e-12
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -252,12 +274,38 @@ class TestMaskedFfn:
         mask = rng.random(24) < rng.random()
         hidden = silu(x @ wg.T) * (x @ wu.T)
         hidden[:, ~mask] = 0.0
-        assert np.max(np.abs(ffn_forward_masked(x, wg, wu, wd, mask) - hidden @ wd.T)) < 1e-12
+        assert np.max(np.abs(self._masked(x, wg, wu, wd, mask) - hidden @ wd.T)) < 1e-12
 
     def test_mask_length_checked(self):
         _, x, wg, wu, wd = self._setup(9)
         with pytest.raises(ShapeError):
-            ffn_forward_masked(x, wg, wu, wd, np.ones(5, dtype=bool))
+            self._masked(x, wg, wu, wd, np.ones(5, dtype=bool))
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_column_gather_bitwise(self, seed):
+        # the train-infer shape; every kind of mask a decode step can see
+        rng = np.random.default_rng(seed)
+        dim_e, dim_h = 256, 1024
+        w_g = rng.standard_normal((dim_h, dim_e)) / np.sqrt(dim_e)
+        w_u = rng.standard_normal((dim_h, dim_e)) / np.sqrt(dim_e)
+        w_d = rng.standard_normal((dim_e, dim_h)) / np.sqrt(dim_h)
+        down_rows = np.ascontiguousarray(w_d.T)
+        one = np.zeros(dim_h, dtype=bool)
+        one[rng.integers(dim_h)] = True
+        masks = [np.zeros(dim_h, dtype=bool), one, np.ones(dim_h, dtype=bool)]
+        masks += [rng.random(dim_h) < d for d in (0.4, 0.6, 0.8)]
+        for rows in (1, 3):
+            x = rng.standard_normal((rows, dim_e))
+            for mask in masks:
+                assert np.array_equal(ffn_forward_masked(x, w_g, w_u, down_rows, mask),
+                                      reference_ffn_masked(x, w_g, w_u, w_d, mask))
+
+    def test_layer_down_rows(self):
+        lw = synth_model(TestMoe.CFG)[0]
+        for w_d, rows in zip(lw.w_d, lw.down_rows):
+            assert rows.flags.c_contiguous and np.array_equal(rows, w_d.T)
+        assert lw.down_rows is lw.down_rows
 
 
 class TestMoe:
@@ -286,6 +334,28 @@ class TestMoe:
         assert chosen.tolist() == [0, 2]
         assert_allclose(wts, softmax(np.array([[3.0, 2.0]])).ravel(), atol=1e-15)
         assert abs(wts.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_masked_matches_column_gather_bitwise(self, seed):
+        cfg = ModelConfig(n_dec=1, dim_e=64, dim_h=256, n_heads=2, n_expert=4, top_k=2,
+                          seed=seed)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((3, 64))
+        # expert 3 stays dense; expert 2 keeps every neuron
+        masks = {0: rng.random(256) < 0.4, 1: rng.random(256) < 0.8,
+                 2: np.ones(256, dtype=bool)}
+        lw = synth_model(cfg)[0]
+        # moe_forward's loop, with each expert's own w_d in the gather oracle
+        want = np.zeros_like(x)
+        logits = matmul(x, lw.router.T)
+        for t in range(3):
+            chosen, wts = route_top_k(logits[t], 2)
+            for e, w in zip(chosen, wts):
+                ffn = (reference_ffn_masked(x[t : t + 1], lw.w_g[e], lw.w_u[e], lw.w_d[e],
+                                            masks[e]) if e in masks else
+                       ffn_forward(x[t : t + 1], lw.w_g[e], lw.w_u[e], lw.w_d[e]))
+                want[t] += w * ffn[0]
+        assert np.array_equal(moe_forward(x, lw, 2, masks), want)
 
     def test_tie_break_lower_index(self):
         chosen, _ = route_top_k(np.array([1.0, 1.0, 1.0]), 2)
@@ -342,6 +412,33 @@ class TestDecode:
         masked = dec.decode_step(x, dec.new_cache(),
                                  mask_fn=lambda l, e, row: np.ones(24, dtype=bool))
         assert np.max(np.abs(dense - masked)) < 1e-10
+
+    def test_masked_rollout_matches_column_gather_bitwise(self, monkeypatch):
+        cfg = ModelConfig(n_dec=2, dim_e=256, dim_h=1024, n_heads=8, seq_len=8, seed=18)
+        dec = Decoder.synth(cfg)
+        x0 = np.random.default_rng(19).standard_normal((1, cfg.dim_e))
+
+        def rollout():
+            # one draw per call, in call order, so both rollouts see the same masks
+            rng = np.random.default_rng(20)
+            densities = iter([0.0, 1.0, 0.4, 0.6, 0.8, 1.0] * cfg.seq_len)
+            return dec.rollout(x0, 6, mask_fn=lambda layer, expert, row:
+                               rng.random(cfg.dim_h) < next(densities))
+
+        got = rollout()
+        monkeypatch.setattr(slim.model, "ffn_forward_masked", reference_ffn_masked_rows)
+        for a, b in zip(got, rollout(), strict=True):
+            assert np.array_equal(a, b)
+
+    def test_down_rows_built_by_masked_steps_only(self):
+        dec = Decoder.synth(TOY)
+        harvest_ffn_inputs(dec, 4, seed=21)
+        cache = dec.new_cache()
+        x = np.random.default_rng(22).standard_normal((1, TOY.dim_e))
+        dec.decode_step(x, cache)
+        assert all("down_rows" not in vars(lw) for lw in dec.layers)
+        dec.decode_step(x, cache, mask_fn=lambda l, e, row: np.ones(TOY.dim_h, dtype=bool))
+        assert all("down_rows" in vars(lw) for lw in dec.layers)
 
     def test_rollout_matches_cache_free_oracle(self):
         cfg = TOY

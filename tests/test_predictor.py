@@ -101,6 +101,19 @@ class TestTrain:
         assert np.max(np.abs(gl - num_grad("l"))) / np.max(np.abs(gl)) < 1e-5
         assert np.max(np.abs(gr - num_grad("r"))) / np.max(np.abs(gr)) < 1e-5
 
+    def test_train_steps_along_loss_gradients(self):
+        # one accepted step moves (L, R) by lr times the per-sample mean of
+        # the gradients checked above
+        w_g = rand_gate(48, 32, 11)
+        p = init_from_svd(w_g, 8)
+        x = np.random.default_rng(12).standard_normal((64, 32))
+        lr = 1e-4
+        trained, hist = train(p, x, w_g, epochs=1, lr=lr)
+        assert len(hist) == 2 and hist[1] < hist[0]
+        gl, gr = loss_gradients(p, x, w_g)
+        np.testing.assert_allclose(trained.l, p.l - lr * gl / 64, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(trained.r, p.r - lr * gr / 64, rtol=1e-12, atol=1e-15)
+
     def test_loss_strictly_decreases(self):
         w_g = rand_gate(48, 32, 9)
         p = init_from_svd(w_g, 8)
@@ -238,7 +251,7 @@ def test_degradation_mse_nondecreasing():
             for row in range(x.shape[0]):
                 mask = predict_mask(p, x[row], thr)
                 got = ffn_forward_masked(x[row : row + 1], lw.w_g[0], lw.w_u[0],
-                                         lw.w_d[0], mask)
+                                         np.ascontiguousarray(lw.w_d[0].T), mask)
                 total += float(np.mean((got - dense[row : row + 1]) ** 2))
         mses.append(total)
     assert all(b >= a - 1e-12 for a, b in zip(mses, mses[1:])), mses
