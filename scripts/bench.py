@@ -2,8 +2,7 @@
 """Record one point of the perf trajectory: run perfbench on every workload
 and write BENCH_<n>.json, then compare it with the previous BENCH_*.json.
 
-    python3 scripts/bench.py --pr N [--runs R] [--seconds S] [--seed S0]
-                             [--workload NAME ...] [--repo DIR]
+    python3 scripts/bench.py --pr N [--runs R] [--seconds S] [--seed S0] [--repo DIR]
 
 Each workload runs R times (`perfbench/run.py --trace 0`, seeds S0 .. S0+R-1,
 each run one perfbench median over its own iterations). Per workload the
@@ -75,15 +74,14 @@ def summarize(runs: dict[int, dict]) -> dict:
     metrics = {name: {"unit": results[0]["metrics"][name]["unit"],
                       **_spread([r["metrics"][name]["value"] for r in results])}
                for name in END_TO_END}
-    others = sorted({n for r in results for n in r["printed"]} - set(END_TO_END)
-                    - {"error_rate"})
+    others = sorted(set(results[0]["printed"]) - set(END_TO_END) - {"error_rate"})
     return {
         "seeds": sorted(runs),
         "correct": all(r["correct"] for r in results),
         "error_rate": failed / attempted if attempted else 1.0,
         "metrics": metrics,
-        "printed_medians": {n: statistics.median(r["printed"][n] for r in results
-                                                 if n in r["printed"]) for n in others},
+        "printed_medians": {n: statistics.median(r["printed"][n] for r in results)
+                            for n in others},
         "digests": {str(seed): r["digests"] for seed, r in runs.items()},
     }
 
@@ -119,16 +117,13 @@ def main(argv=None) -> int:
     p.add_argument("--runs", type=int, default=3, help="perfbench runs per workload")
     p.add_argument("--seconds", type=float, default=bench["run_seconds"])
     p.add_argument("--seed", type=int, default=1000, help="seed of the first run")
-    p.add_argument("--workload", action="append",
-                   choices=[w["name"] for w in bench["workloads"]],
-                   help="benchmark only this workload (repeatable; default all)")
     p.add_argument("--repo", type=Path, default=ROOT, help="checkout to benchmark")
     args = p.parse_args(argv)
     if args.runs < 1:
         p.error("--runs must be >= 1")
 
     workloads, env = {}, {}
-    for name in args.workload or [w["name"] for w in bench["workloads"]]:
+    for name in (w["name"] for w in bench["workloads"]):
         runs = {}
         for seed in range(args.seed, args.seed + args.runs):
             runs[seed] = run_perfbench(args.repo, name, seed, args.seconds)

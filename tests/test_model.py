@@ -281,7 +281,6 @@ class TestMaskedFfn:
         with pytest.raises(ShapeError):
             self._masked(x, wg, wu, wd, np.ones(5, dtype=bool))
 
-
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_column_gather_bitwise(self, seed):
         # the train-infer shape; every kind of mask a decode step can see
