@@ -2,10 +2,13 @@
 """Record one point of the perf trajectory: run perfbench on every workload
 and write BENCH_<n>.json, then compare it with the previous BENCH_*.json.
 
-    python3 scripts/bench.py --pr N [--runs R] [--seconds S] [--seed S0] [--repo DIR]
+    python3 scripts/bench.py --pr N [--repo DIR]
 
-Each workload runs R times (`perfbench/run.py --trace 0`, seeds S0 .. S0+R-1,
-each run one perfbench median over its own iterations). Per workload the
+Each workload runs once per seed of SEEDS (`perfbench/run.py --trace 0
+--seconds <BENCHMARK.json run_seconds>`, each run one perfbench median over
+its own iterations). The seeds, the run count and the run length are fixed,
+so every BENCH file of the trajectory is made the same way and their
+digests and medians compare. Per workload the
 file records the median, quartiles and IQR over the runs of `setup_s`,
 `run_s` and `peak_rss_mb`, the median of every other printed metric (the
 modeled tok/s, GB/s and mJ/token of the simulator workloads, train_s and
@@ -17,8 +20,10 @@ the file is still written next to this script's repository root, so every
 BENCH file of the trajectory sits in one place. The comparison reads the
 BENCH file with the largest number below N and prints each end-to-end
 metric's relative change of the median against its bound in
-BENCHMARK.json. The exit status is 1 when a run was not correct or a
-metric is worse than its bound, else 0.
+BENCHMARK.json; it refuses a file whose seeds, run count or run length
+differ. An existing BENCH_N.json is never overwritten. The exit status is
+1 when a run was not correct, a metric is worse than its bound or the
+files do not compare, 2 for a bad argument, else 0.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("setup_s", "run_s", "peak_rss_mb")
+SEEDS = (1000, 1001, 1002)
 
 
 def _spread(values: list[float]) -> dict:
@@ -94,11 +100,19 @@ def previous_bench(pr: int) -> Path | None:
 
 def compare(old: dict, new: dict, bounds: dict) -> bool:
     """Print each shared workload's end-to-end changes; False if any metric
-    is worse than its bound."""
+    is worse than its bound, or if the two files were not made with the same
+    runs, run length and seeds."""
+    if old["perfbench"] != new["perfbench"]:
+        print(f"not comparable: perfbench {old['perfbench']} vs {new['perfbench']}")
+        return False
     ok = True
     for workload, rec in new["workloads"].items():
         before = old["workloads"].get(workload)
         if before is None:
+            continue
+        if before["seeds"] != rec["seeds"]:
+            print(f"{workload}: not comparable: seeds {before['seeds']} vs {rec['seeds']}")
+            ok = False
             continue
         for name, spec in bounds.items():
             a, b = before["metrics"][name]["median"], rec["metrics"][name]["median"]
@@ -114,19 +128,18 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True, help="number n of BENCH_<n>.json")
-    p.add_argument("--runs", type=int, default=3, help="perfbench runs per workload")
-    p.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    p.add_argument("--seed", type=int, default=1000, help="seed of the first run")
     p.add_argument("--repo", type=Path, default=ROOT, help="checkout to benchmark")
     args = p.parse_args(argv)
-    if args.runs < 1:
-        p.error("--runs must be >= 1")
+    out = ROOT / f"BENCH_{args.pr}.json"
+    if out.exists():
+        p.error(f"{out.name} exists; a BENCH file is written once")
+    seconds = bench["run_seconds"]
 
     workloads, env = {}, {}
     for name in (w["name"] for w in bench["workloads"]):
         runs = {}
-        for seed in range(args.seed, args.seed + args.runs):
-            runs[seed] = run_perfbench(args.repo, name, seed, args.seconds)
+        for seed in SEEDS:
+            runs[seed] = run_perfbench(args.repo, name, seed, seconds)
             env = runs[seed]["env"]
             print(f"{name} seed {seed}: " + ", ".join(
                 f"{m} {runs[seed]['metrics'][m]['value']:.4g}" for m in END_TO_END), flush=True)
@@ -135,10 +148,10 @@ def main(argv=None) -> int:
     record = {"pr": args.pr, "commit": env.get("commit"), "src_sha256": env.get("src_sha256"),
               "nproc": int(env.get("nproc", 0)), "python": env.get("python"),
               "numpy": env.get("numpy"), "blas": env.get("blas"),
-              "perfbench": {"runs": args.runs, "seconds": args.seconds},
+              "perfbench": {"runs": len(SEEDS), "seconds": seconds},
               "workloads": workloads}
-    out = ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    with out.open("x") as f:
+        f.write(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
 
     ok = all(w["correct"] for w in workloads.values())

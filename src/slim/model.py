@@ -205,6 +205,9 @@ def ffn_forward_masked(x: Matrix, w_g: Matrix, w_u: Matrix, down_rows: Matrix,
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (w_g.shape[0],):
         raise ShapeError(f"mask length {mask.shape} vs dim_h {w_g.shape[0]}")
+    if down_rows.shape != w_g.shape:
+        raise ShapeError(f"down rows {down_rows.shape} vs gate {w_g.shape}; "
+                         "pass w_d.T, not w_d")
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return np.zeros((x.shape[0], down_rows.shape[1]))

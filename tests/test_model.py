@@ -281,6 +281,15 @@ class TestMaskedFfn:
         with pytest.raises(ShapeError):
             self._masked(x, wg, wu, wd, np.ones(5, dtype=bool))
 
+    def test_down_rows_shape_checked(self):
+        # w_d passed untransposed, as the dense FFN takes it; a mask that
+        # selects only neurons below dim_e would otherwise return dim_h columns
+        _, x, wg, wu, wd = self._setup(9)
+        mask = np.zeros(24, dtype=bool)
+        mask[:4] = True
+        with pytest.raises(ShapeError):
+            ffn_forward_masked(x, wg, wu, wd, mask)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_column_gather_bitwise(self, seed):
         # the train-infer shape; every kind of mask a decode step can see
