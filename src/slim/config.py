@@ -97,18 +97,24 @@ def _build(cls, data: dict, where: str, **extra):
         raise ConfigError(f"bad {where}: {exc}") from exc
 
 
-def _number(kind, value, where: str):
-    """``kind(value)`` for int/float settings; a bad value is a config error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+def _number(value, where: str) -> float:
+    """A JSON number (int or float, not a bool or a string) as a float."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer, returned as it is: 1.0, 1.7, "1" and true are errors."""
+    if type(value) is not int:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def _tupleize(obj, where: str) -> tuple[float, ...]:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise ConfigError(f"{where} must be a non-empty list")
-    vals = tuple(_number(float, v, where) for v in obj)
+    vals = tuple(_number(v, where) for v in obj)
     for v in vals:
         if not (0.0 <= v < 1.0):
             raise ConfigError(f"{where} entries must lie in [0, 1), got {v}")
@@ -118,7 +124,9 @@ def _tupleize(obj, where: str) -> tuple[float, ...]:
 def _check_train(tp: TrainParams, model: ModelConfig) -> None:
     """The counts of ``tp`` must fit ``model``: `train` and `infer` decode
     calib_tokens/eval_tokens steps into a cache of seq_len rows, and the
-    predictor rank is at most min(dim_e, dim_h)."""
+    predictor rank is at most min(dim_e, dim_h). The step size is a finite
+    number > 0 and the targets are sparsities in [0, 1). Values are checked,
+    not rewritten, so the resolved config and its hash stay as written."""
     bounds = {"epochs": (0, math.inf), "calib_tokens": (1, model.seq_len),
               "eval_tokens": (1, model.seq_len)}
     if tp.dim_lr is not None:
@@ -127,6 +135,9 @@ def _check_train(tp: TrainParams, model: ModelConfig) -> None:
         v = getattr(tp, name)
         if type(v) is not int or not lo <= v <= hi:
             raise ConfigError(f"train.{name} must be an integer in [{lo}, {hi}], got {v!r}")
+    if not 0 < _number(tp.lr, "train.lr") < math.inf:
+        raise ConfigError(f"train.lr must be a finite number > 0, got {tp.lr!r}")
+    _tupleize(tp.targets, "train.targets")
 
 
 _TOP_KEYS = {"model", "nand", "pe_level", "dram", "sparsity_targets", "scheduler",
@@ -151,7 +162,7 @@ def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> S
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
 
-    seed = _number(int, doc.get("seed", 0), "seed")
+    seed = _integer(doc.get("seed", 0), "seed")
     if seed_override is not None:
         seed = seed_override
 
@@ -210,16 +221,20 @@ def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> S
         if b not in BASELINE_KINDS:
             raise ConfigError(f"unknown baseline {b!r}; have {BASELINE_KINDS}")
 
-    baseline_sparsity = _number(float, doc.get("baseline_sparsity", 0.0), "baseline_sparsity")
+    baseline_sparsity = _number(doc.get("baseline_sparsity", 0.0), "baseline_sparsity")
     if not (0.0 <= baseline_sparsity < 1.0):
         raise ConfigError(f"baseline_sparsity must lie in [0, 1)")
 
-    bytes_per_elem = _number(int, doc.get("bytes_per_elem", 1), "bytes_per_elem")
+    bytes_per_elem = _integer(doc.get("bytes_per_elem", 1), "bytes_per_elem")
     if bytes_per_elem < 1:
         raise ConfigError(f"bytes_per_elem must be >= 1, got {bytes_per_elem}")
 
     train = _build(TrainParams, doc.get("train", {}), "train")
     _check_train(train, model)
+
+    emit_trace = doc.get("emit_trace", False)
+    if type(emit_trace) is not bool:
+        raise ConfigError(f"emit_trace must be true or false, got {emit_trace!r}")
 
     return ScenarioConfig(
         model_name=model_name,
@@ -240,11 +255,11 @@ def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> S
         baselines=baselines,
         baseline_sparsity=baseline_sparsity,
         seed=seed,
-        n_tokens=_number(int, doc.get("n_tokens", 100), "n_tokens"),
+        n_tokens=_integer(doc.get("n_tokens", 100), "n_tokens"),
         bytes_per_elem=bytes_per_elem,
         train=train,
         paths=_build(ScenarioPaths, doc.get("paths", {}), "paths"),
-        emit_trace=bool(doc.get("emit_trace", False)),
+        emit_trace=emit_trace,
     )
 
 

@@ -1,15 +1,17 @@
 """Functional (untimed) decoder: QKV projection, multi-head attention over a
 KV cache, gated FFN / mixture-of-experts, and the token-by-token generation
-loop, with dense and neuron-masked variants.
+loop. The FFN runs on every hidden neuron or on a neuron mask.
 
 Weights are synthetic (seeded Gaussians); there is no tokenizer or sampling.
-All projections apply as ``x @ W.T``.
+Projections apply as ``x @ W.T``, except the FFN's down projection: it is
+stored as neuron rows (``w_down``, dim_h x dim_e) and applies as
+``hidden @ w_down``, so hidden neuron j is row j of the gate, up and down
+matrices alike, the fused vector the accelerator stores and fetches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +47,9 @@ class ModelConfig:
 @dataclass
 class LayerWeights:
     """One decoder layer. w_q/k/v/o are dim_e x dim_e; per expert e,
-    w_g[e] and w_u[e] are dim_h x dim_e and w_d[e] is dim_e x dim_h.
+    w_g[e], w_u[e] and w_down[e] are dim_h x dim_e, one row per hidden
+    neuron, so row j of the three is neuron j's fused vector (w_down[e] is
+    the usual dim_e x dim_h down projection, transposed).
     router (n_expert x dim_e) is None when n_expert == 1."""
 
     w_q: Matrix
@@ -54,16 +58,8 @@ class LayerWeights:
     w_o: Matrix
     w_g: list[Matrix]
     w_u: list[Matrix]
-    w_d: list[Matrix]
+    w_down: list[Matrix]
     router: Matrix | None = None
-
-    @cached_property
-    def down_rows(self) -> list[Matrix]:
-        """Per expert, w_d[e].T as a contiguous dim_h x dim_e array: one down
-        row per hidden neuron, so a masked FFN gathers rows, not columns.
-        Built on first use; only the masked path uses it, so dense decoding
-        never holds the copy."""
-        return [np.ascontiguousarray(w.T) for w in self.w_d]
 
 
 def synth_model(cfg: ModelConfig) -> list[LayerWeights]:
@@ -73,6 +69,7 @@ def synth_model(cfg: ModelConfig) -> list[LayerWeights]:
     the down projection) carry an extra 1/sqrt(2*n_dec). There is no
     normalization layer, and the gated FFN is quadratic in its input, so
     without the residual damping a multi-layer rollout blows up numerically.
+    The down projection is drawn dim_e x dim_h and stored as its transpose.
     """
     rng = np.random.default_rng([cfg.seed, 0x51])
     scale = 1.0 / np.sqrt(cfg.dim_e)
@@ -91,8 +88,8 @@ def synth_model(cfg: ModelConfig) -> list[LayerWeights]:
                 w_o=w(cfg.dim_e, cfg.dim_e, scale * resid),
                 w_g=[w(cfg.dim_h, cfg.dim_e, scale) for _ in range(cfg.n_expert)],
                 w_u=[w(cfg.dim_h, cfg.dim_e, scale) for _ in range(cfg.n_expert)],
-                w_d=[w(cfg.dim_e, cfg.dim_h, resid / np.sqrt(cfg.dim_h))
-                     for _ in range(cfg.n_expert)],
+                w_down=[w(cfg.dim_e, cfg.dim_h, resid / np.sqrt(cfg.dim_h)).T.copy()
+                        for _ in range(cfg.n_expert)],
                 router=w(cfg.n_expert, cfg.dim_e, scale) if cfg.n_expert > 1 else None,
             )
         )
@@ -173,58 +170,39 @@ def mha_forward(q: Matrix, k: Matrix, v: Matrix, n_heads: int,
         return m.reshape(m.shape[0], n_heads, d).transpose(1, 0, 2)
 
     scores = matmul(heads(q), heads(k).transpose(0, 2, 1)) / scale
-    out = matmul(softmax(scores, axis="row"), heads(v))
+    out = matmul(softmax(scores), heads(v))
     return out.transpose(1, 0, 2).reshape(q.shape[0], dim_e)
-
-
-def ffn_forward(x: Matrix, w_g: Matrix, w_u: Matrix, w_d: Matrix) -> Matrix:
-    """Gated FFN: (silu(x @ w_g.T) * (x @ w_u.T)) @ w_d.T."""
-    if x.shape[1] != w_g.shape[1]:
-        raise ShapeError(f"ffn input {x.shape} vs gate {w_g.shape}")
-    hidden = silu(matmul(x, w_g.T)) * matmul(x, w_u.T)
-    return matmul(hidden, w_d.T)
 
 
 NeuronMask = np.ndarray  # bool vector of length dim_h
 
 
-def ffn_forward_masked(x: Matrix, w_g: Matrix, w_u: Matrix, down_rows: Matrix,
-                       mask: NeuronMask) -> Matrix:
-    """FFN restricted to the hidden neurons selected by ``mask``; equals the
-    dense FFN with masked hidden coordinates zeroed after the gating product.
+def ffn_forward(x: Matrix, w_g: Matrix, w_u: Matrix, w_down: Matrix,
+                mask: NeuronMask | None = None) -> Matrix:
+    """Gated FFN over the hidden neurons selected by ``mask`` (all of them
+    when it is None): (silu(x @ w_g[sel].T) * (x @ w_u[sel].T)) @ w_down[sel].
 
-    ``down_rows`` is w_d.T as a contiguous dim_h x dim_e array
-    (``LayerWeights.down_rows``), so each selected neuron is one gate row, one
-    up row and one down row, and a full mask gathers nothing. The down
-    product reads row-major rows, while ``ffn_forward`` reads w_d.T as an
-    F-ordered operand, and BLAS rounds the two layouts differently. So an
-    all-true mask matches the dense FFN to rounding, not bitwise: target 0
-    of ``slim infer`` (every neuron on) reports an output MSE near 1e-31,
-    not 0, and the tests compare the two within 1e-12.
+    Each selected neuron is one gate row, one up row and one down row. A
+    partial mask gathers its rows; None or a full mask selects by a slice,
+    which gathers nothing, so the dense FFN and an all-true mask run the same
+    products on the same operands and agree bitwise. An empty mask gives
+    zeros, the dense FFN with every hidden coordinate zeroed.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (w_g.shape[0],):
-        raise ShapeError(f"mask length {mask.shape} vs dim_h {w_g.shape[0]}")
-    if down_rows.shape != w_g.shape:
-        raise ShapeError(f"down rows {down_rows.shape} vs gate {w_g.shape}; "
-                         "pass w_d.T, not w_d")
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return np.zeros((x.shape[0], down_rows.shape[1]))
-    # a full mask selects by a slice, which gathers nothing; gathering inline
-    # keeps one gathered copy alive at a time
-    sel = slice(None) if idx.size == mask.size else idx
+    if x.shape[1] != w_g.shape[1]:
+        raise ShapeError(f"ffn input {x.shape} vs gate {w_g.shape}")
+    if w_down.shape != w_g.shape:
+        raise ShapeError(f"down {w_down.shape} vs gate {w_g.shape}; "
+                         "pass neuron rows (dim_h x dim_e)")
+    sel = slice(None)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (w_g.shape[0],):
+            raise ShapeError(f"mask length {mask.shape} vs dim_h {w_g.shape[0]}")
+        if not mask.all():
+            sel = np.flatnonzero(mask)
+    # gathering inline keeps one gathered copy alive at a time
     hidden = silu(matmul(x, w_g[sel].T)) * matmul(x, w_u[sel].T)
-    return matmul(hidden, down_rows[sel])
-
-
-def union_masks(masks: list[NeuronMask]) -> NeuronMask:
-    """Union of per-token masks; batched sparse execution fetches each weight
-    vector once for the whole batch."""
-    out = np.zeros_like(np.asarray(masks[0], dtype=bool))
-    for m in masks:
-        out |= np.asarray(m, dtype=bool)
-    return out
+    return matmul(hidden, w_down[sel])
 
 
 def route_top_k(logits: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +210,7 @@ def route_top_k(logits: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]
     weights over the selected logits only."""
     order = np.argsort(-logits, kind="stable")
     chosen = order[:top_k]
-    weights = softmax(logits[chosen].reshape(1, -1), axis="row").reshape(-1)
+    weights = softmax(logits[chosen].reshape(1, -1)).reshape(-1)
     return chosen, weights
 
 
@@ -240,26 +218,21 @@ def moe_forward(x: Matrix, weights: LayerWeights, top_k: int,
                 masks: dict[int, NeuronMask] | None = None) -> Matrix:
     """Route each token to its top-k experts and mix their FFN outputs.
 
-    ``masks`` optionally maps expert index -> neuron mask (shared across the
-    batch; callers union per-token masks first).
+    ``masks`` optionally maps expert index -> neuron mask, shared across the
+    batch; an expert without one (or with None) runs dense.
     """
-    n_expert = len(weights.w_g)
-    if n_expert == 1:
-        if masks is not None and 0 in masks:
-            return ffn_forward_masked(x, weights.w_g[0], weights.w_u[0],
-                                      weights.down_rows[0], masks[0])
-        return ffn_forward(x, weights.w_g[0], weights.w_u[0], weights.w_d[0])
+    masks = masks or {}
+    if len(weights.w_g) == 1:
+        return ffn_forward(x, weights.w_g[0], weights.w_u[0], weights.w_down[0],
+                           masks.get(0))
     logits = matmul(x, weights.router.T)
     out = np.zeros((x.shape[0], x.shape[1]))
     for t in range(x.shape[0]):
         chosen, wts = route_top_k(logits[t], top_k)
         xt = x[t : t + 1]
         for e, w in zip(chosen, wts):
-            if masks is not None and int(e) in masks:
-                y = ffn_forward_masked(xt, weights.w_g[e], weights.w_u[e],
-                                       weights.down_rows[e], masks[int(e)])
-            else:
-                y = ffn_forward(xt, weights.w_g[e], weights.w_u[e], weights.w_d[e])
+            y = ffn_forward(xt, weights.w_g[e], weights.w_u[e], weights.w_down[e],
+                            masks.get(int(e)))
             out[t] += w * y[0]
     return out
 
@@ -303,15 +276,8 @@ class Decoder:
             x = x + matmul(attn, lw.w_o.T)
             if ffn_input_hook is not None:
                 ffn_input_hook(li, x.copy())
-            masks = None
-            if mask_fn is not None:
-                masks = {}
-                for e in range(self.cfg.n_expert):
-                    m = mask_fn(li, e, x[0])
-                    if m is not None:
-                        masks[e] = m
-                if not masks:
-                    masks = None
+            masks = None if mask_fn is None else {
+                e: mask_fn(li, e, x[0]) for e in range(self.cfg.n_expert)}
             x = x + moe_forward(x, lw, self.cfg.top_k, masks)
         return x
 

@@ -44,16 +44,11 @@ def silu(x: Matrix) -> Matrix:
     return x * sigmoid(x)
 
 
-def softmax(v: Matrix, axis: str = "row") -> Matrix:
-    """Max-shifted softmax along rows (the last axis) or columns (the one
-    before it); each slice sums to 1."""
+def softmax(v: Matrix) -> Matrix:
+    """Max-shifted softmax along rows (the last axis); each row sums to 1."""
     v = np.asarray(v, dtype=np.float64)
-    ax = {"row": -1, "col": -2}.get(axis)
-    if ax is None:
-        raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
-    shifted = v - np.max(v, axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=ax, keepdims=True)
+    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def truncated_svd(m: Matrix, r: int) -> tuple[Matrix, np.ndarray, Matrix]:

@@ -161,29 +161,13 @@ def _load_decoder(cfg: ScenarioConfig) -> Decoder:
                 w_v=tensors[pre + "w_v"], w_o=tensors[pre + "w_o"],
                 w_g=[tensors[f"{pre}expert{e:03d}.w_g"] for e in range(m.n_expert)],
                 w_u=[tensors[f"{pre}expert{e:03d}.w_u"] for e in range(m.n_expert)],
-                w_d=[tensors[f"{pre}expert{e:03d}.w_d"] for e in range(m.n_expert)],
+                # SLIMWT1 keeps w_d as dim_e x dim_h; the decoder holds neuron rows
+                w_down=[tensors[f"{pre}expert{e:03d}.w_d"].T.copy() for e in range(m.n_expert)],
                 router=tensors.get(pre + "router"),
             ))
     except KeyError as exc:
         raise ConfigError(f"fixture {path} is missing tensor {exc}") from exc
     return Decoder(cfg=cfg.model, layers=layers)
-
-
-def save_model_fixture(dec: Decoder, path) -> None:
-    tensors = {}
-    for li, lw in enumerate(dec.layers):
-        pre = f"layer{li:02d}."
-        tensors[pre + "w_q"] = lw.w_q
-        tensors[pre + "w_k"] = lw.w_k
-        tensors[pre + "w_v"] = lw.w_v
-        tensors[pre + "w_o"] = lw.w_o
-        for e in range(len(lw.w_g)):
-            tensors[f"{pre}expert{e:03d}.w_g"] = lw.w_g[e]
-            tensors[f"{pre}expert{e:03d}.w_u"] = lw.w_u[e]
-            tensors[f"{pre}expert{e:03d}.w_d"] = lw.w_d[e]
-        if lw.router is not None:
-            tensors[pre + "router"] = lw.router
-    write_tensors(path, tensors)
 
 
 def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:

@@ -9,7 +9,8 @@ import pytest
 
 from slim.cli import main
 from slim.config import load_scenario
-from slim.container import read_tensors
+from slim.container import read_tensors, write_tensors
+from slim.model import Decoder
 from slim.predictor import measured_sparsity, predict_mask
 from slim.runner import (
     REPORT_FIELDS,
@@ -21,7 +22,8 @@ from slim.runner import (
 )
 from slim.trace import read_ldjson
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 TOY_DOC = {
     "model": "toy",
@@ -41,6 +43,26 @@ def cfg_path(tmp_path):
 
 def run(cmd, cfg_path, out):
     return main([cmd, "--config", str(cfg_path), "--out", str(out)])
+
+
+def save_model_fixture(dec: Decoder, path) -> None:
+    """Write a decoder's weights as the SLIMWT1 fixture `paths.model_fixture`
+    loads; w_d is stored dim_e x dim_h, the transpose of the decoder's
+    neuron rows."""
+    tensors = {}
+    for li, lw in enumerate(dec.layers):
+        pre = f"layer{li:02d}."
+        tensors[pre + "w_q"] = lw.w_q
+        tensors[pre + "w_k"] = lw.w_k
+        tensors[pre + "w_v"] = lw.w_v
+        tensors[pre + "w_o"] = lw.w_o
+        for e in range(len(lw.w_g)):
+            tensors[f"{pre}expert{e:03d}.w_g"] = lw.w_g[e]
+            tensors[f"{pre}expert{e:03d}.w_u"] = lw.w_u[e]
+            tensors[f"{pre}expert{e:03d}.w_d"] = lw.w_down[e].T
+        if lw.router is not None:
+            tensors[pre + "router"] = lw.router
+    write_tensors(path, tensors)
 
 
 class TestTrain:
@@ -72,16 +94,19 @@ class TestTrain:
         assert run("train", path, tmp_path / "out") == 2
 
     def test_trains_from_saved_fixture(self, tmp_path):
-        from slim.config import load_scenario
-        from slim.model import Decoder
-        from slim.runner import save_model_fixture
-
         cfg = load_scenario(TOY_DOC)
+        dec = Decoder.synth(cfg.model)
         fixture = tmp_path / "model.slimwt"
-        save_model_fixture(Decoder.synth(cfg.model), fixture)
+        save_model_fixture(dec, fixture)
         doc = dict(TOY_DOC, paths={"model_fixture": str(fixture)})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
+        # the fixture holds float32 w_d (dim_e x dim_h); it loads as neuron rows
+        loaded = _load_decoder(load_scenario(path))
+        for lw, want in zip(loaded.layers, dec.layers):
+            for w_down, w in zip(lw.w_down, want.w_down):
+                assert w_down.flags.c_contiguous
+                assert np.array_equal(w_down, w.astype(np.float32).astype(np.float64))
         assert run("train", path, tmp_path / "out") == 0
         assert (tmp_path / "out" / "predictor.slimwt").exists()
 
@@ -133,11 +158,21 @@ class TestInfer:
         report = json.loads((out / "infer_report.json").read_text())
         targets = report["targets"]
         assert targets[0]["target_sparsity"] == 0.0
-        assert targets[0]["output_mse"] < 1e-20  # all-on mask
+        assert targets[0]["output_mse"] == 0.0  # all-on mask: the dense products
         mses = [t["output_mse"] for t in targets]
         assert all(b >= a for a, b in zip(mses, mses[1:]))
         for t in targets:
             assert abs(t["measured_sparsity"] - t["target_sparsity"]) <= 0.05
+
+    def test_target_zero_is_dense_on_sample_config(self, tmp_path):
+        # every neuron on runs the dense FFN's products, so the MSE is exactly 0
+        cfg_path = ROOT / "configs" / "toy.json"
+        out = tmp_path / "out"
+        assert run("train", cfg_path, out) == 0
+        assert run("infer", cfg_path, out) == 0
+        target0 = json.loads((out / "infer_report.json").read_text())["targets"][0]
+        assert target0["target_sparsity"] == 0.0 and target0["measured_sparsity"] == 0.0
+        assert target0["output_mse"] == 0.0
 
     def test_without_training_exits_2(self, cfg_path, tmp_path):
         assert run("infer", cfg_path, tmp_path / "fresh") == 2
@@ -194,7 +229,16 @@ class TestSimulate:
                                      {"train": dict(TOY_DOC["train"], dim_lr=1000)},
                                      {"train": dict(TOY_DOC["train"], calib_tokens=0)},
                                      {"train": dict(TOY_DOC["train"], eval_tokens=0)},
-                                     {"train": dict(TOY_DOC["train"], dim_lr=0)}])
+                                     {"train": dict(TOY_DOC["train"], dim_lr=0)},
+                                     {"train": dict(TOY_DOC["train"], lr="abc")},
+                                     {"train": dict(TOY_DOC["train"], lr=None)},
+                                     {"train": dict(TOY_DOC["train"], lr=-1.0)},
+                                     {"train": dict(TOY_DOC["train"], lr=0)},
+                                     {"train": dict(TOY_DOC["train"], lr=float("inf"))},
+                                     {"train": dict(TOY_DOC["train"], targets="ab")},
+                                     {"train": dict(TOY_DOC["train"], targets=[0.2, 1.0])},
+                                     {"emit_trace": "false"}, {"seed": 1.7},
+                                     {"n_tokens": 2.5}, {"bytes_per_elem": 1.0}])
     def test_bad_value_exits_2_without_traceback(self, tmp_path, bad):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(TOY_DOC, **bad)))

@@ -11,13 +11,11 @@ from slim.model import (
     KVCache,
     ModelConfig,
     ffn_forward,
-    ffn_forward_masked,
     harvest_ffn_inputs,
     mha_forward,
     moe_forward,
     route_top_k,
     synth_model,
-    union_masks,
 )
 from slim.numerics import matmul, silu, softmax
 
@@ -37,13 +35,14 @@ def reference_mha(q, k, v, n_heads, attn_scale="head_dim"):
     for h in range(n_heads):
         sl = slice(h * d, (h + 1) * d)
         scores = matmul(q[:, sl], k[:, sl].T) / scale
-        out[:, sl] = matmul(softmax(scores, axis="row"), v[:, sl])
+        out[:, sl] = matmul(softmax(scores), v[:, sl])
     return out
 
 
 def reference_ffn_masked(x, w_g, w_u, w_d, mask):
-    """ffn_forward_masked before down rows: gate and up rows and strided
-    down columns gathered on every call, full mask included."""
+    """The masked FFN as a column gather on the dim_e x dim_h down projection
+    w_d: gate and up rows and strided down columns gathered on every call,
+    full mask included."""
     idx = np.flatnonzero(np.asarray(mask, dtype=bool))
     if idx.size == 0:
         return np.zeros((x.shape[0], w_d.shape[0]))
@@ -51,11 +50,13 @@ def reference_ffn_masked(x, w_g, w_u, w_d, mask):
     return matmul(hidden, w_d[:, idx].T)
 
 
-def reference_ffn_masked_rows(x, w_g, w_u, down_rows, mask):
-    """reference_ffn_masked behind ffn_forward_masked's signature, to patch
-    into the decoder. w_d is rebuilt from the down rows as a C-ordered copy,
-    the layout LayerWeights holds."""
-    return reference_ffn_masked(x, w_g, w_u, np.ascontiguousarray(down_rows.T), mask)
+def reference_ffn_masked_rows(x, w_g, w_u, w_down, mask=None):
+    """reference_ffn_masked behind ffn_forward's signature, to patch into the
+    decoder. w_d is rebuilt from the neuron rows as a C-ordered copy, and
+    None gathers every neuron."""
+    if mask is None:
+        mask = np.ones(w_g.shape[0], dtype=bool)
+    return reference_ffn_masked(x, w_g, w_u, w_down.T.copy(), mask)
 
 
 class ReferenceCache:
@@ -216,7 +217,7 @@ class TestMha:
 class TestFfn:
     def test_zero_input(self):
         lw = synth_model(TOY)[0]
-        out = ffn_forward(np.zeros((2, 16)), lw.w_g[0], lw.w_u[0], lw.w_d[0])
+        out = ffn_forward(np.zeros((2, 16)), lw.w_g[0], lw.w_u[0], lw.w_down[0])
         assert np.all(out == 0.0)
 
     def test_scalar_hand_formula(self):
@@ -229,13 +230,13 @@ class TestFfn:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 16))
         lw = synth_model(TOY)[0]
-        wg, wu, wd = lw.w_g[0], lw.w_u[0], lw.w_d[0]
+        wg, wu, wd = lw.w_g[0], lw.w_u[0], lw.w_down[0].T.copy()
         # oracle composes per hidden unit, accumulating output columns
         out = np.zeros((3, 16))
         for j in range(wg.shape[0]):
             hj = silu(x @ wg[j : j + 1].T) * (x @ wu[j : j + 1].T)
             out += hj @ wd[:, j : j + 1].T
-        assert np.max(np.abs(ffn_forward(x, wg, wu, wd) - out)) < 1e-10
+        assert np.max(np.abs(ffn_forward(x, wg, wu, lw.w_down[0]) - out)) < 1e-10
 
 
 class TestMaskedFfn:
@@ -243,52 +244,69 @@ class TestMaskedFfn:
         rng = np.random.default_rng(seed)
         lw = synth_model(TOY)[0]
         x = rng.standard_normal((2, 16))
-        return rng, x, lw.w_g[0], lw.w_u[0], lw.w_d[0]
-
-    @staticmethod
-    def _masked(x, wg, wu, wd, mask):
-        return ffn_forward_masked(x, wg, wu, np.ascontiguousarray(wd.T), mask)
+        return rng, x, lw.w_g[0], lw.w_u[0], lw.w_down[0]
 
     def test_all_ones_equals_dense(self):
-        _, x, wg, wu, wd = self._setup(6)
-        dense = ffn_forward(x, wg, wu, wd)
-        masked = self._masked(x, wg, wu, wd, np.ones(24, dtype=bool))
-        assert np.max(np.abs(dense - masked)) <= 1e-12
+        _, x, wg, wu, wdown = self._setup(6)
+        dense = ffn_forward(x, wg, wu, wdown)
+        masked = ffn_forward(x, wg, wu, wdown, np.ones(24, dtype=bool))
+        assert np.array_equal(dense, masked)
 
     def test_all_zeros_mask(self):
-        _, x, wg, wu, wd = self._setup(7)
-        assert np.all(self._masked(x, wg, wu, wd, np.zeros(24, dtype=bool)) == 0.0)
+        _, x, wg, wu, wdown = self._setup(7)
+        out = ffn_forward(x, wg, wu, wdown, np.zeros(24, dtype=bool))
+        assert out.shape == (2, 16) and np.all(out == 0.0)
 
     def test_equals_zeroed_hidden_oracle(self):
-        rng, x, wg, wu, wd = self._setup(8)
+        rng, x, wg, wu, wdown = self._setup(8)
         mask = rng.random(24) < 0.5
         hidden = silu(x @ wg.T) * (x @ wu.T)
         hidden[:, ~mask] = 0.0
-        oracle = hidden @ wd.T
-        assert np.max(np.abs(self._masked(x, wg, wu, wd, mask) - oracle)) < 1e-12
+        oracle = hidden @ wdown
+        assert np.max(np.abs(ffn_forward(x, wg, wu, wdown, mask) - oracle)) < 1e-12
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_zeroed_hidden_property(self, seed):
-        rng, x, wg, wu, wd = self._setup(seed)
+        rng, x, wg, wu, wdown = self._setup(seed)
         mask = rng.random(24) < rng.random()
         hidden = silu(x @ wg.T) * (x @ wu.T)
         hidden[:, ~mask] = 0.0
-        assert np.max(np.abs(self._masked(x, wg, wu, wd, mask) - hidden @ wd.T)) < 1e-12
+        assert np.max(np.abs(ffn_forward(x, wg, wu, wdown, mask) - hidden @ wdown)) < 1e-12
 
     def test_mask_length_checked(self):
-        _, x, wg, wu, wd = self._setup(9)
+        _, x, wg, wu, wdown = self._setup(9)
         with pytest.raises(ShapeError):
-            self._masked(x, wg, wu, wd, np.ones(5, dtype=bool))
+            ffn_forward(x, wg, wu, wdown, np.ones(5, dtype=bool))
 
     def test_down_rows_shape_checked(self):
-        # w_d passed untransposed, as the dense FFN takes it; a mask that
-        # selects only neurons below dim_e would otherwise return dim_h columns
-        _, x, wg, wu, wd = self._setup(9)
+        # the down projection passed as dim_e x dim_h instead of as neuron
+        # rows; a mask that selects only neurons below dim_e would otherwise
+        # return dim_h columns
+        _, x, wg, wu, wdown = self._setup(9)
         mask = np.zeros(24, dtype=bool)
         mask[:4] = True
-        with pytest.raises(ShapeError):
-            ffn_forward_masked(x, wg, wu, wd, mask)
+        for m in (mask, None):
+            with pytest.raises(ShapeError):
+                ffn_forward(x, wg, wu, wdown.T.copy(), m)
+
+    @given(st.integers(0, 2**16), st.sampled_from([1, 3]), st.integers(1, 4),
+           st.integers(1, 40), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_dense_is_all_true_mask_bitwise(self, seed, n_expert, d, dim_h, rows):
+        # one layout: no mask and a full mask run the same products, for a
+        # plain FFN and for every expert of an MoE layer
+        top_k = min(2, n_expert)
+        cfg = ModelConfig(n_dec=1, dim_e=2 * d, dim_h=dim_h, n_heads=2, n_expert=n_expert,
+                          top_k=top_k, seed=seed)
+        lw = synth_model(cfg)[0]
+        x = np.random.default_rng(seed).standard_normal((rows, cfg.dim_e))
+        ones = np.ones(dim_h, dtype=bool)
+        for wg, wu, wdown in zip(lw.w_g, lw.w_u, lw.w_down):
+            assert np.array_equal(ffn_forward(x, wg, wu, wdown),
+                                  ffn_forward(x, wg, wu, wdown, ones))
+        assert np.array_equal(moe_forward(x, lw, top_k),
+                              moe_forward(x, lw, top_k, {e: ones for e in range(n_expert)}))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_column_gather_bitwise(self, seed):
@@ -298,7 +316,7 @@ class TestMaskedFfn:
         w_g = rng.standard_normal((dim_h, dim_e)) / np.sqrt(dim_e)
         w_u = rng.standard_normal((dim_h, dim_e)) / np.sqrt(dim_e)
         w_d = rng.standard_normal((dim_e, dim_h)) / np.sqrt(dim_h)
-        down_rows = np.ascontiguousarray(w_d.T)
+        w_down = w_d.T.copy()
         one = np.zeros(dim_h, dtype=bool)
         one[rng.integers(dim_h)] = True
         masks = [np.zeros(dim_h, dtype=bool), one, np.ones(dim_h, dtype=bool)]
@@ -306,14 +324,20 @@ class TestMaskedFfn:
         for rows in (1, 3):
             x = rng.standard_normal((rows, dim_e))
             for mask in masks:
-                assert np.array_equal(ffn_forward_masked(x, w_g, w_u, down_rows, mask),
+                assert np.array_equal(ffn_forward(x, w_g, w_u, w_down, mask),
                                       reference_ffn_masked(x, w_g, w_u, w_d, mask))
 
     def test_layer_down_rows(self):
-        lw = synth_model(TestMoe.CFG)[0]
-        for w_d, rows in zip(lw.w_d, lw.down_rows):
-            assert rows.flags.c_contiguous and np.array_equal(rows, w_d.T)
-        assert lw.down_rows is lw.down_rows
+        # synth_model draws each down projection dim_e x dim_h, as before the
+        # one layout, and stores it as contiguous neuron rows
+        cfg = TestMoe.CFG
+        rng = np.random.default_rng([cfg.seed, 0x51])
+        rng.standard_normal((4 * cfg.dim_e + 2 * cfg.n_expert * cfg.dim_h, cfg.dim_e))
+        gain = 1.0 / np.sqrt(2.0 * cfg.n_dec) / np.sqrt(cfg.dim_h)
+        lw = synth_model(cfg)[0]
+        for w_down in lw.w_down:
+            drawn = rng.standard_normal((cfg.dim_e, cfg.dim_h)) * gain
+            assert w_down.flags.c_contiguous and np.array_equal(w_down, drawn.T)
 
 
 class TestMoe:
@@ -322,8 +346,8 @@ class TestMoe:
     def test_single_expert_reduces_to_ffn(self):
         lw = synth_model(TOY)[0]
         x = np.random.default_rng(12).standard_normal((3, 16))
-        assert_allclose(moe_forward(x, lw, 1), ffn_forward(x, lw.w_g[0], lw.w_u[0], lw.w_d[0]),
-                        atol=1e-14)
+        assert np.array_equal(moe_forward(x, lw, 1),
+                              ffn_forward(x, lw.w_g[0], lw.w_u[0], lw.w_down[0]))
 
     def test_top_k_equals_all_mixture(self):
         lw = synth_model(self.CFG)[0]
@@ -334,7 +358,7 @@ class TestMoe:
         for t in range(2):
             for e in range(4):
                 expected[t] += full[t, e] * ffn_forward(
-                    x[t : t + 1], lw.w_g[e], lw.w_u[e], lw.w_d[e])[0]
+                    x[t : t + 1], lw.w_g[e], lw.w_u[e], lw.w_down[e])[0]
         assert_allclose(moe_forward(x, lw, 4), expected, atol=1e-12)
 
     def test_crafted_routing(self):
@@ -353,15 +377,16 @@ class TestMoe:
         masks = {0: rng.random(256) < 0.4, 1: rng.random(256) < 0.8,
                  2: np.ones(256, dtype=bool)}
         lw = synth_model(cfg)[0]
-        # moe_forward's loop, with each expert's own w_d in the gather oracle
+        # moe_forward's loop, with each expert's own down projection in the
+        # gather oracle
         want = np.zeros_like(x)
         logits = matmul(x, lw.router.T)
         for t in range(3):
             chosen, wts = route_top_k(logits[t], 2)
             for e, w in zip(chosen, wts):
-                ffn = (reference_ffn_masked(x[t : t + 1], lw.w_g[e], lw.w_u[e], lw.w_d[e],
-                                            masks[e]) if e in masks else
-                       ffn_forward(x[t : t + 1], lw.w_g[e], lw.w_u[e], lw.w_d[e]))
+                ffn = (reference_ffn_masked(x[t : t + 1], lw.w_g[e], lw.w_u[e],
+                                            lw.w_down[e].T.copy(), masks[e]) if e in masks else
+                       ffn_forward(x[t : t + 1], lw.w_g[e], lw.w_u[e], lw.w_down[e]))
                 want[t] += w * ffn[0]
         assert np.array_equal(moe_forward(x, lw, 2, masks), want)
 
@@ -419,7 +444,7 @@ class TestDecode:
         dense = dec.decode_step(x, dec.new_cache())
         masked = dec.decode_step(x, dec.new_cache(),
                                  mask_fn=lambda l, e, row: np.ones(24, dtype=bool))
-        assert np.max(np.abs(dense - masked)) < 1e-10
+        assert np.array_equal(dense, masked)
 
     def test_masked_rollout_matches_column_gather_bitwise(self, monkeypatch):
         cfg = ModelConfig(n_dec=2, dim_e=256, dim_h=1024, n_heads=8, seq_len=8, seed=18)
@@ -434,19 +459,9 @@ class TestDecode:
                                rng.random(cfg.dim_h) < next(densities))
 
         got = rollout()
-        monkeypatch.setattr(slim.model, "ffn_forward_masked", reference_ffn_masked_rows)
+        monkeypatch.setattr(slim.model, "ffn_forward", reference_ffn_masked_rows)
         for a, b in zip(got, rollout(), strict=True):
             assert np.array_equal(a, b)
-
-    def test_down_rows_built_by_masked_steps_only(self):
-        dec = Decoder.synth(TOY)
-        harvest_ffn_inputs(dec, 4, seed=21)
-        cache = dec.new_cache()
-        x = np.random.default_rng(22).standard_normal((1, TOY.dim_e))
-        dec.decode_step(x, cache)
-        assert all("down_rows" not in vars(lw) for lw in dec.layers)
-        dec.decode_step(x, cache, mask_fn=lambda l, e, row: np.ones(TOY.dim_h, dtype=bool))
-        assert all("down_rows" in vars(lw) for lw in dec.layers)
 
     def test_rollout_matches_cache_free_oracle(self):
         cfg = TOY
@@ -528,12 +543,6 @@ class TestDecode:
         cache.append(0, np.ones(4), np.ones(4))
         with pytest.raises(ShapeError):
             cache.append(0, np.ones(5), np.ones(5))
-
-
-def test_union_masks():
-    a = np.array([True, False, False])
-    b = np.array([False, False, True])
-    assert union_masks([a, b]).tolist() == [True, False, True]
 
 
 def test_harvest_shapes():

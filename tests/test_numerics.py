@@ -112,17 +112,12 @@ class TestSoftmax:
         out = softmax(np.array([[0.0, np.log(2.0)]]))
         assert_allclose(out, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-15)
 
-    def test_col_axis(self):
-        rng = np.random.default_rng(6)
-        v = rng.standard_normal((4, 3))
-        assert_allclose(softmax(v, axis="col").sum(axis=0), np.ones(3), atol=1e-12)
-
     def test_stack_reduces_last_axis(self):
         rng = np.random.default_rng(8)
         v = rng.standard_normal((3, 2, 6)) * 10.0
-        out = softmax(v, axis="row")
+        out = softmax(v)
         for i in range(3):
-            assert np.array_equal(out[i], softmax(v[i], axis="row"))
+            assert np.array_equal(out[i], softmax(v[i]))
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8))
     @settings(max_examples=50, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from slim.errors import RankError, ShapeError, TrainingDivergence
-from slim.model import Decoder, ModelConfig, ffn_forward, ffn_forward_masked, harvest_ffn_inputs
+from slim.model import Decoder, ModelConfig, ffn_forward, harvest_ffn_inputs
 from slim.predictor import (
     Predictor,
     build_threshold_table,
@@ -247,11 +247,10 @@ def test_degradation_mse_nondecreasing():
             p, _ = train(p, calib[li], lw.w_g[0], epochs=20, lr=1e-4)
             thr = build_threshold_table(p, calib[li], targets).threshold_for(t)
             x = evalset[li]
-            dense = ffn_forward(x, lw.w_g[0], lw.w_u[0], lw.w_d[0])
+            dense = ffn_forward(x, lw.w_g[0], lw.w_u[0], lw.w_down[0])
             for row in range(x.shape[0]):
                 mask = predict_mask(p, x[row], thr)
-                got = ffn_forward_masked(x[row : row + 1], lw.w_g[0], lw.w_u[0],
-                                         np.ascontiguousarray(lw.w_d[0].T), mask)
+                got = ffn_forward(x[row : row + 1], lw.w_g[0], lw.w_u[0], lw.w_down[0], mask)
                 total += float(np.mean((got - dense[row : row + 1]) ** 2))
         mses.append(total)
     assert all(b >= a - 1e-12 for a, b in zip(mses, mses[1:])), mses
