@@ -23,6 +23,8 @@ from slim.system import baseline_preset, evaluate_slim, run_baseline
 
 DRAM_GEO, DRAM_TIMING = DDR4_2400
 COST = BitSerialCostModel()
+# the SSD the GPU baselines sit next to: its channels cap the ssd_gpu source
+BASELINE_SSD = nand_preset("slc", "die")
 SPARSITIES = (0.0, 0.25, 0.5, 0.75)
 
 
@@ -33,7 +35,7 @@ def model_for(name: str, seed: int) -> ModelConfig:
 def slim_point(cfg, nand, level, sparsity, scheduler, seed):
     geo, timing = nand_preset(nand, level)
     return evaluate_slim(cfg, geo, timing, DRAM_GEO, DRAM_TIMING, COST, sparsity,
-                         scheduler=scheduler, seed=seed, collect_trace=False)
+                         scheduler=scheduler, seed=seed)
 
 
 def headline_table(models, seed):
@@ -45,8 +47,8 @@ def headline_table(models, seed):
         cfg = model_for(name, seed)
         die = slim_point(cfg, "slc", "die", 0.5, "pipelined", seed).throughput
         ch = slim_point(cfg, "slc", "channel", 0.5, "pipelined", seed).throughput
-        ssd = run_baseline(baseline_preset("ssd_gpu"), cfg, 0.0).throughput
-        dram = run_baseline(baseline_preset("dram_gpu"), cfg, 0.0).throughput
+        ssd = run_baseline(baseline_preset("ssd_gpu", *BASELINE_SSD), cfg, 0.0).throughput
+        dram = run_baseline(baseline_preset("dram_gpu", *BASELINE_SSD), cfg, 0.0).throughput
         print(f"{name:>18} {die:8.2f} {ch:8.2f} {ssd:9.3f} {dram:9.3f} "
               f"{die / ssd:11.1f} {die / dram:12.2f}")
         rows[name] = {"die": die, "channel": ch, "ssd_gpu": ssd, "dram_gpu": dram}

@@ -83,14 +83,31 @@ class ScenarioConfig:
     emit_trace: bool
 
 
+# JSON values a field of each annotation takes (true/false is not a number);
+# other annotations are checked where their values are used
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
+
+
 def _build(cls, data: dict, where: str, **extra):
-    """Instantiate a dataclass from a dict, rejecting unknown keys."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    """Instantiate a dataclass from a dict, rejecting unknown keys and values
+    of the wrong JSON type. Values are checked, not converted, so the
+    resolved config and its hash stay as written."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     merged = dict(data)
     merged.update(extra)
+    for name, value in merged.items():
+        rule = _JSON_TYPES.get(types[name])
+        if rule and type(value) not in rule[0]:
+            raise ConfigError(f"{where}.{name} must be {rule[1]}, got {value!r}")
     try:
         return cls(**merged)
     except TypeError as exc:
@@ -125,17 +142,17 @@ def _check_train(tp: TrainParams, model: ModelConfig) -> None:
     """The counts of ``tp`` must fit ``model``: `train` and `infer` decode
     calib_tokens/eval_tokens steps into a cache of seq_len rows, and the
     predictor rank is at most min(dim_e, dim_h). The step size is a finite
-    number > 0 and the targets are sparsities in [0, 1). Values are checked,
-    not rewritten, so the resolved config and its hash stay as written."""
+    number > 0 and the targets are sparsities in [0, 1). ``_build`` has
+    checked the JSON types of the scalars."""
     bounds = {"epochs": (0, math.inf), "calib_tokens": (1, model.seq_len),
               "eval_tokens": (1, model.seq_len)}
     if tp.dim_lr is not None:
         bounds["dim_lr"] = (1, min(model.dim_e, model.dim_h))
     for name, (lo, hi) in bounds.items():
         v = getattr(tp, name)
-        if type(v) is not int or not lo <= v <= hi:
+        if not lo <= v <= hi:
             raise ConfigError(f"train.{name} must be an integer in [{lo}, {hi}], got {v!r}")
-    if not 0 < _number(tp.lr, "train.lr") < math.inf:
+    if not 0 < tp.lr < math.inf:
         raise ConfigError(f"train.lr must be a finite number > 0, got {tp.lr!r}")
     _tupleize(tp.targets, "train.targets")
 
@@ -194,8 +211,10 @@ def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> S
         if extra:
             raise ConfigError(f"unknown keys in nand: {sorted(extra)}")
         geometry = _build(SsdGeometry, nand_spec.get("geometry", {}), "nand.geometry")
-        nand_timing = _build(NandTiming, nand_spec.get("timing", {}), "nand.timing",
-                             pe_level=pe_level)
+        timing_spec = nand_spec.get("timing", {})
+        if "pe_level" in timing_spec:
+            raise ConfigError("nand.timing.pe_level is not a setting; set the top-level pe_level")
+        nand_timing = _build(NandTiming, timing_spec, "nand.timing", pe_level=pe_level)
         nand_name = "custom"
 
     dram_spec = doc.get("dram", "ddr4_2400")

@@ -37,24 +37,30 @@ def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
+    """Read a container written by ``write_tensors`` as float64 arrays; a
+    malformed file (bad magic, truncated anywhere, trailing bytes, a name
+    that is not UTF-8) raises ValueError."""
     data = Path(path).read_bytes()
     if data[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: bad magic, not a SLIMWT1 container")
     off = len(MAGIC)
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + name_len].decode("utf-8")
-        off += name_len
-        rows, cols = struct.unpack_from("<II", data, off)
-        off += 8
-        n = rows * cols * 4
-        arr = np.frombuffer(data[off : off + n], dtype="<f4").reshape(rows, cols)
-        off += n
-        out[name] = arr.astype(np.float64)
+    try:
+        (count,) = struct.unpack_from("<I", data, off)
+        off += 4
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", data, off)
+            off += 2
+            name = data[off : off + name_len].decode("utf-8")
+            off += name_len
+            rows, cols = struct.unpack_from("<II", data, off)
+            off += 8
+            n = rows * cols * 4
+            arr = np.frombuffer(data[off : off + n], dtype="<f4").reshape(rows, cols)
+            off += n
+            out[name] = arr.astype(np.float64)
+    except struct.error as exc:
+        raise ValueError(f"{path}: truncated SLIMWT1 container ({exc})") from exc
     if off != len(data):
         raise ValueError(f"{path}: {len(data) - off} trailing bytes")
     return out

@@ -30,7 +30,6 @@ class ModelConfig:
     seq_len: int = 64  # context capacity L
     batch: int = 1
     seed: int = 0
-    attn_scale: str = "head_dim"  # "head_dim" -> sqrt(dim_e/h), "model_dim" -> sqrt(dim_e)
 
     def __post_init__(self):
         if self.dim_e % self.n_heads != 0:
@@ -40,8 +39,6 @@ class ModelConfig:
         for name in ("n_dec", "dim_e", "dim_h", "n_heads", "seq_len", "batch"):
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be >= 1")
-        if self.attn_scale not in ("head_dim", "model_dim"):
-            raise ShapeError(f"unknown attn_scale {self.attn_scale!r}")
 
 
 @dataclass
@@ -149,9 +146,9 @@ def _write_row(buf: np.ndarray | None, n: int, row: np.ndarray,
     return buf
 
 
-def mha_forward(q: Matrix, k: Matrix, v: Matrix, n_heads: int,
-                attn_scale: str = "head_dim") -> Matrix:
-    """Scaled dot-product attention of every head at once; concatenates heads.
+def mha_forward(q: Matrix, k: Matrix, v: Matrix, n_heads: int) -> Matrix:
+    """Scaled dot-product attention of every head at once, scores scaled by
+    sqrt(head dim); concatenates heads.
 
     Heads are stacked as strided views ``(h, rows, d)`` of q, k and v, so
     each head's product sees the same operands, strides included, as a slice
@@ -164,12 +161,11 @@ def mha_forward(q: Matrix, k: Matrix, v: Matrix, n_heads: int,
     if dim_e % n_heads != 0:
         raise ShapeError(f"dim_e={dim_e} not divisible by n_heads={n_heads}")
     d = dim_e // n_heads
-    scale = np.sqrt(dim_e) if attn_scale == "model_dim" else np.sqrt(d)
 
     def heads(m):
         return m.reshape(m.shape[0], n_heads, d).transpose(1, 0, 2)
 
-    scores = matmul(heads(q), heads(k).transpose(0, 2, 1)) / scale
+    scores = matmul(heads(q), heads(k).transpose(0, 2, 1)) / np.sqrt(d)
     out = matmul(softmax(scores), heads(v))
     return out.transpose(1, 0, 2).reshape(q.shape[0], dim_e)
 
@@ -272,7 +268,7 @@ class Decoder:
             v = matmul(x, lw.w_v.T)
             cache.append(li, k[0], v[0])
             ks, vs = cache.stacked(li)
-            attn = mha_forward(q, ks, vs, self.cfg.n_heads, self.cfg.attn_scale)
+            attn = mha_forward(q, ks, vs, self.cfg.n_heads)
             x = x + matmul(attn, lw.w_o.T)
             if ffn_input_hook is not None:
                 ffn_input_hook(li, x.copy())

@@ -5,9 +5,14 @@ flow, QKVO projection, and sparsity-prediction latency.
 Bit-serial compute issues activate-activate-precharge (AAP) command triples;
 one AAP applies a majority step across every open bitline at once, so the
 parallel width is one lane per bitline per bank (page_bytes * 8 bitlines per
-row; the addressing "column" of the datasheet covers 64 of them). Costs are
-command-count arithmetic, not silicon measurements; the per-operation AAP
-counts are configurable constants.
+row). Costs are command-count arithmetic, not silicon measurements; the
+per-operation AAP counts are configurable constants.
+
+The model reads four DRAM timings, in clock cycles: an AAP costs
+nRAS + nRP, and a KV-row append through the write path costs
+nRCD + nWR + nRP. Column-command spacing (tCCD, tFAW, CL) is not modeled,
+and the bank's row and column counts bound nothing here, so neither is a
+setting.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ class DramGeometry:
     n_chips: int = 32  # DDR4-2400
     bank_groups: int = 4
     banks_per_group: int = 4
-    rows: int = 65536
-    cols: int = 1024
     page_bytes: int = 8192
     clock_ghz: float = 1.2
     dq_bits: int = 8
@@ -51,12 +54,7 @@ class DramTiming:
     nrcd: int = 18
     nras: int = 39
     nrp: int = 18
-    nccd_s: int = 4
-    nccd_l: int = 6
-    nfaw: int = 40
-    ncl: int = 18
     nwr: int = 18
-    nccd: int = 4
 
     @property
     def aap_cycles(self) -> int:
@@ -114,8 +112,7 @@ def _wave_cost(n_ops: int, aaps_per_wave: float, geo: DramGeometry,
     return PimCost(seconds=aaps * timing.aap_cycles / (geo.clock_ghz * 1e9), aaps=aaps)
 
 
-def _nearbank_cost(n_elems: float, geo: DramGeometry, timing: DramTiming,
-                   cm: BitSerialCostModel) -> PimCost:
+def _nearbank_cost(n_elems: float, geo: DramGeometry, cm: BitSerialCostModel) -> PimCost:
     cycles = math.ceil(n_elems * cm.softmax_cycles_per_elem / geo.total_banks)
     return PimCost(seconds=cycles / (geo.clock_ghz * 1e9))
 
@@ -162,10 +159,10 @@ def mha_cost(seq_len: int, dim_e: int, n_heads: int, bits: int,
     mul_wave = cm.mul_aaps(bits)
 
     score = layout_cost(n_prod * elem_bytes, geo) + _wave_cost(n_prod, mul_wave, geo, timing)
-    softmax = _nearbank_cost(n_prod + n_heads * seq_len, geo, timing, cm)
+    softmax = _nearbank_cost(n_prod + n_heads * seq_len, geo, cm)
     output = (layout_cost(n_heads * seq_len * elem_bytes, geo)
               + _wave_cost(n_prod, mul_wave, geo, timing)
-              + _nearbank_cost(n_prod + dim_e, geo, timing, cm))
+              + _nearbank_cost(n_prod + dim_e, geo, cm))
     return {"score": score, "softmax": softmax, "output": output,
             "total": score + softmax + output}
 

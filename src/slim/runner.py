@@ -143,6 +143,14 @@ def write_report(rows: list[dict], out_dir: Path) -> tuple[Path, Path]:
 
 # --- train / infer pipelines -------------------------------------------------
 
+def _read_container(path: Path, what: str) -> dict:
+    """read_tensors, with a malformed file reported as a config error."""
+    try:
+        return read_tensors(path)
+    except ValueError as exc:
+        raise ConfigError(f"{what} is not a valid SLIMWT1 file: {exc}") from exc
+
+
 def _load_decoder(cfg: ScenarioConfig) -> Decoder:
     fixture = cfg.paths.model_fixture
     if fixture is None:
@@ -150,7 +158,7 @@ def _load_decoder(cfg: ScenarioConfig) -> Decoder:
     path = Path(fixture)
     if not path.exists():
         raise ConfigError(f"model fixture not found: {path}")
-    tensors = read_tensors(path)
+    tensors = _read_container(path, "model fixture")
     layers = []
     m = cfg.model
     try:
@@ -210,12 +218,15 @@ def load_predictors(cfg: ScenarioConfig, out_dir: Path):
     if not ppath.exists() or not tpath.exists():
         raise ConfigError(f"trained predictor not found under {out_dir} "
                           f"(expected {ppath.name} and {tpath.name}); run `slim train` first")
-    tensors = read_tensors(ppath)
+    tensors = _read_container(ppath, "predictor")
     predictors = {}
-    for li in range(cfg.model.n_dec):
-        for e in range(cfg.model.n_expert):
-            pre = f"layer{li:02d}.expert{e:03d}."
-            predictors[(li, e)] = Predictor(l=tensors[pre + "L"], r=tensors[pre + "R"])
+    try:
+        for li in range(cfg.model.n_dec):
+            for e in range(cfg.model.n_expert):
+                pre = f"layer{li:02d}.expert{e:03d}."
+                predictors[(li, e)] = Predictor(l=tensors[pre + "L"], r=tensors[pre + "R"])
+    except KeyError as exc:
+        raise ConfigError(f"predictor {ppath} is missing tensor {exc}") from exc
     tables = thresholds_from_json(tpath.read_text())
     return predictors, tables
 

@@ -49,10 +49,6 @@ class SsdGeometry:
         # planes contribute capacity only; multi-plane read is not modeled
         return self.planes_per_die * self.blocks_per_plane * self.pages_per_block
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.n_dies * self.pages_per_die * self.page_bytes
-
     def die_coords(self, die_index: int) -> tuple[int, int, int]:
         """Inverse of the ch-major die enumeration: (ch, chip, die)."""
         ch = die_index % self.n_ch

@@ -52,21 +52,22 @@ def run_sequential(phases: PhaseTimes, n_tokens: int) -> tuple[float, float]:
     return latency, (1.0 / period if period > 0 else math.inf)
 
 
-def run_pipelined(phases: PhaseTimes, n_tokens: int, n_streams: int = 2) -> tuple[float, float]:
-    """Interleave independent token streams so the DRAM and SSD units overlap.
+def run_pipelined(phases: PhaseTimes, n_tokens: int) -> tuple[float, float]:
+    """Interleave two independent token streams so the DRAM and SSD units
+    overlap.
 
     Event-driven: each stream's next token may enter the DRAM unit once the
     unit is free and the stream's previous token has left the SSD unit.
-    Steady-state token period approaches max(t_dram, t_ssd) for 2 streams.
+    Steady-state token period approaches max(t_dram, t_ssd).
     """
-    if n_tokens < 1 or n_streams < 1:
-        raise ShapeError("n_tokens and n_streams must be >= 1")
+    if n_tokens < 1:
+        raise ShapeError("n_tokens must be >= 1")
     dram_free = 0.0
     ssd_free = 0.0
-    stream_prev_done = [0.0] * n_streams
+    stream_prev_done = [0.0, 0.0]
     finish = 0.0
     for tok in range(n_tokens):
-        s = tok % n_streams
+        s = tok % 2
         start = max(dram_free, stream_prev_done[s])
         dram_done = start + phases.t_dram
         dram_free = dram_done
@@ -78,30 +79,23 @@ def run_pipelined(phases: PhaseTimes, n_tokens: int, n_streams: int = 2) -> tupl
     return finish, (n_tokens / finish if finish > 0 else math.inf)
 
 
-def pipeline_speedup_bound(phases: PhaseTimes) -> float:
-    """Ideal steady-state speedup of 2-stream pipelining over sequential."""
-    peak = max(phases.t_dram, phases.t_ssd)
-    if peak == 0:
-        return 1.0
-    return (phases.t_dram + phases.t_ssd) / peak
-
-
 # --- energy accounting -------------------------------------------------------
 
 ENERGY_COMPONENTS = ("nand_read", "ch_bus", "pe_compute", "dram_pim",
                      "dram_rw", "pcie", "host")
 
-# trace event type -> (ledger component, joules per unit quantity index)
+# trace event type -> (ledger component, EnergyConstants rate, bits per unit
+# of the event's quantity, joules per unit of the rate)
 _EVENT_RULES = {
-    "nand_read": ("nand_read", "per_bit"),
-    "ch_bus": ("ch_bus", "per_bit"),
-    "onchip_bus": ("ch_bus", "per_bit"),
-    "pe_mac": ("pe_compute", "per_mac"),
-    "gpu_flop": ("pe_compute", "per_flop"),
-    "pim_aap": ("dram_pim", "per_aap"),
-    "dram_rw": ("dram_rw", "per_bit"),
-    "pcie": ("pcie", "per_bit"),
-    "host_read": ("host", "per_bit"),
+    "nand_read": ("nand_read", "nand_read_pj_per_bit", 8, 1e-12),
+    "ch_bus": ("ch_bus", "ch_bus_pj_per_bit", 8, 1e-12),
+    "onchip_bus": ("ch_bus", "ch_bus_pj_per_bit", 8, 1e-12),
+    "pe_mac": ("pe_compute", "pe_pj_per_mac", 1, 1e-12),
+    "gpu_flop": ("pe_compute", "gpu_pj_per_flop", 1, 1e-12),
+    "pim_aap": ("dram_pim", "dram_pim_nj_per_aap", 1, 1e-9),
+    "dram_rw": ("dram_rw", "dram_rw_pj_per_bit", 8, 1e-12),
+    "pcie": ("pcie", "pcie_pj_per_bit", 8, 1e-12),
+    "host_read": ("host", "host_pj_per_bit", 8, 1e-12),
 }
 
 
@@ -123,19 +117,8 @@ class EnergyConstants:
     def joules(self, event: str, qty: float) -> tuple[str, float]:
         if event not in _EVENT_RULES:
             raise AccountingError(f"no energy rule for event {event!r}")
-        component, kind = _EVENT_RULES[event]
-        if kind == "per_bit":
-            rate = {"nand_read": self.nand_read_pj_per_bit,
-                    "ch_bus": self.ch_bus_pj_per_bit,
-                    "dram_rw": self.dram_rw_pj_per_bit,
-                    "pcie": self.pcie_pj_per_bit,
-                    "host": self.host_pj_per_bit}[component]
-            return component, qty * 8 * rate * 1e-12
-        if kind == "per_mac":
-            return component, qty * self.pe_pj_per_mac * 1e-12
-        if kind == "per_flop":
-            return component, qty * self.gpu_pj_per_flop * 1e-12
-        return component, qty * self.dram_pim_nj_per_aap * 1e-9
+        component, rate, bits, scale = _EVENT_RULES[event]
+        return component, qty * bits * getattr(self, rate) * scale
 
 
 @dataclass
@@ -174,13 +157,12 @@ class BaselineConfig:
             raise ShapeError("baseline rates must be positive")
 
 
-def baseline_preset(kind: str, ssd_geo: SsdGeometry | None = None,
-                    timing: NandTiming | None = None) -> BaselineConfig:
+def baseline_preset(kind: str, ssd_geo: SsdGeometry, timing: NandTiming) -> BaselineConfig:
+    """A GPU-centric design next to the SSD ``ssd_geo``/``timing``, whose
+    channels together set the ssd_gpu source bandwidth."""
     if kind == "ssd_gpu":
         # FFN weights stream from the SSD over a PCIe 4.0 x4 link
-        internal = 19.2
-        if ssd_geo is not None and timing is not None:
-            internal = ssd_geo.n_ch * timing.ch_bus_mbps * 1e6 / 1e9
+        internal = ssd_geo.n_ch * timing.ch_bus_mbps * 1e6 / 1e9
         return BaselineConfig(kind=kind, link_gbps=8.0, source_gbps=internal)
     if kind == "dram_gpu":
         # FFN weights stream from 2-channel host DDR4-2400 over PCIe 4.0 x16
@@ -289,19 +271,15 @@ def evaluate_slim(model: ModelConfig, geo: SsdGeometry, timing: NandTiming,
                   scheduler: str = "sequential", n_tokens: int = 100,
                   seed: int = 0, params: NspParams = NspParams(),
                   constants: EnergyConstants = EnergyConstants(),
-                  bytes_per_elem: int = 1,
-                  collect_trace: bool = True) -> SlimResult:
-    """Full per-token model of the heterogeneous design at one sparsity.
-
-    ``collect_trace`` only controls whether the event trace is returned;
-    energy is always accounted over the complete trace.
-    """
+                  bytes_per_elem: int = 1) -> SlimResult:
+    """Full per-token model of the heterogeneous design at one sparsity;
+    energy is accounted over the returned event trace."""
     if scheduler not in ("sequential", "pipelined"):
         raise ShapeError(f"unknown scheduler {scheduler!r}")
     layout = map_weights(model, geo, bytes_per_elem)
     masks = nested_masks(model, sparsity, seed)
 
-    trace: list[TraceEvent] = []  # always collected: the energy ledger needs it
+    trace: list[TraceEvent] = []
     t_ssd = 0.0
     raw = 0
     useful = 0.0
@@ -330,5 +308,5 @@ def evaluate_slim(model: ModelConfig, geo: SsdGeometry, timing: NandTiming,
     return SlimResult(phases=phases, latency_s_per_token=1.0 / throughput,
                       throughput=throughput, raw_bytes=raw, useful_bytes=useful,
                       dram=dram, energy=energy_report(trace, constants),
-                      trace=tuple(trace) if collect_trace else (),
+                      trace=tuple(trace),
                       weights_write_s=write_model(layout, geo, timing))

@@ -36,7 +36,6 @@ from slim.system import (
     PhaseTimes,
     baseline_preset,
     evaluate_slim,
-    pipeline_speedup_bound,
     run_baseline,
     run_pipelined,
     run_sequential,
@@ -44,6 +43,7 @@ from slim.system import (
 
 DRAM_GEO, DRAM_TIMING = DDR4_2400
 COST = BitSerialCostModel()
+SSD = nand_preset("slc", "die")  # the device the GPU baselines sit next to
 LLAMA = ModelConfig(n_dec=32, dim_e=4096, dim_h=11008, n_heads=32, seq_len=2048, seed=7)
 SPARSITY_GRID = (0.0, 0.25, 0.5, 0.75)
 
@@ -63,7 +63,7 @@ def llama_sweep():
             for s in SPARSITY_GRID:
                 out[(nand, level, s)] = evaluate_slim(
                     LLAMA, geo, timing, DRAM_GEO, DRAM_TIMING, COST, s,
-                    scheduler="pipelined", seed=7, collect_trace=False)
+                    scheduler="pipelined", seed=7)
     return out
 
 
@@ -193,6 +193,14 @@ def test_criterion_4_bandwidth_arithmetic(llama_sweep):
           f"channel > 8 and die-SLC > 32 GB/s")
 
 
+def pipeline_speedup_bound(phases: PhaseTimes) -> float:
+    """Ideal steady-state speedup of 2-stream pipelining over sequential."""
+    peak = max(phases.t_dram, phases.t_ssd)
+    if peak == 0:
+        return 1.0
+    return (phases.t_dram + phases.t_ssd) / peak
+
+
 def test_criterion_5_pipelining_formula():
     rng = np.random.default_rng(105)
     worst = 0.0
@@ -211,8 +219,8 @@ def test_criterion_5_pipelining_formula():
 def test_criterion_6_end_to_end_ratio_bands(llama_sweep):
     t0 = time.time()
     slim = llama_sweep[("slc", "die", 0.5)]
-    ssd_gpu = run_baseline(baseline_preset("ssd_gpu"), LLAMA, 0.0)
-    dram_gpu = run_baseline(baseline_preset("dram_gpu"), LLAMA, 0.0)
+    ssd_gpu = run_baseline(baseline_preset("ssd_gpu", *SSD), LLAMA, 0.0)
+    dram_gpu = run_baseline(baseline_preset("dram_gpu", *SSD), LLAMA, 0.0)
     r_ssd = slim.throughput / ssd_gpu.throughput
     r_dram = slim.throughput / dram_gpu.throughput
     dt = time.time() - t0
@@ -245,7 +253,7 @@ def test_criterion_7_sweep_trends(llama_sweep):
     for cfg in shapes.values():
         for s in (0.0, 0.25, 0.5):
             res = evaluate_slim(cfg, geo, timing, DRAM_GEO, DRAM_TIMING, COST, s,
-                                scheduler="sequential", seed=7, collect_trace=False)
+                                scheduler="sequential", seed=7)
             share = res.dram.predict.seconds / (res.phases.t_dram + res.phases.t_ssd)
             worst_share = max(worst_share, share)
     check(trend_ok and worst_share < 0.10, "criterion 7",

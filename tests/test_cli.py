@@ -45,6 +45,19 @@ def run(cmd, cfg_path, out):
     return main([cmd, "--config", str(cfg_path), "--out", str(out)])
 
 
+def run_process(cmd, cfg_path, out):
+    """`python -m slim.cli` in a child process, so stderr shows any traceback."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "slim.cli", cmd,
+                           "--config", str(cfg_path), "--out", str(out)],
+                          capture_output=True, text=True, env=env)
+
+
+# an inline model that fits TOY_DOC's train counts
+SMALL_MODEL = {"n_dec": 1, "dim_e": 16, "dim_h": 32, "n_heads": 2, "seq_len": 64}
+
+
 def save_model_fixture(dec: Decoder, path) -> None:
     """Write a decoder's weights as the SLIMWT1 fixture `paths.model_fixture`
     loads; w_d is stored dim_e x dim_h, the transpose of the decoder's
@@ -238,17 +251,44 @@ class TestSimulate:
                                      {"train": dict(TOY_DOC["train"], targets="ab")},
                                      {"train": dict(TOY_DOC["train"], targets=[0.2, 1.0])},
                                      {"emit_trace": "false"}, {"seed": 1.7},
-                                     {"n_tokens": 2.5}, {"bytes_per_elem": 1.0}])
+                                     {"n_tokens": 2.5}, {"bytes_per_elem": 1.0},
+                                     {"nand": {"geometry": {"n_ch": 2.5}}},
+                                     {"cost": {"c_mul": "x"}},
+                                     {"energy": {"pcie_pj_per_bit": None}},
+                                     {"model": dict(SMALL_MODEL, dim_h=32.5)},
+                                     ("train", {"model": dict(SMALL_MODEL, seed=1.7)}),
+                                     {"dram": {"geometry": {"n_chips": 1.5}}},
+                                     {"nand": {"timing": {"pe_macs": 16.5}}},
+                                     {"pe_level": "die",
+                                      "nand": {"timing": {"pe_level": "channel"}}}])
     def test_bad_value_exits_2_without_traceback(self, tmp_path, bad):
+        # a (command, document) pair names the command that used to fail
+        cmd, bad = bad if isinstance(bad, tuple) else ("simulate", bad)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(TOY_DOC, **bad)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "slim.cli", "simulate",
-                               "--config", str(path), "--out", str(tmp_path / "out")],
-                              capture_output=True, text=True, env=env)
+        proc = run_process(cmd, path, tmp_path / "out")
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("cmd,file,data", [
+        ("train", "model.slimwt", b"junk"),
+        ("train", "model.slimwt", b"SLIMWT1\x00\x01\x00"),  # count cut short
+        ("infer", "predictor.slimwt", b"not a container"),
+    ], ids=["junk-fixture", "truncated-fixture", "junk-predictor"])
+    def test_malformed_container_exits_2_without_traceback(self, tmp_path, cmd, file, data):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "thresholds.json").write_text("[]")
+        (out / file).write_bytes(data)
+        doc = dict(TOY_DOC)
+        if file == "model.slimwt":
+            doc["paths"] = {"model_fixture": str(out / file)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        proc = run_process(cmd, path, out)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "not a valid SLIMWT1 file" in proc.stderr
 
     def test_moe_trace_round_trips(self, tmp_path):
         doc = {"model": "toy_moe", "seed": 3, "sparsity_targets": [0.5],

@@ -44,3 +44,17 @@ def test_bad_magic_rejected(tmp_path):
 def test_non_2d_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_tensors(tmp_path / "x.bin", {"t": np.ones(3)})
+
+
+def test_every_truncation_is_value_error(tmp_path):
+    full = tmp_path / "full.slimwt"
+    write_tensors(full, {"layer00.L": np.ones((2, 3)), "é": np.zeros((1, 1))})
+    raw = full.read_bytes()
+    path = tmp_path / "cut.slimwt"
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(ValueError):
+            read_tensors(path)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(ValueError, match="trailing"):
+        read_tensors(path)

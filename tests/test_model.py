@@ -25,16 +25,15 @@ TOY = ModelConfig(n_dec=2, dim_e=16, dim_h=24, n_heads=4, seq_len=32, seed=9)
 # Bit-exact oracles. BLAS kernels differ across CPUs, so the tests compare the
 # decoder with these loops on the same machine instead of with stored values.
 
-def reference_mha(q, k, v, n_heads, attn_scale="head_dim"):
+def reference_mha(q, k, v, n_heads):
     """mha_forward as a loop over heads: one product pair and one softmax per
     head, on column slices of q, k and v."""
     dim_e = q.shape[1]
     d = dim_e // n_heads
-    scale = np.sqrt(dim_e) if attn_scale == "model_dim" else np.sqrt(d)
     out = np.empty((q.shape[0], dim_e))
     for h in range(n_heads):
         sl = slice(h * d, (h + 1) * d)
-        scores = matmul(q[:, sl], k[:, sl].T) / scale
+        scores = matmul(q[:, sl], k[:, sl].T) / np.sqrt(d)
         out[:, sl] = matmul(softmax(scores), v[:, sl])
     return out
 
@@ -92,7 +91,7 @@ def reference_decode_step(dec, x, cache, mask_fn=None):
         v = matmul(x, lw.w_v.T)
         cache.append(li, k[0], v[0])
         ks, vs = cache.stacked(li)
-        x = x + matmul(reference_mha(q, ks, vs, cfg.n_heads, cfg.attn_scale), lw.w_o.T)
+        x = x + matmul(reference_mha(q, ks, vs, cfg.n_heads), lw.w_o.T)
         masks = None
         if mask_fn is not None:
             masks = {e: m for e in range(cfg.n_expert)
@@ -110,7 +109,6 @@ def decode_cases(draw):
                       dim_h=draw(st.integers(2, 16)), n_heads=n_heads,
                       n_expert=n_expert, top_k=draw(st.integers(1, n_expert)),
                       seq_len=draw(st.integers(1, 40)),
-                      attn_scale=draw(st.sampled_from(["head_dim", "model_dim"])),
                       seed=draw(st.integers(0, 2**16)))
     # None: dense; inf: every neuron masked off
     threshold = draw(st.sampled_from([None, 0.0, 0.5, 2.0, np.inf]))
@@ -181,13 +179,6 @@ class TestMha:
                 out[i, sl] = sum(probs[j] * v[j, sl] for j in range(L))
         assert np.max(np.abs(mha_forward(q, k, v, h) - out)) < 1e-10
 
-    def test_model_dim_scale_mode(self):
-        rng = np.random.default_rng(3)
-        q, k, v = (rng.standard_normal((3, 8)) for _ in range(3))
-        a = mha_forward(q, k, v, 2, attn_scale="model_dim")
-        b = mha_forward(q, k, v, 2, attn_scale="head_dim")
-        assert not np.allclose(a, b)
-
     def test_rows_are_convex_combinations(self):
         rng = np.random.default_rng(4)
         q, k, v = (rng.standard_normal((6, 8)) for _ in range(3))
@@ -199,19 +190,18 @@ class TestMha:
             assert np.all(out[:, sl] >= lo - 1e-12) and np.all(out[:, sl] <= hi + 1e-12)
 
     @given(st.integers(0, 10_000), st.sampled_from([1, 2, 4, 8]),
-           st.integers(1, 6), st.integers(1, 3), st.integers(1, 40),
-           st.sampled_from(["head_dim", "model_dim"]))
+           st.integers(1, 6), st.integers(1, 3), st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
-    def test_matches_per_head_loop_bitwise(self, seed, n_heads, d, rows, n, attn_scale):
+    def test_matches_per_head_loop_bitwise(self, seed, n_heads, d, rows, n):
         rng = np.random.default_rng(seed)
         dim_e = n_heads * d
         q = rng.standard_normal((rows, dim_e)) * 3.0
         # k and v are row views of larger buffers, as KVCache.stacked returns
         k = rng.standard_normal((n + 5, dim_e))[:n]
         v = rng.standard_normal((n + 5, dim_e))[:n]
-        assert np.array_equal(mha_forward(q, k, v, n_heads, attn_scale),
+        assert np.array_equal(mha_forward(q, k, v, n_heads),
                               reference_mha(q, np.vstack(list(k)), np.vstack(list(v)),
-                                            n_heads, attn_scale))
+                                            n_heads))
 
 
 class TestFfn:

@@ -42,10 +42,6 @@ class TestGeometry:
         assert GEO.bitline_lanes == 8192 * 8 * 512
         assert TIMING.aap_cycles == 39 + 18
 
-    def test_page_defines_lane_width(self):
-        # a datasheet column covers 64 bitlines: 1024 columns x 64 b = 8 KB page
-        assert GEO.cols * 64 == GEO.page_bytes * 8
-
 
 class TestLayout:
     def test_one_cycle_quantum(self):

@@ -250,9 +250,10 @@ class TestWriteModel:
 def test_geometry_capacity():
     geo, _ = nand_preset("slc", "die")
     assert geo.n_dies == 64
-    assert geo.capacity_bytes == 64 * 2 * 1024 * 512 * 4096  # ~256 GB class device
+    capacity = geo.n_dies * geo.pages_per_die * geo.page_bytes
+    assert capacity == 64 * 2 * 1024 * 512 * 4096  # ~256 GB class device
     tgeo, _ = nand_preset("tlc", "die")
-    assert tgeo.capacity_bytes == 4 * geo.capacity_bytes  # ~1 TB class device
+    assert tgeo.n_dies * tgeo.pages_per_die * tgeo.page_bytes == 4 * capacity  # ~1 TB class
 
 
 def test_bad_pe_level():
