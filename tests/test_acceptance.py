@@ -195,10 +195,7 @@ def test_criterion_4_bandwidth_arithmetic(llama_sweep):
 
 def pipeline_speedup_bound(phases: PhaseTimes) -> float:
     """Ideal steady-state speedup of 2-stream pipelining over sequential."""
-    peak = max(phases.t_dram, phases.t_ssd)
-    if peak == 0:
-        return 1.0
-    return (phases.t_dram + phases.t_ssd) / peak
+    return (phases.t_dram + phases.t_ssd) / max(phases.t_dram, phases.t_ssd)
 
 
 def test_criterion_5_pipelining_formula():

@@ -260,7 +260,12 @@ class TestSimulate:
                                      {"dram": {"geometry": {"n_chips": 1.5}}},
                                      {"nand": {"timing": {"pe_macs": 16.5}}},
                                      {"pe_level": "die",
-                                      "nand": {"timing": {"pe_level": "channel"}}}])
+                                      "nand": {"timing": {"pe_level": "channel"}}},
+                                     {"nand": {"timing": {"t_r_us": "3"}}},
+                                     {"dram": {"timing": {"nras": True}}},
+                                     {"nsp": {"psum_bytes_per_elem": 2.0}},
+                                     {"paths": {"predictor": 5}},
+                                     {"train": dict(TOY_DOC["train"], dim_lr=16.0)}])
     def test_bad_value_exits_2_without_traceback(self, tmp_path, bad):
         # a (command, document) pair names the command that used to fail
         cmd, bad = bad if isinstance(bad, tuple) else ("simulate", bad)
@@ -270,12 +275,14 @@ class TestSimulate:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("cmd,file,data", [
-        ("train", "model.slimwt", b"junk"),
-        ("train", "model.slimwt", b"SLIMWT1\x00\x01\x00"),  # count cut short
-        ("infer", "predictor.slimwt", b"not a container"),
-    ], ids=["junk-fixture", "truncated-fixture", "junk-predictor"])
-    def test_malformed_container_exits_2_without_traceback(self, tmp_path, cmd, file, data):
+    @pytest.mark.parametrize("cmd,file,data,message", [
+        ("train", "model.slimwt", b"junk", "not a valid SLIMWT1 file"),
+        ("train", "model.slimwt", b"SLIMWT1\x00\x01\x00", "not a valid SLIMWT1 file"),
+        ("infer", "predictor.slimwt", b"not a container", "not a valid SLIMWT1 file"),
+        ("infer", "predictor.slimwt", b"SLIMWT1\x00" + bytes(4), "missing tensor"),
+    ], ids=["junk-fixture", "truncated-fixture", "junk-predictor", "empty-predictor"])
+    def test_malformed_container_exits_2_without_traceback(self, tmp_path, cmd, file, data,
+                                                           message):
         out = tmp_path / "out"
         out.mkdir()
         (out / "thresholds.json").write_text("[]")
@@ -288,7 +295,7 @@ class TestSimulate:
         proc = run_process(cmd, path, out)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "not a valid SLIMWT1 file" in proc.stderr
+        assert message in proc.stderr
 
     def test_moe_trace_round_trips(self, tmp_path):
         doc = {"model": "toy_moe", "seed": 3, "sparsity_targets": [0.5],
