@@ -13,7 +13,8 @@ file records the median, quartiles and IQR over the runs of `setup_s`,
 `run_s` and `peak_rss_mb`, the median of every other printed metric (the
 modeled tok/s, GB/s and mJ/token of the simulator workloads, train_s and
 infer_mse of train-infer), the error rate and the output digests per seed;
-at the top it records the commit, the sources' digest and `nproc`.
+at the top it records the commit, the sources' digest, `nproc`, the CPU
+model and the boot id of the host.
 
 `--repo` benchmarks another checkout (say, a clone of the parent commit);
 the file is still written next to this script's repository root, so every
@@ -21,9 +22,12 @@ BENCH file of the trajectory sits in one place. The comparison reads the
 BENCH file with the largest number below N and prints each end-to-end
 metric's relative change of the median against its bound in
 BENCHMARK.json; it refuses a file whose seeds, run count or run length
-differ. An existing BENCH_N.json is never overwritten. The exit status is
-1 when a run was not correct, a metric is worse than its bound or the
-files do not compare, 2 for a bad argument, else 0.
+differ, or whose CPU model or boot id differs: hosts of one nproc, Python
+and BLAS can still run every workload at a different speed, so only files
+recorded on one host, in one boot, compare. An existing BENCH_N.json is
+never overwritten. The exit status is 1 when a run was not correct, a
+metric is worse than its bound or the files do not compare, 2 for a bad
+argument, else 0.
 """
 
 from __future__ import annotations
@@ -39,6 +43,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = ("setup_s", "run_s", "peak_rss_mb")
 SEEDS = (1000, 1001, 1002)
+HOST = ("cpu_model", "boot_id")
+
+
+def host() -> dict:
+    """The CPU model and boot id of this host (None where /proc lacks them)."""
+    def read(path, prefix=""):
+        try:
+            lines = Path(path).read_text().splitlines()
+        except OSError:
+            return None
+        return next((line.split(":", 1)[-1].strip() for line in lines
+                     if line.startswith(prefix)), None)
+    return {"cpu_model": read("/proc/cpuinfo", "model name"),
+            "boot_id": read("/proc/sys/kernel/random/boot_id")}
 
 
 def _spread(values: list[float]) -> dict:
@@ -101,7 +119,11 @@ def previous_bench(pr: int) -> Path | None:
 def compare(old: dict, new: dict, bounds: dict) -> bool:
     """Print each shared workload's end-to-end changes; False if any metric
     is worse than its bound, or if the two files were not made with the same
-    runs, run length and seeds."""
+    runs, run length and seeds on the same host in the same boot."""
+    if any(old.get(key) != new.get(key) for key in HOST):
+        print("not comparable: recorded on another host "
+              + ", ".join(f"{key} {old.get(key)!r} vs {new.get(key)!r}" for key in HOST))
+        return False
     if old["perfbench"] != new["perfbench"]:
         print(f"not comparable: perfbench {old['perfbench']} vs {new['perfbench']}")
         return False
@@ -147,7 +169,7 @@ def main(argv=None) -> int:
 
     record = {"pr": args.pr, "commit": env.get("commit"), "src_sha256": env.get("src_sha256"),
               "nproc": int(env.get("nproc", 0)), "python": env.get("python"),
-              "numpy": env.get("numpy"), "blas": env.get("blas"),
+              "numpy": env.get("numpy"), "blas": env.get("blas"), **host(),
               "perfbench": {"runs": len(SEEDS), "seconds": seconds},
               "workloads": workloads}
     with out.open("x") as f:

@@ -94,20 +94,38 @@ _JSON_TYPES = {
 }
 
 
+# sections whose every field is a size, clock or cycle count (True: > 0) or
+# a cost or energy (False: >= 0); NaN and infinity pass neither
+_POSITIVE = {DramGeometry: True, DramTiming: True, BitSerialCostModel: False,
+             EnergyConstants: False}
+
+
+def _object(value, where: str) -> dict:
+    """A JSON object, where a section is written inline."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    return value
+
+
 def _build(cls, data: dict, where: str, **extra):
-    """Instantiate a dataclass from a dict, rejecting unknown keys and values
-    of the wrong JSON type. Values are checked, not converted, so the
-    resolved config and its hash stay as written."""
+    """Instantiate a dataclass from a dict, rejecting unknown keys, values
+    of the wrong JSON type and, for the sections in _POSITIVE, values out
+    of range. Values are checked, not converted, so the resolved config and
+    its hash stay as written."""
     types = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(types)
+    unknown = set(_object(data, where)) - set(types)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     merged = dict(data)
     merged.update(extra)
+    positive = _POSITIVE.get(cls)
     for name, value in merged.items():
         rule = _JSON_TYPES.get(types[name])
         if rule and type(value) not in rule[0]:
             raise ConfigError(f"{where}.{name} must be {rule[1]}, got {value!r}")
+        if positive is not None and not (0 < value < math.inf or value == 0 and not positive):
+            raise ConfigError(f"{where}.{name} must be finite and {'>' if positive else '>='} 0, "
+                              f"got {value!r}")
     try:
         return cls(**merged)
     except TypeError as exc:
@@ -191,7 +209,7 @@ def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> S
         model = _build(ModelConfig, MODEL_PRESETS[model_spec], "model", seed=seed)
         model_name = model_spec
     else:
-        spec = dict(model_spec)
+        spec = dict(_object(model_spec, "model"))
         spec.setdefault("seed", seed)
         model = _build(ModelConfig, spec, "model")
         model_name = "custom"
@@ -207,7 +225,7 @@ def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> S
         geometry, nand_timing = nand_preset(nand_spec, pe_level)
         nand_name = nand_spec
     else:
-        extra = set(nand_spec) - {"geometry", "timing"}
+        extra = set(_object(nand_spec, "nand")) - {"geometry", "timing"}
         if extra:
             raise ConfigError(f"unknown keys in nand: {sorted(extra)}")
         geometry = _build(SsdGeometry, nand_spec.get("geometry", {}), "nand.geometry")
@@ -224,7 +242,7 @@ def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> S
         dram_geometry, dram_timing = DRAM_PRESETS[dram_spec]
         dram_name = dram_spec
     else:
-        extra = set(dram_spec) - {"geometry", "timing"}
+        extra = set(_object(dram_spec, "dram")) - {"geometry", "timing"}
         if extra:
             raise ConfigError(f"unknown keys in dram: {sorted(extra)}")
         dram_geometry = _build(DramGeometry, dram_spec.get("geometry", {}), "dram.geometry")

@@ -1,6 +1,9 @@
-"""Functional (untimed) decoder: QKV projection, multi-head attention over a
-KV cache, gated FFN / mixture-of-experts, and the token-by-token generation
-loop. The FFN runs on every hidden neuron or on a neuron mask.
+"""Functional (untimed) decoder: QKV projection, causal multi-head attention
+over a KV cache, gated FFN / mixture-of-experts, and the generation loop.
+A decode step takes a block of one or more tokens and runs it layer by
+layer, so a known stream (calibration or evaluation inputs) reads each
+layer's weights once. The FFN runs on every hidden neuron, or zeroes the
+hidden coordinates a neuron mask skips.
 
 Weights are synthetic (seeded Gaussians); there is no tokenizer or sampling.
 Projections apply as ``x @ W.T``, except the FFN's down projection: it is
@@ -98,11 +101,12 @@ class KVCache:
 
     Each layer keeps its keys and its values in one (rows, dim) buffer per
     kind, and every row is written once, in place. A buffer starts at
-    ``INITIAL_ROWS`` rows and doubles, up to ``capacity``, when it fills, so
-    it holds at most ``INITIAL_ROWS`` or twice the rows written, whichever
-    is larger. ``stacked`` returns
-    views of the rows written so far; a later append never changes them,
-    because it writes past them or copies into a new buffer.
+    ``INITIAL_ROWS`` rows and doubles (or grows to fit a larger block), up
+    to ``capacity``, when an append does not fit, so it holds at most
+    ``INITIAL_ROWS`` or twice the rows written, whichever is larger.
+    ``stacked`` returns views of the rows written so far; a later append
+    never changes them, because it writes past them or copies into a new
+    buffer.
     """
 
     INITIAL_ROWS = 16
@@ -118,44 +122,51 @@ class KVCache:
         return self._lens[0]
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Append one row (a vector) or a block of rows (a matrix) of keys
+        and values to ``layer``."""
+        k, v = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (k, v))
         n = self._lens[layer]
-        if n >= self.capacity:
+        if n + k.shape[0] > self.capacity:
             raise CapacityError(f"KV cache full at capacity {self.capacity}")
-        self._keys[layer] = _write_row(self._keys[layer], n, k, self.capacity)
-        self._values[layer] = _write_row(self._values[layer], n, v, self.capacity)
-        self._lens[layer] = n + 1
+        self._keys[layer] = _write_rows(self._keys[layer], n, k, self.capacity)
+        self._values[layer] = _write_rows(self._values[layer], n, v, self.capacity)
+        self._lens[layer] = n + k.shape[0]
 
     def stacked(self, layer: int) -> tuple[Matrix, Matrix]:
         n = self._lens[layer]
         return self._keys[layer][:n], self._values[layer][:n]
 
 
-def _write_row(buf: np.ndarray | None, n: int, row: np.ndarray,
-               capacity: int) -> np.ndarray:
-    """Write ``row`` as row ``n`` of ``buf``, first doubling a full buffer
-    (or allocating a missing one) up to ``capacity`` rows."""
-    row = np.asarray(row, dtype=np.float64).reshape(-1)
-    if buf is None or n == buf.shape[0]:
-        grown = np.empty((min(capacity, max(KVCache.INITIAL_ROWS, 2 * n)), row.size))
+def _write_rows(buf: np.ndarray | None, n: int, rows: Matrix,
+                capacity: int) -> np.ndarray:
+    """Write ``rows`` from row ``n`` of ``buf`` on, first growing a buffer
+    they do not fit (or allocating a missing one) up to ``capacity`` rows."""
+    if buf is not None and rows.shape[1] != buf.shape[1]:
+        raise ShapeError(f"KV rows of {rows.shape[1]} values vs cache width {buf.shape[1]}")
+    end = n + rows.shape[0]
+    if buf is None or end > buf.shape[0]:
+        grown = np.empty((min(capacity, max(KVCache.INITIAL_ROWS, 2 * n, end)),
+                          rows.shape[1]))
         if buf is not None:
-            grown[:n] = buf
+            grown[:n] = buf[:n]
         buf = grown
-    if row.size != buf.shape[1]:
-        raise ShapeError(f"KV row of {row.size} values vs cache width {buf.shape[1]}")
-    buf[n] = row
+    buf[n:end] = rows
     return buf
 
 
 def mha_forward(q: Matrix, k: Matrix, v: Matrix, n_heads: int) -> Matrix:
-    """Scaled dot-product attention of every head at once, scores scaled by
-    sqrt(head dim); concatenates heads.
+    """Causal scaled dot-product attention of every head at once, scores
+    scaled by sqrt(head dim); concatenates heads.
 
-    Heads are stacked as strided views ``(h, rows, d)`` of q, k and v, so
-    each head's product sees the same operands, strides included, as a slice
-    ``[:, h*d:(h+1)*d]`` would. The output projection is deliberately
-    excluded (decode_step applies it).
+    The query rows are the last ``len(q)`` of the ``len(k)`` positions:
+    query row i sits at position ``len(k) - len(q) + i`` and attends the
+    keys up to it. A single query row attends every key, so nothing is
+    masked. Heads are stacked as strided views ``(h, rows, d)`` of q, k
+    and v, so each head's product sees the same operands, strides included,
+    as a slice ``[:, h*d:(h+1)*d]`` would. The output projection is
+    deliberately excluded (decode_step applies it).
     """
-    if q.shape[1] != k.shape[1] or k.shape != v.shape:
+    if q.shape[1] != k.shape[1] or k.shape != v.shape or q.shape[0] > k.shape[0]:
         raise ShapeError(f"mha shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
     dim_e = q.shape[1]
     if dim_e % n_heads != 0:
@@ -166,39 +177,42 @@ def mha_forward(q: Matrix, k: Matrix, v: Matrix, n_heads: int) -> Matrix:
         return m.reshape(m.shape[0], n_heads, d).transpose(1, 0, 2)
 
     scores = matmul(heads(q), heads(k).transpose(0, 2, 1)) / np.sqrt(d)
+    # key j is in query row i's future when j > len(k) - len(q) + i
+    future = np.triu(np.ones(scores.shape[1:], dtype=bool), k.shape[0] - q.shape[0] + 1)
+    scores = np.where(future, -np.inf, scores)
     out = matmul(softmax(scores), heads(v))
     return out.transpose(1, 0, 2).reshape(q.shape[0], dim_e)
 
 
-NeuronMask = np.ndarray  # bool vector of length dim_h
+NeuronMask = np.ndarray  # bool, (dim_h,) shared by every row or (rows x dim_h)
 
 
 def ffn_forward(x: Matrix, w_g: Matrix, w_u: Matrix, w_down: Matrix,
                 mask: NeuronMask | None = None) -> Matrix:
-    """Gated FFN over the hidden neurons selected by ``mask`` (all of them
-    when it is None): (silu(x @ w_g[sel].T) * (x @ w_u[sel].T)) @ w_down[sel].
+    """Gated FFN (silu(x @ w_g.T) * (x @ w_u.T)) @ w_down, with the hidden
+    coordinates that ``mask`` skips set to zero (none when it is None).
 
-    Each selected neuron is one gate row, one up row and one down row. A
-    partial mask gathers its rows; None or a full mask selects by a slice,
-    which gathers nothing, so the dense FFN and an all-true mask run the same
-    products on the same operands and agree bitwise. An empty mask gives
-    zeros, the dense FFN with every hidden coordinate zeroed.
+    Hidden neuron j is row j of the gate, up and down matrices. The mask is
+    one vector for every row of ``x`` or one row per row of ``x``. Skipped
+    coordinates are replaced by ``np.where``, not multiplied by zero, so a
+    skipped neuron's inf or nan never reaches the output. None and a full
+    mask run the same products and agree bitwise; an empty mask gives
+    zeros.
     """
     if x.shape[1] != w_g.shape[1]:
         raise ShapeError(f"ffn input {x.shape} vs gate {w_g.shape}")
     if w_down.shape != w_g.shape:
         raise ShapeError(f"down {w_down.shape} vs gate {w_g.shape}; "
                          "pass neuron rows (dim_h x dim_e)")
-    sel = slice(None)
+    hidden = silu(matmul(x, w_g.T)) * matmul(x, w_u.T)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (w_g.shape[0],):
-            raise ShapeError(f"mask length {mask.shape} vs dim_h {w_g.shape[0]}")
+        if mask.shape not in ((w_g.shape[0],), (x.shape[0], w_g.shape[0])):
+            raise ShapeError(f"mask shape {mask.shape} vs {x.shape[0]} rows x "
+                             f"dim_h {w_g.shape[0]}")
         if not mask.all():
-            sel = np.flatnonzero(mask)
-    # gathering inline keeps one gathered copy alive at a time
-    hidden = silu(matmul(x, w_g[sel].T)) * matmul(x, w_u[sel].T)
-    return matmul(hidden, w_down[sel])
+            hidden = np.where(mask, hidden, 0.0)
+    return matmul(hidden, w_down)
 
 
 def route_top_k(logits: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -214,8 +228,9 @@ def moe_forward(x: Matrix, weights: LayerWeights, top_k: int,
                 masks: dict[int, NeuronMask] | None = None) -> Matrix:
     """Route each token to its top-k experts and mix their FFN outputs.
 
-    ``masks`` optionally maps expert index -> neuron mask, shared across the
-    batch; an expert without one (or with None) runs dense.
+    ``masks`` optionally maps expert index -> neuron mask, one vector shared
+    by every token or one row per token; an expert without one (or with
+    None) runs dense.
     """
     masks = masks or {}
     if len(weights.w_g) == 1:
@@ -227,15 +242,17 @@ def moe_forward(x: Matrix, weights: LayerWeights, top_k: int,
         chosen, wts = route_top_k(logits[t], top_k)
         xt = x[t : t + 1]
         for e, w in zip(chosen, wts):
-            y = ffn_forward(xt, weights.w_g[e], weights.w_u[e], weights.w_down[e],
-                            masks.get(int(e)))
+            mask = masks.get(int(e))
+            if mask is not None and np.ndim(mask) == 2:
+                mask = mask[t]
+            y = ffn_forward(xt, weights.w_g[e], weights.w_u[e], weights.w_down[e], mask)
             out[t] += w * y[0]
     return out
 
 
 @dataclass
 class Decoder:
-    """Weights plus config; drives the generation loop one token at a time."""
+    """Weights plus config; drives the generation loop."""
 
     cfg: ModelConfig
     layers: list[LayerWeights] = field(default_factory=list)
@@ -249,31 +266,40 @@ class Decoder:
 
     def decode_step(self, x: Matrix, cache: KVCache, mask_fn=None,
                     ffn_input_hook=None) -> Matrix:
-        """One generation step for a single token embedding (1 x dim_e).
+        """Decode a block of n token embeddings (n x dim_e), the n tokens
+        that follow those already in ``cache``; returns the n output rows.
 
-        Per layer: project QKV, append K/V to the cache, attend over the full
-        cache, apply the output projection, residual add, FFN/MoE (masked when
-        ``mask_fn`` supplies masks), residual add.
+        The block runs layer by layer, so each layer's weights are read once
+        for all n tokens. Per layer: project QKV (one product each over the
+        block), append the block's K/V rows to the cache, attend causally
+        over the cache (token i sees the cached tokens and the block's
+        tokens up to i), apply the output projection, residual add,
+        FFN/MoE (masked when ``mask_fn`` supplies masks), residual add. A
+        one-row block is one generation step. The capacity check runs
+        before any layer appends, so a block that does not fit leaves the
+        cache as it was.
 
-        mask_fn(layer, expert, x_row) -> NeuronMask or None.
-        ffn_input_hook(layer, x_matrix) is invoked with each layer's FFN input
-        (used to harvest calibration samples).
+        mask_fn(layer, expert, x) gets the layer's FFN input block and
+        returns a NeuronMask, (dim_h,) or (n x dim_h), or None.
+        ffn_input_hook(layer, x) is invoked with a copy of each layer's FFN
+        input block (used to harvest calibration samples).
         """
-        if cache.current_len >= self.cfg.seq_len:
-            raise CapacityError(f"cache at seq_len={self.cfg.seq_len}")
-        x = np.asarray(x, dtype=np.float64).reshape(1, self.cfg.dim_e)
+        x = np.asarray(x, dtype=np.float64).reshape(-1, self.cfg.dim_e)
+        if cache.current_len + x.shape[0] > self.cfg.seq_len:
+            raise CapacityError(f"{x.shape[0]} tokens after {cache.current_len} "
+                                f"exceed seq_len={self.cfg.seq_len}")
         for li, lw in enumerate(self.layers):
             q = matmul(x, lw.w_q.T)
             k = matmul(x, lw.w_k.T)
             v = matmul(x, lw.w_v.T)
-            cache.append(li, k[0], v[0])
+            cache.append(li, k, v)
             ks, vs = cache.stacked(li)
             attn = mha_forward(q, ks, vs, self.cfg.n_heads)
             x = x + matmul(attn, lw.w_o.T)
             if ffn_input_hook is not None:
                 ffn_input_hook(li, x.copy())
             masks = None if mask_fn is None else {
-                e: mask_fn(li, e, x[0]) for e in range(self.cfg.n_expert)}
+                e: mask_fn(li, e, x) for e in range(self.cfg.n_expert)}
             x = x + moe_forward(x, lw, self.cfg.top_k, masks)
         return x
 
@@ -290,22 +316,20 @@ class Decoder:
 
 
 def harvest_ffn_inputs(dec: Decoder, n_tokens: int, seed: int = 1) -> list[Matrix]:
-    """Decode a stream of seeded random embeddings (the KV cache accumulates
-    across them) and collect each layer's FFN inputs; returns one
-    (n_tokens x dim_e) matrix per layer. Stands in for sampling a text corpus.
+    """Decode a stream of seeded random embeddings as one block and collect
+    each layer's FFN inputs; returns one (n_tokens x dim_e) matrix per
+    layer. Stands in for sampling a text corpus.
 
-    Fresh inputs per step, rather than output feedback, keep activations
+    Fresh inputs per token, rather than output feedback, keep activations
     bounded: the gated FFN is quadratic in its input and there is no
     normalization layer to damp a feedback loop.
     """
     rng = np.random.default_rng([seed, 0xCA11])
-    grabbed: list[list[np.ndarray]] = [[] for _ in range(dec.cfg.n_dec)]
+    grabbed: list[Matrix | None] = [None] * dec.cfg.n_dec
 
     def hook(layer, xm):
-        grabbed[layer].append(xm[0])
+        grabbed[layer] = xm
 
-    cache = dec.new_cache()
-    for _ in range(n_tokens):
-        x = rng.standard_normal((1, dec.cfg.dim_e))
-        dec.decode_step(x, cache, ffn_input_hook=hook)
-    return [np.vstack(rows) for rows in grabbed]
+    dec.decode_step(rng.standard_normal((n_tokens, dec.cfg.dim_e)), dec.new_cache(),
+                    ffn_input_hook=hook)
+    return grabbed

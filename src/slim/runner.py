@@ -233,38 +233,33 @@ def load_predictors(cfg: ScenarioConfig, out_dir: Path):
 
 def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     """Dense vs predictor-masked decode on held-out tokens: output MSE and
-    measured per-layer sparsity for every calibrated target. The dense
-    reference does not depend on the target, so it is decoded once."""
+    measured sparsity, averaged over (layer, expert, token), for every
+    calibrated target. Each stream is decoded as one block, layer by layer;
+    the dense reference does not depend on the target, so it is decoded
+    once."""
     dec = _load_decoder(cfg)
     predictors, tables = load_predictors(cfg, out_dir)
     if predictors[(0, 0)].l.shape[0] != cfg.model.dim_e:
         raise ConfigError("predictor dims do not match the model config")
     rng = np.random.default_rng([cfg.seed, 0xE7A1])
-    inputs = [rng.standard_normal((1, cfg.model.dim_e))
-              for _ in range(cfg.train.eval_tokens)]
-    cache = dec.new_cache()
-    dense = [dec.decode_step(x, cache) for x in inputs]
+    inputs = rng.standard_normal((cfg.train.eval_tokens, cfg.model.dim_e))
+    dense = dec.decode_step(inputs, dec.new_cache())
 
     report = {"targets": []}
     for target in cfg.train.targets:
-        cache = dec.new_cache()
-        sq_err = 0.0
-        n_vals = 0
-        sparsities = []
+        masks = {}  # (layer, expert) -> (tokens x dim_h) mask
 
-        def mask_fn(layer, expert, x_row):
+        def mask_fn(layer, expert, x):
             thr = tables[(layer, expert)].threshold_for(target)
-            m = predict_mask(predictors[(layer, expert)], x_row, thr)
-            sparsities.append(measured_sparsity(m))
-            return m
+            masks[(layer, expert)] = predict_mask(predictors[(layer, expert)], x, thr)
+            return masks[(layer, expert)]
 
-        for x, ref in zip(inputs, dense):
-            masked = dec.decode_step(x, cache, mask_fn=mask_fn)
-            sq_err += float(np.sum((ref - masked) ** 2))
-            n_vals += ref.size
+        masked = dec.decode_step(inputs, dec.new_cache(), mask_fn=mask_fn)
+        sparsities = [measured_sparsity(masks[(li, e)][t]) for t in range(len(inputs))
+                      for li in range(cfg.model.n_dec) for e in range(cfg.model.n_expert)]
         entry = {
             "target_sparsity": target,
-            "output_mse": sq_err / n_vals,
+            "output_mse": float(np.mean((dense - masked) ** 2)),
             "measured_sparsity": float(np.mean(sparsities)),
         }
         report["targets"].append(entry)

@@ -41,6 +41,24 @@ def test_other_seeds_refused(capsys):
     assert "train-infer: not comparable" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("changed", ["cpu_model", "boot_id"])
+def test_other_host_refused(capsys, changed):
+    old, new = copy.deepcopy(_record(5)), copy.deepcopy(_record(6))
+    for rec in (old, new):
+        rec.update(cpu_model="Intel(R) Xeon(R) Processor", boot_id="5e0c-1")
+    assert bench.compare(old, new, BOUNDS)
+    capsys.readouterr()
+    new[changed] += "x"
+    assert not bench.compare(old, new, BOUNDS)
+    assert "not comparable: recorded on another host" in capsys.readouterr().out
+    # a file recorded before the host was recorded cannot show it is the same
+    assert not bench.compare(_record(5), new, BOUNDS)
+
+
+def test_host_is_recorded():
+    assert set(bench.host()) == set(bench.HOST)
+
+
 def test_existing_record_not_overwritten():
     before = (ROOT / "BENCH_6.json").read_bytes()
     with pytest.raises(SystemExit) as exc:

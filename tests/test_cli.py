@@ -126,31 +126,30 @@ class TestTrain:
 
 def reference_infer_report(cfg, out_dir):
     """infer_report as a loop that decodes a fresh dense reference next to
-    each target's masked decode."""
+    each target's masked decode, and records every token's sparsities as
+    the masks are made."""
     dec = _load_decoder(cfg)
     predictors, tables = load_predictors(cfg, out_dir)
     rng = np.random.default_rng([cfg.seed, 0xE7A1])
-    inputs = [rng.standard_normal((1, cfg.model.dim_e))
-              for _ in range(cfg.train.eval_tokens)]
+    inputs = np.vstack([rng.standard_normal((1, cfg.model.dim_e))
+                        for _ in range(cfg.train.eval_tokens)])
     report = {"targets": []}
     for target in cfg.train.targets:
-        cache_d, cache_m = dec.new_cache(), dec.new_cache()
-        sq_err, n_vals, sparsities = 0.0, 0, []
+        per_token = [[] for _ in inputs]
 
-        def mask_fn(layer, expert, x_row):
+        def mask_fn(layer, expert, x):
             thr = tables[(layer, expert)].threshold_for(target)
-            m = predict_mask(predictors[(layer, expert)], x_row, thr)
-            sparsities.append(measured_sparsity(m))
+            m = predict_mask(predictors[(layer, expert)], x, thr)
+            for t, row in enumerate(m):
+                per_token[t].append(measured_sparsity(row))
             return m
 
-        for x in inputs:
-            dense = dec.decode_step(x, cache_d)
-            masked = dec.decode_step(x, cache_m, mask_fn=mask_fn)
-            sq_err += float(np.sum((dense - masked) ** 2))
-            n_vals += dense.size
-        report["targets"].append({"target_sparsity": target,
-                                  "output_mse": sq_err / n_vals,
-                                  "measured_sparsity": float(np.mean(sparsities))})
+        dense = dec.decode_step(inputs, dec.new_cache())
+        masked = dec.decode_step(inputs, dec.new_cache(), mask_fn=mask_fn)
+        report["targets"].append({
+            "target_sparsity": target,
+            "output_mse": float(np.sum((dense - masked) ** 2)) / dense.size,
+            "measured_sparsity": float(np.mean([s for row in per_token for s in row]))})
     return report
 
 
@@ -265,7 +264,14 @@ class TestSimulate:
                                      {"dram": {"timing": {"nras": True}}},
                                      {"nsp": {"psum_bytes_per_elem": 2.0}},
                                      {"paths": {"predictor": 5}},
-                                     {"train": dict(TOY_DOC["train"], dim_lr=16.0)}])
+                                     {"train": dict(TOY_DOC["train"], dim_lr=16.0)},
+                                     {"dram": {"geometry": {"page_bytes": 0}}},
+                                     {"dram": {"geometry": {"clock_ghz": 0}}},
+                                     {"dram": {"timing": {"nras": -18}}},
+                                     {"cost": {"c_mul": -1}},
+                                     {"energy": {"pcie_pj_per_bit": float("nan")}},
+                                     {"model": 5}, {"nand": 5}, {"energy": 5},
+                                     {"dram": 5}, {"train": 5}])
     def test_bad_value_exits_2_without_traceback(self, tmp_path, bad):
         # a (command, document) pair names the command that used to fail
         cmd, bad = bad if isinstance(bad, tuple) else ("simulate", bad)

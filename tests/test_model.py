@@ -27,13 +27,16 @@ TOY = ModelConfig(n_dec=2, dim_e=16, dim_h=24, n_heads=4, seq_len=32, seed=9)
 
 def reference_mha(q, k, v, n_heads):
     """mha_forward as a loop over heads: one product pair and one softmax per
-    head, on column slices of q, k and v."""
+    head, on column slices of q, k and v. Query row i is the key position
+    len(k) - len(q) + i; the scores of later keys are set to -inf."""
     dim_e = q.shape[1]
     d = dim_e // n_heads
     out = np.empty((q.shape[0], dim_e))
     for h in range(n_heads):
         sl = slice(h * d, (h + 1) * d)
         scores = matmul(q[:, sl], k[:, sl].T) / np.sqrt(d)
+        for i in range(q.shape[0]):
+            scores[i, k.shape[0] - q.shape[0] + i + 1:] = -np.inf
         out[:, sl] = matmul(softmax(scores), v[:, sl])
     return out
 
@@ -47,6 +50,21 @@ def reference_ffn_masked(x, w_g, w_u, w_d, mask):
         return np.zeros((x.shape[0], w_d.shape[0]))
     hidden = silu(matmul(x, w_g[idx].T)) * matmul(x, w_u[idx].T)
     return matmul(hidden, w_d[:, idx].T)
+
+
+def reference_ffn_zeroed(x, w_g, w_u, w_down, mask=None):
+    """The masked FFN written out as zeroing: the dense hidden activations,
+    each skipped coordinate overwritten with 0.0, times the down rows."""
+    hidden = silu(matmul(x, w_g.T)) * matmul(x, w_u.T)
+    if mask is not None:
+        hidden[~np.broadcast_to(np.asarray(mask, dtype=bool), hidden.shape)] = 0.0
+    return matmul(hidden, w_down)
+
+
+def assert_close(got, want, rel=1e-12):
+    """Equal to ``rel`` of the larger of 1 and want's largest magnitude."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * max(1.0, np.max(np.abs(want)))
 
 
 def reference_ffn_masked_rows(x, w_g, w_u, w_down, mask=None):
@@ -115,6 +133,20 @@ def decode_cases(draw):
     return cfg, threshold
 
 
+@st.composite
+def block_cases(draw):
+    n_heads = draw(st.sampled_from([1, 2, 4]))
+    n_expert = draw(st.sampled_from([1, 3]))
+    seq_len = draw(st.integers(1, 24))
+    prefix = draw(st.integers(0, seq_len - 1))  # tokens already in the cache
+    cfg = ModelConfig(n_dec=draw(st.integers(1, 2)),
+                      dim_e=n_heads * draw(st.integers(1, 6)),
+                      dim_h=draw(st.integers(2, 16)), n_heads=n_heads,
+                      n_expert=n_expert, top_k=draw(st.integers(1, n_expert)),
+                      seq_len=seq_len, seed=draw(st.integers(0, 2**16)))
+    return cfg, prefix, draw(st.integers(1, seq_len - prefix)), draw(st.booleans())
+
+
 def test_synth_deterministic():
     a = synth_model(TOY)
     b = synth_model(TOY)
@@ -166,18 +198,27 @@ class TestMha:
         assert_allclose(mha_forward(q, k, v, 2), v.mean(axis=0, keepdims=True), atol=1e-12)
 
     def test_against_naive_oracle(self):
+        # causal: query i of the last L keys sees keys 0 .. n_keys - L + i
         rng = np.random.default_rng(2)
-        L, dim_e, h = 4, 8, 2
-        q, k, v = (rng.standard_normal((L, dim_e)) for _ in range(3))
+        L, n_keys, dim_e, h = 4, 6, 8, 2
+        q = rng.standard_normal((L, dim_e))
+        k, v = (rng.standard_normal((n_keys, dim_e)) for _ in range(2))
         d = dim_e // h
         out = np.zeros((L, dim_e))
         for i in range(L):
+            seen = range(n_keys - L + i + 1)
             for head in range(h):
                 sl = slice(head * d, (head + 1) * d)
-                scores = np.array([q[i, sl] @ k[j, sl] for j in range(L)]) / np.sqrt(d)
+                scores = np.array([q[i, sl] @ k[j, sl] for j in seen]) / np.sqrt(d)
                 probs = softmax(scores.reshape(1, -1)).ravel()
-                out[i, sl] = sum(probs[j] * v[j, sl] for j in range(L))
+                out[i, sl] = sum(probs[j] * v[j, sl] for j in seen)
         assert np.max(np.abs(mha_forward(q, k, v, h) - out)) < 1e-10
+
+    def test_more_queries_than_keys_rejected(self):
+        rng = np.random.default_rng(3)
+        q, k = rng.standard_normal((3, 8)), rng.standard_normal((2, 8))
+        with pytest.raises(ShapeError):
+            mha_forward(q, k, k, 2)
 
     def test_rows_are_convex_combinations(self):
         rng = np.random.default_rng(4)
@@ -196,7 +237,9 @@ class TestMha:
         rng = np.random.default_rng(seed)
         dim_e = n_heads * d
         q = rng.standard_normal((rows, dim_e)) * 3.0
-        # k and v are row views of larger buffers, as KVCache.stacked returns
+        # k and v are row views of larger buffers, as KVCache.stacked returns;
+        # the query rows are the last of at least as many keys
+        n += rows - 1
         k = rng.standard_normal((n + 5, dim_e))[:n]
         v = rng.standard_normal((n + 5, dim_e))[:n]
         assert np.array_equal(mha_forward(q, k, v, n_heads),
@@ -264,6 +307,32 @@ class TestMaskedFfn:
         hidden[:, ~mask] = 0.0
         assert np.max(np.abs(ffn_forward(x, wg, wu, wdown, mask) - hidden @ wdown)) < 1e-12
 
+    def test_per_row_mask_is_rowwise(self):
+        rng, x, wg, wu, wdown = self._setup(11)
+        masks = rng.random((2, 24)) < 0.5
+        got = ffn_forward(x, wg, wu, wdown, masks)
+        for t in range(2):
+            assert_close(got[t], ffn_forward(x[t:t + 1], wg, wu, wdown, masks[t])[0])
+        with pytest.raises(ShapeError):
+            ffn_forward(x, wg, wu, wdown, masks[:1].repeat(3, axis=0))
+
+    def test_skipped_overflow_neuron_stays_out(self):
+        # neuron 3's gate product overflows to inf on every row; skipped, it
+        # must not turn the output into inf or nan (0 * inf would)
+        _, x, wg, wu, wdown = self._setup(12)
+        x = np.abs(x) + 1.0
+        wg = wg.copy()
+        wg[3] = 1e308
+        mask = np.ones(24, dtype=bool)
+        mask[3] = False
+        zeroed = wg.copy()
+        zeroed[3] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(ffn_forward(x, wg, wu, wdown)))
+            got = ffn_forward(x, wg, wu, wdown, mask)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, ffn_forward(x, zeroed, wu, wdown, mask))
+
     def test_mask_length_checked(self):
         _, x, wg, wu, wdown = self._setup(9)
         with pytest.raises(ShapeError):
@@ -314,8 +383,9 @@ class TestMaskedFfn:
         for rows in (1, 3):
             x = rng.standard_normal((rows, dim_e))
             for mask in masks:
-                assert np.array_equal(ffn_forward(x, w_g, w_u, w_down, mask),
-                                      reference_ffn_masked(x, w_g, w_u, w_d, mask))
+                got = ffn_forward(x, w_g, w_u, w_down, mask)
+                assert np.array_equal(got, reference_ffn_zeroed(x, w_g, w_u, w_down, mask))
+                assert_close(got, reference_ffn_masked(x, w_g, w_u, w_d, mask))
 
     def test_layer_down_rows(self):
         # synth_model draws each down projection dim_e x dim_h, as before the
@@ -367,18 +437,22 @@ class TestMoe:
         masks = {0: rng.random(256) < 0.4, 1: rng.random(256) < 0.8,
                  2: np.ones(256, dtype=bool)}
         lw = synth_model(cfg)[0]
-        # moe_forward's loop, with each expert's own down projection in the
-        # gather oracle
-        want = np.zeros_like(x)
-        logits = matmul(x, lw.router.T)
-        for t in range(3):
-            chosen, wts = route_top_k(logits[t], 2)
-            for e, w in zip(chosen, wts):
-                ffn = (reference_ffn_masked(x[t : t + 1], lw.w_g[e], lw.w_u[e],
-                                            lw.w_down[e].T.copy(), masks[e]) if e in masks else
-                       ffn_forward(x[t : t + 1], lw.w_g[e], lw.w_u[e], lw.w_down[e]))
-                want[t] += w * ffn[0]
-        assert np.array_equal(moe_forward(x, lw, 2, masks), want)
+        # moe_forward's loop with each expert's FFN from an oracle: the
+        # zeroing one bitwise, the column gather (on each expert's own down
+        # projection) to rounding
+        def mixed(ffn):
+            want = np.zeros_like(x)
+            logits = matmul(x, lw.router.T)
+            for t in range(3):
+                chosen, wts = route_top_k(logits[t], 2)
+                for e, w in zip(chosen, wts):
+                    want[t] += w * ffn(x[t : t + 1], lw.w_g[e], lw.w_u[e], lw.w_down[e],
+                                       masks.get(e))[0]
+            return want
+
+        got = moe_forward(x, lw, 2, masks)
+        assert np.array_equal(got, mixed(reference_ffn_zeroed))
+        assert_close(got, mixed(reference_ffn_masked_rows))
 
     def test_tie_break_lower_index(self):
         chosen, _ = route_top_k(np.array([1.0, 1.0, 1.0]), 2)
@@ -418,6 +492,55 @@ class TestDecode:
         with pytest.raises(CapacityError):
             dec.decode_step(x, cache, mask_fn=fn)
 
+    @given(block_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_one_row_steps(self, case):
+        # an n-row block after a cached prefix decodes as n one-row steps do,
+        # dense or with a mask per token (expert 1 of an MoE layer dense)
+        cfg, prefix, n, masked = case
+        dec = Decoder.synth(cfg)
+        rng = np.random.default_rng([cfg.seed, 2])
+        xs = rng.standard_normal((prefix + n, cfg.dim_e))
+        table = rng.random((cfg.n_dec, cfg.n_expert, prefix + n, cfg.dim_h)) < 0.5
+
+        def masks_from(pos, rows):
+            # masks by token position, so block and steps see the same ones
+            if not masked:
+                return None
+            return lambda layer, expert, x: (
+                None if expert == 1 else
+                table[layer, expert, pos:pos + len(x)] if rows else table[layer, expert, pos])
+
+        block, steps = dec.new_cache(), dec.new_cache()
+        for cache in (block, steps):
+            for i in range(prefix):
+                dec.decode_step(xs[i], cache, mask_fn=masks_from(i, False))
+        got = dec.decode_step(xs[prefix:], block, mask_fn=masks_from(prefix, True))
+        want = np.vstack([dec.decode_step(xs[i], steps, mask_fn=masks_from(i, False))
+                          for i in range(prefix, prefix + n)])
+        assert_close(got, want)
+        assert block.current_len == steps.current_len == prefix + n
+        for li in range(cfg.n_dec):
+            for a, b in zip(block.stacked(li), steps.stacked(li)):
+                assert_close(a, b)
+
+    def test_block_over_capacity_leaves_cache(self):
+        cfg = ModelConfig(n_dec=3, dim_e=16, dim_h=8, n_heads=2, seq_len=8, seed=4)
+        dec = Decoder.synth(cfg)
+        cache = dec.new_cache()
+        rng = np.random.default_rng(5)
+        dec.decode_step(rng.standard_normal((5, 16)), cache)
+        kept = [tuple(m.copy() for m in cache.stacked(li)) for li in range(cfg.n_dec)]
+        with pytest.raises(CapacityError):
+            dec.decode_step(rng.standard_normal((4, 16)), cache)
+        for li in range(cfg.n_dec):
+            assert all(np.array_equal(a, b) for a, b in zip(cache.stacked(li), kept[li]))
+        with pytest.raises(CapacityError):
+            cache.append(0, np.ones((4, 16)), np.ones((4, 16)))
+        assert len(cache.stacked(0)[0]) == 5
+        dec.decode_step(rng.standard_normal((3, 16)), cache)
+        assert cache.current_len == 8
+
     def test_first_token_attention_is_v(self):
         dec = Decoder.synth(TOY)
         cache = dec.new_cache()
@@ -449,9 +572,12 @@ class TestDecode:
                                rng.random(cfg.dim_h) < next(densities))
 
         got = rollout()
-        monkeypatch.setattr(slim.model, "ffn_forward", reference_ffn_masked_rows)
+        monkeypatch.setattr(slim.model, "ffn_forward", reference_ffn_zeroed)
         for a, b in zip(got, rollout(), strict=True):
             assert np.array_equal(a, b)
+        monkeypatch.setattr(slim.model, "ffn_forward", reference_ffn_masked_rows)
+        for a, b in zip(got, rollout(), strict=True):
+            assert_close(a, b)
 
     def test_rollout_matches_cache_free_oracle(self):
         cfg = TOY
@@ -534,6 +660,16 @@ class TestDecode:
         with pytest.raises(ShapeError):
             cache.append(0, np.ones(5), np.ones(5))
 
+    def test_kv_block_width_checked(self):
+        cache = KVCache(1, 40)
+        cache.append(0, np.ones((2, 4)), np.ones((2, 4)))
+        for rows in (3, 20):  # a block that fits the buffer, and one that grows it
+            with pytest.raises(ShapeError):
+                cache.append(0, np.ones((rows, 5)), np.ones((rows, 5)))
+        assert cache.current_len == 2
+        cache.append(0, np.ones((20, 4)), np.zeros((20, 4)))
+        assert [m.shape for m in cache.stacked(0)] == [(22, 4)] * 2
+
 
 def test_harvest_shapes():
     dec = Decoder.synth(TOY)
@@ -542,3 +678,18 @@ def test_harvest_shapes():
     assert all(s.shape == (6, TOY.dim_e) for s in sets)
     again = harvest_ffn_inputs(dec, 6, seed=2)
     assert np.array_equal(sets[0], again[0])
+
+
+def test_harvest_matches_one_row_stream():
+    # one (n x dim_e) draw is the n one-row draws of a one-token-at-a-time
+    # harvest, and the block decode collects their FFN inputs to rounding
+    dec = Decoder.synth(TOY)
+    block_rng, row_rng = (np.random.default_rng([2, 0xCA11]) for _ in range(2))
+    rows = [row_rng.standard_normal((1, TOY.dim_e)) for _ in range(6)]
+    assert np.array_equal(block_rng.standard_normal((6, TOY.dim_e)), np.vstack(rows))
+    grabbed = [[] for _ in range(TOY.n_dec)]
+    cache = dec.new_cache()
+    for x in rows:
+        dec.decode_step(x, cache, ffn_input_hook=lambda li, xm: grabbed[li].append(xm))
+    for got, want in zip(harvest_ffn_inputs(dec, 6, seed=2), grabbed, strict=True):
+        assert_close(got, np.vstack(want))
