@@ -19,7 +19,7 @@ from slim.config import MODEL_PRESETS
 from slim.model import ModelConfig
 from slim.pim import DDR4_2400, BitSerialCostModel
 from slim.storage import nand_preset
-from slim.system import baseline_preset, evaluate_slim, run_baseline
+from slim.system import baseline_preset, evaluate_slim, nested_masks, run_baseline
 
 DRAM_GEO, DRAM_TIMING = DDR4_2400
 COST = BitSerialCostModel()
@@ -32,10 +32,10 @@ def model_for(name: str, seed: int) -> ModelConfig:
     return ModelConfig(**MODEL_PRESETS[name], seed=seed)
 
 
-def slim_point(cfg, nand, level, sparsity, scheduler, seed):
+def slim_point(cfg, nand, level, masks, scheduler):
     geo, timing = nand_preset(nand, level)
-    return evaluate_slim(cfg, geo, timing, DRAM_GEO, DRAM_TIMING, COST, sparsity,
-                         scheduler=scheduler, seed=seed)
+    return evaluate_slim(cfg, geo, timing, DRAM_GEO, DRAM_TIMING, COST, masks,
+                         scheduler=scheduler)
 
 
 def headline_table(models, seed):
@@ -45,8 +45,9 @@ def headline_table(models, seed):
     rows = {}
     for name in models:
         cfg = model_for(name, seed)
-        die = slim_point(cfg, "slc", "die", 0.5, "pipelined", seed).throughput
-        ch = slim_point(cfg, "slc", "channel", 0.5, "pipelined", seed).throughput
+        masks = nested_masks(cfg, 0.5, seed)
+        die = slim_point(cfg, "slc", "die", masks, "pipelined").throughput
+        ch = slim_point(cfg, "slc", "channel", masks, "pipelined").throughput
         ssd = run_baseline(baseline_preset("ssd_gpu", *BASELINE_SSD), cfg, 0.0).throughput
         dram = run_baseline(baseline_preset("dram_gpu", *BASELINE_SSD), cfg, 0.0).throughput
         print(f"{name:>18} {die:8.2f} {ch:8.2f} {ssd:9.3f} {dram:9.3f} "
@@ -57,6 +58,7 @@ def headline_table(models, seed):
 
 def sparsity_table(name, seed):
     cfg = model_for(name, seed)
+    masks = {s: nested_masks(cfg, s, seed) for s in SPARSITIES}
     print(f"\n== {name}: throughput (tok/s) and raw read bandwidth (GB/s) vs sparsity")
     print(f"{'design':>12} " + " ".join(f"{f's={s}':>16}" for s in SPARSITIES))
     rows = {}
@@ -65,7 +67,7 @@ def sparsity_table(name, seed):
             cells = []
             pts = []
             for s in SPARSITIES:
-                r = slim_point(cfg, nand, level, s, "pipelined", seed)
+                r = slim_point(cfg, nand, level, masks[s], "pipelined")
                 bw = r.raw_bytes / r.phases.t_ssd / 1e9
                 cells.append(f"{r.throughput:7.2f}/{bw:6.2f}")
                 pts.append({"sparsity": s, "tok_per_s": r.throughput, "raw_gbps": bw})
@@ -81,7 +83,7 @@ def breakdown_table(models, seed):
     rows = {}
     for name in models:
         cfg = model_for(name, seed)
-        r = slim_point(cfg, "slc", "die", 0.5, "sequential", seed)
+        r = slim_point(cfg, "slc", "die", nested_masks(cfg, 0.5, seed), "sequential")
         total = r.phases.t_dram + r.phases.t_ssd
         shares = {
             "qkvo": r.dram.qkvo.seconds / total,

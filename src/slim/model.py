@@ -303,17 +303,6 @@ class Decoder:
             x = x + moe_forward(x, lw, self.cfg.top_k, masks)
         return x
 
-    def rollout(self, x0: Matrix, n_tokens: int, mask_fn=None) -> list[Matrix]:
-        """Feed each step's output back as the next input; returns the
-        sequence of output embeddings."""
-        cache = self.new_cache()
-        outs = []
-        x = x0
-        for _ in range(n_tokens):
-            x = self.decode_step(x, cache, mask_fn=mask_fn)
-            outs.append(x)
-        return outs
-
 
 def harvest_ffn_inputs(dec: Decoder, n_tokens: int, seed: int = 1) -> list[Matrix]:
     """Decode a stream of seeded random embeddings as one block and collect

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .system import (
     ENERGY_COMPONENTS,
     baseline_preset,
     evaluate_slim,
+    nested_masks,
     run_baseline,
 )
 from .trace import write_ldjson
@@ -49,14 +51,14 @@ def _round(x: float) -> float:
 
 
 def _slim_row(cfg: ScenarioConfig, nand: str, pe_level: str, sparsity: float,
-              digest: str, emit_trace_to=None) -> dict:
+              masks: dict, digest: str, emit_trace_to=None) -> dict:
     geometry, timing = ((cfg.geometry, cfg.nand_timing)
                         if (nand, pe_level) == (cfg.nand, cfg.pe_level)
                         else nand_preset(nand, pe_level))
     res = evaluate_slim(cfg.model, geometry, timing, cfg.dram_geometry,
-                        cfg.dram_timing, cfg.cost_model, sparsity,
+                        cfg.dram_timing, cfg.cost_model, masks,
                         scheduler=cfg.scheduler, n_tokens=cfg.n_tokens,
-                        seed=cfg.seed, params=cfg.nsp, constants=cfg.energy,
+                        params=cfg.nsp, constants=cfg.energy,
                         bytes_per_elem=cfg.bytes_per_elem)
     if emit_trace_to is not None:
         emit_trace_to.extend(res.trace)
@@ -109,9 +111,12 @@ def scenario_rows(cfg: ScenarioConfig, sweep: bool = False,
                   trace_sink: list | None = None) -> list[dict]:
     """Evaluate the scenario's design points over its sparsity grid, plus the
     selected baselines. ``sweep`` expands to all four design-level/NAND
-    combinations. Points run one after another in a fixed order (design
-    point-major, then sparsity), followed by the baselines; the first
-    point's events go to ``trace_sink``."""
+    combinations. Each sparsity's masks are drawn once (``nested_masks``
+    with the scenario seed) and shared by every design point, which reads
+    them without changing them; the points run sparsity by sparsity, so one
+    mask set is held at a time. Rows come in a fixed order (design
+    point-major, then sparsity), followed by the baselines; the first row's
+    events go to ``trace_sink``."""
     digest = config_hash(cfg)
     if sweep:
         points = [(nand, level) for level in ("die", "channel")
@@ -121,9 +126,17 @@ def scenario_rows(cfg: ScenarioConfig, sweep: bool = False,
     jobs = [(nand, level, s) for nand, level in points
             for s in cfg.sparsity_targets]
 
-    rows = [_slim_row(cfg, *job, digest,
-                      emit_trace_to=trace_sink if job == jobs[0] else None)
-            for job in jobs]
+    by_job = {}
+    for s in dict.fromkeys(cfg.sparsity_targets):
+        t0 = time.perf_counter()
+        masks = nested_masks(cfg.model, s, cfg.seed)
+        log.debug("scenario_rows: masks for sparsity %g drawn in %.6f s, shared by "
+                  "%d design points", s, time.perf_counter() - t0, len(points))
+        for nand, level in points:
+            job = (nand, level, s)
+            by_job[job] = _slim_row(cfg, *job, masks, digest,
+                                    emit_trace_to=trace_sink if job == jobs[0] else None)
+    rows = [by_job[job] for job in jobs]
     for kind in cfg.baselines:
         rows.append(_baseline_row(cfg, kind, digest))
     return rows

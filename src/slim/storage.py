@@ -201,48 +201,59 @@ class ReadTransaction:
     active_elems: int
 
 
-def generate_read_transactions(layout: WeightLayout, layer: int,
-                               masks: dict[int, np.ndarray]) -> list[ReadTransaction]:
-    """Per-die transactions for one layer given per-expert neuron masks; a
-    page is read iff it holds at least one active neuron's data.
+def generate_read_transactions(layout: WeightLayout, masks: dict[tuple[int, int], np.ndarray]
+                               ) -> list[list[ReadTransaction]]:
+    """Per-die transactions of one token, one list per layer, given neuron
+    masks keyed by (layer, expert) as ``nested_masks`` returns them; a page
+    is read iff it holds at least one active neuron's data. Layers without a
+    mask read nothing.
 
-    Each die's page count is its hit packing groups times ``span_pages``.
-    Its useful bytes are summed left to right over those groups in visiting
-    order (experts ascending, then neurons), which the layout makes ascending
-    page order, then multiplied by ``span_pages``. That equals the page by
-    page sum bit for bit: a group spans several pages only with packing
-    factor 1, where every page is wholly useful and the sums are integers
-    below 2**53."""
-    geo, span = layout.geo, layout.span_pages
-    experts = sorted(masks)
-    if not experts:
-        return []
-    if not (0 <= layer < layout.n_dec and 0 <= experts[0] and experts[-1] < layout.n_expert):
-        raise ShapeError(f"layer {layer} / experts {experts} outside the layout")
-    stacked = [np.asarray(masks[e], dtype=bool) for e in experts]
-    for mask in stacked:
+    Group j of a slot sits on die ``(d0 + j) mod n_dies``, where ``d0`` is the
+    die of the slot's first group (``place(slot, 0)``). So each slot's
+    per-group counts, padded in front by ``d0`` and folded into rows of
+    ``n_dies``, put every die's groups in one column, and a layer's slots
+    stack down the rows in visiting order (experts ascending, then neurons),
+    which the layout makes ascending page order. Column sums give each die's
+    hit groups and active vectors; useful bytes are accumulated left to right
+    down each column, where unhit groups and padding add exact zeros, then
+    multiplied by ``span_pages``. That equals the page by page sum bit for
+    bit: a group spans several pages only with packing factor 1, where every
+    page is wholly useful and the sums are integers below 2**53."""
+    n_dies, span, n_groups = layout.geo.n_dies, layout.span_pages, layout.groups_per_slot
+    by_layer: list[list] = [[] for _ in range(layout.n_dec)]
+    for layer, expert in sorted(masks):
+        if not (0 <= layer < layout.n_dec and 0 <= expert < layout.n_expert):
+            raise ShapeError(f"layer {layer} / expert {expert} outside the layout")
+        mask = np.asarray(masks[(layer, expert)], dtype=bool)
         if mask.shape != (layout.dim_h,):
             raise ShapeError(f"mask shape {mask.shape} vs dim_h {layout.dim_h}")
+        by_layer[layer].append((layer * layout.n_expert + expert, mask))
 
-    # active and resident vectors of every packing group, in visiting order
     starts = np.arange(0, layout.dim_h, layout.packing_factor)
-    active = np.add.reduceat(np.array(stacked, dtype=np.int64), starts, axis=1)
-    resident = np.broadcast_to(np.minimum(layout.packing_factor, layout.dim_h - starts),
-                               active.shape)
-    slots = layer * layout.n_expert + np.array(experts, dtype=np.int64)
-    dies, _, _ = layout.place(slots[:, None], starts)
-    hit = active > 0
-    # a stable sort by die keeps each die's groups in visiting order
-    order = np.argsort(dies[hit], kind="stable")
-    dies, active, resident = (a[hit][order] for a in (dies, active, resident))
-    group_useful = geo.page_bytes * active / resident
-
-    edges = np.flatnonzero(np.diff(dies, prepend=-1, append=-1)).tolist()
-    return [ReadTransaction(
-        die_index=int(dies[lo]), n_pages=(hi - lo) * span,
-        useful_bytes=float(np.add.accumulate(group_useful[lo:hi])[-1]) * span,
-        active_elems=int(active[lo:hi].sum()) * 3 * layout.dim_e)
-        for lo, hi in zip(edges, edges[1:])]
+    resident = np.minimum(layout.packing_factor, layout.dim_h - starts)
+    # rows enough for one slot's groups after any front pad below n_dies
+    width = -(-(n_dies - 1 + n_groups) // n_dies) * n_dies
+    out = []
+    for slot_masks in by_layer:
+        active = np.zeros((len(slot_masks), width), dtype=np.int64)
+        useful = np.zeros((len(slot_masks), width))
+        for row, (slot, mask) in enumerate(slot_masks):
+            pad = layout.place(slot, 0)[0]
+            # a group is one neuron without packing; reduceat would only copy
+            counts = (mask if layout.packing_factor == 1
+                      else np.add.reduceat(mask, starts, dtype=np.int64))
+            active[row, pad:pad + n_groups] = counts
+            useful[row, pad:pad + n_groups] = layout.geo.page_bytes * counts / resident
+        active, useful = active.reshape(-1, n_dies), useful.reshape(-1, n_dies)
+        pages = np.count_nonzero(active, axis=0)
+        dies = np.flatnonzero(pages).tolist()
+        pages, elems = pages.tolist(), active.sum(axis=0).tolist()
+        useful = np.add.accumulate(useful, axis=0)[-1].tolist() if dies else []
+        out.append([ReadTransaction(die_index=d, n_pages=pages[d] * span,
+                                    useful_bytes=useful[d] * span,
+                                    active_elems=elems[d] * 3 * layout.dim_e)
+                    for d in dies])
+    return out
 
 
 @dataclass(frozen=True)

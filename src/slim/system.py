@@ -4,7 +4,9 @@ and scenario evaluation into report rows."""
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,8 @@ from .storage import (
     write_model,
 )
 from .trace import TraceEvent
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -267,30 +271,38 @@ class SlimResult:
 
 def evaluate_slim(model: ModelConfig, geo: SsdGeometry, timing: NandTiming,
                   dram_geo: DramGeometry, dram_timing: DramTiming,
-                  cost_model: BitSerialCostModel, sparsity: float,
+                  cost_model: BitSerialCostModel,
+                  masks: dict[tuple[int, int], np.ndarray],
                   scheduler: str = "sequential", n_tokens: int = 100,
-                  seed: int = 0, params: NspParams = NspParams(),
+                  params: NspParams = NspParams(),
                   constants: EnergyConstants = EnergyConstants(),
                   bytes_per_elem: int = 1) -> SlimResult:
-    """Full per-token model of the heterogeneous design at one sparsity;
-    energy is accounted over the returned event trace."""
+    """Full per-token model of the heterogeneous design for one token's
+    neuron masks, keyed by (layer, expert) as ``nested_masks`` returns them;
+    a layer reads the pages of its masked experts only. Callers that
+    evaluate several design points at one sparsity draw the masks once and
+    pass them to each. Energy is accounted over the returned event trace.
+    At ``SLIM_LOG=debug`` one line gives the wall-clock seconds of each
+    stage: layout, transactions, FFN passes, DRAM cost and energy fold."""
     if scheduler not in ("sequential", "pipelined"):
         raise ShapeError(f"unknown scheduler {scheduler!r}")
+    t0 = time.perf_counter()
     layout = map_weights(model, geo, bytes_per_elem)
-    masks = nested_masks(model, sparsity, seed)
+    t1 = time.perf_counter()
+    layer_txns = generate_read_transactions(layout, masks)
+    t2 = time.perf_counter()
 
     trace: list[TraceEvent] = []
     t_ssd = 0.0
     raw = 0
     useful = 0.0
-    for layer in range(model.n_dec):
-        layer_masks = {e: masks[(layer, e)] for e in active_experts(model, layer)}
-        txns = generate_read_transactions(layout, layer, layer_masks)
+    for txns in layer_txns:
         res = simulate_ffn_pass(txns, timing, geo, model.batch, dim_e=model.dim_e,
                                 params=params, trace=trace, t_start=t_ssd)
         t_ssd += res.latency_s
         raw += res.raw_bytes
         useful += res.useful_bytes
+    t3 = time.perf_counter()
 
     dram = token_dram_cost(model, dram_geo, dram_timing, cost_model,
                            bits=8 * bytes_per_elem)
@@ -299,14 +311,18 @@ def evaluate_slim(model: ModelConfig, geo: SsdGeometry, timing: NandTiming,
     trace.append(TraceEvent(t_ns, "dram_pim", "pim_aap", total.aaps))
     trace.append(TraceEvent(t_ns, "dram_pim", "dram_rw",
                             total.layout_bytes + total.rw_bytes))
-
     phases = PhaseTimes(t_dram=total.seconds, t_ssd=t_ssd)
     if scheduler == "sequential":
         _, throughput = run_sequential(phases, n_tokens)
     else:
         _, throughput = run_pipelined(phases, n_tokens)
+    t4 = time.perf_counter()
+    energy = energy_report(trace, constants)
+    t5 = time.perf_counter()
+    log.debug("evaluate_slim: layout %.6f s, transactions %.6f s, ffn passes %.6f s, "
+              "dram cost %.6f s, energy fold %.6f s",
+              t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)
     return SlimResult(phases=phases, latency_s_per_token=1.0 / throughput,
                       throughput=throughput, raw_bytes=raw, useful_bytes=useful,
-                      dram=dram, energy=energy_report(trace, constants),
-                      trace=tuple(trace),
+                      dram=dram, energy=energy, trace=tuple(trace),
                       weights_write_s=write_model(layout, geo, timing))

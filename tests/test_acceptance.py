@@ -36,6 +36,7 @@ from slim.system import (
     PhaseTimes,
     baseline_preset,
     evaluate_slim,
+    nested_masks,
     run_baseline,
     run_pipelined,
     run_sequential,
@@ -56,14 +57,15 @@ def check(ok: bool, label: str, detail: str):
 @pytest.fixture(scope="module")
 def llama_sweep():
     """All four design points over the sparsity grid, shared across criteria."""
+    masks = {s: nested_masks(LLAMA, s, 7) for s in SPARSITY_GRID}
     out = {}
     for nand in ("slc", "tlc"):
         for level in ("die", "channel"):
             geo, timing = nand_preset(nand, level)
             for s in SPARSITY_GRID:
                 out[(nand, level, s)] = evaluate_slim(
-                    LLAMA, geo, timing, DRAM_GEO, DRAM_TIMING, COST, s,
-                    scheduler="pipelined", seed=7)
+                    LLAMA, geo, timing, DRAM_GEO, DRAM_TIMING, COST, masks[s],
+                    scheduler="pipelined")
     return out
 
 
@@ -249,8 +251,8 @@ def test_criterion_7_sweep_trends(llama_sweep):
     worst_share = 0.0
     for cfg in shapes.values():
         for s in (0.0, 0.25, 0.5):
-            res = evaluate_slim(cfg, geo, timing, DRAM_GEO, DRAM_TIMING, COST, s,
-                                scheduler="sequential", seed=7)
+            res = evaluate_slim(cfg, geo, timing, DRAM_GEO, DRAM_TIMING, COST,
+                                nested_masks(cfg, s, 7), scheduler="sequential")
             share = res.dram.predict.seconds / (res.phases.t_dram + res.phases.t_ssd)
             worst_share = max(worst_share, share)
     check(trend_ok and worst_share < 0.10, "criterion 7",

@@ -1,5 +1,7 @@
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import slim.runner
 from slim.cli import main
-from slim.config import load_scenario
+from slim.config import config_hash, load_scenario
 from slim.container import read_tensors, write_tensors
 from slim.model import Decoder
 from slim.predictor import measured_sparsity, predict_mask
@@ -20,6 +23,7 @@ from slim.runner import (
     scenario_rows,
     write_report,
 )
+from slim.system import nested_masks
 from slim.trace import read_ldjson
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -332,3 +336,50 @@ def test_write_report_deterministic(tmp_path):
     p1 = write_report([row], tmp_path / "r1")
     p2 = write_report([row], tmp_path / "r2")
     assert p1[0].read_bytes() == p2[0].read_bytes()
+
+
+@pytest.mark.parametrize("model", ["toy", "toy_moe"])
+def test_shared_masks_match_single_point_runs(model, monkeypatch):
+    """A sweep draws each sparsity's masks once for all four design points;
+    its rows equal four single-point runs that each draw their own."""
+    doc = {"model": model, "seed": 4, "sparsity_targets": [0.0, 0.25, 0.5, 0.75]}
+    cfg = load_scenario(doc)
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return nested_masks(*args)
+
+    monkeypatch.setattr(slim.runner, "nested_masks", counted)
+    swept = scenario_rows(cfg, sweep=True)
+    assert len(draws) == len(cfg.sparsity_targets)
+
+    single = []
+    for level in ("die", "channel"):
+        for nand in ("slc", "tlc"):
+            point = load_scenario(dict(doc, nand=nand, pe_level=level, baselines=[]))
+            single += [dict(row, config_hash=config_hash(cfg)) for row in scenario_rows(point)]
+    assert len(draws) == 5 * len(cfg.sparsity_targets)
+    assert swept[:len(single)] == single
+    assert swept[len(single):] == scenario_rows(cfg)[len(cfg.sparsity_targets):]
+
+
+def test_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="slim")  # the CLI's default level
+    assert run("sweep", cfg_path, tmp_path / "info") == 0
+    assert caplog.records == []
+
+    caplog.set_level(logging.DEBUG, logger="slim")
+    assert run("sweep", cfg_path, tmp_path / "debug") == 0
+    stages = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("evaluate_slim:")]
+    draws = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("scenario_rows:")]
+    assert len(stages) == 4 * len(TOY_DOC["sparsity_targets"])  # one per design point
+    timed = ", ".join(rf"{stage} \d+\.\d+ s" for stage in (
+        "layout", "transactions", "ffn passes", "dram cost", "energy fold"))
+    assert all(re.fullmatch(f"evaluate_slim: {timed}", line) for line in stages)
+    assert len(draws) == len(TOY_DOC["sparsity_targets"])
+    for name in ("report.csv", "report.json"):
+        assert ((tmp_path / "info" / name).read_bytes()
+                == (tmp_path / "debug" / name).read_bytes())

@@ -118,6 +118,18 @@ def reference_decode_step(dec, x, cache, mask_fn=None):
     return x
 
 
+def rollout(dec, x0, n_tokens, mask_fn=None):
+    """Feed each step's output back as the next input over one cache; returns
+    the sequence of output embeddings."""
+    cache = dec.new_cache()
+    outs = []
+    x = x0
+    for _ in range(n_tokens):
+        x = dec.decode_step(x, cache, mask_fn=mask_fn)
+        outs.append(x)
+    return outs
+
+
 @st.composite
 def decode_cases(draw):
     n_heads = draw(st.sampled_from([1, 2, 4, 8]))
@@ -564,19 +576,19 @@ class TestDecode:
         dec = Decoder.synth(cfg)
         x0 = np.random.default_rng(19).standard_normal((1, cfg.dim_e))
 
-        def rollout():
+        def masked_rollout():
             # one draw per call, in call order, so both rollouts see the same masks
             rng = np.random.default_rng(20)
             densities = iter([0.0, 1.0, 0.4, 0.6, 0.8, 1.0] * cfg.seq_len)
-            return dec.rollout(x0, 6, mask_fn=lambda layer, expert, row:
-                               rng.random(cfg.dim_h) < next(densities))
+            return rollout(dec, x0, 6, mask_fn=lambda layer, expert, row:
+                           rng.random(cfg.dim_h) < next(densities))
 
-        got = rollout()
+        got = masked_rollout()
         monkeypatch.setattr(slim.model, "ffn_forward", reference_ffn_zeroed)
-        for a, b in zip(got, rollout(), strict=True):
+        for a, b in zip(got, masked_rollout(), strict=True):
             assert np.array_equal(a, b)
         monkeypatch.setattr(slim.model, "ffn_forward", reference_ffn_masked_rows)
-        for a, b in zip(got, rollout(), strict=True):
+        for a, b in zip(got, masked_rollout(), strict=True):
             assert_close(a, b)
 
     def test_rollout_matches_cache_free_oracle(self):
@@ -584,7 +596,7 @@ class TestDecode:
         dec = Decoder.synth(cfg)
         rng = np.random.default_rng(16)
         x0 = rng.standard_normal((1, cfg.dim_e))
-        outs = dec.rollout(x0, 5)
+        outs = rollout(dec, x0, 5)
 
         # oracle: recompute attention from scratch each step (no cache)
         def oracle_rollout():

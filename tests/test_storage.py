@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slim import storage
@@ -28,7 +28,7 @@ TOY = ModelConfig(n_dec=2, dim_e=512, dim_h=64, n_heads=4, seq_len=32, seed=1)
 
 
 def full_masks(cfg, value=True):
-    return {e: np.full(cfg.dim_h, value, dtype=bool) for e in range(cfg.n_expert)}
+    return {(0, e): np.full(cfg.dim_h, value, dtype=bool) for e in range(cfg.n_expert)}
 
 
 def page_txn(geo, die_index, n_pages, elems_per_page):
@@ -98,7 +98,7 @@ class TestTransactions:
         geo, _ = nand_preset("slc", "die")
         cfg = ModelConfig(n_dec=1, dim_e=4096, dim_h=128, n_heads=4, seed=0)
         layout = map_weights(cfg, geo)
-        txns = generate_read_transactions(layout, 0, full_masks(cfg))
+        txns = generate_read_transactions(layout, full_masks(cfg))[0]
         assert sum(t.n_pages for t in txns) == cfg.dim_h * layout.span_pages
         assert sum(t.useful_bytes for t in txns) == raw_bytes(txns, geo)
 
@@ -108,7 +108,7 @@ class TestTransactions:
         layout = map_weights(cfg, geo)
         mask = np.zeros(cfg.dim_h, dtype=bool)
         mask[::2] = True
-        txns = generate_read_transactions(layout, 0, {0: mask})
+        txns = generate_read_transactions(layout, {(0, 0): mask})[0]
         assert sum(t.n_pages for t in txns) == cfg.dim_h // 2 * layout.span_pages
         assert sum(t.useful_bytes for t in txns) == raw_bytes(txns, geo)
 
@@ -117,7 +117,7 @@ class TestTransactions:
         layout = map_weights(TOY, geo)  # packing 2
         mask = np.zeros(TOY.dim_h, dtype=bool)
         mask[::2] = True  # one active vector in every packed pair
-        txns = generate_read_transactions(layout, 0, {0: mask})
+        txns = generate_read_transactions(layout, {(0, 0): mask})[0]
         total = raw_bytes(txns, geo)
         useful = sum(t.useful_bytes for t in txns)
         assert sum(t.n_pages for t in txns) == TOY.dim_h // 2  # every page still read
@@ -129,7 +129,7 @@ class TestTransactions:
         rng = np.random.default_rng(0)
         for _ in range(20):
             mask = rng.random(TOY.dim_h) < rng.random()
-            txns = generate_read_transactions(layout, 1, {0: mask})
+            txns = generate_read_transactions(layout, {(1, 0): mask})[1]
             assert sum(t.useful_bytes for t in txns) <= raw_bytes(txns, geo) + 1e-9
 
     def test_pages_monotone_in_sparsity(self):
@@ -140,7 +140,7 @@ class TestTransactions:
         for frac in (1.0, 0.75, 0.5, 0.25):
             mask = np.zeros(TOY.dim_h, dtype=bool)
             mask[perm[: int(frac * TOY.dim_h)]] = True
-            pages = sum(t.n_pages for t in generate_read_transactions(layout, 0, {0: mask}))
+            pages = sum(t.n_pages for t in generate_read_transactions(layout, {(0, 0): mask})[0])
             if prev is not None:
                 assert pages <= prev
             prev = pages
@@ -148,7 +148,7 @@ class TestTransactions:
     def test_mask_shape_checked(self):
         layout = map_weights(TOY, SsdGeometry())
         with pytest.raises(ShapeError):
-            generate_read_transactions(layout, 0, {0: np.ones(3, dtype=bool)})
+            generate_read_transactions(layout, {(0, 0): np.ones(3, dtype=bool)})
 
 
 class TestFfnPass:
@@ -156,8 +156,8 @@ class TestFfnPass:
         geo, timing = nand_preset(nand, level)
         layout = map_weights(cfg, geo)
         rng = np.random.default_rng(seed)
-        masks = {e: rng.random(cfg.dim_h) < mask_frac for e in range(cfg.n_expert)}
-        txns = generate_read_transactions(layout, 0, masks)
+        masks = {(0, e): rng.random(cfg.dim_h) < mask_frac for e in range(cfg.n_expert)}
+        txns = generate_read_transactions(layout, masks)[0]
         return simulate_ffn_pass(txns, timing, geo, dim_e=cfg.dim_e)
 
     def test_die_level_slc_near_peak(self):
@@ -185,7 +185,7 @@ class TestFfnPass:
         for frac in (1.0, 0.75, 0.5, 0.25):
             mask = np.zeros(cfg.dim_h, dtype=bool)
             mask[perm[: int(frac * cfg.dim_h)]] = True
-            txns = generate_read_transactions(layout, 0, {0: mask})
+            txns = generate_read_transactions(layout, {(0, 0): mask})[0]
             lat.append(simulate_ffn_pass(txns, timing, geo, dim_e=cfg.dim_e).latency_s)
         assert all(b <= a + 1e-12 for a, b in zip(lat, lat[1:]))
 
@@ -194,7 +194,7 @@ class TestFfnPass:
         geo, timing = nand_preset("tlc", "channel")
         layout = map_weights(cfg, geo)
         mask = np.random.default_rng(4).random(cfg.dim_h) < 0.6
-        txns = generate_read_transactions(layout, 0, {0: mask})
+        txns = generate_read_transactions(layout, {(0, 0): mask})[0]
         t1, t2 = [], []
         r1 = simulate_ffn_pass(txns, timing, geo, dim_e=cfg.dim_e, trace=t1)
         r2 = simulate_ffn_pass(txns, timing, geo, dim_e=cfg.dim_e, trace=t2)
@@ -204,7 +204,7 @@ class TestFfnPass:
         cfg = ModelConfig(n_dec=1, dim_e=512, dim_h=256, n_heads=4, seed=0)
         geo, timing = nand_preset("slc", "die")
         layout = map_weights(cfg, geo)
-        txns = generate_read_transactions(layout, 0, full_masks(cfg))
+        txns = generate_read_transactions(layout, full_masks(cfg))[0]
         r1 = simulate_ffn_pass(txns, timing, geo, 1, dim_e=cfg.dim_e)
         r8 = simulate_ffn_pass(txns, timing, geo, 8, dim_e=cfg.dim_e)
         assert r8.raw_bytes == r1.raw_bytes
@@ -342,18 +342,33 @@ def layout_cases(draw):
                       pages_per_block=draw(st.integers(1, 16)),
                       page_bytes=draw(st.sampled_from([128, 256, 1024])))
     bytes_per_elem = draw(st.integers(1, 2))
-    layer = draw(st.integers(0, cfg.n_dec - 1))
-    experts = draw(st.sets(st.integers(0, n_expert - 1)))
-    masks = {e: np.array(draw(st.lists(st.booleans(), min_size=cfg.dim_h,
-                                       max_size=cfg.dim_h)), dtype=bool)
-             for e in experts}
-    return cfg, geo, bytes_per_elem, layer, masks
+    slots = draw(st.sets(st.tuples(st.integers(0, cfg.n_dec - 1),
+                                   st.integers(0, n_expert - 1))))
+    masks = {slot: np.array(draw(st.lists(st.booleans(), min_size=cfg.dim_h,
+                                          max_size=cfg.dim_h)), dtype=bool)
+             for slot in slots}
+    return cfg, geo, bytes_per_elem, masks
+
+
+def example_case(n_dec, n_expert, dim_e, dim_h, page_bytes, bytes_per_elem, seed):
+    """Every slot of a layout masked at random, on a die array large enough."""
+    cfg = ModelConfig(n_dec=n_dec, dim_e=dim_e, dim_h=dim_h, n_heads=1, n_expert=n_expert,
+                      top_k=1, seed=0)
+    geo = SsdGeometry(n_ch=3, chips_per_ch=2, blocks_per_plane=2, pages_per_block=128,
+                      page_bytes=page_bytes)
+    rng = np.random.default_rng(seed)
+    masks = {(layer, e): rng.random(dim_h) < 0.5
+             for layer in range(n_dec) for e in range(n_expert)}
+    return cfg, geo, bytes_per_elem, masks
 
 
 @given(layout_cases())
+# packing 4 with a 3-vector last group; vectors of 33 pages
+@example(example_case(3, 4, 20, 39, 256, 1, 0))
+@example(example_case(2, 3, 700, 13, 128, 2, 1))
 @settings(max_examples=300, deadline=None)
 def test_closed_form_matches_reference(case):
-    cfg, geo, bytes_per_elem, layer, masks = case
+    cfg, geo, bytes_per_elem, masks = case
     try:
         ref = reference_layout(cfg, geo, bytes_per_elem)
     except MappingError:
@@ -369,15 +384,30 @@ def test_closed_form_matches_reference(case):
     assert got.dtype == ref["pages_used_per_die"].dtype
     assert np.array_equal(got, ref["pages_used_per_die"])
 
-    got = generate_read_transactions(layout, layer, masks)
-    want = reference_transactions(ref, cfg, geo, layer, masks)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        for name in ("die_index", "n_pages", "useful_bytes", "active_elems"):
-            assert getattr(g, name) == getattr(w, name), name
-        assert g.useful_bytes.hex() == w.useful_bytes.hex()
-        assert all(type(v) is int for v in (g.die_index, g.n_pages, g.active_elems))
-        assert type(g.useful_bytes) is float
+    token = generate_read_transactions(layout, masks)
+    assert len(token) == cfg.n_dec
+    for layer, got in enumerate(token):
+        want = reference_transactions(ref, cfg, geo, layer,
+                                      {e: m for (li, e), m in masks.items() if li == layer})
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for name in ("die_index", "n_pages", "useful_bytes", "active_elems"):
+                assert getattr(g, name) == getattr(w, name), name
+            assert g.useful_bytes.hex() == w.useful_bytes.hex()
+            assert all(type(v) is int for v in (g.die_index, g.n_pages, g.active_elems))
+            assert type(g.useful_bytes) is float
+
+
+@pytest.mark.parametrize("slot, length", [
+    ((1, 0), 65),  # wrong mask length on a later layer
+    ((2, 0), 64), ((-1, 0), 64),  # layer outside the layout
+    ((1, 1), 64), ((1, -1), 64),  # expert outside the layout
+])
+def test_bad_masks_rejected(slot, length):
+    layout = map_weights(TOY, SsdGeometry())  # 2 layers, 1 expert, dim_h 64
+    masks = {(0, 0): np.ones(TOY.dim_h, dtype=bool), slot: np.ones(length, dtype=bool)}
+    with pytest.raises(ShapeError):
+        generate_read_transactions(layout, masks)
 
 
 # --- reference: the FFN pass as one heap push/pop per channel-level page ---

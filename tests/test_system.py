@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slim.config import MODEL_PRESETS
 from slim.errors import AccountingError, ShapeError
 from slim.model import ModelConfig
 from slim.pim import DDR4_2400, BitSerialCostModel
 from slim.storage import nand_preset
 from slim.system import (
+    ENERGY_COMPONENTS,
     BaselineConfig,
     active_experts,
     EnergyConstants,
@@ -173,10 +175,10 @@ class TestMasks:
 
 
 class TestEvaluateSlim:
-    def _eval(self, **kw):
+    def _eval(self, sparsity=0.5, **kw):
         geo, timing = nand_preset("slc", "die")
         args = dict(model=TOY, geo=geo, timing=timing, dram_geo=DG, dram_timing=DT,
-                    cost_model=CM, sparsity=0.5, seed=7)
+                    cost_model=CM, masks=nested_masks(TOY, sparsity, 7))
         args.update(kw)
         return evaluate_slim(**args)
 
@@ -215,3 +217,27 @@ class TestEvaluateSlim:
     def test_ledger_conservation(self):
         res = self._eval()
         assert res.energy.total == sum(res.energy.components.values())
+
+
+@given(st.sampled_from(["toy", "toy_moe"]), st.integers(1, 16),
+       st.sampled_from(["sequential", "pipelined"]), st.sampled_from(["die", "channel"]),
+       st.sampled_from(["slc", "tlc"]), st.sampled_from([0.0, 0.25, 0.5, 0.75]))
+@settings(max_examples=40, deadline=None)
+def test_energy_ledger_is_the_trace_fold(name, batch, scheduler, level, nand, sparsity):
+    """Every component is the left-to-right sum of its events' joules in trace
+    order, and the total is the sum of the components."""
+    model = ModelConfig(**MODEL_PRESETS[name], batch=batch, seed=3)
+    geo, timing = nand_preset(nand, level)
+    constants = EnergyConstants()
+    res = evaluate_slim(model, geo, timing, DG, DT, CM, nested_masks(model, sparsity, 5),
+                        scheduler=scheduler, constants=constants)
+    want = dict.fromkeys(ENERGY_COMPONENTS, 0.0)
+    for ev in res.trace:
+        component, joules = constants.joules(ev.event, ev.bytes)
+        want[component] += joules
+    assert list(res.energy.components) == list(ENERGY_COMPONENTS)
+    assert res.energy.components == want
+    total = 0.0
+    for c in ENERGY_COMPONENTS:
+        total += res.energy.components[c]
+    assert res.energy.total == total
