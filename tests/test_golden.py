@@ -1,6 +1,6 @@
 """Byte-exact pins of the simulator's reports and trace.
 
-The files under tests/golden/ hold what the CLI wrote for three scenarios.
+The files under tests/golden/ hold what the CLI wrote for four scenarios.
 Refactors and perf changes must reproduce them byte for byte. They are
 regenerated only by a change that fixes a modeling bug and records the fix
 and the moved numbers in CHANGES.md.
@@ -17,11 +17,13 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TOY_MOE_CHANNEL_TLC = {"model": "toy_moe", "nand": "tlc", "pe_level": "channel",
                        "emit_trace": True}
+TOY_MOE_DIE_SLC = {"model": "toy_moe", "nand": "slc", "pe_level": "die", "emit_trace": True}
 
 CASES = [
     ("toy_sweep", "sweep", ROOT / "configs" / "toy.json", ["report.json"]),
     ("toy_moe_channel_tlc", "simulate", TOY_MOE_CHANNEL_TLC,
      ["report.json", "trace.ldjson"]),
+    ("toy_moe_die_slc", "simulate", TOY_MOE_DIE_SLC, ["report.json", "trace.ldjson"]),
     ("llama2_7b_sweep", "sweep", ROOT / "configs" / "llama2_7b.json", ["report.json"]),
 ]
 
