@@ -13,15 +13,18 @@ quoted on datasheets.
 
 from __future__ import annotations
 
-import heapq
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MappingError, ShapeError
 from .model import ModelConfig
-from .trace import TraceEvent
+from .trace import EventColumns
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -258,148 +261,145 @@ def generate_read_transactions(layout: WeightLayout, masks: dict[tuple[int, int]
 
 @dataclass(frozen=True)
 class FfnPassResult:
+    """A token's FFN passes: ``layer_latency_s`` per layer, ``latency_s``
+    their sum taken in layer order, and the other fields token totals."""
+
     latency_s: float
+    layer_latency_s: tuple[float, ...]
     raw_bytes: int
     useful_bytes: float
     active_elems: int
     macs: int
 
 
-def _confirmed_steps(start, waits_on, first_ready, step_slot, bus_t, t_r):
-    """How many leading steps of a guessed schedule the page-by-page heap
-    loop of ``_channel_bus_end`` takes exactly as guessed, and the ready
-    times the guess gives: the queued dies' ``first_ready``, then each
-    step's start + t_r. Step i waits for ready time ``waits_on[i]``.
-
-    A step is confirmed when its guessed start equals the loop's own
-    max(bus free, page ready), computed from the guess, and the ready time
-    it pushes is later than every one already queued, so that heap order,
-    die-index tie-breaks included, stays round-robin. (The loop's third
-    term, the broadcast's end, cannot bind: the bus was already busy past it
-    when the ramp ended.)"""
-    m = len(first_ready)
-    readies = np.concatenate((first_ready, start + t_r))
-    bus_free = np.concatenate(([bus_t], start[:-1] + step_slot[:-1]))
-    ok = start == np.maximum(bus_free, readies[waits_on])
-    ok &= readies[m:] > readies[m - 1:-1]
-    return (len(ok) if ok.all() else int(ok.argmin())), readies
+# elements per transient array of a round-robin close (512 KB of float64)
+_CHUNK = 1 << 16
 
 
-def _channel_bus_end(ready: dict[int, float], pages: dict[int, int],
-                     slot: dict[int, float], t_r: float, bcast: float) -> float:
-    """When one channel's shared bus finishes streaming its dies' pages.
+def _round_robin_ends(ready, left, slot, bus):
+    """End of each row's bus when every remaining page starts the moment the
+    bus frees and the dies take turns in (ready, die) order, each leaving
+    when out of pages: ``bus`` plus the row's slots in serving order, summed
+    left to right. Round r serves every die with more than r pages left; an
+    unserved (round, die) adds 0.0, which leaves the sum's bits unchanged."""
+    order = np.argsort(ready, axis=1, kind="stable")
+    left = np.take_along_axis(left, order, axis=1)[:, None, :]
+    slot = np.take_along_axis(slot, order, axis=1)[:, None, :]
+    n_rows, _, width = left.shape
+    n_rounds = int(left.max())
+    rows_per_chunk = max(1, _CHUNK // (n_rounds * width))
+    rounds_per_chunk = max(1, _CHUNK // (rows_per_chunk * width))
+    end = bus.copy()
+    for a in range(0, n_rows, rows_per_chunk):
+        rows = slice(a, a + rows_per_chunk)
+        for r in range(0, n_rounds, rounds_per_chunk):
+            served = np.arange(r, min(r + rounds_per_chunk, n_rounds))[:, None] < left[rows]
+            steps = np.where(served, slot[rows], 0.0).reshape(len(served), -1)
+            end[rows] = np.add.accumulate(np.hstack((end[rows, None], steps)), axis=1)[:, -1]
+    return end
 
-    Die d has ``pages[d]`` pages, the first ready at ``ready[d]``, and each
-    holds the bus ``slot[d]``. The rule is a heap loop over pages: serve the
-    die whose page is ready first (lower die index on ties) at max(bus free,
-    page ready, bcast); its next page is ready t_r after that start. The
-    loop runs page by page only where the schedule has no closed form:
 
-    1. ramp: heap steps until every die has read once. From then on the
-       queued dies are served round-robin, each leaving when out of pages.
-    2. rounds: all remaining starts are guessed bus-bound (a running sum of
-       slots) and die-bound (a running sum of t_r down each die's column);
-       the longer prefix that ``_confirmed_steps`` confirms is taken.
-    3. fallback: when that prefix is shorter than a budget (at first one
-       round of the dies), that many heap steps, and the budget doubles.
+def _channel_bus_ends(ready, left, slot, t_r: float, bcast: float):
+    """When each row's shared channel bus finishes streaming its dies'
+    pages, with the lockstep steps taken and the rows closed.
 
-    Accepted values are the loop's own IEEE sums in the loop's order, so the
-    result is bit-identical to stepping every page.
+    A row is one (layer, channel) and a column one of its dies, in
+    ascending die index: its first page is ready at ``ready``, it has
+    ``left`` pages (0 in a padding column) and each holds the bus ``slot``.
+    The rule is the heap loop over pages: serve the die whose page is ready
+    first, the lower die index on ties, at max(bus free, page ready, bcast);
+    its next page is ready t_r after that start. Every live row takes that
+    step at once: ``argmin`` per row picks the lower column on ties.
+
+    A row closes once it is bus-bound for the rest: the bus frees after
+    every queued die is ready, and every queued slot is at least t_r. (Ready
+    times are positive, so the row has taken a step and its bus is past the
+    broadcast.) From there each page starts when the bus frees, the page
+    a served die reads next is ready by the time the bus frees again, and
+    the dies take turns in their (ready, die) order as long as each ready
+    time pushed exceeds the one before, which t_r >= one ulp of the row's
+    end guarantees. ``_round_robin_ends`` then gives the end with the loop's
+    own IEEE sums; a row failing the ulp check is stepped to its end.
     """
-    left = dict(pages)
-    heap = [(r, d) for d, r in ready.items()]
-    heapq.heapify(heap)
-    bus_t = 0.0
-
-    def heap_step():
-        nonlocal bus_t
-        r, d = heapq.heappop(heap)
-        start = max(bus_t, r, bcast)
-        bus_t = start + slot[d]
-        left[d] -= 1
-        if left[d]:
-            heapq.heappush(heap, (start + t_r, d))
-        return d
-
-    unread = set(left)
-    while unread:
-        unread.discard(heap_step())
-    budget = len(pages)
-    while heap:
-        heap.sort()  # pop order; a sorted list is also a valid heap
-        m = len(heap)
-        dies = [d for _, d in heap]
-        first_ready = np.array([r for r, _ in heap])
-        n_left = [left[d] for d in dies]
-        # round r serves, in queue order, every die with more than r pages left
-        served = np.arange(max(n_left))[:, None] < np.array(n_left)
-        step_slot = np.array([slot[d] for d in dies])[served.nonzero()[1]]
-        n = len(step_slot)
-        # step_no[r + 1, j]: the step that serves queue die j's page r; row 0
-        # counts up from -m, so m + step_no indexes _confirmed_steps' readies
-        step_no = np.cumsum(served.ravel()).reshape(served.shape) - 1
-        step_no = np.vstack((np.arange(-m, 0), step_no))
-        waits_on = m + step_no[:-1][served]
-        start = np.add.accumulate(np.concatenate(([bus_t], step_slot[:-1])))
-        steps, readies = _confirmed_steps(start, waits_on, first_ready, step_slot,
-                                          bus_t, t_r)
-        if steps < n:
-            die_bound = np.full(served.shape, t_r)
-            die_bound[0] = first_ready
-            die_start = np.add.accumulate(die_bound, axis=0)[served]
-            die_steps, die_readies = _confirmed_steps(die_start, waits_on, first_ready,
-                                                      step_slot, bus_t, t_r)
-            if die_steps > steps:
-                start, steps, readies = die_start, die_steps, die_readies
-        if steps:
-            bus_t = float(start[steps - 1] + step_slot[steps - 1])
-            if steps == n:
+    end = np.empty(len(ready))
+    ids = np.arange(len(ready))
+    ready, left = ready.copy(), left.copy()
+    bus = np.zeros(len(ready))
+    pages = left.sum(axis=1)
+    may_close = np.ones(len(ready), dtype=bool)
+    steps = closed = 0
+    while ids.size:
+        queued = left > 0
+        bound = may_close & np.all(~queued | ((ready <= bus[:, None]) & (slot >= t_r)), axis=1)
+        if bound.any():
+            at = np.flatnonzero(bound)
+            ends = _round_robin_ends(ready[at], left[at], slot[at], bus[at])
+            exact = np.spacing(ends) <= t_r
+            end[ids[at[exact]]] = ends[exact]
+            may_close[at[~exact]] = False
+            closed += int(exact.sum())
+            keep = np.ones(ids.size, dtype=bool)
+            keep[at[exact]] = False
+            ids, ready, left, slot, bus, pages, may_close = (
+                a[keep] for a in (ids, ready, left, slot, bus, pages, may_close))
+            if not ids.size:
                 break
-            done = ((step_no[1:] < steps) & served).sum(axis=0)
-            next_ready = readies[m + step_no[done, np.arange(m)]].tolist()
-            heap = []
-            for j, d in enumerate(dies):
-                left[d] -= int(done[j])
-                if left[d]:
-                    heap.append((next_ready[j], d))
-            heapq.heapify(heap)
-        if steps < budget:
-            for _ in range(min(budget, n - steps)):
-                heap_step()
-            budget *= 2
-    return bus_t
+        row = np.arange(ids.size)
+        col = ready.argmin(axis=1)
+        start = np.maximum(np.maximum(bus, ready[row, col]), bcast)
+        bus = start + slot[row, col]
+        left[row, col] -= 1
+        ready[row, col] = np.where(left[row, col] > 0, start + t_r, np.inf)
+        pages -= 1
+        steps += 1
+        done = pages == 0
+        if done.any():
+            end[ids[done]] = bus[done]
+            ids, ready, left, slot, bus, pages, may_close = (
+                a[~done] for a in (ids, ready, left, slot, bus, pages, may_close))
+    return end, steps, closed
 
 
-def simulate_ffn_pass(transactions: list[ReadTransaction], timing: NandTiming,
+def simulate_ffn_pass(layer_txns: list[list[ReadTransaction]], timing: NandTiming,
                       geo: SsdGeometry, batch_tokens: int = 1, *, dim_e: int,
-                      params: NspParams = NspParams(), trace: list | None = None,
+                      params: NspParams = NspParams(), trace: EventColumns | None = None,
                       t_start: float = 0.0) -> FfnPassResult:
-    """Schedule one FFN pass over the NSP engines and return its latency.
+    """Schedule a token's FFN passes, one per layer, over the NSP engines.
 
-    Steps: broadcast the input activations to every PE buffer, translate
-    transactions in the FTL (one fixed-latency issue each, pipelined with the
-    reads), stream page reads through the PEs (double-buffered, so each page
-    costs max(read, compute)), and finally collect partial sums over the
-    channel bus (die-level PEs) or the on-chip bus (channel-level PEs).
+    ``layer_txns`` holds one list of transactions per layer, as
+    ``generate_read_transactions`` returns them. Each layer's pass starts
+    when the one before ends: layer i's events are offset by ``t_start``
+    plus the latencies of layers 0..i-1, added in layer order.
 
-    Die-level PEs consume pages in-die and only their partial sums touch
-    the bus. Channel-level PEs serialize every page on their channel's
-    shared ONFI bus: the bus takes the die whose page is ready earliest
-    (lower die index on ties), a die holds one buffered page and starts its
-    next array read when that page goes onto the bus, and each page holds
-    the bus for max(transfer, compute). After a ramp in which every die has
-    read once, the dies take turns round-robin. The rounds are evaluated in
-    closed form when the bus is the bottleneck (pages back to back) or the
-    dies are (each page t_R after its die's previous one), and page by page
-    where neither holds (``_channel_bus_end``). Every closed-form start is
-    checked against the page-by-page rule with the same float operations,
-    so the latency is bit-identical to stepping every page.
+    Steps of a pass: broadcast the input activations to every PE buffer,
+    translate transactions in the FTL (one fixed-latency issue each, in list
+    order, pipelined with the reads), stream page reads through the PEs
+    (double-buffered, so each page costs max(read, compute)), and finally
+    collect partial sums over the channel bus (die-level PEs, dies in index
+    order on each channel) or the on-chip bus (channel-level PEs, channels
+    in index order).
+
+    Die-level PEs consume pages in-die: a die finishes at issue + n_pages *
+    max(t_R, compute), and no earlier than the broadcast. Channel-level PEs
+    serialize every page on their channel's shared ONFI bus: the bus takes
+    the die whose page is ready earliest (lower die index on ties), a die
+    holds one buffered page and starts its next array read when that page
+    goes onto the bus, and each page holds the bus for max(transfer,
+    compute). Every (layer, channel) of the token is one row of one
+    schedule stepped in lockstep, and a row closes in one sum once it is
+    bus-bound (``_channel_bus_ends``); the result is bit-identical to a
+    heap loop over every page.
 
     Within a transaction the per-page compute time uses the transaction's
-    mean active elements per page. Transactions must target distinct dies
-    and hold at least one page (generate_read_transactions emits at most
-    one per die, never an empty one); ShapeError otherwise.
+    mean active elements per page. A layer's transactions must target
+    distinct dies and hold at least one page (generate_read_transactions
+    emits at most one per die, never an empty one); ShapeError otherwise.
+    Events go to ``trace`` in each layer's order: broadcast, reads and MACs
+    per transaction, then partial sums. At ``SLIM_LOG=debug`` one line gives
+    the seconds spent on the schedule and on the events, the lockstep steps
+    and the channel rows closed.
     """
+    t0 = time.perf_counter()
     t_r = timing.t_r_us * 1e-6
     ftl = params.ftl_txn_us * 1e-6
     ch_rate = timing.ch_bus_mbps * 1e6
@@ -408,91 +408,141 @@ def simulate_ffn_pass(transactions: list[ReadTransaction], timing: NandTiming,
     xfer = geo.page_bytes / ch_rate
     in_bytes = dim_e * params.act_bytes_per_elem * batch_tokens
     psum_bytes = dim_e * params.psum_bytes_per_elem * batch_tokens
-
-    def emit(t, unit, event, qty):
-        if trace is not None:
-            trace.append(TraceEvent(time_ns=int(round((t_start + t) * 1e9)),
-                                    unit=unit, event=event, bytes=qty))
+    die_level = timing.pe_level == "die"
 
     # step 1: broadcast inputs to PE input SRAMs, done at the same time on every channel
-    if timing.pe_level == "die":
+    if die_level:
         pes_per_ch = geo.chips_per_ch * geo.dies_per_chip
         bcast = pes_per_ch * in_bytes / ch_rate
-        for ch in range(geo.n_ch):
-            emit(bcast, f"ch{ch}", "ch_bus", pes_per_ch * in_bytes)
+        psum_s = psum_bytes / ch_rate
     else:
         bcast = geo.n_ch * in_bytes / onchip_rate
-        emit(bcast, "onchip", "onchip_bus", geo.n_ch * in_bytes)
+        psum_s = psum_bytes / onchip_rate
 
-    ftl_t = 0.0
-    bus_free = [0.0] * geo.n_ch  # ONFI channel bus
-    onchip_free = 0.0
-    pe_done: dict[int, float] = {}
-    raw = 0
-    useful = 0.0
-    elems = 0
+    n_layers = len(layer_txns)
+    counts = np.array([len(txns) for txns in layer_txns], dtype=np.int64)
+    flat = [txn for txns in layer_txns for txn in txns]
+    n = len(flat)
+    die = np.fromiter((t.die_index for t in flat), np.int64, n)
+    pages = np.fromiter((t.n_pages for t in flat), np.int64, n)
+    elems = np.fromiter((t.active_elems for t in flat), np.int64, n)
+    useful = np.fromiter((t.useful_bytes for t in flat), np.float64, n)
+    layer = np.repeat(np.arange(n_layers), counts)
+    pos = np.arange(n) - (np.cumsum(counts) - counts)[layer]
 
-    issue_at = {}
-    for txn in transactions:
-        if txn.die_index in issue_at:
-            raise ShapeError(f"two transactions target die {txn.die_index}")
-        if txn.n_pages < 1:
-            raise ShapeError(f"transaction for die {txn.die_index} has no pages")
-        ftl_t += ftl  # step 2: LPA translation, serialized in firmware
-        issue_at[txn.die_index] = ftl_t
-        raw += txn.n_pages * geo.page_bytes
-        useful += txn.useful_bytes
-        elems += txn.active_elems
+    by_die = np.lexsort((die, layer))
+    twice = (layer[by_die][1:] == layer[by_die][:-1]) & (die[by_die][1:] == die[by_die][:-1])
+    if twice.any():
+        raise ShapeError(f"two transactions target die {die[by_die][1:][twice][0]}")
+    if (pages < 1).any():
+        raise ShapeError(f"transaction for die {die[pages < 1][0]} has no pages")
 
-    def compute_page(txn):
-        return (txn.active_elems * batch_tokens / txn.n_pages) / pe_rate
+    width = int(counts.max(initial=0))
+    # step 2: LPA translation, serialized in firmware
+    issue = np.add.accumulate(np.full(width, ftl))[pos]
+    grid = np.zeros((n_layers, width + 1))  # column 0 starts each layer's sum at 0.0
+    grid[layer, pos + 1] = useful
+    layer_useful = np.add.accumulate(grid, axis=1)[:, -1]
+    compute = elems * batch_tokens / pages / pe_rate
 
-    if timing.pe_level == "die":
-        for txn in transactions:
-            macs = txn.active_elems * batch_tokens
-            ready = max(0.0, issue_at[txn.die_index])  # no read before t = 0
-            done = ready + txn.n_pages * max(t_r, compute_page(txn))
-            done = max(done, bcast)  # PE needs the input to finish
-            pe_done[txn.die_index] = done
-            emit(done, f"die{txn.die_index}", "nand_read", txn.n_pages * geo.page_bytes)
-            emit(done, f"die{txn.die_index}", "pe_mac", macs)
+    # rows: one per (layer, channel) with work; columns: its dies in index order
+    ch = die % geo.n_ch
+    order = np.lexsort((die, ch, layer))
+    row_key = (layer * geo.n_ch + ch)[order]
+    first_of_row = np.flatnonzero(np.diff(row_key, prepend=-1))
+    row_of = np.cumsum(np.diff(row_key, prepend=-1) != 0) - 1
+    col = np.arange(n) - first_of_row[row_of]
+    row_layer = layer[order][first_of_row]
+    n_rows, row_width = len(first_of_row), int(col.max(initial=-1)) + 1
+    row_size = np.diff(first_of_row, append=n)
+    layer_end = np.full(n_layers, bcast)
+    steps = closed = 0
+
+    if die_level:
+        done = np.maximum(issue + pages * np.maximum(t_r, compute), bcast)
+        # step 4: each channel bus collects its dies' partial sums in die order
+        table = np.zeros((n_rows, row_width))
+        table[row_of, col] = done[order]
+        bus = np.zeros(n_rows)
+        psum_end = np.empty(n)
+        for c in range(row_width):
+            has = c < row_size
+            bus[has] = np.maximum(bus[has], table[has, c]) + psum_s
+            psum_end[order[first_of_row[has] + c]] = bus[has]
+        np.maximum.at(layer_end, row_layer, bus)
     else:
-        by_ch: dict[int, list[ReadTransaction]] = {}
-        for txn in transactions:
-            by_ch.setdefault(geo.die_coords(txn.die_index)[0], []).append(txn)
-        for ch in range(geo.n_ch):
-            ch_txns = by_ch.get(ch)
-            if not ch_txns:
-                continue
-            bus_free[ch] = _channel_bus_end(
-                {t.die_index: issue_at[t.die_index] + t_r for t in ch_txns},
-                {t.die_index: t.n_pages for t in ch_txns},
-                {t.die_index: max(xfer, compute_page(t)) for t in ch_txns},
-                t_r, bcast)
-            pe_done[ch] = bus_free[ch]
-            for t in ch_txns:
-                emit(bus_free[ch], f"die{t.die_index}", "nand_read", t.n_pages * geo.page_bytes)
-                emit(bus_free[ch], f"ch{ch}", "ch_bus", t.n_pages * geo.page_bytes)
-                emit(bus_free[ch], f"fmc{ch}", "pe_mac", t.active_elems * batch_tokens)
+        slot = np.maximum(xfer, compute)
+        ready = np.full((n_rows, row_width), np.inf)
+        ready[row_of, col] = (issue + t_r)[order]
+        left = np.zeros((n_rows, row_width), dtype=np.int64)
+        left[row_of, col] = pages[order]
+        slots = np.zeros((n_rows, row_width))
+        slots[row_of, col] = slot[order]
+        bus, steps, closed = _channel_bus_ends(ready, left, slots, t_r, bcast)
+        # step 4: the on-chip bus collects the channels' partial sums in channel order
+        row_rank = np.arange(n_rows) - np.searchsorted(row_layer, row_layer)
+        onchip = np.zeros(n_layers)
+        psum_end = np.empty(n_rows)
+        for k in range(int(row_rank.max(initial=-1)) + 1):
+            at = np.flatnonzero(row_rank == k)
+            onchip[row_layer[at]] = np.maximum(onchip[row_layer[at]], bus[at]) + psum_s
+            psum_end[at] = onchip[row_layer[at]]
+        layer_end = np.maximum(layer_end, onchip)
 
-    # step 4: reduce and collect partial sums from every PE that did work
-    end = bcast
-    if timing.pe_level == "die":
-        for die_index in sorted(pe_done):
-            ch, _, _ = geo.die_coords(die_index)
-            start = max(bus_free[ch], pe_done[die_index])
-            bus_free[ch] = start + psum_bytes / ch_rate
-            emit(bus_free[ch], f"ch{ch}", "ch_bus", psum_bytes)
-            end = max(end, bus_free[ch])
-    else:
-        for ch in sorted(pe_done):
-            onchip_free = max(onchip_free, pe_done[ch]) + psum_bytes / onchip_rate
-            emit(onchip_free, "onchip", "onchip_bus", psum_bytes)
-            end = max(end, onchip_free)
+    t1 = time.perf_counter()
+    lat = layer_end.tolist()
+    if trace is not None:
+        starts = np.add.accumulate(np.array([t_start] + lat[:-1]))
+        code = {name: trace.event_code(name)
+                for name in ("ch_bus", "onchip_bus", "nand_read", "pe_mac")}
+        kind = {name: trace.kind_code(name) for name in ("ch", "die", "fmc", "onchip")}
+        block = (geo.n_ch + 3 * counts if die_level
+                 else 1 + 3 * counts + np.bincount(row_layer, minlength=n_layers))
+        off = np.cumsum(block) - block
+        cols = [np.empty(int(block.sum()), dtype=dt)
+                for dt in (np.float64, np.int64, np.int64, np.int64, np.float64)]
 
-    return FfnPassResult(latency_s=end, raw_bytes=raw, useful_bytes=useful,
-                         active_elems=elems, macs=elems * batch_tokens)
+        def put(at, t, unit_kind, index, event, qty):
+            for c, v in zip(cols, (t, kind[unit_kind], index, code[event], qty)):
+                c[at] = v
 
+        read_bytes = pages * geo.page_bytes
+        macs = elems * batch_tokens
+        if die_level:
+            at = off[:, None] + np.arange(geo.n_ch)
+            put(at, bcast, "ch", np.arange(geo.n_ch), "ch_bus", pes_per_ch * in_bytes)
+            at = off[layer] + geo.n_ch + 2 * pos
+            put(at, done, "die", die, "nand_read", read_bytes)
+            put(at + 1, done, "die", die, "pe_mac", macs)
+            rank = np.arange(n) - (np.cumsum(counts) - counts)[layer[by_die]]
+            at = off[layer[by_die]] + geo.n_ch + 2 * counts[layer[by_die]] + rank
+            put(at, psum_end[by_die], "ch", ch[by_die], "ch_bus", psum_bytes)
+        else:
+            put(off, bcast, "onchip", -1, "onchip_bus", geo.n_ch * in_bytes)
+            # a channel's transactions in list order, channels in index order
+            by_ch = np.lexsort((pos, ch, layer))
+            txn_row = np.empty(n, dtype=np.int64)
+            txn_row[order] = row_of
+            rank = np.arange(n) - (np.cumsum(counts) - counts)[layer[by_ch]]
+            at = off[layer[by_ch]] + 1 + 3 * rank
+            t = bus[txn_row[by_ch]]
+            put(at, t, "die", die[by_ch], "nand_read", read_bytes[by_ch])
+            put(at + 1, t, "ch", ch[by_ch], "ch_bus", read_bytes[by_ch])
+            put(at + 2, t, "fmc", ch[by_ch], "pe_mac", macs[by_ch])
+            at = off[row_layer] + 1 + 3 * counts[row_layer] + row_rank
+            put(at, psum_end, "onchip", -1, "onchip_bus", psum_bytes)
+        t, *rest = cols
+        t_ns = np.rint((starts[np.repeat(np.arange(n_layers), block)] + t) * 1e9)
+        trace.extend(t_ns.astype(np.int64), *rest, np.ones(len(t), dtype=bool))
+    t2 = time.perf_counter()
+    log.debug("simulate_ffn_pass: %d layers, schedule %.6f s (%d lockstep steps, "
+              "%d of %d channel rows closed), events %.6f s",
+              n_layers, t1 - t0, steps, closed, 0 if die_level else n_rows, t2 - t1)
+    return FfnPassResult(
+        latency_s=float(np.add.accumulate(np.array([0.0] + lat))[-1]),
+        layer_latency_s=tuple(lat), raw_bytes=int(pages.sum()) * geo.page_bytes,
+        useful_bytes=float(np.add.accumulate(np.concatenate(([0.0], layer_useful)))[-1]),
+        active_elems=int(elems.sum()), macs=int(elems.sum()) * batch_tokens)
 
 def write_model(layout: WeightLayout, geo: SsdGeometry, timing: NandTiming) -> float:
     """One-time programming cost in seconds: dies program their pages in

@@ -29,7 +29,7 @@ from .storage import (
     simulate_ffn_pass,
     write_model,
 )
-from .trace import TraceEvent
+from .trace import EventColumns, TraceEvent
 
 log = logging.getLogger(__name__)
 
@@ -135,13 +135,25 @@ class EnergyLedger:
         return sum(self.components.values())
 
 
-def energy_report(events: list[TraceEvent], constants: EnergyConstants) -> EnergyLedger:
-    """Fold a trace into per-component joules; total equals the component sum
-    by construction."""
+def energy_report(events, constants: EnergyConstants) -> EnergyLedger:
+    """Fold a trace, ``TraceEvent`` rows or ``EventColumns``, into
+    per-component joules. Each component is the left-to-right sum of its
+    events' joules in trace order; total equals the component sum by
+    construction."""
+    if not isinstance(events, EventColumns):
+        events = EventColumns.from_rows(events)
+    _, _, _, event, qty, _ = events.columns()
+    joules = np.empty(len(qty))
+    component = np.empty(len(qty), dtype=np.int64)
+    for code, name in enumerate(events.names):
+        at = event == code
+        if at.any():
+            comp, joules[at] = constants.joules(name, qty[at])
+            component[at] = ENERGY_COMPONENTS.index(comp)
     ledger = EnergyLedger()
-    for ev in events:
-        component, joules = constants.joules(ev.event, ev.bytes)
-        ledger.components[component] += joules
+    for k, comp in enumerate(ENERGY_COMPONENTS):
+        fold = np.add.accumulate(np.concatenate(([0.0], joules[component == k])))
+        ledger.components[comp] = float(fold[-1])
     return ledger
 
 
@@ -265,8 +277,12 @@ class SlimResult:
     useful_bytes: float
     dram: TokenDramCost
     energy: EnergyLedger
-    trace: tuple
+    events: EventColumns
     weights_write_s: float  # one-time programming, never part of token latency
+
+    @property
+    def trace(self) -> tuple[TraceEvent, ...]:
+        return tuple(self.events)
 
 
 def evaluate_slim(model: ModelConfig, geo: SsdGeometry, timing: NandTiming,
@@ -292,37 +308,30 @@ def evaluate_slim(model: ModelConfig, geo: SsdGeometry, timing: NandTiming,
     layer_txns = generate_read_transactions(layout, masks)
     t2 = time.perf_counter()
 
-    trace: list[TraceEvent] = []
-    t_ssd = 0.0
-    raw = 0
-    useful = 0.0
-    for txns in layer_txns:
-        res = simulate_ffn_pass(txns, timing, geo, model.batch, dim_e=model.dim_e,
-                                params=params, trace=trace, t_start=t_ssd)
-        t_ssd += res.latency_s
-        raw += res.raw_bytes
-        useful += res.useful_bytes
+    events = EventColumns()
+    ffn = simulate_ffn_pass(layer_txns, timing, geo, model.batch, dim_e=model.dim_e,
+                            params=params, trace=events)
+    t_ssd = ffn.latency_s
     t3 = time.perf_counter()
 
     dram = token_dram_cost(model, dram_geo, dram_timing, cost_model,
                            bits=8 * bytes_per_elem)
     total = dram.total
     t_ns = int(round((t_ssd + total.seconds) * 1e9))
-    trace.append(TraceEvent(t_ns, "dram_pim", "pim_aap", total.aaps))
-    trace.append(TraceEvent(t_ns, "dram_pim", "dram_rw",
-                            total.layout_bytes + total.rw_bytes))
+    events.append(t_ns, "dram_pim", "pim_aap", total.aaps)
+    events.append(t_ns, "dram_pim", "dram_rw", total.layout_bytes + total.rw_bytes)
     phases = PhaseTimes(t_dram=total.seconds, t_ssd=t_ssd)
     if scheduler == "sequential":
         _, throughput = run_sequential(phases, n_tokens)
     else:
         _, throughput = run_pipelined(phases, n_tokens)
     t4 = time.perf_counter()
-    energy = energy_report(trace, constants)
+    energy = energy_report(events, constants)
     t5 = time.perf_counter()
     log.debug("evaluate_slim: layout %.6f s, transactions %.6f s, ffn passes %.6f s, "
               "dram cost %.6f s, energy fold %.6f s",
               t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)
     return SlimResult(phases=phases, latency_s_per_token=1.0 / throughput,
-                      throughput=throughput, raw_bytes=raw, useful_bytes=useful,
-                      dram=dram, energy=energy, trace=tuple(trace),
+                      throughput=throughput, raw_bytes=ffn.raw_bytes,
+                      useful_bytes=ffn.useful_bytes, dram=dram, energy=energy, events=events,
                       weights_write_s=write_model(layout, geo, timing))

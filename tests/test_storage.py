@@ -21,7 +21,7 @@ from slim.storage import (
     simulate_ffn_pass,
     write_model,
 )
-from slim.trace import TraceEvent
+from slim.trace import EventColumns, TraceEvent
 
 LLAMA = ModelConfig(n_dec=32, dim_e=4096, dim_h=11008, n_heads=32, seq_len=2048, seed=1)
 TOY = ModelConfig(n_dec=2, dim_e=512, dim_h=64, n_heads=4, seq_len=32, seed=1)
@@ -157,8 +157,8 @@ class TestFfnPass:
         layout = map_weights(cfg, geo)
         rng = np.random.default_rng(seed)
         masks = {(0, e): rng.random(cfg.dim_h) < mask_frac for e in range(cfg.n_expert)}
-        txns = generate_read_transactions(layout, masks)[0]
-        return simulate_ffn_pass(txns, timing, geo, dim_e=cfg.dim_e)
+        token = generate_read_transactions(layout, masks)
+        return simulate_ffn_pass(token, timing, geo, dim_e=cfg.dim_e)
 
     def test_die_level_slc_near_peak(self):
         cfg = ModelConfig(n_dec=1, dim_e=4096, dim_h=11008, n_heads=32, seed=0)
@@ -185,8 +185,8 @@ class TestFfnPass:
         for frac in (1.0, 0.75, 0.5, 0.25):
             mask = np.zeros(cfg.dim_h, dtype=bool)
             mask[perm[: int(frac * cfg.dim_h)]] = True
-            txns = generate_read_transactions(layout, {(0, 0): mask})[0]
-            lat.append(simulate_ffn_pass(txns, timing, geo, dim_e=cfg.dim_e).latency_s)
+            token = generate_read_transactions(layout, {(0, 0): mask})
+            lat.append(simulate_ffn_pass(token, timing, geo, dim_e=cfg.dim_e).latency_s)
         assert all(b <= a + 1e-12 for a, b in zip(lat, lat[1:]))
 
     def test_deterministic_trace(self):
@@ -194,19 +194,19 @@ class TestFfnPass:
         geo, timing = nand_preset("tlc", "channel")
         layout = map_weights(cfg, geo)
         mask = np.random.default_rng(4).random(cfg.dim_h) < 0.6
-        txns = generate_read_transactions(layout, {(0, 0): mask})[0]
-        t1, t2 = [], []
-        r1 = simulate_ffn_pass(txns, timing, geo, dim_e=cfg.dim_e, trace=t1)
-        r2 = simulate_ffn_pass(txns, timing, geo, dim_e=cfg.dim_e, trace=t2)
-        assert r1 == r2 and t1 == t2 and len(t1) > 0
+        token = generate_read_transactions(layout, {(0, 0): mask})
+        t1, t2 = EventColumns(), EventColumns()
+        r1 = simulate_ffn_pass(token, timing, geo, dim_e=cfg.dim_e, trace=t1)
+        r2 = simulate_ffn_pass(token, timing, geo, dim_e=cfg.dim_e, trace=t2)
+        assert r1 == r2 and list(t1) == list(t2) and len(t1) > 0
 
     def test_batch_scales_compute_not_reads(self):
         cfg = ModelConfig(n_dec=1, dim_e=512, dim_h=256, n_heads=4, seed=0)
         geo, timing = nand_preset("slc", "die")
         layout = map_weights(cfg, geo)
-        txns = generate_read_transactions(layout, full_masks(cfg))[0]
-        r1 = simulate_ffn_pass(txns, timing, geo, 1, dim_e=cfg.dim_e)
-        r8 = simulate_ffn_pass(txns, timing, geo, 8, dim_e=cfg.dim_e)
+        token = generate_read_transactions(layout, full_masks(cfg))
+        r1 = simulate_ffn_pass(token, timing, geo, 1, dim_e=cfg.dim_e)
+        r8 = simulate_ffn_pass(token, timing, geo, 8, dim_e=cfg.dim_e)
         assert r8.raw_bytes == r1.raw_bytes
         assert r8.macs == 8 * r1.macs
 
@@ -217,7 +217,7 @@ class TestFfnPass:
         geo, timing = nand_preset("slc", level)
         txn = page_txn(geo, 0, n_pages, 4096)
         with pytest.raises(ShapeError):
-            simulate_ffn_pass([txn] * copies, timing, geo, dim_e=4096)
+            simulate_ffn_pass([[txn] * copies], timing, geo, dim_e=4096)
 
 
 class TestWriteModel:
@@ -522,12 +522,12 @@ def reference_ffn_pass(transactions: list[ReadTransaction], timing: NandTiming,
             emit(onchip_free, "onchip", "onchip_bus", psum_bytes)
             end = max(end, onchip_free)
 
-    return FfnPassResult(latency_s=end, raw_bytes=raw, useful_bytes=useful,
-                         active_elems=elems, macs=elems * batch_tokens)
+    return FfnPassResult(latency_s=end, layer_latency_s=(end,), raw_bytes=raw,
+                         useful_bytes=useful, active_elems=elems, macs=elems * batch_tokens)
 
 
 @st.composite
-def ffn_cases(draw):
+def devices(draw):
     geo = SsdGeometry(n_ch=draw(st.integers(1, 3)), chips_per_ch=draw(st.integers(1, 8)),
                       dies_per_chip=draw(st.integers(1, 2)),
                       page_bytes=draw(st.sampled_from([2048, 4096, 16384])))
@@ -538,20 +538,36 @@ def ffn_cases(draw):
                         pe_macs=draw(st.sampled_from([16, 64]) | st.integers(1, 256)),
                         pe_level=draw(st.sampled_from(["channel", "die"])))
     params = NspParams(ftl_txn_us=draw(st.sampled_from([0.5, 0.0]) | st.floats(0, 20)))
-    dies = draw(st.lists(st.integers(0, geo.n_dies - 1), unique=True, max_size=geo.n_dies))
-    txns = [page_txn(geo, d, draw(st.integers(1, 600)),
+    return geo, timing, params
+
+
+@st.composite
+def layer_txns(draw, geo, min_size=0):
+    dies = draw(st.lists(st.integers(0, geo.n_dies - 1), unique=True, min_size=min_size,
+                         max_size=geo.n_dies))
+    return [page_txn(geo, d, draw(st.integers(1, 600)),
                      draw(st.integers(1, geo.page_bytes))) for d in dies]
+
+
+@st.composite
+def ffn_cases(draw):
+    geo, timing, params = draw(devices())
+    txns = draw(layer_txns(geo))
     return txns, timing, geo, draw(st.integers(1, 64)), draw(st.integers(1, 8192)), params
 
 
 def assert_same_pass(txns, timing, geo, batch, dim_e, params=NspParams(), t_start=0.0):
-    got_events, want_events = [], []
-    got = simulate_ffn_pass(txns, timing, geo, batch, dim_e=dim_e, params=params,
+    """One pass as a one-layer token against the reference."""
+    got_events, want_events = EventColumns(), []
+    got = simulate_ffn_pass([txns], timing, geo, batch, dim_e=dim_e, params=params,
                             trace=got_events, t_start=t_start)
     want = reference_ffn_pass(txns, timing, geo, batch, dim_e=dim_e, params=params,
                               trace=want_events, t_start=t_start)
     assert got.latency_s.hex() == want.latency_s.hex()
-    assert got == want and got_events == want_events
+    assert got.layer_latency_s == (want.latency_s,)
+    for name in ("raw_bytes", "useful_bytes", "active_elems", "macs"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert list(got_events) == want_events
 
 
 @given(ffn_cases(), st.floats(0, 1e-3))
@@ -560,39 +576,101 @@ def test_ffn_pass_matches_reference(case, t_start):
     assert_same_pass(*case, t_start=t_start)
 
 
-@pytest.mark.parametrize("chips, t_r_us, ch_bus_mbps, pe_macs, ftl_txn_us, elems, path", [
-    # 4 dies, SLC: a round of 4 transfers outlasts t_R; one bus-bound guess covers all
-    (4, 3.0, 1200.0, 64, 0.5, [4096] * 4, "bus"),
-    # 2 dies issued 20 us apart, t_R 100 us: the die-bound guess covers all
-    (2, 100.0, 1200.0, 64, 20.0, [4096] * 2, "die"),
-    # compute-bound slots of unequal length: neither guess holds for a round
-    (3, 5.0, 4096.0, 2, 0.5, [1000, 3000, 4000], "fallback"),
+@st.composite
+def token_cases(draw):
+    geo, timing, params = draw(devices())
+    token = draw(st.lists(layer_txns(geo), min_size=1, max_size=6))
+    return token, timing, geo, draw(st.integers(1, 64)), draw(st.integers(1, 8192)), params
+
+
+# 6 layers x 3 channels of 16 bus-bound SLC dies with 600 pages each: 18
+# rows close at once, 9600 (round, die) slots each, over several chunks
+BIG_TOKEN = (
+    [[page_txn(SsdGeometry(n_ch=3, chips_per_ch=8, dies_per_chip=2), d, 600, 64)
+      for d in range(48)]] * 6,
+    NandTiming(t_r_us=3.0, pe_level="channel"),
+    SsdGeometry(n_ch=3, chips_per_ch=8, dies_per_chip=2), 1, 4096, NspParams())
+
+
+@given(token_cases(), st.floats(0, 1e-3), st.sampled_from([storage._CHUNK, 64, 7]))
+@example(BIG_TOKEN, 0.0, storage._CHUNK)
+@settings(max_examples=60, deadline=None)
+def test_token_matches_reference_layer_by_layer(case, t_start, chunk):
+    """A whole token equals the reference pass chained layer by layer: each
+    layer starts when the one before ends, and the token's latency and
+    useful bytes are the layer values summed in layer order. Small chunks
+    split the round-robin closes by rows and by rounds."""
+    token, timing, geo, batch, dim_e, params = case
+    events = EventColumns()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(storage, "_CHUNK", chunk)
+        got = simulate_ffn_pass(token, timing, geo, batch, dim_e=dim_e, params=params,
+                                trace=events, t_start=t_start)
+    want_events = []
+    start, latency, useful, raw, elems = t_start, 0.0, 0.0, 0, 0
+    assert len(got.layer_latency_s) == len(token)
+    for txns, lat in zip(token, got.layer_latency_s):
+        want = reference_ffn_pass(txns, timing, geo, batch, dim_e=dim_e, params=params,
+                                  trace=want_events, t_start=start)
+        assert lat.hex() == want.latency_s.hex()
+        start += want.latency_s
+        latency += want.latency_s
+        useful += want.useful_bytes
+        raw += want.raw_bytes
+        elems += want.active_elems
+    assert got.latency_s.hex() == latency.hex()
+    assert got.useful_bytes.hex() == useful.hex()
+    assert (got.raw_bytes, got.active_elems, got.macs) == (raw, elems, elems * batch)
+    rows = list(events)
+    assert len(rows) == len(events) == len(want_events)
+    for g, w in zip(rows, want_events):
+        assert g == w and type(g.bytes) is type(w.bytes)
+
+
+@pytest.mark.parametrize("chips, t_r_us, ch_bus_mbps, pe_macs, ftl_txn_us, pages, elems, path", [
+    # 4 dies, SLC: a transfer outlasts t_R, so the bus is the bottleneck once
+    # every die has queued a page; the rest closes in one sum
+    (4, 3.0, 1200.0, 64, 0.5, [60] * 4, [4096] * 4, "close"),
+    # as above, but issued 20 us apart: die 0 runs out of pages before die 1
+    # is ready, and the bus idles; the row closes only once all have queued
+    (4, 3.0, 1200.0, 64, 20.0, [2, 60, 60, 60], [4096] * 4, "close"),
+    # 2 dies issued 20 us apart, t_R 100 us: die-bound, stepped to the end
+    (2, 100.0, 1200.0, 64, 20.0, [60] * 2, [4096] * 2, "lockstep"),
+    # compute-bound slots of unequal length, all shorter than t_R
+    (3, 5.0, 4096.0, 2, 0.5, [60] * 3, [1000, 3000, 4000], "lockstep"),
+    # mixed: dies 0 and 2 hold the bus 8 us, die 1 only 1 us, under a 5 us
+    # t_R. Die 1 has the most pages, so the row is never bus-bound for the
+    # rest; a close that ignored its short slot would end early
+    (3, 5.0, 4096.0, 2, 0.5, [40, 80, 40], [16000, 500, 16000], "lockstep"),
+    # slots over t_R, but t_R is below one ulp of the row's times: pushed
+    # ready times tie, the heap breaks ties by die index, not by turns, so
+    # the row must not close
+    (3, 1e-15, 1200.0, 1, 0.5, [60] * 3, [4096, 8192, 12288], "lockstep"),
 ])
 def test_channel_schedule_paths(monkeypatch, chips, t_r_us, ch_bus_mbps, pe_macs,
-                                ftl_txn_us, elems, path):
-    """Each way of advancing the channel schedule is reached and is exact."""
-    attempts = []
-    confirm = storage._confirmed_steps
+                                ftl_txn_us, pages, elems, path):
+    """Each way the channel schedule advances is reached and is exact:
+    lockstep heap steps, and the round-robin close of a bus-bound row."""
+    calls = []
+    bus_ends = storage._channel_bus_ends
 
-    def spy(start, waits_on, first_ready, step_slot, bus_t, t_r):
-        steps, readies = confirm(start, waits_on, first_ready, step_slot, bus_t, t_r)
-        bus_bound = np.add.accumulate(np.concatenate(([bus_t], step_slot[:-1])))
-        attempts.append(("bus" if np.array_equal(start, bus_bound) else "die",
-                         steps, len(start), len(first_ready)))
-        return steps, readies
+    def spy(*args):
+        end, steps, closed = bus_ends(*args)
+        calls.append((steps, closed, len(end)))
+        return end, steps, closed
 
-    monkeypatch.setattr(storage, "_confirmed_steps", spy)
+    monkeypatch.setattr(storage, "_channel_bus_ends", spy)
     geo = SsdGeometry(n_ch=1, chips_per_ch=chips)
     timing = NandTiming(t_r_us=t_r_us, ch_bus_mbps=ch_bus_mbps, pe_macs=pe_macs,
                         pe_level="channel")
-    txns = [page_txn(geo, d, 60, e) for d, e in enumerate(elems)]
+    txns = [page_txn(geo, d, n, e) for d, (n, e) in enumerate(zip(pages, elems))]
     assert_same_pass(txns, timing, geo, 1, 64, NspParams(ftl_txn_us=ftl_txn_us))
-    if path == "fallback":
-        assert any(a[1] < a[3] and b[1] < b[3]
-                   for a, b in zip(attempts, attempts[1:]) if (a[0], b[0]) == ("bus", "die"))
+    (steps, closed, rows), = calls
+    assert rows == 1
+    if path == "close":
+        assert closed == 1 and 0 < steps < sum(pages) // 2
     else:
-        assert attempts[-1][0] == path and attempts[-1][1] == attempts[-1][2]
-        assert len(attempts) == (1 if path == "bus" else 2)
+        assert closed == 0 and steps == sum(pages)
 
 
 def test_tied_ready_times_keep_heap_order():

@@ -25,7 +25,7 @@ from slim.system import (
     run_pipelined,
     run_sequential,
 )
-from slim.trace import TraceEvent
+from slim.trace import EventColumns, TraceEvent
 
 TOY = ModelConfig(n_dec=2, dim_e=256, dim_h=512, n_heads=4, seq_len=64, seed=5)
 DG, DT = DDR4_2400
@@ -241,3 +241,42 @@ def test_energy_ledger_is_the_trace_fold(name, batch, scheduler, level, nand, sp
     for c in ENERGY_COMPONENTS:
         total += res.energy.components[c]
     assert res.energy.total == total
+
+
+@pytest.mark.parametrize("name", ["toy", "toy_moe"])
+@pytest.mark.parametrize("batch", [1, 8])
+def test_columnar_energy_fold_is_the_row_loop(name, batch):
+    """energy_report folds event columns per component with np.add.accumulate;
+    that must equal, bit for bit, a loop of EnergyConstants.joules over the
+    trace's rows in trace order, for SLIM traces of both PE levels and both
+    schedulers and for the baselines' row traces."""
+    model = ModelConfig(**MODEL_PRESETS[name], batch=batch, seed=3)
+    constants = EnergyConstants(nand_read_pj_per_bit=4.1, ch_bus_pj_per_bit=2.3,
+                                pe_pj_per_mac=0.7, dram_pim_nj_per_aap=29.0)
+    masks = nested_masks(model, 0.5, 5)
+    results = [run_baseline(baseline_preset(kind, *SSD), model, 0.5, constants)
+               for kind in ("ssd_gpu", "dram_gpu")]
+    for level in ("die", "channel"):
+        geo, timing = nand_preset("tlc", level)
+        for scheduler in ("sequential", "pipelined"):
+            results.append(evaluate_slim(model, geo, timing, DG, DT, CM, masks,
+                                         scheduler=scheduler, constants=constants))
+    for res in results:
+        want = dict.fromkeys(ENERGY_COMPONENTS, 0.0)
+        for ev in res.trace:
+            component, joules = constants.joules(ev.event, ev.bytes)
+            want[component] += joules
+        assert {c: v.hex() for c, v in res.energy.components.items()} == \
+            {c: v.hex() for c, v in want.items()}
+
+
+def test_event_columns_give_back_rows():
+    """Rows put into columns come back equal, with int and float quantities
+    keeping their type, so the trace's JSON spells them as before."""
+    rows = [TraceEvent(5, "die12", "nand_read", 16384), TraceEvent(7, "onchip", "onchip_bus", 128),
+            TraceEvent(9, "dram_pim", "pim_aap", 20608.0), TraceEvent(9, "x", "teleport", 0.5)]
+    cols = EventColumns.from_rows(rows)
+    assert len(cols) == 4
+    back = list(cols)
+    assert back == rows and [type(ev.bytes) for ev in back] == [int, int, float, float]
+    assert cols.kinds == ["die12", "onchip", "dram_pim", "x"]
