@@ -272,8 +272,8 @@ class FfnPassResult:
     macs: int
 
 
-# elements per transient array of a round-robin close (512 KB of float64)
-_CHUNK = 1 << 16
+# elements per transient array of a round-robin close (256 KB of float64)
+_CHUNK = 1 << 15
 
 
 def _round_robin_ends(ready, left, slot, bus):
@@ -281,7 +281,8 @@ def _round_robin_ends(ready, left, slot, bus):
     bus frees and the dies take turns in (ready, die) order, each leaving
     when out of pages: ``bus`` plus the row's slots in serving order, summed
     left to right. Round r serves every die with more than r pages left; an
-    unserved (round, die) adds 0.0, which leaves the sum's bits unchanged."""
+    unserved (round, die) adds slot * 0 = 0.0, which leaves the sum's bits
+    unchanged."""
     order = np.argsort(ready, axis=1, kind="stable")
     left = np.take_along_axis(left, order, axis=1)[:, None, :]
     slot = np.take_along_axis(slot, order, axis=1)[:, None, :]
@@ -294,8 +295,11 @@ def _round_robin_ends(ready, left, slot, bus):
         rows = slice(a, a + rows_per_chunk)
         for r in range(0, n_rounds, rounds_per_chunk):
             served = np.arange(r, min(r + rounds_per_chunk, n_rounds))[:, None] < left[rows]
-            steps = np.where(served, slot[rows], 0.0).reshape(len(served), -1)
-            end[rows] = np.add.accumulate(np.hstack((end[rows, None], steps)), axis=1)[:, -1]
+            c, n, w = served.shape
+            steps = np.empty((c, 1 + n * w))
+            steps[:, 0] = end[rows]
+            np.multiply(served, slot[rows], out=steps[:, 1:].reshape(c, n, w))
+            end[rows] = np.add.accumulate(steps, axis=1, out=steps)[:, -1]
     return end
 
 
@@ -319,18 +323,24 @@ def _channel_bus_ends(ready, left, slot, t_r: float, bcast: float):
     the dies take turns in their (ready, die) order as long as each ready
     time pushed exceeds the one before, which t_r >= one ulp of the row's
     end guarantees. ``_round_robin_ends`` then gives the end with the loop's
-    own IEEE sums; a row failing the ulp check is stepped to its end.
+    own IEEE sums; a row failing the ulp check is stepped to its end. Rows
+    are checked at steps 1, 2, 4, 8, ...: a bus-bound row stays bus-bound
+    (a served die's next page is ready by start + t_r <= start + slot), so
+    a later check closes it just the same.
     """
-    end = np.empty(len(ready))
-    ids = np.arange(len(ready))
+    n_rows, width = ready.shape
+    end = np.empty(n_rows)
+    ids = np.arange(n_rows)
     ready, left = ready.copy(), left.copy()
-    bus = np.zeros(len(ready))
+    bus = np.zeros(n_rows)
     pages = left.sum(axis=1)
-    may_close = np.ones(len(ready), dtype=bool)
+    may_close = np.ones(n_rows, dtype=bool)
     steps = closed = 0
     while ids.size:
-        queued = left > 0
-        bound = may_close & np.all(~queued | ((ready <= bus[:, None]) & (slot >= t_r)), axis=1)
+        bound = np.zeros(0, dtype=bool)
+        if steps & (steps - 1) == 0:
+            bound = may_close & np.all((left == 0) | ((ready <= bus[:, None]) & (slot >= t_r)),
+                                       axis=1)
         if bound.any():
             at = np.flatnonzero(bound)
             ends = _round_robin_ends(ready[at], left[at], slot[at], bus[at])
@@ -344,12 +354,12 @@ def _channel_bus_ends(ready, left, slot, t_r: float, bcast: float):
                 a[keep] for a in (ids, ready, left, slot, bus, pages, may_close))
             if not ids.size:
                 break
-        row = np.arange(ids.size)
-        col = ready.argmin(axis=1)
-        start = np.maximum(np.maximum(bus, ready[row, col]), bcast)
-        bus = start + slot[row, col]
-        left[row, col] -= 1
-        ready[row, col] = np.where(left[row, col] > 0, start + t_r, np.inf)
+        at = ready.argmin(axis=1) + np.arange(0, ids.size * width, width)
+        flat_ready, flat_left = ready.reshape(-1), left.reshape(-1)
+        start = np.maximum(np.maximum(bus, flat_ready[at]), bcast)
+        bus = start + slot.reshape(-1)[at]
+        flat_left[at] -= 1
+        flat_ready[at] = np.where(flat_left[at] > 0, start + t_r, np.inf)
         pages -= 1
         steps += 1
         done = pages == 0
