@@ -2,6 +2,15 @@
 mapping, sparsity-driven read transactions, and channel-level vs die-level
 processing-engine scheduling.
 
+A token is scheduled in one call to ``simulate_ffn_pass``, every layer's pass
+at once as array operations. Die-level PEs are closed form per transaction.
+Channel-level PEs share their channel's bus under a per-page rule (the die
+whose page is ready first goes next); each (layer, channel) is one row of a
+table of dies stepped in lockstep, and a row that has become bus-bound is
+closed in one left-to-right sum of its remaining slots. Every time equals,
+bit for bit, a heap loop over pages. Events are recorded as columns
+(``trace.EventColumns``).
+
 A "fused vector" is one hidden neuron's weights (gate column + up column +
 down row, 3*dim_e elements) stored contiguously so a neuron is one storage
 unit. Vectors map round-robin across dies; small vectors pack several per
@@ -336,24 +345,24 @@ def _channel_bus_ends(ready, left, slot, t_r: float, bcast: float):
     pages = left.sum(axis=1)
     may_close = np.ones(n_rows, dtype=bool)
     steps = closed = 0
-    while ids.size:
-        bound = np.zeros(0, dtype=bool)
-        if steps & (steps - 1) == 0:
-            bound = may_close & np.all((left == 0) | ((ready <= bus[:, None]) & (slot >= t_r)),
-                                       axis=1)
-        if bound.any():
-            at = np.flatnonzero(bound)
-            ends = _round_robin_ends(ready[at], left[at], slot[at], bus[at])
-            exact = np.spacing(ends) <= t_r
-            end[ids[at[exact]]] = ends[exact]
-            may_close[at[~exact]] = False
-            closed += int(exact.sum())
-            keep = np.ones(ids.size, dtype=bool)
-            keep[at[exact]] = False
+    while True:
+        done = pages == 0
+        if done.any():
+            end[ids[done]] = bus[done]
             ids, ready, left, slot, bus, pages, may_close = (
-                a[keep] for a in (ids, ready, left, slot, bus, pages, may_close))
-            if not ids.size:
-                break
+                a[~done] for a in (ids, ready, left, slot, bus, pages, may_close))
+        if not ids.size:
+            return end, steps, closed
+        if steps & (steps - 1) == 0:
+            at = np.flatnonzero(may_close & np.all(
+                (left == 0) | ((ready <= bus[:, None]) & (slot >= t_r)), axis=1))
+            if at.size:
+                ends = _round_robin_ends(ready[at], left[at], slot[at], bus[at])
+                exact = np.spacing(ends) <= t_r
+                bus[at[exact]], pages[at[exact]] = ends[exact], 0
+                may_close[at[~exact]] = False
+                closed += int(exact.sum())
+                continue
         at = ready.argmin(axis=1) + np.arange(0, ids.size * width, width)
         flat_ready, flat_left = ready.reshape(-1), left.reshape(-1)
         start = np.maximum(np.maximum(bus, flat_ready[at]), bcast)
@@ -362,12 +371,6 @@ def _channel_bus_ends(ready, left, slot, t_r: float, bcast: float):
         flat_ready[at] = np.where(flat_left[at] > 0, start + t_r, np.inf)
         pages -= 1
         steps += 1
-        done = pages == 0
-        if done.any():
-            end[ids[done]] = bus[done]
-            ids, ready, left, slot, bus, pages, may_close = (
-                a[~done] for a in (ids, ready, left, slot, bus, pages, may_close))
-    return end, steps, closed
 
 
 def simulate_ffn_pass(layer_txns: list[list[ReadTransaction]], timing: NandTiming,
@@ -438,7 +441,8 @@ def simulate_ffn_pass(layer_txns: list[list[ReadTransaction]], timing: NandTimin
     elems = np.fromiter((t.active_elems for t in flat), np.int64, n)
     useful = np.fromiter((t.useful_bytes for t in flat), np.float64, n)
     layer = np.repeat(np.arange(n_layers), counts)
-    pos = np.arange(n) - (np.cumsum(counts) - counts)[layer]
+    first_txn = np.cumsum(counts) - counts
+    pos = np.arange(n) - first_txn[layer]
 
     by_die = np.lexsort((die, layer))
     twice = (layer[by_die][1:] == layer[by_die][:-1]) & (die[by_die][1:] == die[by_die][:-1])
@@ -459,8 +463,9 @@ def simulate_ffn_pass(layer_txns: list[list[ReadTransaction]], timing: NandTimin
     ch = die % geo.n_ch
     order = np.lexsort((die, ch, layer))
     row_key = (layer * geo.n_ch + ch)[order]
-    first_of_row = np.flatnonzero(np.diff(row_key, prepend=-1))
-    row_of = np.cumsum(np.diff(row_key, prepend=-1) != 0) - 1
+    new_row = np.diff(row_key, prepend=-1) != 0
+    first_of_row = np.flatnonzero(new_row)
+    row_of = np.cumsum(new_row) - 1
     col = np.arange(n) - first_of_row[row_of]
     row_layer = layer[order][first_of_row]
     n_rows, row_width = len(first_of_row), int(col.max(initial=-1)) + 1
@@ -524,7 +529,7 @@ def simulate_ffn_pass(layer_txns: list[list[ReadTransaction]], timing: NandTimin
             at = off[layer] + geo.n_ch + 2 * pos
             put(at, done, "die", die, "nand_read", read_bytes)
             put(at + 1, done, "die", die, "pe_mac", macs)
-            rank = np.arange(n) - (np.cumsum(counts) - counts)[layer[by_die]]
+            rank = np.arange(n) - first_txn[layer[by_die]]
             at = off[layer[by_die]] + geo.n_ch + 2 * counts[layer[by_die]] + rank
             put(at, psum_end[by_die], "ch", ch[by_die], "ch_bus", psum_bytes)
         else:
@@ -533,7 +538,7 @@ def simulate_ffn_pass(layer_txns: list[list[ReadTransaction]], timing: NandTimin
             by_ch = np.lexsort((pos, ch, layer))
             txn_row = np.empty(n, dtype=np.int64)
             txn_row[order] = row_of
-            rank = np.arange(n) - (np.cumsum(counts) - counts)[layer[by_ch]]
+            rank = np.arange(n) - first_txn[layer[by_ch]]
             at = off[layer[by_ch]] + 1 + 3 * rank
             t = bus[txn_row[by_ch]]
             put(at, t, "die", die[by_ch], "nand_read", read_bytes[by_ch])

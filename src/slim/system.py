@@ -299,7 +299,8 @@ def evaluate_slim(model: ModelConfig, geo: SsdGeometry, timing: NandTiming,
     evaluate several design points at one sparsity draw the masks once and
     pass them to each. Energy is accounted over the returned event trace.
     At ``SLIM_LOG=debug`` one line gives the wall-clock seconds of each
-    stage: layout, transactions, FFN passes, DRAM cost and energy fold."""
+    stage: layout, transactions, FFN passes, DRAM cost and energy fold;
+    ``simulate_ffn_pass`` splits its share into schedule and events."""
     if scheduler not in ("sequential", "pipelined"):
         raise ShapeError(f"unknown scheduler {scheduler!r}")
     t0 = time.perf_counter()

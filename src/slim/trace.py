@@ -9,7 +9,7 @@ as ``write_ldjson`` and ``SlimResult.trace`` do."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -93,10 +93,12 @@ class EventColumns:
 
 
 def write_ldjson(events, path) -> None:
-    """Write ``TraceEvent`` rows, from a list or an ``EventColumns``."""
+    """Write ``TraceEvent`` rows, from a list or an ``EventColumns``, one
+    JSON object per line with sorted keys."""
     with open(Path(path), "w") as fh:
         for ev in events:
-            fh.write(json.dumps(asdict(ev), sort_keys=True) + "\n")
+            row = {"bytes": ev.bytes, "event": ev.event, "time_ns": ev.time_ns, "unit": ev.unit}
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def read_ldjson(path) -> list[TraceEvent]:
