@@ -627,28 +627,29 @@ def test_token_matches_reference_layer_by_layer(case, t_start, chunk):
         assert g == w and type(g.bytes) is type(w.bytes)
 
 
-@pytest.mark.parametrize("chips, t_r_us, ch_bus_mbps, pe_macs, ftl_txn_us, pages, elems, path", [
+@pytest.mark.parametrize("chips, t_r_us, ch_bus_mbps, pe_macs, ftl_txn_us, elems, path", [
+    # elems: (pages, active elements per page) of each die's transaction.
     # 4 dies, SLC: a transfer outlasts t_R, so the bus is the bottleneck once
     # every die has queued a page; the rest closes in one sum
-    (4, 3.0, 1200.0, 64, 0.5, [60] * 4, [4096] * 4, "close"),
-    # as above, but issued 20 us apart: die 0 runs out of pages before die 1
-    # is ready, and the bus idles; the row closes only once all have queued
-    (4, 3.0, 1200.0, 64, 20.0, [2, 60, 60, 60], [4096] * 4, "close"),
+    (4, 3.0, 1200.0, 64, 0.5, [(60, 4096)] * 4, "bus"),
     # 2 dies issued 20 us apart, t_R 100 us: die-bound, stepped to the end
-    (2, 100.0, 1200.0, 64, 20.0, [60] * 2, [4096] * 2, "lockstep"),
+    (2, 100.0, 1200.0, 64, 20.0, [(60, 4096)] * 2, "die"),
     # compute-bound slots of unequal length, all shorter than t_R
-    (3, 5.0, 4096.0, 2, 0.5, [60] * 3, [1000, 3000, 4000], "lockstep"),
+    (3, 5.0, 4096.0, 2, 0.5, [(60, 1000), (60, 3000), (60, 4000)], "fallback"),
+    # as "bus", but issued 20 us apart: die 0 runs out of pages before die 1
+    # is ready, and the bus idles; the row closes only once all have queued
+    (4, 3.0, 1200.0, 64, 20.0, [(2, 4096)] + [(60, 4096)] * 3, "late"),
     # mixed: dies 0 and 2 hold the bus 8 us, die 1 only 1 us, under a 5 us
     # t_R. Die 1 has the most pages, so the row is never bus-bound for the
     # rest; a close that ignored its short slot would end early
-    (3, 5.0, 4096.0, 2, 0.5, [40, 80, 40], [16000, 500, 16000], "lockstep"),
+    (3, 5.0, 4096.0, 2, 0.5, [(40, 16000), (80, 500), (40, 16000)], "mixed"),
     # slots over t_R, but t_R is below one ulp of the row's times: pushed
     # ready times tie, the heap breaks ties by die index, not by turns, so
     # the row must not close
-    (3, 1e-15, 1200.0, 1, 0.5, [60] * 3, [4096, 8192, 12288], "lockstep"),
+    (3, 1e-15, 1200.0, 1, 0.5, [(60, 4096), (60, 8192), (60, 12288)], "ulp"),
 ])
 def test_channel_schedule_paths(monkeypatch, chips, t_r_us, ch_bus_mbps, pe_macs,
-                                ftl_txn_us, pages, elems, path):
+                                ftl_txn_us, elems, path):
     """Each way the channel schedule advances is reached and is exact:
     lockstep heap steps, and the round-robin close of a bus-bound row."""
     calls = []
@@ -663,14 +664,15 @@ def test_channel_schedule_paths(monkeypatch, chips, t_r_us, ch_bus_mbps, pe_macs
     geo = SsdGeometry(n_ch=1, chips_per_ch=chips)
     timing = NandTiming(t_r_us=t_r_us, ch_bus_mbps=ch_bus_mbps, pe_macs=pe_macs,
                         pe_level="channel")
-    txns = [page_txn(geo, d, n, e) for d, (n, e) in enumerate(zip(pages, elems))]
+    txns = [page_txn(geo, d, n, e) for d, (n, e) in enumerate(elems)]
     assert_same_pass(txns, timing, geo, 1, 64, NspParams(ftl_txn_us=ftl_txn_us))
     (steps, closed, rows), = calls
+    pages = sum(n for n, _ in elems)
     assert rows == 1
-    if path == "close":
-        assert closed == 1 and 0 < steps < sum(pages) // 2
+    if path in ("bus", "late"):
+        assert closed == 1 and 0 < steps < pages // 2
     else:
-        assert closed == 0 and steps == sum(pages)
+        assert closed == 0 and steps == pages
 
 
 def test_tied_ready_times_keep_heap_order():
