@@ -333,9 +333,9 @@ def _channel_bus_ends(ready, left, slot, t_r: float, bcast: float):
     time pushed exceeds the one before, which t_r >= one ulp of the row's
     end guarantees. ``_round_robin_ends`` then gives the end with the loop's
     own IEEE sums; a row failing the ulp check is stepped to its end. Rows
-    are checked at steps 1, 2, 4, 8, ...: a bus-bound row stays bus-bound
-    (a served die's next page is ready by start + t_r <= start + slot), so
-    a later check closes it just the same.
+    are checked when the step count is 0 or a power of two: a bus-bound row
+    stays bus-bound (a served die's next page is ready by start + t_r <=
+    start + slot), so a later check closes it just the same.
     """
     n_rows, width = ready.shape
     end = np.empty(n_rows)
