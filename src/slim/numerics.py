@@ -29,13 +29,11 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def sigmoid(x):
-    # Split by sign so exp() never overflows.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; for x < 0 it is exp(x), so e / (1 + e) is
+    # the same float as the sign-split form's
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def silu(x: Matrix) -> Matrix:

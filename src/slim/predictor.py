@@ -5,11 +5,20 @@ low-rank product ``x @ L @ R`` (L: dim_e x dim_lr, R: dim_lr x dim_h). Hidden
 neurons whose predicted magnitude falls at or below a threshold are skipped.
 Thresholds are calibrated offline per target sparsity and stored in a table so
 sparsity stays tunable at run time.
+
+Training runs in a subspace of the hidden dimension. Gradient descent on R
+only ever adds rows of the target ``x @ w_g.T`` and of R itself, so every
+iterate lies in the span of the initial R's rows and the target's rows; with
+an orthonormal basis B of that span (k = min(n_tokens, dim_e) + dim_lr
+columns, at most dim_h) the loop steps R~ = R B, not R, and the loss and
+gradients come out the same up to rounding.
 """
 
 from __future__ import annotations
 
 import json
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +27,8 @@ from .errors import RankError, ShapeError, TrainingDivergence
 from .numerics import Matrix, matmul, truncated_svd
 
 DIVERGENCE_FACTOR = 10.0  # training aborts when loss exceeds this multiple of the initial loss
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -54,6 +65,23 @@ def reconstruction_loss(p: Predictor, x: Matrix, w_g: Matrix) -> float:
     return float(np.sum(err * err))
 
 
+def _training_basis(r0: Matrix, calib: Matrix, w_g: Matrix) -> Matrix:
+    """Orthonormal basis (dim_h x k) of a subspace that holds every R ``train``
+    visits from ``r0``.
+
+    A gradient step adds to R only combinations of R's own rows and of the
+    target ``x @ w_g.T``'s rows, so R stays in the span of r0's rows and the
+    target's rows. The target's rows also lie in the span of w_g's columns;
+    the smaller of the two sets is taken, so
+    k = min(n_tokens, dim_e) + dim_lr, at most dim_h. One QR factorization;
+    the basis may hold a few directions more than that span needs."""
+    x = np.asarray(calib, dtype=np.float64)
+    dim_e = w_g.shape[1]
+    spanning = w_g if x.shape[0] > dim_e else matmul(x, w_g.T).T
+    q, _ = np.linalg.qr(np.concatenate([spanning, r0.T], axis=1))
+    return q
+
+
 def train(p: Predictor, calib: Matrix, w_g: Matrix, epochs: int = 50,
           lr: float = 1e-3) -> tuple[Predictor, list[float]]:
     """Full-batch gradient descent on the reconstruction loss.
@@ -65,6 +93,13 @@ def train(p: Predictor, calib: Matrix, w_g: Matrix, epochs: int = 50,
     that cannot recover raises TrainingDivergence with the history attached:
     a non-finite candidate loss, or one still past DIVERGENCE_FACTOR times
     the initial loss after the step size has collapsed.
+
+    Every product runs in the orthonormal basis B = ``_training_basis(p.r,
+    calib, w_g)``: every iterate is R = R~ B.T, and since B.T B = I and the
+    error's rows lie in span B, ||x L R - target||_F = ||x L R~ - target B||_F
+    and the gradients map over exactly. The loop steps (L, R~), k columns
+    wide instead of dim_h, and returns R~ B.T. At debug level one line gives
+    k and the seconds of the basis and of the loop.
     """
     x = np.asarray(calib, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != p.l.shape[0]:
@@ -72,22 +107,27 @@ def train(p: Predictor, calib: Matrix, w_g: Matrix, epochs: int = 50,
     if x.shape[0] < 1:
         raise ShapeError("calibration set is empty")
     n = x.shape[0]
-    l, r = p.l.copy(), p.r.copy()
-    target = matmul(x, w_g.T)
+    t0 = time.perf_counter()
+    b = _training_basis(p.r, x, w_g)
+    t1 = time.perf_counter()
+    target = matmul(matmul(x, w_g.T), b)
+    l, r = p.l.copy(), matmul(p.r, b)
 
-    err = matmul(matmul(x, l), r) - target
+    xl = matmul(x, l)
+    err = matmul(xl, r) - target
     loss = float(np.sum(err * err))
     init = loss
     history = [loss]
     step = lr
     for _ in range(epochs):
-        prod_l, prod_r = _gradient_products(x, l, r, err)
+        prod_l, prod_r = _gradient_products(x, xl, r, err)
         grad_l = (2.0 / n) * prod_l
         grad_r = (2.0 / n) * prod_r
         cand_l = l - step * grad_l
         cand_r = r - step * grad_r
         with np.errstate(over="ignore", invalid="ignore"):
-            cand_err = matmul(matmul(x, cand_l), cand_r) - target
+            cand_xl = matmul(x, cand_l)
+            cand_err = matmul(cand_xl, cand_r) - target
             cand_loss = float(np.sum(cand_err * cand_err))
         hopeless = step <= lr * 2.0 ** -50 and init > 0.0 \
             and cand_loss > DIVERGENCE_FACTOR * init
@@ -98,24 +138,28 @@ def train(p: Predictor, calib: Matrix, w_g: Matrix, epochs: int = 50,
         if cand_loss > loss:
             step *= 0.5
             continue
-        l, r, err, loss = cand_l, cand_r, cand_err, cand_loss
+        l, r, xl, err, loss = cand_l, cand_r, cand_xl, cand_err, cand_loss
         history.append(loss)
-    return Predictor(l=l, r=r), history
+    log.debug("train: basis width %d, basis %.6f s, loop %.6f s",
+              b.shape[1], t1 - t0, time.perf_counter() - t1)
+    return Predictor(l=l, r=matmul(r, b.T)), history
 
 
-def _gradient_products(x: Matrix, l: Matrix, r: Matrix, err: Matrix) -> tuple[Matrix, Matrix]:
-    """x.T @ err @ R.T and (x @ L).T @ err: the gradients of sum(err**2)
-    w.r.t. (L, R), where err = x @ L @ R - x @ w_g.T, without their factor
-    2. ``train`` and ``loss_gradients`` each apply their own scale."""
-    return matmul(x.T, matmul(err, r.T)), matmul(matmul(x, l).T, err)
+def _gradient_products(x: Matrix, xl: Matrix, r: Matrix, err: Matrix) -> tuple[Matrix, Matrix]:
+    """x.T @ err @ R.T and (x @ L).T @ err, given xl = x @ L: the gradients
+    of sum(err**2) w.r.t. (L, R), where err = x @ L @ R - x @ w_g.T, without
+    their factor 2. ``train`` and ``loss_gradients`` each apply their own
+    scale."""
+    return matmul(x.T, matmul(err, r.T)), matmul(xl.T, err)
 
 
 def loss_gradients(p: Predictor, x: Matrix, w_g: Matrix) -> tuple[Matrix, Matrix]:
     """Analytic gradients of the reconstruction loss w.r.t. (L, R), by the
     formula ``train`` steps with; checked against central finite
     differences in the tests."""
-    err = matmul(matmul(x, p.l), p.r) - matmul(x, w_g.T)
-    prod_l, prod_r = _gradient_products(x, p.l, p.r, err)
+    xl = matmul(x, p.l)
+    err = matmul(xl, p.r) - matmul(x, w_g.T)
+    prod_l, prod_r = _gradient_products(x, xl, p.r, err)
     return 2.0 * prod_l, 2.0 * prod_r
 
 
@@ -140,13 +184,12 @@ def quantile_threshold(scores: np.ndarray, target: float) -> float:
     k = int(np.floor(target * n))
     if k <= 0:
         return 0.0
-    return float(np.sort(scores, kind="stable")[k - 1])
+    return float(np.partition(scores, k - 1)[k - 1])  # the k-th order statistic
 
 
 def build_threshold_table(p: Predictor, calib: Matrix, targets) -> ThresholdTable:
     """Pool |x @ L @ R| over the calibration set and pick one threshold per
-    target sparsity. The pool is sorted once, so each target's own sort in
-    ``quantile_threshold`` runs over presorted scores."""
+    target sparsity."""
     x = np.asarray(calib, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ShapeError("calibration set is empty")
@@ -154,7 +197,7 @@ def build_threshold_table(p: Predictor, calib: Matrix, targets) -> ThresholdTabl
     for t in targets:
         if not (0.0 <= t < 1.0):
             raise ShapeError(f"target sparsity {t} outside [0, 1)")
-    pooled = np.sort(p.scores(x).ravel(), kind="stable")
+    pooled = p.scores(x).ravel()
     entries = tuple(sorted((t, quantile_threshold(pooled, t)) for t in targets))
     return ThresholdTable(entries=entries)
 

@@ -194,7 +194,10 @@ def _load_decoder(cfg: ScenarioConfig) -> Decoder:
 def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
     """Calibrate, train and threshold one predictor per (layer, expert); write
     the SLIMWT1 weights and the threshold-table JSON. Returns a summary with
-    loss histories."""
+    loss histories. At ``SLIM_LOG=debug`` each (layer, expert) gets the
+    ``train:`` line (basis width and the seconds of the basis and the loop),
+    then one line with the wall-clock seconds of the SVD init, ``train`` and
+    the thresholds."""
     dec = _load_decoder(cfg)
     tp = cfg.train
     dim_lr = tp.dim_lr or default_dim_lr(cfg.model.dim_e)
@@ -205,9 +208,16 @@ def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
     summary = {"dim_lr": dim_lr, "layers": []}
     for li, lw in enumerate(dec.layers):
         for e in range(cfg.model.n_expert):
+            t0 = time.perf_counter()
             p0 = init_from_svd(lw.w_g[e], dim_lr)
+            t1 = time.perf_counter()
             p, history = train(p0, calib[li], lw.w_g[e], epochs=tp.epochs, lr=tp.lr)
+            t2 = time.perf_counter()
             tables[(li, e)] = build_threshold_table(p, calib[li], tp.targets)
+            t3 = time.perf_counter()
+            log.debug("train_predictors: layer %d expert %d, svd init %.6f s, "
+                      "train %.6f s, thresholds %.6f s",
+                      li, e, t1 - t0, t2 - t1, t3 - t2)
             pre = f"layer{li:02d}.expert{e:03d}."
             tensors[pre + "L"] = p.l
             tensors[pre + "R"] = p.r

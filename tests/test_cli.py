@@ -395,3 +395,29 @@ def test_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
     for name in ("report.csv", "report.json"):
         assert ((tmp_path / "info" / name).read_bytes()
                 == (tmp_path / "debug" / name).read_bytes())
+
+
+def test_train_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="slim")  # the CLI's default level
+    assert run("train", cfg_path, tmp_path / "info") == 0
+    stage = ("train:", "train_predictors:")
+    assert not [r for r in caplog.records if r.getMessage().startswith(stage)]
+
+    caplog.clear()
+    caplog.set_level(logging.DEBUG, logger="slim")
+    assert run("train", cfg_path, tmp_path / "debug") == 0
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith(stage)]
+    model = load_scenario(cfg_path).model
+    keys = [(li, e) for li in range(model.n_dec) for e in range(model.n_expert)]
+    # per (layer, expert), in order: train's own line, then the runner's
+    assert len(lines) == 2 * len(keys)
+    for (fit, done), (li, e) in zip(zip(lines[::2], lines[1::2]), keys):
+        # toy: 48 calibration tokens <= dim_e 64, so k = 48 + dim_lr 16
+        assert re.fullmatch(
+            r"train: basis width 64, basis \d+\.\d+ s, loop \d+\.\d+ s", fit), fit
+        assert re.fullmatch(
+            rf"train_predictors: layer {li} expert {e}, svd init \d+\.\d+ s, "
+            r"train \d+\.\d+ s, thresholds \d+\.\d+ s", done), done
+    for name in ("predictor.slimwt", "thresholds.json"):
+        assert ((tmp_path / "info" / name).read_bytes()
+                == (tmp_path / "debug" / name).read_bytes())

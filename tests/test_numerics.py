@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from slim.errors import RankError, ShapeError
 from slim.numerics import (
     matmul,
+    sigmoid,
     silu,
     softmax,
     truncated_svd,
@@ -22,6 +23,16 @@ def naive_matmul(a, b):
             for k in range(a.shape[1]):
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
+    return out
+
+
+def sign_split_sigmoid(x):
+    """The sign-split sigmoid: exp() of a nonpositive argument on each side."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
     return out
 
 
@@ -96,6 +107,23 @@ class TestSilu:
     def test_no_overflow(self):
         out = silu(np.array([[-1000.0, 1000.0]]))
         assert np.all(np.isfinite(out))
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, -745.0, -746.0, 1e-310, -1e-310,
+             5e-324, -5e-324, 36.7, -36.7, 1.0, -1.0]
+
+    def test_bitwise_sign_split_on_edges(self):
+        x = np.array(self.EDGES)
+        assert sigmoid(x).tobytes() == sign_split_sigmoid(x).tobytes()
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 1000.0])
+    def test_bitwise_sign_split_on_blocks(self, scale):
+        x = np.random.default_rng(int(scale * 10)).standard_normal((64, 256)) * scale
+        assert sigmoid(x).tobytes() == sign_split_sigmoid(x).tobytes()
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 class TestSoftmax:

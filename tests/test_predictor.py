@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from slim.errors import RankError, ShapeError, TrainingDivergence
 from slim.model import Decoder, ModelConfig, ffn_forward, harvest_ffn_inputs
 from slim.predictor import (
+    DIVERGENCE_FACTOR,
     Predictor,
     build_threshold_table,
     default_dim_lr,
@@ -16,12 +17,43 @@ from slim.predictor import (
     reconstruction_loss,
     thresholds_from_json,
     thresholds_to_json,
+    _training_basis,
     train,
 )
 
 
 def rand_gate(dim_h, dim_e, seed):
     return np.random.default_rng(seed).standard_normal((dim_h, dim_e)) / np.sqrt(dim_e)
+
+
+def reference_train(p, x, w_g, epochs, lr):
+    """``train``'s rules stepped in all of dim_h: the oracle for the basis."""
+    n = x.shape[0]
+    l, r = p.l.copy(), p.r.copy()
+    target = x @ w_g.T
+    err = x @ l @ r - target
+    loss = float(np.sum(err * err))
+    init = loss
+    history = [loss]
+    step = lr
+    for _ in range(epochs):
+        grad_l = (2.0 / n) * (x.T @ (err @ r.T))
+        grad_r = (2.0 / n) * ((x @ l).T @ err)
+        cand_l = l - step * grad_l
+        cand_r = r - step * grad_r
+        with np.errstate(over="ignore", invalid="ignore"):
+            cand_err = x @ cand_l @ cand_r - target
+            cand_loss = float(np.sum(cand_err * cand_err))
+        hopeless = step <= lr * 2.0 ** -50 and init > 0.0 \
+            and cand_loss > DIVERGENCE_FACTOR * init
+        if not np.isfinite(cand_loss) or hopeless:
+            raise TrainingDivergence("diverged", history + [cand_loss])
+        if cand_loss > loss:
+            step *= 0.5
+            continue
+        l, r, err, loss = cand_l, cand_r, cand_err, cand_loss
+        history.append(loss)
+    return Predictor(l=l, r=r), history
 
 
 class TestInit:
@@ -139,6 +171,55 @@ class TestTrain:
         trained, hist = train(p, x, w_g, epochs=100, lr=5.0)
         assert hist[-1] <= hist[0]
 
+    @pytest.mark.parametrize("case", [
+        # name: dim_h, dim_e, n_tokens, dim_lr, x scale, epochs, lr, R0 from the SVD
+        ("svd init", 48, 32, 24, 8, 1.0, 50, 1e-3, True),
+        ("random R0 off w_g's columns", 64, 16, 12, 4, 1.0, 50, 1e-3, False),
+        ("n > dim_e: basis from w_g", 64, 16, 40, 4, 1.0, 50, 1e-3, True),
+        ("n + dim_lr >= dim_h: complete basis", 20, 32, 16, 8, 1.0, 50, 1e-3, True),
+        ("lr=5.0 overshoot rejects steps", 12, 8, 30, 2, 4.0, 100, 5.0, True),
+    ], ids=lambda c: c[0])
+    def test_basis_matches_full_space_loop(self, case):
+        _, dim_h, dim_e, n, dim_lr, scale, epochs, lr, svd = case
+        rng = np.random.default_rng(dim_h * 1000 + n)
+        w_g = rand_gate(dim_h, dim_e, n)
+        p = (init_from_svd(w_g, dim_lr) if svd else
+             Predictor(l=rng.standard_normal((dim_e, dim_lr)),
+                       r=rng.standard_normal((dim_lr, dim_h))))
+        x = rng.standard_normal((n, dim_e)) * scale
+        b = _training_basis(p.r, x, w_g)
+        assert b.shape == (dim_h, min(min(n, dim_e) + dim_lr, dim_h))
+        np.testing.assert_allclose(b.T @ b, np.eye(b.shape[1]), atol=1e-13)
+
+        got, hist = train(p, x, w_g, epochs=epochs, lr=lr)
+        want, ref_hist = reference_train(p, x, w_g, epochs=epochs, lr=lr)
+        assert len(hist) == len(ref_hist)
+        if lr == 5.0:
+            assert len(hist) < epochs + 1  # the case does reject steps
+        np.testing.assert_allclose(hist, ref_hist, rtol=1e-12)
+        for a, ref in ((got.l, want.l), (got.r, want.r)):
+            np.testing.assert_allclose(a, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("scale", [1e100, 1e160, 1e300, np.inf])
+    def test_basis_diverges_like_full_space_loop(self, scale):
+        w_g = rand_gate(12, 8, 11)
+        p = init_from_svd(w_g, 2)
+        x = np.random.default_rng(12).standard_normal((30, 8)) * scale
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergence) as got:
+                train(p, x, w_g, epochs=200, lr=5.0)
+            with pytest.raises(TrainingDivergence) as want:
+                reference_train(p, x, w_g, epochs=200, lr=5.0)
+        # Same step, same finite losses. Which non-finite value a diverged loss
+        # takes is not pinned: at the SVD init the gradient is zero up to
+        # rounding, so at 1e160 the step follows rounding noise and the signs
+        # of the overflowing products decide between inf and nan.
+        hist, ref_hist = np.array(got.value.history), np.array(want.value.history)
+        assert hist.shape == ref_hist.shape
+        finite = np.isfinite(ref_hist)
+        assert np.array_equal(np.isfinite(hist), finite)
+        np.testing.assert_allclose(hist[finite], ref_hist[finite], rtol=1e-12)
+
     def test_shape_check(self):
         w_g = rand_gate(12, 8, 13)
         p = init_from_svd(w_g, 2)
@@ -153,6 +234,20 @@ class TestThresholds:
 
     def test_target_zero(self):
         assert quantile_threshold(np.array([0.4, 0.2]), 0.0) == 0.0
+
+    @given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]) | st.floats(0, 10),
+                    min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_order_statistic_matches_sort(self, pool):
+        # pools with ties and duplicates; every k from 0 (target 0) to n - 1
+        scores = np.array(pool)
+        ordered = np.sort(scores)
+        n = scores.size
+        for target in [i / n for i in range(n)] + [0.999999]:
+            k = int(np.floor(target * n))
+            got = quantile_threshold(scores, target)
+            assert got == (0.0 if k == 0 else ordered[k - 1])
+        assert np.array_equal(scores, np.array(pool))  # the pool is left as it was
 
     def test_table_monotone(self):
         w_g = rand_gate(24, 16, 14)
