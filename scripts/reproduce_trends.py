@@ -15,27 +15,11 @@ import argparse
 import json
 from pathlib import Path
 
-from slim.config import MODEL_PRESETS
-from slim.model import ModelConfig
-from slim.pim import DDR4_2400, BitSerialCostModel
-from slim.storage import nand_preset
-from slim.system import baseline_preset, evaluate_slim, nested_masks, run_baseline
+from slim.config import load_scenario
+from slim.runner import evaluate_baseline, evaluate_point
+from slim.system import nested_masks
 
-DRAM_GEO, DRAM_TIMING = DDR4_2400
-COST = BitSerialCostModel()
-# the SSD the GPU baselines sit next to: its channels cap the ssd_gpu source
-BASELINE_SSD = nand_preset("slc", "die")
 SPARSITIES = (0.0, 0.25, 0.5, 0.75)
-
-
-def model_for(name: str, seed: int) -> ModelConfig:
-    return ModelConfig(**MODEL_PRESETS[name], seed=seed)
-
-
-def slim_point(cfg, nand, level, masks, scheduler):
-    geo, timing = nand_preset(nand, level)
-    return evaluate_slim(cfg, geo, timing, DRAM_GEO, DRAM_TIMING, COST, masks,
-                         scheduler=scheduler)
 
 
 def headline_table(models, seed):
@@ -44,12 +28,12 @@ def headline_table(models, seed):
           f"{'die/ssd_gpu':>11} {'die/dram_gpu':>12}")
     rows = {}
     for name in models:
-        cfg = model_for(name, seed)
-        masks = nested_masks(cfg, 0.5, seed)
-        die = slim_point(cfg, "slc", "die", masks, "pipelined").throughput
-        ch = slim_point(cfg, "slc", "channel", masks, "pipelined").throughput
-        ssd = run_baseline(baseline_preset("ssd_gpu", *BASELINE_SSD), cfg, 0.0).throughput
-        dram = run_baseline(baseline_preset("dram_gpu", *BASELINE_SSD), cfg, 0.0).throughput
+        cfg = load_scenario({"model": name, "seed": seed})
+        masks = nested_masks(cfg.model, 0.5, cfg.seed)
+        die = evaluate_point(cfg, "slc", "die", masks).throughput
+        ch = evaluate_point(cfg, "slc", "channel", masks).throughput
+        ssd = evaluate_baseline(cfg, "ssd_gpu").throughput
+        dram = evaluate_baseline(cfg, "dram_gpu").throughput
         print(f"{name:>18} {die:8.2f} {ch:8.2f} {ssd:9.3f} {dram:9.3f} "
               f"{die / ssd:11.1f} {die / dram:12.2f}")
         rows[name] = {"die": die, "channel": ch, "ssd_gpu": ssd, "dram_gpu": dram}
@@ -57,8 +41,8 @@ def headline_table(models, seed):
 
 
 def sparsity_table(name, seed):
-    cfg = model_for(name, seed)
-    masks = {s: nested_masks(cfg, s, seed) for s in SPARSITIES}
+    cfg = load_scenario({"model": name, "seed": seed})
+    masks = {s: nested_masks(cfg.model, s, cfg.seed) for s in SPARSITIES}
     print(f"\n== {name}: throughput (tok/s) and raw read bandwidth (GB/s) vs sparsity")
     print(f"{'design':>12} " + " ".join(f"{f's={s}':>16}" for s in SPARSITIES))
     rows = {}
@@ -67,7 +51,7 @@ def sparsity_table(name, seed):
             cells = []
             pts = []
             for s in SPARSITIES:
-                r = slim_point(cfg, nand, level, masks[s], "pipelined")
+                r = evaluate_point(cfg, nand, level, masks[s])
                 bw = r.raw_bytes / r.phases.t_ssd / 1e9
                 cells.append(f"{r.throughput:7.2f}/{bw:6.2f}")
                 pts.append({"sparsity": s, "tok_per_s": r.throughput, "raw_gbps": bw})
@@ -82,8 +66,8 @@ def breakdown_table(models, seed):
           f"{'energy mJ':>10}")
     rows = {}
     for name in models:
-        cfg = model_for(name, seed)
-        r = slim_point(cfg, "slc", "die", nested_masks(cfg, 0.5, seed), "sequential")
+        cfg = load_scenario({"model": name, "seed": seed, "scheduler": "sequential"})
+        r = evaluate_point(cfg, "slc", "die", nested_masks(cfg.model, 0.5, cfg.seed))
         total = r.phases.t_dram + r.phases.t_ssd
         shares = {
             "qkvo": r.dram.qkvo.seconds / total,
@@ -103,7 +87,7 @@ def main():
     ap.add_argument("--out", default="slim_out/trends", help="output directory")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--quick", action="store_true",
-                    help="single model shape, die-level only")
+                    help="llama2-7B only, no MoE sparsity sweep")
     args = ap.parse_args()
 
     models = ["llama2_7b_shape"] if args.quick else [

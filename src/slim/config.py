@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .model import ModelConfig
-from .pim import BitSerialCostModel, DramGeometry, DramTiming
+from .pim import DDR4_2400, BitSerialCostModel, DramGeometry, DramTiming
 from .storage import NandTiming, NspParams, SsdGeometry, nand_preset
 from .system import EnergyConstants
 
@@ -33,7 +33,7 @@ MODEL_PRESETS: dict[str, dict] = {
                                n_expert=64, top_k=8, seq_len=2048),
 }
 
-DRAM_PRESETS = {"ddr4_2400": (DramGeometry(), DramTiming())}
+DRAM_PRESETS = {"ddr4_2400": DDR4_2400}
 NAND_NAMES = ("slc", "tlc")
 PE_LEVELS = ("die", "channel")
 SCHEDULERS = ("sequential", "pipelined")

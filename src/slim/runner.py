@@ -1,5 +1,6 @@
-"""Scenario execution: turn a resolved config into report rows, and the
-train/infer pipelines behind the CLI."""
+"""Scenario execution: evaluate a resolved config's design points and
+baselines, turn them into report rows, and the train/infer pipelines behind
+the CLI."""
 
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ from .predictor import (
 from .storage import nand_preset
 from .system import (
     ENERGY_COMPONENTS,
+    BaselineResult,
+    SlimResult,
     baseline_preset,
     evaluate_slim,
     nested_masks,
@@ -50,16 +53,32 @@ def _round(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-def _slim_row(cfg: ScenarioConfig, nand: str, pe_level: str, sparsity: float,
-              masks: dict, digest: str, emit_trace_to=None) -> dict:
+def evaluate_point(cfg: ScenarioConfig, nand: str, pe_level: str,
+                   masks: dict) -> SlimResult:
+    """One design point of the scenario: the scenario's own device at its own
+    (nand, pe_level), the named preset at any other, and every other
+    scenario field as configured."""
     geometry, timing = ((cfg.geometry, cfg.nand_timing)
                         if (nand, pe_level) == (cfg.nand, cfg.pe_level)
                         else nand_preset(nand, pe_level))
-    res = evaluate_slim(cfg.model, geometry, timing, cfg.dram_geometry,
-                        cfg.dram_timing, cfg.cost_model, masks,
-                        scheduler=cfg.scheduler, n_tokens=cfg.n_tokens,
-                        params=cfg.nsp, constants=cfg.energy,
-                        bytes_per_elem=cfg.bytes_per_elem)
+    return evaluate_slim(cfg.model, geometry, timing, cfg.dram_geometry,
+                         cfg.dram_timing, cfg.cost_model, masks,
+                         scheduler=cfg.scheduler, n_tokens=cfg.n_tokens,
+                         params=cfg.nsp, constants=cfg.energy,
+                         bytes_per_elem=cfg.bytes_per_elem)
+
+
+def evaluate_baseline(cfg: ScenarioConfig, kind: str) -> BaselineResult:
+    """The ``kind`` GPU baseline next to the scenario's SSD, at the
+    scenario's baseline sparsity."""
+    return run_baseline(baseline_preset(kind, cfg.geometry, cfg.nand_timing),
+                        cfg.model, cfg.baseline_sparsity, cfg.energy,
+                        cfg.bytes_per_elem)
+
+
+def _slim_row(cfg: ScenarioConfig, nand: str, pe_level: str, sparsity: float,
+              masks: dict, digest: str, emit_trace_to=None) -> dict:
+    res = evaluate_point(cfg, nand, pe_level, masks)
     if emit_trace_to is not None:
         emit_trace_to.extend(res.trace)
     row = {
@@ -83,9 +102,7 @@ def _slim_row(cfg: ScenarioConfig, nand: str, pe_level: str, sparsity: float,
 
 
 def _baseline_row(cfg: ScenarioConfig, kind: str, digest: str) -> dict:
-    bl = baseline_preset(kind, cfg.geometry, cfg.nand_timing)
-    res = run_baseline(bl, cfg.model, cfg.baseline_sparsity, cfg.energy,
-                       cfg.bytes_per_elem)
+    res = evaluate_baseline(cfg, kind)
     rate = res.bytes_moved / res.transfer_s / 1e9 if res.transfer_s else 0.0
     row = {
         "scenario": cfg.model_name,

@@ -1,14 +1,19 @@
-"""Pins of what the CLI writes.
+"""Pins of what the CLI and the trends script write.
 
 Most files under tests/golden/ hold the simulator's reports and traces for
-four scenarios; refactors and perf changes must reproduce them byte for
-byte. ``toy_train_infer.infer_report.json`` is the one tolerance pin (see
-its test). Goldens are regenerated only by a change that fixes a modeling
-bug and records the fix and the moved numbers in CHANGES.md.
+the scenarios in CASES, and ``trends_quick.json`` holds
+``scripts/reproduce_trends.py --quick``; refactors and perf changes must
+reproduce them byte for byte. ``toy_train_infer.infer_report.json`` is the
+one tolerance pin (see its test). Goldens are regenerated only by a change
+that fixes a modeling bug and records the fix and the moved numbers in
+CHANGES.md.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +65,16 @@ def test_infer_report_matches_golden_within_tolerance(tmp_path):
     for g, w in zip(got, want):
         assert math.isclose(g["output_mse"], w["output_mse"], rel_tol=1e-9, abs_tol=0.0), g
         assert abs(g["measured_sparsity"] - w["measured_sparsity"]) <= 1e-9, g
+
+
+def test_quick_trends_match_golden(tmp_path):
+    """`reproduce_trends.py --quick`, run as a script, writes the pinned
+    trends.json byte for byte."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_trends.py"),
+                    "--quick", "--out", str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    golden = GOLDEN / "trends_quick.json"
+    assert (tmp_path / "trends.json").read_bytes() == golden.read_bytes(), (
+        f"{tmp_path / 'trends.json'} differs from {golden}. Goldens are regenerated "
+        "only by a change that fixes a modeling bug and records it in CHANGES.md.")
