@@ -6,7 +6,9 @@ Produces, on stdout and under --out:
      against the PCIe-bound GPU baselines, per model shape;
   2. throughput and aggregate read bandwidth versus sparsity for the four
      design points on a selected shape;
-  3. per-token latency and energy breakdowns (pipelining disabled).
+  3. per-token latency and energy breakdowns; their shares of t_dram + t_ssd
+     and energy per token do not depend on the scheduler, which only sets
+     throughput.
 
 Everything is analytic/simulated; only shapes and masks matter, no weights.
 """
@@ -61,12 +63,12 @@ def sparsity_table(name, seed):
 
 
 def breakdown_table(models, seed):
-    print("\n== per-token breakdown at sparsity 0.5 (die-level SLC, sequential)")
+    print("\n== per-token breakdown at sparsity 0.5 (die-level SLC; any scheduler)")
     print(f"{'model':>18} {'qkvo%':>7} {'mha%':>7} {'pred%':>7} {'ffn(ssd)%':>10} "
           f"{'energy mJ':>10}")
     rows = {}
     for name in models:
-        cfg = load_scenario({"model": name, "seed": seed, "scheduler": "sequential"})
+        cfg = load_scenario({"model": name, "seed": seed})
         r = evaluate_point(cfg, "slc", "die", nested_masks(cfg.model, 0.5, cfg.seed))
         total = r.phases.t_dram + r.phases.t_ssd
         shares = {

@@ -52,10 +52,23 @@ def softmax(v: Matrix) -> Matrix:
 def truncated_svd(m: Matrix, r: int) -> tuple[Matrix, np.ndarray, Matrix]:
     """Best rank-r factorization: returns (U, S, V) with m ~= U @ diag(S) @ V.T.
 
-    S is nonincreasing and nonnegative; U is rows x r, V is cols x r.
+    S is nonincreasing and nonnegative; U is rows x r, V is cols x r. Taken
+    from the eigendecomposition of the smaller Gram matrix (``m @ m.T`` when
+    m has no more rows than columns, else that of ``m.T`` with the factors
+    swapped): U holds the top r eigenvectors, S the square roots of their
+    eigenvalues and V = m.T @ U / S (left 0 where S is 0). Forming the Gram
+    matrix squares the condition number, so the leading triplets are
+    accurate to working precision relative to S[0], while singular values
+    near sqrt(eps) * S[0] and below carry absolute errors of that order.
     """
     m = np.asarray(m, dtype=np.float64)
     if not (1 <= r <= min(m.shape)):
         raise RankError(f"rank {r} out of range for shape {m.shape}")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return u[:, :r].copy(), s[:r].copy(), vt[:r].T.copy()
+    if m.shape[0] > m.shape[1]:
+        v, s, u = truncated_svd(m.T, r)
+        return u, s, v
+    vals, vecs = np.linalg.eigh(m @ m.T)  # ascending eigenvalues
+    s = np.sqrt(np.clip(vals[::-1][:r], 0.0, None))
+    u = vecs[:, ::-1][:, :r].copy()
+    v = m.T @ u / np.where(s > 0, s, 1.0)
+    return u, s, v

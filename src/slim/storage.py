@@ -3,13 +3,14 @@ mapping, sparsity-driven read transactions, and channel-level vs die-level
 processing-engine scheduling.
 
 A token is scheduled in one call to ``simulate_ffn_pass``, every layer's pass
-at once as array operations. Die-level PEs are closed form per transaction.
+at once as array operations, from its read transactions as columns
+(``TokenReads``). Die-level PEs are closed form per transaction.
 Channel-level PEs share their channel's bus under a per-page rule (the die
 whose page is ready first goes next); each (layer, channel) is one row of a
-table of dies stepped in lockstep, and a row that has become bus-bound is
-closed in one left-to-right sum of its remaining slots. Every time equals,
-bit for bit, a heap loop over pages. Events are recorded as columns
-(``trace.EventColumns``).
+table of dies stepped in lockstep, and the rounds in which a row's dies take
+turns on the bus without it idling close in one left-to-right sum of their
+slots. Every time equals, bit for bit, a heap loop over pages. Events are
+recorded as columns (``trace.EventColumns``).
 
 A "fused vector" is one hidden neuron's weights (gate column + up column +
 down row, 3*dim_e elements) stored contiguously so a neuron is one storage
@@ -194,31 +195,37 @@ def map_weights(cfg: ModelConfig, geo: SsdGeometry, bytes_per_elem: int = 1) -> 
     return layout
 
 
-@dataclass(frozen=True)
-class ReadTransaction:
-    """What one die reads for one FFN pass: a page count, not the pages.
+@dataclass(frozen=True, eq=False)
+class TokenReads:
+    """What a token's FFN passes read, as columns: one entry per (layer, die)
+    that reads at least one page, in (layer, die) order; page counts, not
+    pages.
 
-    n_pages counts the die's pages that hold at least one active vector.
-    useful_bytes prorates each of those pages by the fraction of its resident
-    vectors that are active (a page serving a lone active vector counts
-    fully, so dense passes read at 100% efficiency and waste appears exactly
-    when packed neighbors are skipped). active_elems counts the weights
-    actually multiplied by the PE. The die's channel and the raw bytes follow
-    from ``die_index``, ``n_pages`` and the geometry.
+    ``n_pages`` counts the die's pages that hold at least one active vector.
+    ``useful_bytes`` prorates each of those pages by the fraction of its
+    resident vectors that are active (a page serving a lone active vector
+    counts fully, so dense passes read at 100% efficiency and waste appears
+    exactly when packed neighbors are skipped). ``active_elems`` counts the
+    weights actually multiplied by the PE. The die's channel and the raw
+    bytes follow from ``die``, ``n_pages`` and the geometry. Layers
+    ``0..n_layers-1`` each make one pass, those without an entry reading
+    nothing.
     """
 
-    die_index: int
-    n_pages: int
-    useful_bytes: float
-    active_elems: int
+    layer: np.ndarray
+    die: np.ndarray
+    n_pages: np.ndarray
+    useful_bytes: np.ndarray
+    active_elems: np.ndarray
+    n_layers: int
 
 
 def generate_read_transactions(layout: WeightLayout, masks: dict[tuple[int, int], np.ndarray]
-                               ) -> list[list[ReadTransaction]]:
-    """Per-die transactions of one token, one list per layer, given neuron
-    masks keyed by (layer, expert) as ``nested_masks`` returns them; a page
-    is read iff it holds at least one active neuron's data. Layers without a
-    mask read nothing.
+                               ) -> TokenReads:
+    """Per-die transactions of one token, given neuron masks keyed by
+    (layer, expert) as ``nested_masks`` returns them; a page is read iff it
+    holds at least one active neuron's data. Layers without a mask read
+    nothing.
 
     Group j of a slot sits on die ``(d0 + j) mod n_dies``, where ``d0`` is the
     die of the slot's first group (``place(slot, 0)``). So each slot's
@@ -245,8 +252,9 @@ def generate_read_transactions(layout: WeightLayout, masks: dict[tuple[int, int]
     resident = np.minimum(layout.packing_factor, layout.dim_h - starts)
     # rows enough for one slot's groups after any front pad below n_dies
     width = -(-(n_dies - 1 + n_groups) // n_dies) * n_dies
-    out = []
-    for slot_masks in by_layer:
+    empty = np.zeros(0, dtype=np.int64)
+    parts = [(empty, empty, empty, np.zeros(0), empty)]  # typed columns when nothing reads
+    for layer, slot_masks in enumerate(by_layer):
         active = np.zeros((len(slot_masks), width), dtype=np.int64)
         useful = np.zeros((len(slot_masks), width))
         for row, (slot, mask) in enumerate(slot_masks):
@@ -258,14 +266,14 @@ def generate_read_transactions(layout: WeightLayout, masks: dict[tuple[int, int]
             useful[row, pad:pad + n_groups] = layout.geo.page_bytes * counts / resident
         active, useful = active.reshape(-1, n_dies), useful.reshape(-1, n_dies)
         pages = np.count_nonzero(active, axis=0)
-        dies = np.flatnonzero(pages).tolist()
-        pages, elems = pages.tolist(), active.sum(axis=0).tolist()
-        useful = np.add.accumulate(useful, axis=0)[-1].tolist() if dies else []
-        out.append([ReadTransaction(die_index=d, n_pages=pages[d] * span,
-                                    useful_bytes=useful[d] * span,
-                                    active_elems=elems[d] * 3 * layout.dim_e)
-                    for d in dies])
-    return out
+        dies = np.flatnonzero(pages)
+        if dies.size:
+            parts.append((np.full(dies.size, layer), dies, pages[dies] * span,
+                          np.add.accumulate(useful, axis=0)[-1][dies] * span,
+                          active.sum(axis=0)[dies] * 3 * layout.dim_e))
+    layer, die, n_pages, useful, elems = map(np.concatenate, zip(*parts))
+    return TokenReads(layer=layer, die=die, n_pages=n_pages, useful_bytes=useful,
+                      active_elems=elems, n_layers=layout.n_dec)
 
 
 @dataclass(frozen=True)
@@ -285,36 +293,102 @@ class FfnPassResult:
 _CHUNK = 1 << 15
 
 
-def _round_robin_ends(ready, left, slot, bus):
-    """End of each row's bus when every remaining page starts the moment the
-    bus frees and the dies take turns in (ready, die) order, each leaving
-    when out of pages: ``bus`` plus the row's slots in serving order, summed
-    left to right. Round r serves every die with more than r pages left; an
-    unserved (round, die) adds slot * 0 = 0.0, which leaves the sum's bits
-    unchanged."""
-    order = np.argsort(ready, axis=1, kind="stable")
-    left = np.take_along_axis(left, order, axis=1)[:, None, :]
-    slot = np.take_along_axis(slot, order, axis=1)[:, None, :]
-    n_rows, _, width = left.shape
-    n_rounds = int(left.max())
-    rows_per_chunk = max(1, _CHUNK // (n_rounds * width))
-    rounds_per_chunk = max(1, _CHUNK // (rows_per_chunk * width))
+def _closable_rounds(ready, left, slot, bus, t_r: float):
+    """How many leading rounds of each row run bus-bound (0 when round 0
+    does not). Tables are (row, die), each row's dies in (ready, die) order,
+    and every bus is past the broadcast.
+
+    Round r serves, in that order, every die with more than r pages left.
+    Round 0 runs bus-bound when every queued die is ready by its turn:
+    ``bus`` plus the slots of the dies before it. It also needs each die
+    ready before the first page pushed in the round (the first served die
+    with more pages, at its turn plus t_r), so that no served die comes
+    back before the round ends. Round r >= 1 runs bus-bound when the slots
+    of the dies with more than r pages sum to at least t_r: between a die's
+    turns the bus serves each of them once. Those sums fall as dies run
+    out, so the rounds that pass lead; the last round a die serves in
+    passes when the dies with at least its pages reach t_r."""
+    n_rows, width = ready.shape
+    turn = np.add.accumulate(np.column_stack((bus, slot[:, :-1])), axis=1)
+    more = left > 1
+    first = more.argmax(axis=1)
+    first_push = np.where(more.any(axis=1), turn[np.arange(n_rows), first] + t_r, np.inf)
+    in_turn = (ready <= turn) & ((np.arange(width) <= first[:, None])
+                                 | (ready < first_push[:, None]))
+    round0 = np.all(in_turn | (left == 0), axis=1)
+    # by pages left, most first: the first die whose running slot sum
+    # reaches t_r has the most pages of those whose last round passes
+    by_left = np.argsort(-left, axis=1, kind="stable")
+    reach = np.add.accumulate(np.take_along_axis(slot, by_left, axis=1), axis=1) >= t_r
+    first_reach = by_left[np.arange(n_rows), reach.argmax(axis=1)]
+    last = np.where(reach.any(axis=1), left[np.arange(n_rows), first_reach], 0)
+    return np.where(round0, np.maximum(last, 1), 0)
+
+
+def _round_robin_ends(bus, ready, left, slot, rounds, t_r: float):
+    """Close ``rounds`` rounds of each row in one left-to-right sum.
+
+    Tables are (row, die), each row's dies in (ready, die) order, ``ready``
+    when each die's next page is ready. Round r serves every die with more
+    than r pages left, in that order, each page starting the moment the bus
+    frees: the bus is ``bus`` plus the slots in serving order, summed left
+    to right; an unserved (round, die) adds slot * 0 = 0.0, which leaves the
+    sum's bits unchanged. Rounds run in the time-major order of a
+    (round x die, row) array, in chunks of at most ``_CHUNK`` elements.
+
+    Returns the bus after the rounds, each die's ready time after them (its
+    last start + t_r), and per row two checks on the computed floats: every
+    served page was ready by its start (round 0: ``ready``; later: the die's
+    previous start + t_r), and the ready times pushed rise strictly in
+    serving order."""
+    n_rows, width = ready.shape
+    # int32 halves the bytes of the per-chunk round comparison
+    served_rounds = np.minimum(left, rounds[:, None]).T.astype(np.int32)
+    # due: each die's ready time in the chunk's first round; after: in the
+    # round after the row's last
+    slot, due = slot.T, ready.T.copy()
+    after = np.empty_like(due)
     end = bus.copy()
+    on_time = np.ones(n_rows, dtype=bool)
+    rising = np.ones(n_rows, dtype=bool)
+    rows_per_chunk = max(1, _CHUNK // width)
     for a in range(0, n_rows, rows_per_chunk):
         rows = slice(a, a + rows_per_chunk)
+        n, last_round = len(end[rows]), rounds[rows] - 1
+        n_rounds = int(rounds[rows].max())
+        rounds_per_chunk = max(1, _CHUNK // (n * width))
+        bufs = np.empty((2, 1 + rounds_per_chunk * width, n))
         for r in range(0, n_rounds, rounds_per_chunk):
-            served = np.arange(r, min(r + rounds_per_chunk, n_rounds))[:, None] < left[rows]
-            c, n, w = served.shape
-            steps = np.empty((c, 1 + n * w))
-            steps[:, 0] = end[rows]
-            np.multiply(served, slot[rows], out=steps[:, 1:].reshape(c, n, w))
-            end[rows] = np.add.accumulate(steps, axis=1, out=steps)[:, -1]
-    return end
+            c = min(rounds_per_chunk, n_rounds - r)
+            served = np.arange(r, r + c, dtype=np.int32)[:, None, None] < served_rounds[:, rows]
+            bus_at, pushed = bufs[:, :1 + c * width]
+            bus_at[0] = end[rows]
+            np.multiply(served, slot[:, rows], out=bus_at[1:].reshape(c, width, n))
+            # the running sum slot by slot across all rows: accumulate's
+            # additions, without its strided walk down axis 0
+            prev, *steps = bus_at
+            for step in steps:
+                np.add(prev, step, step)
+                prev = step
+            np.add(bus_at, t_r, out=pushed)
+            start = bus_at[:-1].reshape(c, width, n)
+            nxt = pushed[:-1].reshape(c, width, n)
+            idle = ~served
+            on_time[rows] &= ((due[:, rows] <= start[0]) | idle[0]).all(axis=0)
+            on_time[rows] &= ((nxt[:-1] <= start[1:]) | idle[1:]).all(axis=(0, 1))
+            rising[rows] &= ((pushed[1:] > pushed[:-1]) | idle.reshape(-1, n)).all(axis=0)
+            due[:, rows] = nxt[-1]
+            k = last_round - r
+            ends_here = np.flatnonzero((k >= 0) & (k < c))
+            after[:, a + ends_here] = nxt[k[ends_here], :, ends_here].T
+            end[rows] = bus_at[-1]
+    return end, after.T, on_time, rising
 
 
 def _channel_bus_ends(ready, left, slot, t_r: float, bcast: float):
     """When each row's shared channel bus finishes streaming its dies'
-    pages, with the lockstep steps taken and the rows closed.
+    pages, with the lockstep steps taken and the rows closed in full and
+    by rounds.
 
     A row is one (layer, channel) and a column one of its dies, in
     ascending die index: its first page is ready at ``ready``, it has
@@ -324,18 +398,19 @@ def _channel_bus_ends(ready, left, slot, t_r: float, bcast: float):
     its next page is ready t_r after that start. Every live row takes that
     step at once: ``argmin`` per row picks the lower column on ties.
 
-    A row closes once it is bus-bound for the rest: the bus frees after
-    every queued die is ready, and every queued slot is at least t_r. (Ready
-    times are positive, so the row has taken a step and its bus is past the
-    broadcast.) From there each page starts when the bus frees, the page
-    a served die reads next is ready by the time the bus frees again, and
-    the dies take turns in their (ready, die) order as long as each ready
-    time pushed exceeds the one before, which t_r >= one ulp of the row's
-    end guarantees. ``_round_robin_ends`` then gives the end with the loop's
-    own IEEE sums; a row failing the ulp check is stepped to its end. Rows
-    are checked when the step count is 0 or a power of two: a bus-bound row
-    stays bus-bound (a served die's next page is ready by start + t_r <=
-    start + slot), so a later check closes it just the same.
+    Rows are checked when the step count is a power of two; every bus is
+    then past the broadcast, as each row has served a page. With the dies
+    in (ready, die) order, a row whose first R >= 2 rounds run
+    bus-bound (``_closable_rounds``) closes those rounds in one sum
+    (``_round_robin_ends``): in round 0 each die is the earliest entry of
+    the heap at its turn, and from there on every die has been served, so
+    the heap serves the least recently served die, whose pushed ready time
+    is the smallest as long as pushed times rise strictly. The close keeps
+    a row's result only if the computed floats bear this out: every page
+    served by its start, pushed times rising, and t_r at least one ulp of
+    the row's end. A row failing the last two is stepped to its end; one
+    whose pages were late is checked again later. A closed row's dies
+    then wait for their last start + t_r, and the rest steps in lockstep.
     """
     n_rows, width = ready.shape
     end = np.empty(n_rows)
@@ -344,25 +419,41 @@ def _channel_bus_ends(ready, left, slot, t_r: float, bcast: float):
     bus = np.zeros(n_rows)
     pages = left.sum(axis=1)
     may_close = np.ones(n_rows, dtype=bool)
-    steps = closed = 0
+    steps = full = by_rounds = 0
     while True:
+        if steps and steps & (steps - 1) == 0:
+            # necessary for two rounds: slots enough for round 1, and the
+            # last queued die ready by its turn at the latest
+            queued = left > 0
+            total = np.where(queued, slot, 0.0).sum(axis=1)
+            latest = np.where(queued, ready, -np.inf).max(axis=1)
+            at = np.flatnonzero(may_close & (total >= t_r) & (latest <= bus + total))
+            order = np.argsort(ready[at], axis=1, kind="stable")
+            cells = (at[:, None], order)
+            rounds = _closable_rounds(ready[cells], left[cells], slot[cells], bus[at], t_r)
+            pick = rounds > 1
+            if pick.any():
+                at, order, rounds = at[pick], order[pick], rounds[pick]
+                cells = (at[:, None], order)
+                ends, due, on_time, rising = _round_robin_ends(
+                    bus[at], ready[cells], left[cells], slot[cells], rounds, t_r)
+                exact = rising & (np.spacing(ends) <= t_r)
+                may_close[at[~exact]] = False
+                keep = exact & on_time
+                at, order, rounds = at[keep], order[keep], rounds[keep]
+                cells = (at[:, None], order)
+                left[cells] -= np.minimum(left[cells], rounds[:, None])
+                ready[cells] = np.where(left[cells] > 0, due[keep], np.inf)
+                bus[at], pages[at] = ends[keep], left[at].sum(axis=1)
+                closed = int(np.count_nonzero(pages[at] == 0))
+                full, by_rounds = full + closed, by_rounds + at.size - closed
         done = pages == 0
         if done.any():
             end[ids[done]] = bus[done]
             ids, ready, left, slot, bus, pages, may_close = (
                 a[~done] for a in (ids, ready, left, slot, bus, pages, may_close))
         if not ids.size:
-            return end, steps, closed
-        if steps & (steps - 1) == 0:
-            at = np.flatnonzero(may_close & np.all(
-                (left == 0) | ((ready <= bus[:, None]) & (slot >= t_r)), axis=1))
-            if at.size:
-                ends = _round_robin_ends(ready[at], left[at], slot[at], bus[at])
-                exact = np.spacing(ends) <= t_r
-                bus[at[exact]], pages[at[exact]] = ends[exact], 0
-                may_close[at[~exact]] = False
-                closed += int(exact.sum())
-                continue
+            return end, steps, full, by_rounds
         at = ready.argmin(axis=1) + np.arange(0, ids.size * width, width)
         flat_ready, flat_left = ready.reshape(-1), left.reshape(-1)
         start = np.maximum(np.maximum(bus, flat_ready[at]), bcast)
@@ -373,19 +464,19 @@ def _channel_bus_ends(ready, left, slot, t_r: float, bcast: float):
         steps += 1
 
 
-def simulate_ffn_pass(layer_txns: list[list[ReadTransaction]], timing: NandTiming,
+def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
                       geo: SsdGeometry, batch_tokens: int = 1, *, dim_e: int,
                       params: NspParams = NspParams(), trace: EventColumns | None = None,
                       t_start: float = 0.0) -> FfnPassResult:
     """Schedule a token's FFN passes, one per layer, over the NSP engines.
 
-    ``layer_txns`` holds one list of transactions per layer, as
-    ``generate_read_transactions`` returns them. Each layer's pass starts
+    ``reads`` holds the token's transactions as ``generate_read_transactions``
+    returns them, one pass per layer of ``reads.n_layers``. Each layer's pass starts
     when the one before ends: layer i's events are offset by ``t_start``
     plus the latencies of layers 0..i-1, added in layer order.
 
     Steps of a pass: broadcast the input activations to every PE buffer,
-    translate transactions in the FTL (one fixed-latency issue each, in list
+    translate transactions in the FTL (one fixed-latency issue each, in die
     order, pipelined with the reads), stream page reads through the PEs
     (double-buffered, so each page costs max(read, compute)), and finally
     collect partial sums over the channel bus (die-level PEs, dies in index
@@ -399,18 +490,19 @@ def simulate_ffn_pass(layer_txns: list[list[ReadTransaction]], timing: NandTimin
     holds one buffered page and starts its next array read when that page
     goes onto the bus, and each page holds the bus for max(transfer,
     compute). Every (layer, channel) of the token is one row of one
-    schedule stepped in lockstep, and a row closes in one sum once it is
-    bus-bound (``_channel_bus_ends``); the result is bit-identical to a
-    heap loop over every page.
+    schedule stepped in lockstep, and a row closes the rounds in which its
+    dies take turns bus-bound in one sum (``_channel_bus_ends``); the
+    result is bit-identical to a heap loop over every page.
 
     Within a transaction the per-page compute time uses the transaction's
-    mean active elements per page. A layer's transactions must target
-    distinct dies and hold at least one page (generate_read_transactions
-    emits at most one per die, never an empty one); ShapeError otherwise.
+    mean active elements per page. Entries must be in (layer, die) order
+    with layers below ``n_layers``, target distinct dies within a layer and
+    hold at least one page each (generate_read_transactions emits at most
+    one per die, never an empty one); ShapeError otherwise.
     Events go to ``trace`` in each layer's order: broadcast, reads and MACs
     per transaction, then partial sums. At ``SLIM_LOG=debug`` one line gives
     the seconds spent on the schedule and on the events, the lockstep steps
-    and the channel rows closed.
+    and the channel rows closed in full and by rounds.
     """
     t0 = time.perf_counter()
     t_r = timing.t_r_us * 1e-6
@@ -432,24 +524,23 @@ def simulate_ffn_pass(layer_txns: list[list[ReadTransaction]], timing: NandTimin
         bcast = geo.n_ch * in_bytes / onchip_rate
         psum_s = psum_bytes / onchip_rate
 
-    n_layers = len(layer_txns)
-    counts = np.array([len(txns) for txns in layer_txns], dtype=np.int64)
-    flat = [txn for txns in layer_txns for txn in txns]
-    n = len(flat)
-    die = np.fromiter((t.die_index for t in flat), np.int64, n)
-    pages = np.fromiter((t.n_pages for t in flat), np.int64, n)
-    elems = np.fromiter((t.active_elems for t in flat), np.int64, n)
-    useful = np.fromiter((t.useful_bytes for t in flat), np.float64, n)
-    layer = np.repeat(np.arange(n_layers), counts)
-    first_txn = np.cumsum(counts) - counts
-    pos = np.arange(n) - first_txn[layer]
-
-    by_die = np.lexsort((die, layer))
-    twice = (layer[by_die][1:] == layer[by_die][:-1]) & (die[by_die][1:] == die[by_die][:-1])
+    n_layers = reads.n_layers
+    layer, die, pages = reads.layer, reads.die, reads.n_pages
+    elems, useful = reads.active_elems, reads.useful_bytes
+    n = len(die)
+    if ((layer < 0) | (layer >= n_layers)).any():
+        raise ShapeError(f"transactions outside layers 0..{n_layers - 1}")
+    same_layer = np.diff(layer) == 0
+    twice = same_layer & (np.diff(die) == 0)
     if twice.any():
-        raise ShapeError(f"two transactions target die {die[by_die][1:][twice][0]}")
+        raise ShapeError(f"two transactions target die {die[1:][twice][0]}")
+    if (np.diff(layer) < 0).any() or (same_layer & (np.diff(die) < 0)).any():
+        raise ShapeError("transactions out of (layer, die) order")
     if (pages < 1).any():
         raise ShapeError(f"transaction for die {die[pages < 1][0]} has no pages")
+    counts = np.bincount(layer, minlength=n_layers)
+    first_txn = np.cumsum(counts) - counts
+    pos = np.arange(n) - first_txn[layer]
 
     width = int(counts.max(initial=0))
     # step 2: LPA translation, serialized in firmware
@@ -471,7 +562,7 @@ def simulate_ffn_pass(layer_txns: list[list[ReadTransaction]], timing: NandTimin
     n_rows, row_width = len(first_of_row), int(col.max(initial=-1)) + 1
     row_size = np.diff(first_of_row, append=n)
     layer_end = np.full(n_layers, bcast)
-    steps = closed = 0
+    steps = full = by_rounds = 0
 
     if die_level:
         done = np.maximum(issue + pages * np.maximum(t_r, compute), bcast)
@@ -493,7 +584,7 @@ def simulate_ffn_pass(layer_txns: list[list[ReadTransaction]], timing: NandTimin
         left[row_of, col] = pages[order]
         slots = np.zeros((n_rows, row_width))
         slots[row_of, col] = slot[order]
-        bus, steps, closed = _channel_bus_ends(ready, left, slots, t_r, bcast)
+        bus, steps, full, by_rounds = _channel_bus_ends(ready, left, slots, t_r, bcast)
         # step 4: the on-chip bus collects the channels' partial sums in channel order
         row_rank = np.arange(n_rows) - np.searchsorted(row_layer, row_layer)
         onchip = np.zeros(n_layers)
@@ -529,21 +620,17 @@ def simulate_ffn_pass(layer_txns: list[list[ReadTransaction]], timing: NandTimin
             at = off[layer] + geo.n_ch + 2 * pos
             put(at, done, "die", die, "nand_read", read_bytes)
             put(at + 1, done, "die", die, "pe_mac", macs)
-            rank = np.arange(n) - first_txn[layer[by_die]]
-            at = off[layer[by_die]] + geo.n_ch + 2 * counts[layer[by_die]] + rank
-            put(at, psum_end[by_die], "ch", ch[by_die], "ch_bus", psum_bytes)
+            at = off[layer] + geo.n_ch + 2 * counts[layer] + pos
+            put(at, psum_end, "ch", ch, "ch_bus", psum_bytes)
         else:
             put(off, bcast, "onchip", -1, "onchip_bus", geo.n_ch * in_bytes)
-            # a channel's transactions in list order, channels in index order
-            by_ch = np.lexsort((pos, ch, layer))
-            txn_row = np.empty(n, dtype=np.int64)
-            txn_row[order] = row_of
-            rank = np.arange(n) - first_txn[layer[by_ch]]
-            at = off[layer[by_ch]] + 1 + 3 * rank
-            t = bus[txn_row[by_ch]]
-            put(at, t, "die", die[by_ch], "nand_read", read_bytes[by_ch])
-            put(at + 1, t, "ch", ch[by_ch], "ch_bus", read_bytes[by_ch])
-            put(at + 2, t, "fmc", ch[by_ch], "pe_mac", macs[by_ch])
+            # a channel's transactions in die order, channels in index order
+            # (``order`` moves entries within their layer only)
+            at = off[layer] + 1 + 3 * pos
+            t = bus[row_of]
+            put(at, t, "die", die[order], "nand_read", read_bytes[order])
+            put(at + 1, t, "ch", ch[order], "ch_bus", read_bytes[order])
+            put(at + 2, t, "fmc", ch[order], "pe_mac", macs[order])
             at = off[row_layer] + 1 + 3 * counts[row_layer] + row_rank
             put(at, psum_end, "onchip", -1, "onchip_bus", psum_bytes)
         t, *rest = cols
@@ -551,8 +638,8 @@ def simulate_ffn_pass(layer_txns: list[list[ReadTransaction]], timing: NandTimin
         trace.extend(t_ns.astype(np.int64), *rest, np.ones(len(t), dtype=bool))
     t2 = time.perf_counter()
     log.debug("simulate_ffn_pass: %d layers, schedule %.6f s (%d lockstep steps, "
-              "%d of %d channel rows closed), events %.6f s",
-              n_layers, t1 - t0, steps, closed, 0 if die_level else n_rows, t2 - t1)
+              "%d of %d channel rows closed in full, %d by rounds), events %.6f s",
+              n_layers, t1 - t0, steps, full, 0 if die_level else n_rows, by_rounds, t2 - t1)
     return FfnPassResult(
         latency_s=float(np.add.accumulate(np.array([0.0] + lat))[-1]),
         layer_latency_s=tuple(lat), raw_bytes=int(pages.sum()) * geo.page_bytes,

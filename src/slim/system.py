@@ -306,11 +306,11 @@ def evaluate_slim(model: ModelConfig, geo: SsdGeometry, timing: NandTiming,
     t0 = time.perf_counter()
     layout = map_weights(model, geo, bytes_per_elem)
     t1 = time.perf_counter()
-    layer_txns = generate_read_transactions(layout, masks)
+    reads = generate_read_transactions(layout, masks)
     t2 = time.perf_counter()
 
     events = EventColumns()
-    ffn = simulate_ffn_pass(layer_txns, timing, geo, model.batch, dim_e=model.dim_e,
+    ffn = simulate_ffn_pass(reads, timing, geo, model.batch, dim_e=model.dim_e,
                             params=params, trace=events)
     t_ssd = ffn.latency_s
     t3 = time.perf_counter()

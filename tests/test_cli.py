@@ -380,17 +380,17 @@ def test_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
         "layout", "transactions", "ffn passes", "dram cost", "energy fold"))
     assert all(re.fullmatch(f"evaluate_slim: {timed}", line) for line in stages)
     passes = [re.fullmatch(r"simulate_ffn_pass: 4 layers, schedule \d+\.\d+ s "
-                           r"\((\d+) lockstep steps, (\d+) of (\d+) channel rows closed\), "
-                           r"events \d+\.\d+ s", r.getMessage())
+                           r"\((\d+) lockstep steps, (\d+) of (\d+) channel rows closed "
+                           r"in full, (\d+) by rounds\), events \d+\.\d+ s", r.getMessage())
               for r in caplog.records if r.getMessage().startswith("simulate_ffn_pass:")]
     assert len(passes) == len(stages) and all(passes)  # one per design point
     # per sparsity the sweep runs die-level SLC and TLC, then channel-level SLC and TLC
     for i, m in enumerate(passes):
-        steps, closed, rows = map(int, m.groups())
+        steps, full, rows, by_rounds = map(int, m.groups())
         if i % 4 < 2:
-            assert steps == closed == rows == 0
+            assert steps == full == rows == by_rounds == 0
         else:
-            assert steps > 0 and 0 < rows and closed <= rows
+            assert steps > 0 and 0 < rows and full <= rows
     assert len(draws) == len(TOY_DOC["sparsity_targets"])
     for name in ("report.csv", "report.json"):
         assert ((tmp_path / "info" / name).read_bytes()

@@ -36,20 +36,6 @@ def sign_split_sigmoid(x):
     return out
 
 
-def gram_svd(m, r):
-    """Independent truncated SVD via eigendecomposition of the Gram matrix."""
-    if m.shape[0] <= m.shape[1]:
-        g = m @ m.T
-        vals, vecs = np.linalg.eigh(g)
-        order = np.argsort(vals)[::-1][:r]
-        s = np.sqrt(np.clip(vals[order], 0, None))
-        u = vecs[:, order]
-        v = m.T @ u / np.where(s > 0, s, 1.0)
-        return u, s, v
-    u, s, v = gram_svd(m.T, r)
-    return v, s, u
-
-
 class TestMatmul:
     def test_identity(self):
         m = np.arange(9.0).reshape(3, 3)
@@ -167,15 +153,29 @@ class TestTruncatedSvd:
         u, s, v = truncated_svd(np.eye(6), 6)
         assert_allclose(u @ np.diag(s) @ v.T, np.eye(6), atol=1e-12)
 
-    def test_matches_gram_oracle(self):
+    @pytest.mark.parametrize("shape, spectrum, r", [
+        ((20, 30), None, 5),  # a random matrix, wide
+        ((30, 20), None, 5),  # and tall: the Gram matrix of m.T
+        # singular values from 1 down to 1e-3, the top part kept
+        ((24, 40), np.geomspace(1.0, 1e-3, 24), 8),
+    ])
+    def test_matches_svd_oracle(self, shape, spectrum, r):
+        """The leading triplets agree with LAPACK's SVD: singular values to
+        working precision of the largest, and the same rank-r product."""
         rng = np.random.default_rng(7)
-        m = rng.standard_normal((20, 30))
-        u, s, v = truncated_svd(m, 5)
-        err = np.linalg.norm(u @ np.diag(s) @ v.T - m)
-        uo, so, vo = gram_svd(m, 5)
-        err_oracle = np.linalg.norm(uo @ np.diag(so) @ vo.T - m)
-        assert abs(err - err_oracle) < 1e-8
-        assert np.all(np.diff(s) <= 1e-12) and np.all(s >= 0)
+        m = rng.standard_normal(shape)
+        if spectrum is not None:
+            q1, _ = np.linalg.qr(rng.standard_normal((shape[0], shape[0])))
+            q2, _ = np.linalg.qr(rng.standard_normal((shape[1], shape[0])))
+            m = q1 @ np.diag(spectrum) @ q2.T
+        u, s, v = truncated_svd(m, r)
+        uo, so, vto = np.linalg.svd(m, full_matrices=False)
+        assert u.shape == (shape[0], r) and v.shape == (shape[1], r)
+        assert_allclose(s, so[:r], rtol=0, atol=1e-12 * so[0])
+        assert_allclose(u @ np.diag(s) @ v.T, uo[:, :r] @ np.diag(so[:r]) @ vto[:r],
+                        rtol=0, atol=1e-10 * so[0])
+        assert_allclose(u.T @ u, np.eye(r), atol=1e-12)
+        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
 
     def test_full_rank_reconstructs(self):
         rng = np.random.default_rng(8)

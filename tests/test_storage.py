@@ -1,5 +1,6 @@
 import heapq
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from slim.storage import (
     FfnPassResult,
     NandTiming,
     NspParams,
-    ReadTransaction,
     SsdGeometry,
+    TokenReads,
     generate_read_transactions,
     map_weights,
     nand_preset,
@@ -31,11 +32,32 @@ def full_masks(cfg, value=True):
     return {(0, e): np.full(cfg.dim_h, value, dtype=bool) for e in range(cfg.n_expert)}
 
 
+# one die's transaction of one layer, as a row
+Txn = namedtuple("Txn", "die_index n_pages useful_bytes active_elems")
+
+
 def page_txn(geo, die_index, n_pages, elems_per_page):
     """A hand-built transaction of n_pages full pages on one die."""
-    return ReadTransaction(die_index=die_index, n_pages=n_pages,
-                           useful_bytes=float(n_pages * geo.page_bytes),
-                           active_elems=n_pages * elems_per_page)
+    return Txn(die_index=die_index, n_pages=n_pages,
+               useful_bytes=float(n_pages * geo.page_bytes),
+               active_elems=n_pages * elems_per_page)
+
+
+def token_reads(token):
+    """The columnar record of a token given as one list of rows per layer,
+    each layer's rows in the order given."""
+    rows = [(layer, *txn) for layer, txns in enumerate(token) for txn in txns]
+    cols = list(zip(*rows)) or [()] * 5
+    return TokenReads(*(np.array(c, dtype=dt) for c, dt in zip(
+        cols, (np.int64, np.int64, np.int64, np.float64, np.int64))), n_layers=len(token))
+
+
+def layer_rows(reads, layer):
+    """One layer's entries of a record, as rows of built-in numbers."""
+    at = reads.layer == layer
+    return [Txn(*row) for row in zip(reads.die[at].tolist(), reads.n_pages[at].tolist(),
+                                     reads.useful_bytes[at].tolist(),
+                                     reads.active_elems[at].tolist())]
 
 
 def raw_bytes(txns, geo):
@@ -98,7 +120,7 @@ class TestTransactions:
         geo, _ = nand_preset("slc", "die")
         cfg = ModelConfig(n_dec=1, dim_e=4096, dim_h=128, n_heads=4, seed=0)
         layout = map_weights(cfg, geo)
-        txns = generate_read_transactions(layout, full_masks(cfg))[0]
+        txns = layer_rows(generate_read_transactions(layout, full_masks(cfg)), 0)
         assert sum(t.n_pages for t in txns) == cfg.dim_h * layout.span_pages
         assert sum(t.useful_bytes for t in txns) == raw_bytes(txns, geo)
 
@@ -108,7 +130,7 @@ class TestTransactions:
         layout = map_weights(cfg, geo)
         mask = np.zeros(cfg.dim_h, dtype=bool)
         mask[::2] = True
-        txns = generate_read_transactions(layout, {(0, 0): mask})[0]
+        txns = layer_rows(generate_read_transactions(layout, {(0, 0): mask}), 0)
         assert sum(t.n_pages for t in txns) == cfg.dim_h // 2 * layout.span_pages
         assert sum(t.useful_bytes for t in txns) == raw_bytes(txns, geo)
 
@@ -117,7 +139,7 @@ class TestTransactions:
         layout = map_weights(TOY, geo)  # packing 2
         mask = np.zeros(TOY.dim_h, dtype=bool)
         mask[::2] = True  # one active vector in every packed pair
-        txns = generate_read_transactions(layout, {(0, 0): mask})[0]
+        txns = layer_rows(generate_read_transactions(layout, {(0, 0): mask}), 0)
         total = raw_bytes(txns, geo)
         useful = sum(t.useful_bytes for t in txns)
         assert sum(t.n_pages for t in txns) == TOY.dim_h // 2  # every page still read
@@ -129,7 +151,7 @@ class TestTransactions:
         rng = np.random.default_rng(0)
         for _ in range(20):
             mask = rng.random(TOY.dim_h) < rng.random()
-            txns = generate_read_transactions(layout, {(1, 0): mask})[1]
+            txns = layer_rows(generate_read_transactions(layout, {(1, 0): mask}), 1)
             assert sum(t.useful_bytes for t in txns) <= raw_bytes(txns, geo) + 1e-9
 
     def test_pages_monotone_in_sparsity(self):
@@ -140,7 +162,7 @@ class TestTransactions:
         for frac in (1.0, 0.75, 0.5, 0.25):
             mask = np.zeros(TOY.dim_h, dtype=bool)
             mask[perm[: int(frac * TOY.dim_h)]] = True
-            pages = sum(t.n_pages for t in generate_read_transactions(layout, {(0, 0): mask})[0])
+            pages = generate_read_transactions(layout, {(0, 0): mask}).n_pages.sum()
             if prev is not None:
                 assert pages <= prev
             prev = pages
@@ -217,7 +239,20 @@ class TestFfnPass:
         geo, timing = nand_preset("slc", level)
         txn = page_txn(geo, 0, n_pages, 4096)
         with pytest.raises(ShapeError):
-            simulate_ffn_pass([[txn] * copies], timing, geo, dim_e=4096)
+            simulate_ffn_pass(token_reads([[txn] * copies]), timing, geo, dim_e=4096)
+
+    @pytest.mark.parametrize("layer, die", [
+        ([0, 0], [1, 0]),  # dies of a layer out of order
+        ([1, 0], [0, 1]),  # layers out of order
+        ([0, 2], [0, 0]),  # a layer past n_layers
+    ])
+    def test_entries_in_layer_die_order(self, layer, die):
+        geo, timing = nand_preset("slc", "channel")
+        reads = TokenReads(layer=np.array(layer), die=np.array(die), n_pages=np.ones(2, int),
+                           useful_bytes=np.full(2, 4096.0), active_elems=np.ones(2, int),
+                           n_layers=2)
+        with pytest.raises(ShapeError):
+            simulate_ffn_pass(reads, timing, geo, dim_e=4096)
 
 
 class TestWriteModel:
@@ -322,8 +357,8 @@ def reference_transactions(ref, cfg, geo, layer, masks):
         for p in pages:
             active, resident = pages_by_die[die][p]
             useful += geo.page_bytes * active / resident
-        txns.append(ReadTransaction(die_index=die, n_pages=len(pages), useful_bytes=useful,
-                                    active_elems=elems_by_die[die]))
+        txns.append(Txn(die_index=die, n_pages=len(pages), useful_bytes=useful,
+                        active_elems=elems_by_die[die]))
     return txns
 
 
@@ -384,18 +419,19 @@ def test_closed_form_matches_reference(case):
     assert got.dtype == ref["pages_used_per_die"].dtype
     assert np.array_equal(got, ref["pages_used_per_die"])
 
-    token = generate_read_transactions(layout, masks)
-    assert len(token) == cfg.n_dec
-    for layer, got in enumerate(token):
+    reads = generate_read_transactions(layout, masks)
+    assert reads.n_layers == cfg.n_dec
+    for name in ("layer", "die", "n_pages", "active_elems"):
+        assert getattr(reads, name).dtype == np.int64, name
+    assert reads.useful_bytes.dtype == np.float64
+    for layer in range(cfg.n_dec):
+        got = layer_rows(reads, layer)
         want = reference_transactions(ref, cfg, geo, layer,
                                       {e: m for (li, e), m in masks.items() if li == layer})
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            for name in ("die_index", "n_pages", "useful_bytes", "active_elems"):
-                assert getattr(g, name) == getattr(w, name), name
-            assert g.useful_bytes.hex() == w.useful_bytes.hex()
-            assert all(type(v) is int for v in (g.die_index, g.n_pages, g.active_elems))
-            assert type(g.useful_bytes) is float
+        assert got == want
+        assert [g.useful_bytes.hex() for g in got] == [w.useful_bytes.hex() for w in want]
+    # entries in (layer, die) order
+    assert np.all(np.diff(reads.layer * geo.n_dies + reads.die) > 0)
 
 
 @pytest.mark.parametrize("slot, length", [
@@ -412,7 +448,7 @@ def test_bad_masks_rejected(slot, length):
 
 # --- reference: the FFN pass as one heap push/pop per channel-level page ---
 
-def reference_ffn_pass(transactions: list[ReadTransaction], timing: NandTiming,
+def reference_ffn_pass(transactions: list[Txn], timing: NandTiming,
                       geo: SsdGeometry, batch_tokens: int = 1, *, dim_e: int,
                       params: NspParams = NspParams(), trace: list | None = None,
                       t_start: float = 0.0) -> FfnPassResult:
@@ -545,7 +581,7 @@ def devices(draw):
 def layer_txns(draw, geo):
     dies = draw(st.lists(st.integers(0, geo.n_dies - 1), unique=True, max_size=geo.n_dies))
     return [page_txn(geo, d, draw(st.integers(1, 600)),
-                     draw(st.integers(1, geo.page_bytes))) for d in dies]
+                     draw(st.integers(1, geo.page_bytes))) for d in sorted(dies)]
 
 
 @st.composite
@@ -558,8 +594,8 @@ def ffn_cases(draw):
 def assert_same_pass(txns, timing, geo, batch, dim_e, params=NspParams(), t_start=0.0):
     """One pass as a one-layer token against the reference."""
     got_events, want_events = EventColumns(), []
-    got = simulate_ffn_pass([txns], timing, geo, batch, dim_e=dim_e, params=params,
-                            trace=got_events, t_start=t_start)
+    got = simulate_ffn_pass(token_reads([txns]), timing, geo, batch, dim_e=dim_e,
+                            params=params, trace=got_events, t_start=t_start)
     want = reference_ffn_pass(txns, timing, geo, batch, dim_e=dim_e, params=params,
                               trace=want_events, t_start=t_start)
     assert got.latency_s.hex() == want.latency_s.hex()
@@ -587,9 +623,21 @@ BIG_TOKEN = (
     NandTiming(t_r_us=3.0, pe_level="channel"),
     SsdGeometry(n_ch=3, chips_per_ch=8, dies_per_chip=2), 1, 4096, NspParams())
 
+# a llama2-7B-like TLC channel token in small: 3 layers x 2 channels of 4
+# dies with 60-99 pages each; 13.65 us slots under a 40 us t_R take turns
+# bus-bound while 3 or more dies have pages, then the tail is stepped
+TLC_GEO = SsdGeometry(n_ch=2, chips_per_ch=4, page_bytes=16384)
+TLC_TOKEN = (
+    [[page_txn(TLC_GEO, d, 60 + (7 * d + 5 * layer) % 40, 12288) for d in range(8)]
+     for layer in range(3)],
+    NandTiming(t_r_us=40.0, t_prog_us=650.0, pe_macs=64, pe_level="channel"),
+    TLC_GEO, 1, 4096, NspParams())
+
 
 @given(token_cases(), st.floats(0, 1e-3), st.sampled_from([storage._CHUNK, 64, 7]))
 @example(BIG_TOKEN, 0.0, storage._CHUNK)
+@example(TLC_TOKEN, 0.0, 64)
+@example(TLC_TOKEN, 0.0, 7)
 @settings(max_examples=60, deadline=None)
 def test_token_matches_reference_layer_by_layer(case, t_start, chunk):
     """A whole token equals the reference pass chained layer by layer: each
@@ -600,8 +648,8 @@ def test_token_matches_reference_layer_by_layer(case, t_start, chunk):
     events = EventColumns()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(storage, "_CHUNK", chunk)
-        got = simulate_ffn_pass(token, timing, geo, batch, dim_e=dim_e, params=params,
-                                trace=events, t_start=t_start)
+        got = simulate_ffn_pass(token_reads(token), timing, geo, batch, dim_e=dim_e,
+                                params=params, trace=events, t_start=t_start)
     want_events = []
     start, latency, useful, raw, elems = t_start, 0.0, 0.0, 0, 0
     assert len(got.layer_latency_s) == len(token)
@@ -630,31 +678,39 @@ def test_token_matches_reference_layer_by_layer(case, t_start, chunk):
     (4, 3.0, 1200.0, 64, 0.5, [(60, 4096)] * 4, "bus"),
     # 2 dies issued 20 us apart, t_R 100 us: die-bound, stepped to the end
     (2, 100.0, 1200.0, 64, 20.0, [(60, 4096)] * 2, "die"),
-    # compute-bound slots of unequal length, all shorter than t_R
+    # compute-bound slots of unequal length, summing to less than t_R
     (3, 5.0, 4096.0, 2, 0.5, [(60, 1000), (60, 3000), (60, 4000)], "fallback"),
     # as "bus", but issued 20 us apart: die 0 runs out of pages before die 1
     # is ready, and the bus idles; the row closes only once all have queued
     (4, 3.0, 1200.0, 64, 20.0, [(2, 4096)] + [(60, 4096)] * 3, "late"),
     # mixed: dies 0 and 2 hold the bus 8 us, die 1 only 1 us, under a 5 us
-    # t_R. Die 1 has the most pages, so the row is never bus-bound for the
-    # rest; a close that ignored its short slot would end early
+    # t_R. The 40 rounds all three share close; die 1's last 40 pages alone
+    # would leave the bus idle, so they are stepped: 1 + 40 steps
     (3, 5.0, 4096.0, 2, 0.5, [(40, 16000), (80, 500), (40, 16000)], "mixed"),
     # slots over t_R, but t_R is below one ulp of the row's times: pushed
     # ready times tie, the heap breaks ties by die index, not by turns, so
     # the row must not close
     (3, 1e-15, 1200.0, 1, 0.5, [(60, 4096), (60, 8192), (60, 12288)], "ulp"),
+    # TLC-like: 13.65 us slots under a 40 us t_R, but 4 dies taking turns
+    # hold the bus 54.6 us a round, so the row closes after one step
+    (4, 40.0, 300.0, 64, 0.5, [(60, 4096)] * 4, "turns"),
+    # uneven tail: the TLC-like turns close while all 4 dies have pages (20
+    # rounds after die 0's first page), then dies 0 and 1 take 27.3 us a
+    # round, under t_R, and their last 79 pages are stepped: 1 + 79 steps
+    (4, 40.0, 300.0, 64, 0.5, [(60, 4096), (60, 4096), (20, 4096), (20, 4096)], "tail"),
 ])
 def test_channel_schedule_paths(monkeypatch, chips, t_r_us, ch_bus_mbps, pe_macs,
                                 ftl_txn_us, elems, path):
     """Each way the channel schedule advances is reached and is exact:
-    lockstep heap steps, and the round-robin close of a bus-bound row."""
+    lockstep heap steps, the round-robin close of a row bus-bound to its
+    end, and the close of its leading bus-bound rounds."""
     calls = []
     bus_ends = storage._channel_bus_ends
 
     def spy(*args):
-        end, steps, closed = bus_ends(*args)
-        calls.append((steps, closed, len(end)))
-        return end, steps, closed
+        end, steps, full, by_rounds = bus_ends(*args)
+        calls.append((steps, full, by_rounds, len(end)))
+        return end, steps, full, by_rounds
 
     monkeypatch.setattr(storage, "_channel_bus_ends", spy)
     geo = SsdGeometry(n_ch=1, chips_per_ch=chips)
@@ -662,13 +718,76 @@ def test_channel_schedule_paths(monkeypatch, chips, t_r_us, ch_bus_mbps, pe_macs
                         pe_level="channel")
     txns = [page_txn(geo, d, n, e) for d, (n, e) in enumerate(elems)]
     assert_same_pass(txns, timing, geo, 1, 64, NspParams(ftl_txn_us=ftl_txn_us))
-    (steps, closed, rows), = calls
+    (steps, full, by_rounds, rows), = calls
     pages = sum(n for n, _ in elems)
     assert rows == 1
     if path in ("bus", "late"):
-        assert closed == 1 and 0 < steps < pages // 2
+        assert (full, by_rounds) == (1, 0) and 0 < steps < pages // 2
+    elif path == "turns":
+        assert (full, by_rounds) == (1, 0) and steps == 1
+    elif path in ("mixed", "tail"):
+        assert (full, by_rounds) == (0, 1) and steps == {"mixed": 41, "tail": 80}[path]
     else:
-        assert closed == 0 and steps == pages
+        assert (full, by_rounds) == (0, 0) and steps == pages
+
+
+def heap_bus_end(ready, left, slot, t_r, bcast):
+    """One row of a channel schedule table by the per-page heap rule."""
+    heap = [(r, d) for d, r in enumerate(ready) if left[d] > 0]
+    heapq.heapify(heap)
+    left, bus = list(left), 0.0
+    while heap:
+        r, d = heapq.heappop(heap)
+        start = max(bus, r, bcast)
+        bus = start + slot[d]
+        left[d] -= 1
+        if left[d] > 0:
+            heapq.heappush(heap, (start + t_r, d))
+    return bus
+
+
+@st.composite
+def bus_tables(draw):
+    """Schedule tables of a few rows: slots across and far below t_R, tiny
+    slots below one ulp of the times among long ones, ready times that tie."""
+    n_rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    t_r = draw(st.sampled_from([3e-6, 40e-6, 1e-15]) | st.floats(1e-7, 1e-4))
+    cell = st.sampled_from([1e-22, 0.2, 0.3, 1 / 3, 0.5, 1.2, 2.0]) | st.floats(0.01, 1.5)
+    slot = np.array(draw(st.lists(cell, min_size=n_rows * width, max_size=n_rows * width)))
+    left = np.array(draw(st.lists(st.integers(0, 40), min_size=n_rows * width,
+                                  max_size=n_rows * width))).reshape(n_rows, width)
+    left[:, 0] = np.maximum(left[:, 0], 1)
+    lag = np.array(draw(st.lists(st.sampled_from([0.0, 5e-7, 1e-6, 1.5e-6, 2e-6]),
+                                 min_size=n_rows * width, max_size=n_rows * width)))
+    ready = np.where(left > 0, t_r + lag.reshape(n_rows, width), np.inf)
+    return ready, left, slot.reshape(n_rows, width) * t_r, t_r, draw(st.floats(0, 2e-5))
+
+
+def one_row(ready, left, slot, t_r, bcast):
+    left = np.array([left])
+    return (np.where(left > 0, [ready], np.inf), left, np.array([slot]), t_r, bcast)
+
+
+@given(bus_tables(), st.sampled_from([storage._CHUNK, 64, 7]))
+# each row would end differently if the close skipped one of its checks on
+# the computed floats: a page late for its turn in a later round ...
+@example(one_row([3e-6] * 3, [22, 9, 18], [1e-6] * 3, 3e-6, 1.5e-5), storage._CHUNK)
+# ... a 1e-22 s slot that leaves the bus, and so two pushed ready times, tied ...
+@example(one_row([40e-6, 40e-6, 41.5e-6, 42e-6, 40e-6, 41.5e-6], [33, 33, 37, 10, 38, 30],
+                 [12e-6, 12e-6, 80e-6, 40e-6 / 3, 1e-22, 80e-6], 40e-6, 3.9e-6), storage._CHUNK)
+# ... and a die of round 0 ready only after a page its round pushed
+@example(one_row([3e-6, 7e-6, 5e-6, 3e-6, 5e-6, 4.5e-6], [6, 35, 7, 24, 11, 15],
+                 [0.34e-6, 0.65e-6, 4.4e-6, 3.7e-6, 4.1e-6, 1.5e-6], 3e-6, 2.3e-6), 64)
+@settings(max_examples=300, deadline=None)
+def test_bus_ends_match_heap(table, chunk):
+    """Every row's bus end is the heap loop's, bit for bit, however its
+    rounds close."""
+    ready, left, slot, t_r, bcast = table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(storage, "_CHUNK", chunk)
+        end, _, _, _ = storage._channel_bus_ends(ready, left, slot, t_r, bcast)
+    for k in range(len(end)):
+        assert end[k].hex() == heap_bus_end(ready[k], left[k], slot[k], t_r, bcast).hex()
 
 
 def test_tied_ready_times_keep_heap_order():
@@ -678,5 +797,5 @@ def test_tied_ready_times_keep_heap_order():
     geo = SsdGeometry(n_ch=1, chips_per_ch=3)
     timing = NandTiming(t_r_us=3e6, ch_bus_mbps=1e13, pe_macs=16, pe_clock_ghz=1e8,
                         pe_level="channel")
-    txns = [page_txn(geo, 0, 6, 2421), page_txn(geo, 2, 6, 661), page_txn(geo, 1, 8, 3666)]
+    txns = [page_txn(geo, 0, 6, 2421), page_txn(geo, 1, 8, 3666), page_txn(geo, 2, 6, 661)]
     assert_same_pass(txns, timing, geo, 8, 64, NspParams(ftl_txn_us=3e-10))
