@@ -18,10 +18,17 @@ import json
 from pathlib import Path
 
 from slim.config import load_scenario
-from slim.runner import evaluate_baseline, evaluate_point
-from slim.system import nested_masks
+from slim.runner import evaluate_baseline, evaluate_point, point_device, read_token
+from slim.system import nested_masks, neuron_ranks
 
 SPARSITIES = (0.0, 0.25, 0.5, 0.75)
+
+
+def slc_reads(cfg, sparsity):
+    """One token's reads on the SLC device at ``sparsity``, shared by the
+    die and channel points."""
+    masks = nested_masks(neuron_ranks(cfg.model, cfg.seed), sparsity)
+    return read_token(cfg, point_device(cfg, "slc", "die")[0], masks)
 
 
 def headline_table(models, seed):
@@ -31,9 +38,9 @@ def headline_table(models, seed):
     rows = {}
     for name in models:
         cfg = load_scenario({"model": name, "seed": seed})
-        masks = nested_masks(cfg.model, 0.5, cfg.seed)
-        die = evaluate_point(cfg, "slc", "die", masks).throughput
-        ch = evaluate_point(cfg, "slc", "channel", masks).throughput
+        reads = slc_reads(cfg, 0.5)
+        die = evaluate_point(cfg, "slc", "die", reads).throughput
+        ch = evaluate_point(cfg, "slc", "channel", reads).throughput
         ssd = evaluate_baseline(cfg, "ssd_gpu").throughput
         dram = evaluate_baseline(cfg, "dram_gpu").throughput
         print(f"{name:>18} {die:8.2f} {ch:8.2f} {ssd:9.3f} {dram:9.3f} "
@@ -44,16 +51,20 @@ def headline_table(models, seed):
 
 def sparsity_table(name, seed):
     cfg = load_scenario({"model": name, "seed": seed})
-    masks = {s: nested_masks(cfg.model, s, cfg.seed) for s in SPARSITIES}
+    ranks = neuron_ranks(cfg.model, cfg.seed)
+    masks = {s: nested_masks(ranks, s) for s in SPARSITIES}
     print(f"\n== {name}: throughput (tok/s) and raw read bandwidth (GB/s) vs sparsity")
     print(f"{'design':>12} " + " ".join(f"{f's={s}':>16}" for s in SPARSITIES))
     rows = {}
     for nand in ("slc", "tlc"):
+        # die and channel points of one NAND type read the same pages
+        reads = {s: read_token(cfg, point_device(cfg, nand, "die")[0], masks[s])
+                 for s in SPARSITIES}
         for level in ("die", "channel"):
             cells = []
             pts = []
             for s in SPARSITIES:
-                r = evaluate_point(cfg, nand, level, masks[s])
+                r = evaluate_point(cfg, nand, level, reads[s])
                 bw = r.raw_bytes / r.phases.t_ssd / 1e9
                 cells.append(f"{r.throughput:7.2f}/{bw:6.2f}")
                 pts.append({"sparsity": s, "tok_per_s": r.throughput, "raw_gbps": bw})
@@ -69,7 +80,7 @@ def breakdown_table(models, seed):
     rows = {}
     for name in models:
         cfg = load_scenario({"model": name, "seed": seed})
-        r = evaluate_point(cfg, "slc", "die", nested_masks(cfg.model, 0.5, cfg.seed))
+        r = evaluate_point(cfg, "slc", "die", slc_reads(cfg, 0.5))
         total = r.phases.t_dram + r.phases.t_ssd
         shares = {
             "qkvo": r.dram.qkvo.seconds / total,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import ScenarioConfig, config_hash
 from .container import read_tensors, write_tensors
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .model import Decoder, LayerWeights, harvest_ffn_inputs
 from .predictor import (
     Predictor,
@@ -26,7 +26,14 @@ from .predictor import (
     thresholds_to_json,
     train,
 )
-from .storage import nand_preset
+from .storage import (
+    NandTiming,
+    SsdGeometry,
+    TokenReads,
+    generate_read_transactions,
+    map_weights,
+    nand_preset,
+)
 from .system import (
     ENERGY_COMPONENTS,
     BaselineResult,
@@ -34,6 +41,7 @@ from .system import (
     baseline_preset,
     evaluate_slim,
     nested_masks,
+    neuron_ranks,
     run_baseline,
 )
 from .trace import write_ldjson
@@ -53,19 +61,35 @@ def _round(x: float) -> float:
     return float(f"{x:.6g}")
 
 
+def point_device(cfg: ScenarioConfig, nand: str,
+                 pe_level: str) -> tuple[SsdGeometry, NandTiming]:
+    """The device of one design point: the scenario's own at its own
+    (nand, pe_level), the named preset at any other."""
+    if (nand, pe_level) == (cfg.nand, cfg.pe_level):
+        return cfg.geometry, cfg.nand_timing
+    return nand_preset(nand, pe_level)
+
+
+def read_token(cfg: ScenarioConfig, geometry: SsdGeometry, masks: dict) -> TokenReads:
+    """One token's read transactions on ``geometry``: the scenario's weight
+    layout on that device, read for ``masks``. Which pages a token reads
+    does not depend on the PE level, so every design point on ``geometry``
+    evaluates the same record."""
+    return generate_read_transactions(
+        map_weights(cfg.model, geometry, cfg.bytes_per_elem), masks)
+
+
 def evaluate_point(cfg: ScenarioConfig, nand: str, pe_level: str,
-                   masks: dict) -> SlimResult:
-    """One design point of the scenario: the scenario's own device at its own
-    (nand, pe_level), the named preset at any other, and every other
+                   reads: TokenReads) -> SlimResult:
+    """One design point of the scenario on the token's ``reads``, which must
+    be read on the point's geometry (ShapeError otherwise), with every other
     scenario field as configured."""
-    geometry, timing = ((cfg.geometry, cfg.nand_timing)
-                        if (nand, pe_level) == (cfg.nand, cfg.pe_level)
-                        else nand_preset(nand, pe_level))
-    return evaluate_slim(cfg.model, geometry, timing, cfg.dram_geometry,
-                         cfg.dram_timing, cfg.cost_model, masks,
-                         scheduler=cfg.scheduler, n_tokens=cfg.n_tokens,
-                         params=cfg.nsp, constants=cfg.energy,
-                         bytes_per_elem=cfg.bytes_per_elem)
+    geometry, timing = point_device(cfg, nand, pe_level)
+    if reads.layout.geo != geometry:
+        raise ShapeError(f"reads were laid out on another geometry than {nand}/{pe_level}'s")
+    return evaluate_slim(cfg.model, timing, cfg.dram_geometry, cfg.dram_timing,
+                         cfg.cost_model, reads, scheduler=cfg.scheduler,
+                         n_tokens=cfg.n_tokens, params=cfg.nsp, constants=cfg.energy)
 
 
 def evaluate_baseline(cfg: ScenarioConfig, kind: str) -> BaselineResult:
@@ -77,8 +101,8 @@ def evaluate_baseline(cfg: ScenarioConfig, kind: str) -> BaselineResult:
 
 
 def _slim_row(cfg: ScenarioConfig, nand: str, pe_level: str, sparsity: float,
-              masks: dict, digest: str, emit_trace_to=None) -> dict:
-    res = evaluate_point(cfg, nand, pe_level, masks)
+              reads: TokenReads, digest: str, emit_trace_to=None) -> dict:
+    res = evaluate_point(cfg, nand, pe_level, reads)
     if emit_trace_to is not None:
         emit_trace_to.extend(res.trace)
     row = {
@@ -124,16 +148,44 @@ def _baseline_row(cfg: ScenarioConfig, kind: str, digest: str) -> dict:
     return row
 
 
+def _read_sparsity(cfg: ScenarioConfig, ranks: dict, sparsity: float,
+                   by_geometry: dict[SsdGeometry, list]) -> dict[SsdGeometry, TokenReads]:
+    """The token's reads at ``sparsity`` on each geometry of ``by_geometry``
+    (geometry -> the design points on it); the masks are dropped on return,
+    since the points need only the reads."""
+    t0 = time.perf_counter()
+    masks = nested_masks(ranks, sparsity)
+    log.debug("scenario_rows: masks for sparsity %g in %.6f s",
+              sparsity, time.perf_counter() - t0)
+    reads = {}
+    for geometry, sharing in by_geometry.items():
+        t0 = time.perf_counter()
+        reads[geometry] = read_token(cfg, geometry, masks)
+        layout = reads[geometry].layout
+        log.debug("scenario_rows: sparsity %g, %d B pages on %d dies (%d vectors "
+                  "per page, %d pages per vector) read in %.6f s, shared by %s",
+                  sparsity, geometry.page_bytes, geometry.n_dies, layout.packing_factor,
+                  layout.span_pages, time.perf_counter() - t0,
+                  ", ".join(f"{level}-{nand}" for nand, level in sharing))
+    return reads
+
+
 def scenario_rows(cfg: ScenarioConfig, sweep: bool = False,
                   trace_sink: list | None = None) -> list[dict]:
     """Evaluate the scenario's design points over its sparsity grid, plus the
     selected baselines. ``sweep`` expands to all four design-level/NAND
-    combinations. Each sparsity's masks are drawn once (``nested_masks``
-    with the scenario seed) and shared by every design point, which reads
-    them without changing them; the points run sparsity by sparsity, so one
-    mask set is held at a time. Rows come in a fixed order (design
-    point-major, then sparsity), followed by the baselines; the first row's
-    events go to ``trace_sink``."""
+    combinations. The neuron order is drawn once (``neuron_ranks`` with the
+    scenario seed); at each sparsity the masks are cut from it once
+    (``nested_masks``) and the token is read once per distinct geometry
+    (``read_token``), keyed by the geometry, since the scenario's own device
+    can differ from the preset. Every design point on a geometry evaluates
+    that record without changing it. The points run sparsity by sparsity, so
+    one sparsity's reads are held at a time, and its masks only while they
+    are read. Rows come in a fixed order (design point-major, then
+    sparsity), followed by the baselines; the first row's events go to
+    ``trace_sink``. At ``SLIM_LOG=debug`` ``scenario_rows:`` lines give the
+    seconds of the rank draw and, per sparsity, of the masks and of each
+    geometry's read, with its layout and the points sharing it."""
     digest = config_hash(cfg)
     if sweep:
         points = [(nand, level) for level in ("die", "channel")
@@ -142,16 +194,21 @@ def scenario_rows(cfg: ScenarioConfig, sweep: bool = False,
         points = [(cfg.nand, cfg.pe_level)]
     jobs = [(nand, level, s) for nand, level in points
             for s in cfg.sparsity_targets]
+    geometry_of = {point: point_device(cfg, *point)[0] for point in points}
+    by_geometry: dict[SsdGeometry, list] = {}
+    for point, geometry in geometry_of.items():
+        by_geometry.setdefault(geometry, []).append(point)
 
+    t0 = time.perf_counter()
+    ranks = neuron_ranks(cfg.model, cfg.seed)
+    log.debug("scenario_rows: neuron order of %d slots drawn in %.6f s",
+              len(ranks), time.perf_counter() - t0)
     by_job = {}
     for s in dict.fromkeys(cfg.sparsity_targets):
-        t0 = time.perf_counter()
-        masks = nested_masks(cfg.model, s, cfg.seed)
-        log.debug("scenario_rows: masks for sparsity %g drawn in %.6f s, shared by "
-                  "%d design points", s, time.perf_counter() - t0, len(points))
+        reads = _read_sparsity(cfg, ranks, s, by_geometry)
         for nand, level in points:
             job = (nand, level, s)
-            by_job[job] = _slim_row(cfg, *job, masks, digest,
+            by_job[job] = _slim_row(cfg, *job, reads[geometry_of[(nand, level)]], digest,
                                     emit_trace_to=trace_sink if job == jobs[0] else None)
     rows = [by_job[job] for job in jobs]
     for kind in cfg.baselines:

@@ -207,9 +207,9 @@ class TokenReads:
     counts fully, so dense passes read at 100% efficiency and waste appears
     exactly when packed neighbors are skipped). ``active_elems`` counts the
     weights actually multiplied by the PE. The die's channel and the raw
-    bytes follow from ``die``, ``n_pages`` and the geometry. Layers
-    ``0..n_layers-1`` each make one pass, those without an entry reading
-    nothing.
+    bytes follow from ``die``, ``n_pages`` and the geometry of ``layout``,
+    the layout the token was read on. Layers ``0..n_layers-1`` each make one
+    pass, those without an entry reading nothing.
     """
 
     layer: np.ndarray
@@ -217,7 +217,11 @@ class TokenReads:
     n_pages: np.ndarray
     useful_bytes: np.ndarray
     active_elems: np.ndarray
-    n_layers: int
+    layout: WeightLayout
+
+    @property
+    def n_layers(self) -> int:
+        return self.layout.n_dec
 
 
 def generate_read_transactions(layout: WeightLayout, masks: dict[tuple[int, int], np.ndarray]
@@ -273,7 +277,7 @@ def generate_read_transactions(layout: WeightLayout, masks: dict[tuple[int, int]
                           active.sum(axis=0)[dies] * 3 * layout.dim_e))
     layer, die, n_pages, useful, elems = map(np.concatenate, zip(*parts))
     return TokenReads(layer=layer, die=die, n_pages=n_pages, useful_bytes=useful,
-                      active_elems=elems, n_layers=layout.n_dec)
+                      active_elems=elems, layout=layout)
 
 
 @dataclass(frozen=True)
@@ -407,9 +411,9 @@ def _channel_bus_ends(ready, left, slot, t_r: float, bcast: float):
     the heap serves the least recently served die, whose pushed ready time
     is the smallest as long as pushed times rise strictly. The close keeps
     a row's result only if the computed floats bear this out: every page
-    served by its start, pushed times rising, and t_r at least one ulp of
-    the row's end. A row failing the last two is stepped to its end; one
-    whose pages were late is checked again later. A closed row's dies
+    served by its start and pushed times rising. A row whose pushed times
+    do not rise is stepped to its end; one whose pages were late is checked
+    again later. A closed row's dies
     then wait for their last start + t_r, and the rest steps in lockstep.
     """
     n_rows, width = ready.shape
@@ -437,9 +441,8 @@ def _channel_bus_ends(ready, left, slot, t_r: float, bcast: float):
                 cells = (at[:, None], order)
                 ends, due, on_time, rising = _round_robin_ends(
                     bus[at], ready[cells], left[cells], slot[cells], rounds, t_r)
-                exact = rising & (np.spacing(ends) <= t_r)
-                may_close[at[~exact]] = False
-                keep = exact & on_time
+                may_close[at[~rising]] = False
+                keep = rising & on_time
                 at, order, rounds = at[keep], order[keep], rounds[keep]
                 cells = (at[:, None], order)
                 left[cells] -= np.minimum(left[cells], rounds[:, None])
@@ -471,7 +474,8 @@ def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
     """Schedule a token's FFN passes, one per layer, over the NSP engines.
 
     ``reads`` holds the token's transactions as ``generate_read_transactions``
-    returns them, one pass per layer of ``reads.n_layers``. Each layer's pass starts
+    returns them, one pass per layer of ``reads.n_layers``, read on a layout
+    of ``geo`` (ShapeError otherwise). Each layer's pass starts
     when the one before ends: layer i's events are offset by ``t_start``
     plus the latencies of layers 0..i-1, added in layer order.
 
@@ -505,6 +509,8 @@ def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
     and the channel rows closed in full and by rounds.
     """
     t0 = time.perf_counter()
+    if reads.layout.geo != geo:
+        raise ShapeError("reads were laid out on another geometry")
     t_r = timing.t_r_us * 1e-6
     ftl = params.ftl_txn_us * 1e-6
     ch_rate = timing.ch_bus_mbps * 1e6

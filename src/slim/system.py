@@ -24,8 +24,7 @@ from .storage import (
     NandTiming,
     NspParams,
     SsdGeometry,
-    generate_read_transactions,
-    map_weights,
+    TokenReads,
     simulate_ffn_pass,
     write_model,
 )
@@ -240,26 +239,34 @@ def run_baseline(cfg: BaselineConfig, model: ModelConfig, sparsity: float,
 
 # --- scenario evaluation -----------------------------------------------------
 
-def nested_masks(cfg: ModelConfig, sparsity: float, seed: int) -> dict[tuple[int, int], np.ndarray]:
-    """Deterministic synthetic masks per routed (layer, expert): one fixed
-    random neuron permutation per slot, truncated by the target sparsity.
-    Only the experts ``active_experts`` routes to get a mask; each mask is
-    seeded by its own slot, so it does not depend on which others are drawn.
+def neuron_ranks(cfg: ModelConfig, seed: int) -> dict[tuple[int, int], np.ndarray]:
+    """Each routed (layer, expert)'s fixed random neuron order, as ranks: a
+    neuron's position in the slot's permutation, seeded by the slot alone
+    (``[seed, 0x3A5C, layer, expert]``), so it does not depend on which
+    others are drawn or on any sparsity. Only the experts ``active_experts``
+    routes to get ranks, held in the smallest unsigned dtype that holds
+    ``dim_h``; a scenario draws them once for every sparsity."""
+    ranks = {}
+    for layer in range(cfg.n_dec):
+        for expert in active_experts(cfg, layer):
+            rng = np.random.default_rng([seed, 0x3A5C, layer, expert])
+            rank = np.empty(cfg.dim_h, dtype=np.min_scalar_type(cfg.dim_h))
+            rank[rng.permutation(cfg.dim_h)] = np.arange(cfg.dim_h)
+            ranks[(layer, expert)] = rank
+    return ranks
+
+
+def nested_masks(ranks: dict[tuple[int, int], np.ndarray],
+                 sparsity: float) -> dict[tuple[int, int], np.ndarray]:
+    """Synthetic masks per routed (layer, expert) from ``neuron_ranks``: the
+    first ``n_active`` neurons of each slot's order, ``rank < n_active``.
     Nesting across sparsity levels makes page counts monotone for any
     packing."""
     if not (0.0 <= sparsity < 1.0):
         raise ShapeError(f"sparsity {sparsity} outside [0, 1)")
-    n_active = cfg.dim_h - int(round(sparsity * cfg.dim_h))
-    n_active = max(1, n_active)
-    masks = {}
-    for layer in range(cfg.n_dec):
-        for expert in active_experts(cfg, layer):
-            rng = np.random.default_rng([seed, 0x3A5C, layer, expert])
-            perm = rng.permutation(cfg.dim_h)
-            m = np.zeros(cfg.dim_h, dtype=bool)
-            m[perm[:n_active]] = True
-            masks[(layer, expert)] = m
-    return masks
+    dim_h = len(next(iter(ranks.values())))
+    n_active = max(1, dim_h - int(round(sparsity * dim_h)))
+    return {slot: rank < n_active for slot, rank in ranks.items()}
 
 
 def active_experts(cfg: ModelConfig, layer: int) -> list[int]:
@@ -285,35 +292,36 @@ class SlimResult:
         return tuple(self.events)
 
 
-def evaluate_slim(model: ModelConfig, geo: SsdGeometry, timing: NandTiming,
+def evaluate_slim(model: ModelConfig, timing: NandTiming,
                   dram_geo: DramGeometry, dram_timing: DramTiming,
-                  cost_model: BitSerialCostModel,
-                  masks: dict[tuple[int, int], np.ndarray],
+                  cost_model: BitSerialCostModel, reads: TokenReads,
                   scheduler: str = "sequential", n_tokens: int = 100,
                   params: NspParams = NspParams(),
-                  constants: EnergyConstants = EnergyConstants(),
-                  bytes_per_elem: int = 1) -> SlimResult:
-    """Full per-token model of the heterogeneous design for one token's
-    neuron masks, keyed by (layer, expert) as ``nested_masks`` returns them;
-    a layer reads the pages of its masked experts only. Callers that
-    evaluate several design points at one sparsity draw the masks once and
-    pass them to each. Energy is accounted over the returned event trace.
-    At ``SLIM_LOG=debug`` one line gives the wall-clock seconds of each
-    stage: layout, transactions, FFN passes, DRAM cost and energy fold;
-    ``simulate_ffn_pass`` splits its share into schedule and events."""
+                  constants: EnergyConstants = EnergyConstants()) -> SlimResult:
+    """Full per-token model of the heterogeneous design for one token's read
+    transactions, as ``generate_read_transactions`` returns them. The device
+    geometry and element width are those of the layout the reads were made
+    on, which must be ``model``'s (ShapeError otherwise); ``timing`` is the
+    device's. Callers that evaluate several design points on one geometry
+    read the token once and pass the record to each. Energy is accounted
+    over the returned event trace. At ``SLIM_LOG=debug`` one line gives the
+    wall-clock seconds of each stage: FFN passes, DRAM cost and energy
+    fold; ``simulate_ffn_pass`` splits its share into schedule and events."""
     if scheduler not in ("sequential", "pipelined"):
         raise ShapeError(f"unknown scheduler {scheduler!r}")
+    layout = reads.layout
+    laid_out = (layout.n_dec, layout.n_expert, layout.dim_h, layout.dim_e)
+    if laid_out != (model.n_dec, model.n_expert, model.dim_h, model.dim_e):
+        raise ShapeError(f"reads laid out for (n_dec, n_expert, dim_h, dim_e) "
+                         f"{laid_out}, not the model's")
+    geo, bytes_per_elem = layout.geo, layout.bytes_per_elem
     t0 = time.perf_counter()
-    layout = map_weights(model, geo, bytes_per_elem)
-    t1 = time.perf_counter()
-    reads = generate_read_transactions(layout, masks)
-    t2 = time.perf_counter()
 
     events = EventColumns()
     ffn = simulate_ffn_pass(reads, timing, geo, model.batch, dim_e=model.dim_e,
                             params=params, trace=events)
     t_ssd = ffn.latency_s
-    t3 = time.perf_counter()
+    t1 = time.perf_counter()
 
     dram = token_dram_cost(model, dram_geo, dram_timing, cost_model,
                            bits=8 * bytes_per_elem)
@@ -326,12 +334,11 @@ def evaluate_slim(model: ModelConfig, geo: SsdGeometry, timing: NandTiming,
         _, throughput = run_sequential(phases, n_tokens)
     else:
         _, throughput = run_pipelined(phases, n_tokens)
-    t4 = time.perf_counter()
+    t2 = time.perf_counter()
     energy = energy_report(events, constants)
-    t5 = time.perf_counter()
-    log.debug("evaluate_slim: layout %.6f s, transactions %.6f s, ffn passes %.6f s, "
-              "dram cost %.6f s, energy fold %.6f s",
-              t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)
+    t3 = time.perf_counter()
+    log.debug("evaluate_slim: ffn passes %.6f s, dram cost %.6f s, energy fold %.6f s",
+              t1 - t0, t2 - t1, t3 - t2)
     return SlimResult(phases=phases, latency_s_per_token=1.0 / throughput,
                       throughput=throughput, raw_bytes=ffn.raw_bytes,
                       useful_bytes=ffn.useful_bytes, dram=dram, energy=energy, events=events,

@@ -31,12 +31,13 @@ from slim.predictor import (
     train,
 )
 from slim.runner import scenario_rows, write_report
-from slim.storage import map_weights, nand_preset
+from slim.storage import generate_read_transactions, map_weights, nand_preset
 from slim.system import (
     PhaseTimes,
     baseline_preset,
     evaluate_slim,
     nested_masks,
+    neuron_ranks,
     run_baseline,
     run_pipelined,
     run_sequential,
@@ -57,15 +58,17 @@ def check(ok: bool, label: str, detail: str):
 @pytest.fixture(scope="module")
 def llama_sweep():
     """All four design points over the sparsity grid, shared across criteria."""
-    masks = {s: nested_masks(LLAMA, s, 7) for s in SPARSITY_GRID}
+    ranks = neuron_ranks(LLAMA, 7)
     out = {}
     for nand in ("slc", "tlc"):
-        for level in ("die", "channel"):
-            geo, timing = nand_preset(nand, level)
-            for s in SPARSITY_GRID:
+        geo = nand_preset(nand, "die")[0]  # both PE levels read the same pages
+        for s in SPARSITY_GRID:
+            reads = generate_read_transactions(map_weights(LLAMA, geo),
+                                               nested_masks(ranks, s))
+            for level in ("die", "channel"):
                 out[(nand, level, s)] = evaluate_slim(
-                    LLAMA, geo, timing, DRAM_GEO, DRAM_TIMING, COST, masks[s],
-                    scheduler="pipelined")
+                    LLAMA, nand_preset(nand, level)[1], DRAM_GEO, DRAM_TIMING, COST,
+                    reads, scheduler="pipelined")
     return out
 
 
@@ -251,8 +254,10 @@ def test_criterion_7_sweep_trends(llama_sweep):
     worst_share = 0.0
     for cfg in shapes.values():
         for s in (0.0, 0.25, 0.5):
-            res = evaluate_slim(cfg, geo, timing, DRAM_GEO, DRAM_TIMING, COST,
-                                nested_masks(cfg, s, 7), scheduler="sequential")
+            reads = generate_read_transactions(
+                map_weights(cfg, geo), nested_masks(neuron_ranks(cfg, 7), s))
+            res = evaluate_slim(cfg, timing, DRAM_GEO, DRAM_TIMING, COST, reads,
+                                scheduler="sequential")
             share = res.dram.predict.seconds / (res.phases.t_dram + res.phases.t_ssd)
             worst_share = max(worst_share, share)
     check(trend_ok and worst_share < 0.10, "criterion 7",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -13,17 +14,21 @@ import slim.runner
 from slim.cli import main
 from slim.config import config_hash, load_scenario
 from slim.container import read_tensors, write_tensors
+from slim.errors import ShapeError
 from slim.model import Decoder
 from slim.predictor import measured_sparsity, predict_mask
 from slim.runner import (
     REPORT_FIELDS,
     _load_decoder,
+    evaluate_point,
     infer_report,
     load_predictors,
+    read_token,
     scenario_rows,
     write_report,
 )
-from slim.system import nested_masks
+from slim.storage import SLC_GEOMETRY, TLC_GEOMETRY, SsdGeometry
+from slim.system import nested_masks, neuron_ranks
 from slim.trace import read_ldjson
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -338,30 +343,70 @@ def test_write_report_deterministic(tmp_path):
     assert p1[0].read_bytes() == p2[0].read_bytes()
 
 
-@pytest.mark.parametrize("model", ["toy", "toy_moe"])
-def test_shared_masks_match_single_point_runs(model, monkeypatch):
-    """A sweep draws each sparsity's masks once for all four design points;
-    its rows equal four single-point runs that each draw their own."""
-    doc = {"model": model, "seed": 4, "sparsity_targets": [0.0, 0.25, 0.5, 0.75]}
-    cfg = load_scenario(doc)
-    draws = []
+def counting(monkeypatch, name):
+    """The argument tuples of every call the runner makes to ``name``."""
+    calls, func = [], getattr(slim.runner, name)
 
     def counted(*args):
-        draws.append(args)
-        return nested_masks(*args)
+        calls.append(args)
+        return func(*args)
 
-    monkeypatch.setattr(slim.runner, "nested_masks", counted)
+    monkeypatch.setattr(slim.runner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["toy", "toy_moe"])
+def test_shared_masks_match_single_point_runs(model, monkeypatch):
+    """A sweep draws the neuron order once, cuts each sparsity's masks once
+    and reads the token once per geometry (SLC and TLC), each read shared by
+    the die and channel points; its rows equal four single-point runs that
+    each draw and read their own."""
+    doc = {"model": model, "seed": 4, "sparsity_targets": [0.0, 0.25, 0.5, 0.75]}
+    cfg = load_scenario(doc)
+    n = len(cfg.sparsity_targets)
+    ranks = counting(monkeypatch, "neuron_ranks")
+    masks = counting(monkeypatch, "nested_masks")
+    reads = counting(monkeypatch, "generate_read_transactions")
     swept = scenario_rows(cfg, sweep=True)
-    assert len(draws) == len(cfg.sparsity_targets)
+    assert (len(ranks), len(masks), len(reads)) == (1, n, 2 * n)
+    assert [layout.geo for layout, _ in reads] == [SLC_GEOMETRY, TLC_GEOMETRY] * n
 
     single = []
     for level in ("die", "channel"):
         for nand in ("slc", "tlc"):
             point = load_scenario(dict(doc, nand=nand, pe_level=level, baselines=[]))
             single += [dict(row, config_hash=config_hash(cfg)) for row in scenario_rows(point)]
-    assert len(draws) == 5 * len(cfg.sparsity_targets)
+    assert (len(ranks), len(masks), len(reads)) == (5, 5 * n, 6 * n)
     assert swept[:len(single)] == single
     assert swept[len(single):] == scenario_rows(cfg)[len(cfg.sparsity_targets):]
+
+
+def test_own_geometry_read_apart_from_presets(monkeypatch):
+    """A scenario whose own device has another geometry than its preset
+    reads the token on each geometry apart: its own point reads its own
+    device, the other three the presets."""
+    doc = {"model": "toy", "seed": 4, "sparsity_targets": [0.0, 0.5]}
+    preset = load_scenario(doc)
+    cfg = dataclasses.replace(preset, geometry=SsdGeometry(n_ch=8))
+    reads = counting(monkeypatch, "generate_read_transactions")
+    swept = scenario_rows(cfg, sweep=True)
+    assert [layout.geo for layout, _ in reads] == [cfg.geometry, TLC_GEOMETRY,
+                                                   SLC_GEOMETRY] * 2
+    n = len(cfg.sparsity_targets)
+    own = scenario_rows(cfg)[:n]
+    assert swept[:n] == own and own != scenario_rows(preset)[:n]
+    # the channel-level SLC point still reads the preset
+    ch_slc = load_scenario(dict(doc, pe_level="channel"))
+    assert swept[2 * n:3 * n] == [dict(row, config_hash=config_hash(cfg))
+                                  for row in scenario_rows(ch_slc)[:n]]
+
+
+def test_reads_of_another_geometry_refused():
+    cfg = load_scenario({"model": "toy", "seed": 4})
+    reads = read_token(cfg, TLC_GEOMETRY, nested_masks(neuron_ranks(cfg.model, 4), 0.5))
+    with pytest.raises(ShapeError):
+        evaluate_point(cfg, "slc", "die", reads)
+    evaluate_point(cfg, "tlc", "channel", reads)
 
 
 def test_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
@@ -377,7 +422,7 @@ def test_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
              if r.getMessage().startswith("scenario_rows:")]
     assert len(stages) == 4 * len(TOY_DOC["sparsity_targets"])  # one per design point
     timed = ", ".join(rf"{stage} \d+\.\d+ s" for stage in (
-        "layout", "transactions", "ffn passes", "dram cost", "energy fold"))
+        "ffn passes", "dram cost", "energy fold"))
     assert all(re.fullmatch(f"evaluate_slim: {timed}", line) for line in stages)
     passes = [re.fullmatch(r"simulate_ffn_pass: 4 layers, schedule \d+\.\d+ s "
                            r"\((\d+) lockstep steps, (\d+) of (\d+) channel rows closed "
@@ -391,7 +436,18 @@ def test_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
             assert steps == full == rows == by_rounds == 0
         else:
             assert steps > 0 and 0 < rows and full <= rows
-    assert len(draws) == len(TOY_DOC["sparsity_targets"])
+    # the rank draw, then per sparsity the masks and the SLC and TLC reads
+    sparsities = TOY_DOC["sparsity_targets"]
+    want = [r"neuron order of 4 slots drawn in \d+\.\d+ s"]
+    for s in sparsities:
+        want.append(rf"masks for sparsity {s:g} in \d+\.\d+ s")
+        for page, packing, points in ((4096, 21, "die-slc, channel-slc"),
+                                      (16384, 85, "die-tlc, channel-tlc")):
+            want.append(rf"sparsity {s:g}, {page} B pages on 64 dies \({packing} vectors "
+                        rf"per page, 1 pages per vector\) read in \d+\.\d+ s, "
+                        rf"shared by {points}")
+    assert len(draws) == len(want)
+    assert all(re.fullmatch(f"scenario_rows: {w}", d) for w, d in zip(want, draws)), draws
     for name in ("report.csv", "report.json"):
         assert ((tmp_path / "info" / name).read_bytes()
                 == (tmp_path / "debug" / name).read_bytes())

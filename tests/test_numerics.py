@@ -36,6 +36,14 @@ def sign_split_sigmoid(x):
     return out
 
 
+def where_sigmoid(x):
+    """The branch-free sigmoid with fresh temporaries, which the in-place
+    form computes step for step."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 class TestMatmul:
     def test_identity(self):
         m = np.arange(9.0).reshape(3, 3)
@@ -110,6 +118,21 @@ class TestSigmoid:
 
     def test_nan_stays_nan(self):
         assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+
+    def test_bitwise_where_form_on_edges(self):
+        x = np.array(self.EDGES + [np.nan, -np.nan])
+        assert sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+        for v in x:  # 0-d arrays and scalars
+            assert sigmoid(v).tobytes() == where_sigmoid(v).tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 30.0, 800.0]),
+           st.sampled_from([(128, 1024), (3, 5, 7), (1,)]))
+    @settings(max_examples=30, deadline=None)
+    def test_bitwise_where_form_on_blocks(self, seed, scale, shape):
+        x = np.random.default_rng(seed).standard_normal(shape) * scale
+        before = x.copy()
+        assert sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+        assert np.array_equal(x, before)  # the argument is not written
 
 
 class TestSoftmax:

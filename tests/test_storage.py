@@ -16,6 +16,7 @@ from slim.storage import (
     NspParams,
     SsdGeometry,
     TokenReads,
+    WeightLayout,
     generate_read_transactions,
     map_weights,
     nand_preset,
@@ -43,13 +44,21 @@ def page_txn(geo, die_index, n_pages, elems_per_page):
                active_elems=n_pages * elems_per_page)
 
 
-def token_reads(token):
+def hand_layout(geo, n_layers):
+    """A layout of n_layers on geo for hand-built transactions; the FFN pass
+    reads only its geometry and layer count."""
+    return WeightLayout(geo=geo, n_dec=n_layers, n_expert=1, dim_h=1, dim_e=1,
+                        bytes_per_elem=1, vector_bytes=3, packing_factor=1, span_pages=1)
+
+
+def token_reads(token, geo):
     """The columnar record of a token given as one list of rows per layer,
-    each layer's rows in the order given."""
+    each layer's rows in the order given, read on geo."""
     rows = [(layer, *txn) for layer, txns in enumerate(token) for txn in txns]
     cols = list(zip(*rows)) or [()] * 5
     return TokenReads(*(np.array(c, dtype=dt) for c, dt in zip(
-        cols, (np.int64, np.int64, np.int64, np.float64, np.int64))), n_layers=len(token))
+        cols, (np.int64, np.int64, np.int64, np.float64, np.int64))),
+        layout=hand_layout(geo, len(token)))
 
 
 def layer_rows(reads, layer):
@@ -239,7 +248,7 @@ class TestFfnPass:
         geo, timing = nand_preset("slc", level)
         txn = page_txn(geo, 0, n_pages, 4096)
         with pytest.raises(ShapeError):
-            simulate_ffn_pass(token_reads([[txn] * copies]), timing, geo, dim_e=4096)
+            simulate_ffn_pass(token_reads([[txn] * copies], geo), timing, geo, dim_e=4096)
 
     @pytest.mark.parametrize("layer, die", [
         ([0, 0], [1, 0]),  # dies of a layer out of order
@@ -250,9 +259,19 @@ class TestFfnPass:
         geo, timing = nand_preset("slc", "channel")
         reads = TokenReads(layer=np.array(layer), die=np.array(die), n_pages=np.ones(2, int),
                            useful_bytes=np.full(2, 4096.0), active_elems=np.ones(2, int),
-                           n_layers=2)
+                           layout=hand_layout(geo, 2))
         with pytest.raises(ShapeError):
             simulate_ffn_pass(reads, timing, geo, dim_e=4096)
+
+    def test_reads_of_another_geometry_refused(self):
+        # SLC and TLC presets differ in page size: a record read on one never
+        # meets the other's timing
+        cfg = ModelConfig(n_dec=1, dim_e=512, dim_h=256, n_heads=4, seed=0)
+        slc, _ = nand_preset("slc", "channel")
+        tlc, timing = nand_preset("tlc", "channel")
+        reads = generate_read_transactions(map_weights(cfg, slc), full_masks(cfg))
+        with pytest.raises(ShapeError):
+            simulate_ffn_pass(reads, timing, tlc, dim_e=cfg.dim_e)
 
 
 class TestWriteModel:
@@ -594,7 +613,7 @@ def ffn_cases(draw):
 def assert_same_pass(txns, timing, geo, batch, dim_e, params=NspParams(), t_start=0.0):
     """One pass as a one-layer token against the reference."""
     got_events, want_events = EventColumns(), []
-    got = simulate_ffn_pass(token_reads([txns]), timing, geo, batch, dim_e=dim_e,
+    got = simulate_ffn_pass(token_reads([txns], geo), timing, geo, batch, dim_e=dim_e,
                             params=params, trace=got_events, t_start=t_start)
     want = reference_ffn_pass(txns, timing, geo, batch, dim_e=dim_e, params=params,
                               trace=want_events, t_start=t_start)
@@ -648,7 +667,7 @@ def test_token_matches_reference_layer_by_layer(case, t_start, chunk):
     events = EventColumns()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(storage, "_CHUNK", chunk)
-        got = simulate_ffn_pass(token_reads(token), timing, geo, batch, dim_e=dim_e,
+        got = simulate_ffn_pass(token_reads(token, geo), timing, geo, batch, dim_e=dim_e,
                                 params=params, trace=events, t_start=t_start)
     want_events = []
     start, latency, useful, raw, elems = t_start, 0.0, 0.0, 0, 0
@@ -687,9 +706,9 @@ def test_token_matches_reference_layer_by_layer(case, t_start, chunk):
     # t_R. The 40 rounds all three share close; die 1's last 40 pages alone
     # would leave the bus idle, so they are stepped: 1 + 40 steps
     (3, 5.0, 4096.0, 2, 0.5, [(40, 16000), (80, 500), (40, 16000)], "mixed"),
-    # slots over t_R, but t_R is below one ulp of the row's times: pushed
-    # ready times tie, the heap breaks ties by die index, not by turns, so
-    # the row must not close
+    # slots over t_R, but t_R is below one ulp of the row's times: each
+    # pushed ready time is its page's start, and the starts still rise
+    # strictly, so the dies take turns and the row closes after one step
     (3, 1e-15, 1200.0, 1, 0.5, [(60, 4096), (60, 8192), (60, 12288)], "ulp"),
     # TLC-like: 13.65 us slots under a 40 us t_R, but 4 dies taking turns
     # hold the bus 54.6 us a round, so the row closes after one step
@@ -723,7 +742,7 @@ def test_channel_schedule_paths(monkeypatch, chips, t_r_us, ch_bus_mbps, pe_macs
     assert rows == 1
     if path in ("bus", "late"):
         assert (full, by_rounds) == (1, 0) and 0 < steps < pages // 2
-    elif path == "turns":
+    elif path in ("turns", "ulp"):
         assert (full, by_rounds) == (1, 0) and steps == 1
     elif path in ("mixed", "tail"):
         assert (full, by_rounds) == (0, 1) and steps == {"mixed": 41, "tail": 80}[path]

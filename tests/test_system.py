@@ -9,7 +9,7 @@ from slim.config import MODEL_PRESETS
 from slim.errors import AccountingError, ShapeError
 from slim.model import ModelConfig
 from slim.pim import DDR4_2400, BitSerialCostModel
-from slim.storage import nand_preset
+from slim.storage import generate_read_transactions, map_weights, nand_preset
 from slim.system import (
     ENERGY_COMPONENTS,
     BaselineConfig,
@@ -21,6 +21,7 @@ from slim.system import (
     evaluate_slim,
     model_ffn_bytes_per_token,
     nested_masks,
+    neuron_ranks,
     run_baseline,
     run_pipelined,
     run_sequential,
@@ -31,6 +32,29 @@ TOY = ModelConfig(n_dec=2, dim_e=256, dim_h=512, n_heads=4, seq_len=64, seed=5)
 DG, DT = DDR4_2400
 CM = BitSerialCostModel()
 SSD = nand_preset("slc", "die")  # the device the GPU baselines sit next to
+
+
+def masks_at(model, sparsity, seed):
+    return nested_masks(neuron_ranks(model, seed), sparsity)
+
+
+def read(model, geo, masks):
+    """One token's read transactions on geo."""
+    return generate_read_transactions(map_weights(model, geo), masks)
+
+
+def permutation_masks(model, sparsity, seed):
+    """The mask formula rank masks replace, as an oracle: one permutation per
+    routed slot, its first n_active neurons set."""
+    n_active = max(1, model.dim_h - int(round(sparsity * model.dim_h)))
+    masks = {}
+    for layer in range(model.n_dec):
+        for expert in active_experts(model, layer):
+            perm = np.random.default_rng([seed, 0x3A5C, layer, expert]).permutation(model.dim_h)
+            m = np.zeros(model.dim_h, dtype=bool)
+            m[perm[:n_active]] = True
+            masks[(layer, expert)] = m
+    return masks
 
 
 class TestSchedulers:
@@ -144,41 +168,67 @@ class TestBaselines:
 
 class TestMasks:
     def test_target_fraction(self):
-        masks = nested_masks(TOY, 0.25, seed=1)
+        masks = masks_at(TOY, 0.25, seed=1)
         for m in masks.values():
             assert abs(1.0 - np.mean(m) - 0.25) < 1e-9
 
     def test_nested_across_sparsity(self):
-        lo = nested_masks(TOY, 0.25, seed=1)
-        hi = nested_masks(TOY, 0.75, seed=1)
+        lo = masks_at(TOY, 0.25, seed=1)
+        hi = masks_at(TOY, 0.75, seed=1)
         for key in lo:
             assert np.all(~hi[key] | lo[key])  # active(hi) subset of active(lo)
 
     def test_deterministic(self):
-        a = nested_masks(TOY, 0.5, seed=2)
-        b = nested_masks(TOY, 0.5, seed=2)
+        a = masks_at(TOY, 0.5, seed=2)
+        b = masks_at(TOY, 0.5, seed=2)
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_distinct_per_layer(self):
-        masks = nested_masks(TOY, 0.5, seed=3)
+        masks = masks_at(TOY, 0.5, seed=3)
         assert not np.array_equal(masks[(0, 0)], masks[(1, 0)])
 
     def test_routed_experts_only_and_seeded_per_slot(self):
         moe = ModelConfig(n_dec=3, dim_e=64, dim_h=48, n_heads=4, n_expert=8,
                           top_k=2, seq_len=16, seed=0)
-        masks = nested_masks(moe, 0.5, seed=4)
+        masks = masks_at(moe, 0.5, seed=4)
         assert set(masks) == {(layer, e) for layer in range(moe.n_dec)
                               for e in active_experts(moe, layer)}
         for (layer, e), m in masks.items():
             perm = np.random.default_rng([4, 0x3A5C, layer, e]).permutation(moe.dim_h)
             assert np.array_equal(np.flatnonzero(m), np.sort(perm[:24]))
 
+    def test_ranks_in_smallest_dtype_holding_dim_h(self):
+        assert {r.dtype for r in neuron_ranks(TOY, 1).values()} == {np.dtype(np.uint16)}
+        small = dataclasses.replace(TOY, dim_h=255)
+        assert {r.dtype for r in neuron_ranks(small, 1).values()} == {np.dtype(np.uint8)}
+
+
+@given(st.sampled_from([
+    ModelConfig(n_dec=2, dim_e=64, dim_h=300, n_heads=4, seq_len=16, seed=0),
+    ModelConfig(n_dec=3, dim_e=64, dim_h=48, n_heads=4, n_expert=8, top_k=2,
+                seq_len=16, seed=0),
+    ModelConfig(n_dec=1, dim_e=64, dim_h=256, n_heads=4, n_expert=4, top_k=4,
+                seq_len=16, seed=0),
+    ModelConfig(n_dec=2, dim_e=64, dim_h=1, n_heads=4, seq_len=16, seed=0),
+]), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.999]) | st.floats(0, 0.999),
+                min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_rank_masks_are_the_permutation_masks(model, seed, sparsities):
+    """Masks cut from one draw of ranks equal, at every sparsity, the masks
+    of a fresh permutation per slot and sparsity."""
+    ranks = neuron_ranks(model, seed)
+    for sparsity in sparsities:
+        got, want = nested_masks(ranks, sparsity), permutation_masks(model, sparsity, seed)
+        assert list(got) == list(want)
+        assert all(got[k].dtype == bool and np.array_equal(got[k], want[k]) for k in want)
+
 
 class TestEvaluateSlim:
     def _eval(self, sparsity=0.5, **kw):
         geo, timing = nand_preset("slc", "die")
-        args = dict(model=TOY, geo=geo, timing=timing, dram_geo=DG, dram_timing=DT,
-                    cost_model=CM, masks=nested_masks(TOY, sparsity, 7))
+        args = dict(model=TOY, timing=timing, dram_geo=DG, dram_timing=DT,
+                    cost_model=CM, reads=read(TOY, geo, masks_at(TOY, sparsity, 7)))
         args.update(kw)
         return evaluate_slim(**args)
 
@@ -218,6 +268,13 @@ class TestEvaluateSlim:
         res = self._eval()
         assert res.energy.total == sum(res.energy.components.values())
 
+    @pytest.mark.parametrize("field, value", [("dim_h", 256), ("n_dec", 3), ("dim_e", 128)])
+    def test_reads_of_another_layout_refused(self, field, value):
+        other = dataclasses.replace(TOY, **{field: value})
+        geo, _ = nand_preset("slc", "die")
+        with pytest.raises(ShapeError):
+            self._eval(reads=read(other, geo, masks_at(other, 0.5, 7)))
+
 
 @given(st.sampled_from(["toy", "toy_moe"]), st.integers(1, 16),
        st.sampled_from(["sequential", "pipelined"]), st.sampled_from(["die", "channel"]),
@@ -229,7 +286,7 @@ def test_energy_ledger_is_the_trace_fold(name, batch, scheduler, level, nand, sp
     model = ModelConfig(**MODEL_PRESETS[name], batch=batch, seed=3)
     geo, timing = nand_preset(nand, level)
     constants = EnergyConstants()
-    res = evaluate_slim(model, geo, timing, DG, DT, CM, nested_masks(model, sparsity, 5),
+    res = evaluate_slim(model, timing, DG, DT, CM, read(model, geo, masks_at(model, sparsity, 5)),
                         scheduler=scheduler, constants=constants)
     want = dict.fromkeys(ENERGY_COMPONENTS, 0.0)
     for ev in res.trace:
@@ -253,13 +310,13 @@ def test_columnar_energy_fold_is_the_row_loop(name, batch):
     model = ModelConfig(**MODEL_PRESETS[name], batch=batch, seed=3)
     constants = EnergyConstants(nand_read_pj_per_bit=4.1, ch_bus_pj_per_bit=2.3,
                                 pe_pj_per_mac=0.7, dram_pim_nj_per_aap=29.0)
-    masks = nested_masks(model, 0.5, 5)
+    masks = masks_at(model, 0.5, 5)
     results = [run_baseline(baseline_preset(kind, *SSD), model, 0.5, constants)
                for kind in ("ssd_gpu", "dram_gpu")]
     for level in ("die", "channel"):
         geo, timing = nand_preset("tlc", level)
         for scheduler in ("sequential", "pipelined"):
-            results.append(evaluate_slim(model, geo, timing, DG, DT, CM, masks,
+            results.append(evaluate_slim(model, timing, DG, DT, CM, read(model, geo, masks),
                                          scheduler=scheduler, constants=constants))
     for res in results:
         want = dict.fromkeys(ENERGY_COMPONENTS, 0.0)
