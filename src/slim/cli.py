@@ -74,7 +74,7 @@ def cmd_simulate(cfg, out_dir: Path, sweep: bool) -> int:
     rows = scenario_rows(cfg, sweep=sweep, trace_sink=sink)
     csv_path, json_path = write_report(rows, out_dir)
     if sink:
-        print(f"wrote {emit_trace_file(sink, out_dir)}")
+        print(f"wrote {emit_trace_file(sink[0], out_dir)}")
     for row in rows:
         print(f"{row['design_level']:>8} {row['nand']:>3} s={row['sparsity']:<5}"
               f" {row['tok_per_s']:>9} tok/s  {row['eff_gbps']:>8} GB/s eff")

@@ -104,7 +104,7 @@ def _slim_row(cfg: ScenarioConfig, nand: str, pe_level: str, sparsity: float,
               reads: TokenReads, digest: str, emit_trace_to=None) -> dict:
     res = evaluate_point(cfg, nand, pe_level, reads)
     if emit_trace_to is not None:
-        emit_trace_to.extend(res.trace)
+        emit_trace_to.append(res.events)
     row = {
         "scenario": cfg.model_name,
         "design_level": pe_level,
@@ -182,10 +182,11 @@ def scenario_rows(cfg: ScenarioConfig, sweep: bool = False,
     that record without changing it. The points run sparsity by sparsity, so
     one sparsity's reads are held at a time, and its masks only while they
     are read. Rows come in a fixed order (design point-major, then
-    sparsity), followed by the baselines; the first row's events go to
-    ``trace_sink``. At ``SLIM_LOG=debug`` ``scenario_rows:`` lines give the
-    seconds of the rank draw and, per sparsity, of the masks and of each
-    geometry's read, with its layout and the points sharing it."""
+    sparsity), followed by the baselines; the first row's ``EventColumns``
+    are appended to ``trace_sink``. At ``SLIM_LOG=debug`` ``scenario_rows:``
+    lines give the seconds of the rank draw and, per sparsity, of the masks
+    and of each geometry's read, with its layout and the points sharing
+    it."""
     digest = config_hash(cfg)
     if sweep:
         points = [(nand, level) for level in ("die", "channel")
@@ -368,6 +369,12 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
 
 
 def emit_trace_file(events, out_dir: Path) -> Path:
+    """Write ``events`` (``EventColumns`` or ``TraceEvent`` rows) to
+    ``trace.ldjson``; at ``SLIM_LOG=debug`` one line gives the events
+    written, the file's bytes and the seconds taken."""
     path = out_dir / "trace.ldjson"
-    write_ldjson(list(events), path)
+    t0 = time.perf_counter()
+    write_ldjson(events, path)
+    log.debug("emit_trace_file: %d events, %d B written in %.6f s",
+              len(events), path.stat().st_size, time.perf_counter() - t0)
     return path

@@ -287,10 +287,6 @@ class SlimResult:
     events: EventColumns
     weights_write_s: float  # one-time programming, never part of token latency
 
-    @property
-    def trace(self) -> tuple[TraceEvent, ...]:
-        return tuple(self.events)
-
 
 def evaluate_slim(model: ModelConfig, timing: NandTiming,
                   dram_geo: DramGeometry, dram_timing: DramTiming,

@@ -3,8 +3,8 @@ accountant. ``bytes`` carries the event's quantity: bytes moved for transfer
 events, operation counts for compute events.
 
 ``TraceEvent`` is the reader's type, one row per event. The simulators record
-events as columns (``EventColumns``) and rows are built only when iterated,
-as ``write_ldjson`` and ``SlimResult.trace`` do."""
+events as columns (``EventColumns``); rows are built only when iterated, and
+``write_ldjson`` formats lines straight from the columns."""
 
 from __future__ import annotations
 
@@ -81,24 +81,43 @@ class EventColumns:
             self._blocks = [tuple(np.concatenate(c) for c in zip(*self._blocks, empty))]
         return self._blocks[0]
 
+    def unit(self, kind: int, index: int) -> str:
+        return self.kinds[kind] if index < 0 else f"{self.kinds[kind]}{index}"
+
     def __len__(self) -> int:
         return self._n
 
     def __iter__(self):
         time_ns, kind, index, event, qty, is_int = (c.tolist() for c in self.columns())
-        kinds, names = self.kinds, self.names
+        names = self.names
         for t, k, i, e, q, whole in zip(time_ns, kind, index, event, qty, is_int):
-            yield TraceEvent(t, kinds[k] if i < 0 else f"{kinds[k]}{i}", names[e],
-                             int(q) if whole else q)
+            yield TraceEvent(t, self.unit(k, i), names[e], int(q) if whole else q)
 
 
 def write_ldjson(events, path) -> None:
-    """Write ``TraceEvent`` rows, from a list or an ``EventColumns``, one
-    JSON object per line with sorted keys."""
+    """Write a trace, ``EventColumns`` or ``TraceEvent`` rows, one JSON
+    object per line with sorted keys, as ``json.dumps(row, sort_keys=True)``
+    would write each row. Lines are formatted straight from the columns:
+    each event name and each distinct unit is JSON-encoded once, a quantity
+    recorded as an integer is written as a JSON integer and any other with
+    ``json.dumps`` (so NaN, Infinity and -0.0 keep their spelling). The
+    lines are streamed to the file, never held whole."""
+    if not isinstance(events, EventColumns):
+        events = EventColumns.from_rows(events)
+    time_ns, kind, index, event, qty, is_int = (c.tolist() for c in events.columns())
+    names = [json.dumps(name) for name in events.names]
+    units: dict[tuple[int, int], str] = {}
+
+    def lines():
+        for t, k, i, e, q, whole in zip(time_ns, kind, index, event, qty, is_int):
+            unit = units.get((k, i))
+            if unit is None:
+                unit = units[(k, i)] = json.dumps(events.unit(k, i))
+            yield (f'{{"bytes": {int(q) if whole else json.dumps(q)}, "event": {names[e]}, '
+                   f'"time_ns": {t}, "unit": {unit}}}\n')
+
     with open(Path(path), "w") as fh:
-        for ev in events:
-            row = {"bytes": ev.bytes, "event": ev.event, "time_ns": ev.time_ns, "unit": ev.unit}
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        fh.writelines(lines())
 
 
 def read_ldjson(path) -> list[TraceEvent]:

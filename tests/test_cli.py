@@ -29,7 +29,7 @@ from slim.runner import (
 )
 from slim.storage import SLC_GEOMETRY, TLC_GEOMETRY, SsdGeometry
 from slim.system import nested_masks, neuron_ranks
-from slim.trace import read_ldjson
+from slim.trace import EventColumns, read_ldjson
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -319,8 +319,10 @@ class TestSimulate:
         path.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert run("simulate", path, out) == 0
-        events = []
-        scenario_rows(load_scenario(doc), trace_sink=events)
+        sink = []
+        scenario_rows(load_scenario(doc), trace_sink=sink)
+        assert len(sink) == 1 and isinstance(sink[0], EventColumns)
+        events = list(sink[0])
         assert events and read_ldjson(out / "trace.ldjson") == events
         for ev in events:
             assert type(ev.time_ns) is int
@@ -451,6 +453,25 @@ def test_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
     for name in ("report.csv", "report.json"):
         assert ((tmp_path / "info" / name).read_bytes()
                 == (tmp_path / "debug" / name).read_bytes())
+
+
+def test_trace_write_logged_at_debug_only(tmp_path, caplog):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(TOY_DOC, emit_trace=True)))
+    caplog.set_level(logging.INFO, logger="slim")  # the CLI's default level
+    assert run("simulate", path, tmp_path / "info") == 0
+    assert caplog.records == []
+
+    caplog.set_level(logging.DEBUG, logger="slim")
+    assert run("simulate", path, tmp_path / "debug") == 0
+    lines = [re.fullmatch(r"emit_trace_file: (\d+) events, (\d+) B written in \d+\.\d+ s",
+                          r.getMessage())
+             for r in caplog.records if r.getMessage().startswith("emit_trace_file:")]
+    assert len(lines) == 1 and lines[0], lines
+    trace = tmp_path / "debug" / "trace.ldjson"
+    events, size = map(int, lines[0].groups())
+    assert events == len(read_ldjson(trace)) > 0 and size == trace.stat().st_size
+    assert trace.read_bytes() == (tmp_path / "info" / "trace.ldjson").read_bytes()
 
 
 def test_train_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
