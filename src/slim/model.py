@@ -2,8 +2,10 @@
 over a KV cache, gated FFN / mixture-of-experts, and the generation loop.
 A decode step takes a block of one or more tokens and runs it layer by
 layer, so a known stream (calibration or evaluation inputs) reads each
-layer's weights once. The FFN runs on every hidden neuron, or zeroes the
-hidden coordinates a neuron mask skips.
+layer's weights once. The layers can come from a lazy source
+(``synth_layers``), so a caller that runs its streams layer-major holds
+one layer's weights at a time. The FFN runs on every hidden neuron, or
+zeroes the hidden coordinates a neuron mask skips.
 
 Weights are synthetic (seeded Gaussians); there is no tokenizer or sampling.
 Projections apply as ``x @ W.T``, except the FFN's down projection: it is
@@ -14,6 +16,7 @@ matrices alike, the fused vector the accelerator stores and fetches.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +65,10 @@ class LayerWeights:
     router: Matrix | None = None
 
 
-def synth_model(cfg: ModelConfig) -> list[LayerWeights]:
-    """Seeded Gaussian weights, bitwise deterministic for a fixed seed.
+def synth_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
+    """Seeded Gaussian weights, one layer at a time in layer order, bitwise
+    deterministic for a fixed seed; a layer is drawn when it is asked for,
+    so a caller that visits the layers in order holds one at a time.
 
     Projections scale by 1/sqrt(fan_in); the residual-branch outputs (w_o and
     the down projection) carry an extra 1/sqrt(2*n_dec). There is no
@@ -78,22 +83,23 @@ def synth_model(cfg: ModelConfig) -> list[LayerWeights]:
     def w(rows, cols, gain):
         return rng.standard_normal((rows, cols)) * gain
 
-    layers = []
     for _ in range(cfg.n_dec):
-        layers.append(
-            LayerWeights(
-                w_q=w(cfg.dim_e, cfg.dim_e, scale),
-                w_k=w(cfg.dim_e, cfg.dim_e, scale),
-                w_v=w(cfg.dim_e, cfg.dim_e, scale),
-                w_o=w(cfg.dim_e, cfg.dim_e, scale * resid),
-                w_g=[w(cfg.dim_h, cfg.dim_e, scale) for _ in range(cfg.n_expert)],
-                w_u=[w(cfg.dim_h, cfg.dim_e, scale) for _ in range(cfg.n_expert)],
-                w_down=[w(cfg.dim_e, cfg.dim_h, resid / np.sqrt(cfg.dim_h)).T.copy()
-                        for _ in range(cfg.n_expert)],
-                router=w(cfg.n_expert, cfg.dim_e, scale) if cfg.n_expert > 1 else None,
-            )
+        yield LayerWeights(
+            w_q=w(cfg.dim_e, cfg.dim_e, scale),
+            w_k=w(cfg.dim_e, cfg.dim_e, scale),
+            w_v=w(cfg.dim_e, cfg.dim_e, scale),
+            w_o=w(cfg.dim_e, cfg.dim_e, scale * resid),
+            w_g=[w(cfg.dim_h, cfg.dim_e, scale) for _ in range(cfg.n_expert)],
+            w_u=[w(cfg.dim_h, cfg.dim_e, scale) for _ in range(cfg.n_expert)],
+            w_down=[w(cfg.dim_e, cfg.dim_h, resid / np.sqrt(cfg.dim_h)).T.copy()
+                    for _ in range(cfg.n_expert)],
+            router=w(cfg.n_expert, cfg.dim_e, scale) if cfg.n_expert > 1 else None,
         )
-    return layers
+
+
+def synth_model(cfg: ModelConfig) -> list[LayerWeights]:
+    """Every layer of ``synth_layers``, drawn at once."""
+    return list(synth_layers(cfg))
 
 
 class KVCache:
@@ -117,9 +123,9 @@ class KVCache:
         self._values: list[np.ndarray | None] = [None] * n_layers
         self._lens = [0] * n_layers
 
-    @property
-    def current_len(self) -> int:
-        return self._lens[0]
+    def layer_len(self, layer: int) -> int:
+        """Rows appended to ``layer`` so far."""
+        return self._lens[layer]
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
         """Append one row (a vector) or a block of rows (a matrix) of keys
@@ -265,7 +271,8 @@ class Decoder:
         return KVCache(self.cfg.n_dec, self.cfg.seq_len)
 
     def decode_step(self, x: Matrix, cache: KVCache, mask_fn=None,
-                    ffn_input_hook=None) -> Matrix:
+                    ffn_input_hook=None,
+                    layers: Iterable[tuple[int, LayerWeights]] | None = None) -> Matrix:
         """Decode a block of n token embeddings (n x dim_e), the n tokens
         that follow those already in ``cache``; returns the n output rows.
 
@@ -275,9 +282,14 @@ class Decoder:
         over the cache (token i sees the cached tokens and the block's
         tokens up to i), apply the output projection, residual add,
         FFN/MoE (masked when ``mask_fn`` supplies masks), residual add. A
-        one-row block is one generation step. The capacity check runs
-        before any layer appends, so a block that does not fit leaves the
-        cache as it was.
+        one-row block is one generation step. Each layer checks the
+        capacity before it appends, so a block that does not fit the first
+        layer leaves the cache as it was.
+
+        ``layers`` gives the (layer index, weights) pairs to run, in order;
+        by default every layer of ``self.layers``. A caller that streams
+        the layers passes one pair (or a lazy source) per call, and the
+        block it returns is the input of the next layer.
 
         mask_fn(layer, expert, x) gets the layer's FFN input block and
         returns a NeuronMask, (dim_h,) or (n x dim_h), or None.
@@ -285,10 +297,10 @@ class Decoder:
         input block (used to harvest calibration samples).
         """
         x = np.asarray(x, dtype=np.float64).reshape(-1, self.cfg.dim_e)
-        if cache.current_len + x.shape[0] > self.cfg.seq_len:
-            raise CapacityError(f"{x.shape[0]} tokens after {cache.current_len} "
-                                f"exceed seq_len={self.cfg.seq_len}")
-        for li, lw in enumerate(self.layers):
+        for li, lw in enumerate(self.layers) if layers is None else layers:
+            if cache.layer_len(li) + x.shape[0] > self.cfg.seq_len:
+                raise CapacityError(f"{x.shape[0]} tokens after {cache.layer_len(li)} "
+                                    f"exceed seq_len={self.cfg.seq_len}")
             q = matmul(x, lw.w_q.T)
             k = matmul(x, lw.w_k.T)
             v = matmul(x, lw.w_v.T)
@@ -304,10 +316,13 @@ class Decoder:
         return x
 
 
-def harvest_ffn_inputs(dec: Decoder, n_tokens: int, seed: int = 1) -> list[Matrix]:
+def harvest_ffn_inputs(dec: Decoder, n_tokens: int, seed: int = 1,
+                       layers: Iterable[tuple[int, LayerWeights]] | None = None
+                       ) -> list[Matrix]:
     """Decode a stream of seeded random embeddings as one block and collect
     each layer's FFN inputs; returns one (n_tokens x dim_e) matrix per
-    layer. Stands in for sampling a text corpus.
+    layer. Stands in for sampling a text corpus. ``layers`` is passed to
+    ``Decoder.decode_step``, so the layers can come from a lazy source.
 
     Fresh inputs per token, rather than output feedback, keep activations
     bounded: the gated FFN is quadratic in its input and there is no
@@ -320,5 +335,5 @@ def harvest_ffn_inputs(dec: Decoder, n_tokens: int, seed: int = 1) -> list[Matri
         grabbed[layer] = xm
 
     dec.decode_step(rng.standard_normal((n_tokens, dec.cfg.dim_e)), dec.new_cache(),
-                    ffn_input_hook=hook)
+                    ffn_input_hook=hook, layers=layers)
     return grabbed

@@ -65,19 +65,17 @@ def reconstruction_loss(p: Predictor, x: Matrix, w_g: Matrix) -> float:
     return float(np.sum(err * err))
 
 
-def _training_basis(r0: Matrix, calib: Matrix, w_g: Matrix) -> Matrix:
+def _training_basis(r0: Matrix, gate: Matrix, w_g: Matrix) -> Matrix:
     """Orthonormal basis (dim_h x k) of a subspace that holds every R ``train``
-    visits from ``r0``.
+    visits from ``r0``, given the target ``gate = x @ w_g.T``.
 
     A gradient step adds to R only combinations of R's own rows and of the
-    target ``x @ w_g.T``'s rows, so R stays in the span of r0's rows and the
-    target's rows. The target's rows also lie in the span of w_g's columns;
-    the smaller of the two sets is taken, so
+    target's rows, so R stays in the span of r0's rows and the target's
+    rows. The target's rows also lie in the span of w_g's columns; the
+    smaller of the two sets is taken, so
     k = min(n_tokens, dim_e) + dim_lr, at most dim_h. One QR factorization;
     the basis may hold a few directions more than that span needs."""
-    x = np.asarray(calib, dtype=np.float64)
-    dim_e = w_g.shape[1]
-    spanning = w_g if x.shape[0] > dim_e else matmul(x, w_g.T).T
+    spanning = w_g if gate.shape[0] > w_g.shape[1] else gate.T
     q, _ = np.linalg.qr(np.concatenate([spanning, r0.T], axis=1))
     return q
 
@@ -95,7 +93,7 @@ def train(p: Predictor, calib: Matrix, w_g: Matrix, epochs: int = 50,
     the initial loss after the step size has collapsed.
 
     Every product runs in the orthonormal basis B = ``_training_basis(p.r,
-    calib, w_g)``: every iterate is R = R~ B.T, and since B.T B = I and the
+    x @ w_g.T, w_g)``: every iterate is R = R~ B.T, and since B.T B = I and the
     error's rows lie in span B, ||x L R - target||_F = ||x L R~ - target B||_F
     and the gradients map over exactly. The loop steps (L, R~), k columns
     wide instead of dim_h, and returns R~ B.T. At debug level one line gives
@@ -108,9 +106,11 @@ def train(p: Predictor, calib: Matrix, w_g: Matrix, epochs: int = 50,
         raise ShapeError("calibration set is empty")
     n = x.shape[0]
     t0 = time.perf_counter()
-    b = _training_basis(p.r, x, w_g)
+    gate = matmul(x, w_g.T)
+    b = _training_basis(p.r, gate, w_g)
     t1 = time.perf_counter()
-    target = matmul(matmul(x, w_g.T), b)
+    target = matmul(gate, b)
+    del gate
     l, r = p.l.copy(), matmul(p.r, b)
 
     xl = matmul(x, l)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,12 @@ import numpy as np
 from .config import ScenarioConfig, config_hash
 from .container import read_tensors, write_tensors
 from .errors import ConfigError, ShapeError
-from .model import Decoder, LayerWeights, harvest_ffn_inputs
+from .model import Decoder, LayerWeights, harvest_ffn_inputs, synth_layers
 from .predictor import (
     Predictor,
     build_threshold_table,
     default_dim_lr,
     init_from_svd,
-    measured_sparsity,
     predict_mask,
     thresholds_from_json,
     thresholds_to_json,
@@ -239,10 +239,12 @@ def _read_container(path: Path, what: str) -> dict:
         raise ConfigError(f"{what} is not a valid SLIMWT1 file: {exc}") from exc
 
 
-def _load_decoder(cfg: ScenarioConfig) -> Decoder:
+def _model_layers(cfg: ScenarioConfig) -> Iterable[LayerWeights]:
+    """The model's layers in order: drawn one at a time from the seed
+    (``synth_layers``), or the ``paths.model_fixture`` file's, read whole."""
     fixture = cfg.paths.model_fixture
     if fixture is None:
-        return Decoder.synth(cfg.model)
+        return synth_layers(cfg.model)
     path = Path(fixture)
     if not path.exists():
         raise ConfigError(f"model fixture not found: {path}")
@@ -263,30 +265,39 @@ def _load_decoder(cfg: ScenarioConfig) -> Decoder:
             ))
     except KeyError as exc:
         raise ConfigError(f"fixture {path} is missing tensor {exc}") from exc
-    return Decoder(cfg=cfg.model, layers=layers)
+    return layers
 
 
 def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
     """Calibrate, train and threshold one predictor per (layer, expert); write
     the SLIMWT1 weights and the threshold-table JSON. Returns a summary with
-    loss histories. At ``SLIM_LOG=debug`` each (layer, expert) gets the
-    ``train:`` line (basis width and the seconds of the basis and the loop),
-    then one line with the wall-clock seconds of the SVD init, ``train`` and
-    the thresholds."""
-    dec = _load_decoder(cfg)
+    loss histories. The calibration stream is harvested while the layers
+    are drawn, and only each layer's gate weights are kept for the fits.
+    At ``SLIM_LOG=debug`` each (layer, expert) gets the ``train:`` line
+    (basis width and the seconds of the basis and the loop), then one line
+    with the wall-clock seconds of the SVD init, ``train`` and the
+    thresholds."""
+    gates = []  # per layer, its experts' w_g: all the fits read of the model
+
+    def keep_gates(layers):
+        for li, lw in enumerate(layers):
+            gates.append(lw.w_g)
+            yield li, lw
+
     tp = cfg.train
     dim_lr = tp.dim_lr or default_dim_lr(cfg.model.dim_e)
-    calib = harvest_ffn_inputs(dec, tp.calib_tokens, seed=cfg.seed + 1)
+    calib = harvest_ffn_inputs(Decoder(cfg=cfg.model), tp.calib_tokens, seed=cfg.seed + 1,
+                               layers=keep_gates(_model_layers(cfg)))
 
     tensors = {}
     tables = {}
     summary = {"dim_lr": dim_lr, "layers": []}
-    for li, lw in enumerate(dec.layers):
+    for li, w_g in enumerate(gates):
         for e in range(cfg.model.n_expert):
             t0 = time.perf_counter()
-            p0 = init_from_svd(lw.w_g[e], dim_lr)
+            p0 = init_from_svd(w_g[e], dim_lr)
             t1 = time.perf_counter()
-            p, history = train(p0, calib[li], lw.w_g[e], epochs=tp.epochs, lr=tp.lr)
+            p, history = train(p0, calib[li], w_g[e], epochs=tp.epochs, lr=tp.lr)
             t2 = time.perf_counter()
             tables[(li, e)] = build_threshold_table(p, calib[li], tp.targets)
             t3 = time.perf_counter()
@@ -331,34 +342,49 @@ def load_predictors(cfg: ScenarioConfig, out_dir: Path):
 
 def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     """Dense vs predictor-masked decode on held-out tokens: output MSE and
-    measured sparsity, averaged over (layer, expert, token), for every
-    calibrated target. Each stream is decoded as one block, layer by layer;
-    the dense reference does not depend on the target, so it is decoded
-    once."""
-    dec = _load_decoder(cfg)
+    measured sparsity, averaged over (token, layer, expert), for every
+    calibrated target. Each stream is decoded as one block, and the
+    streams run layer-major: the dense reference (decoded once, since it
+    does not depend on the target) and every target's masked stream pass a
+    layer, each with a fresh cache, before the next layer is drawn."""
+    layers = _model_layers(cfg)
     predictors, tables = load_predictors(cfg, out_dir)
     if predictors[(0, 0)].l.shape[0] != cfg.model.dim_e:
         raise ConfigError("predictor dims do not match the model config")
+    dec = Decoder(cfg=cfg.model)
     rng = np.random.default_rng([cfg.seed, 0xE7A1])
     inputs = rng.standard_normal((cfg.train.eval_tokens, cfg.model.dim_e))
-    dense = dec.decode_step(inputs, dec.new_cache())
+    targets = cfg.train.targets
+    # per target, (layer, expert) -> each token's measured_sparsity
+    sparsities = [{} for _ in targets]
 
-    report = {"targets": []}
-    for target in cfg.train.targets:
-        masks = {}  # (layer, expert) -> (tokens x dim_h) mask
-
+    def masker(target, made):
         def mask_fn(layer, expert, x):
             thr = tables[(layer, expert)].threshold_for(target)
-            masks[(layer, expert)] = predict_mask(predictors[(layer, expert)], x, thr)
-            return masks[(layer, expert)]
+            mask = predict_mask(predictors[(layer, expert)], x, thr)
+            dim_h = mask.shape[1]
+            made[(layer, expert)] = (dim_h - np.count_nonzero(mask, axis=1)) / float(dim_h)
+            return mask
+        return mask_fn
 
-        masked = dec.decode_step(inputs, dec.new_cache(), mask_fn=mask_fn)
-        sparsities = [measured_sparsity(masks[(li, e)][t]) for t in range(len(inputs))
-                      for li in range(cfg.model.n_dec) for e in range(cfg.model.n_expert)]
+    mask_fns = [None] + [masker(t, made) for t, made in zip(targets, sparsities)]
+    streams = [inputs] * len(mask_fns)  # the dense stream, then one per target
+    for layer in enumerate(layers):
+        # a block attends only to its own rows, so a stream's cache rows for
+        # this layer are dead once it has passed it
+        streams = [dec.decode_step(x, dec.new_cache(), mask_fn=fn, layers=(layer,))
+                   for x, fn in zip(streams, mask_fns)]
+    dense, *masked = streams
+
+    report = {"targets": []}
+    for target, out, made in zip(targets, masked, sparsities):
+        # averaged token-major, then by layer, then by expert: the order of
+        # a per-row loop, so the mean's rounding is the same
+        per_row = np.stack([made[key] for key in sorted(made)], axis=1).ravel()
         entry = {
             "target_sparsity": target,
-            "output_mse": float(np.mean((dense - masked) ** 2)),
-            "measured_sparsity": float(np.mean(sparsities)),
+            "output_mse": float(np.mean((dense - out) ** 2)),
+            "measured_sparsity": float(np.mean(per_row)),
         }
         report["targets"].append(entry)
         log.info("target %.2f: mse %.4e, measured sparsity %.3f",

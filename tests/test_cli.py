@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,16 +16,17 @@ from slim.cli import main
 from slim.config import config_hash, load_scenario
 from slim.container import read_tensors, write_tensors
 from slim.errors import ShapeError
-from slim.model import Decoder
+from slim.model import Decoder, synth_model
 from slim.predictor import measured_sparsity, predict_mask
 from slim.runner import (
     REPORT_FIELDS,
-    _load_decoder,
+    _model_layers,
     evaluate_point,
     infer_report,
     load_predictors,
     read_token,
     scenario_rows,
+    train_predictors,
     write_report,
 )
 from slim.storage import SLC_GEOMETRY, TLC_GEOMETRY, SsdGeometry
@@ -124,8 +126,8 @@ class TestTrain:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         # the fixture holds float32 w_d (dim_e x dim_h); it loads as neuron rows
-        loaded = _load_decoder(load_scenario(path))
-        for lw, want in zip(loaded.layers, dec.layers):
+        loaded = _model_layers(load_scenario(path))
+        for lw, want in zip(loaded, dec.layers, strict=True):
             for w_down, w in zip(lw.w_down, want.w_down):
                 assert w_down.flags.c_contiguous
                 assert np.array_equal(w_down, w.astype(np.float32).astype(np.float64))
@@ -137,7 +139,7 @@ def reference_infer_report(cfg, out_dir):
     """infer_report as a loop that decodes a fresh dense reference next to
     each target's masked decode, and records every token's sparsities as
     the masks are made."""
-    dec = _load_decoder(cfg)
+    dec = Decoder(cfg.model, list(_model_layers(cfg)))
     predictors, tables = load_predictors(cfg, out_dir)
     rng = np.random.default_rng([cfg.seed, 0xE7A1])
     inputs = np.vstack([rng.standard_normal((1, cfg.model.dim_e))
@@ -172,6 +174,20 @@ class TestInfer:
         cfg = load_scenario(path)
         assert infer_report(cfg, out) == reference_infer_report(cfg, out)
 
+    @pytest.mark.parametrize("model", ["toy", "toy_moe"])
+    def test_fixture_model_matches_per_target_dense_loop(self, tmp_path, model):
+        # a fixture model is read whole, then run layer-major like a drawn one
+        fixture = tmp_path / "model.slimwt"
+        save_model_fixture(Decoder.synth(load_scenario(dict(TOY_DOC, model=model)).model),
+                           fixture)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TOY_DOC, model=model,
+                                        paths={"model_fixture": str(fixture)})))
+        out = tmp_path / "out"
+        assert run("train", path, out) == 0
+        cfg = load_scenario(path)
+        assert infer_report(cfg, out) == reference_infer_report(cfg, out)
+
     def test_reports_mse_and_sparsity(self, cfg_path, tmp_path):
         out = tmp_path / "out"
         assert run("train", cfg_path, out) == 0
@@ -197,6 +213,25 @@ class TestInfer:
 
     def test_without_training_exits_2(self, cfg_path, tmp_path):
         assert run("infer", cfg_path, tmp_path / "fresh") == 2
+
+
+def test_train_and_infer_peak_below_model_weights(tmp_path):
+    # layers are drawn one at a time, so neither pipeline holds the whole
+    # model; tracemalloc counts numpy's data buffers
+    doc = dict(TOY_DOC, model={"n_dec": 8, "dim_e": 64, "dim_h": 256, "n_heads": 4,
+                               "seq_len": 64})
+    cfg = load_scenario(doc)
+    weights = sum(a.nbytes for lw in synth_model(cfg.model)
+                  for a in (lw.w_q, lw.w_k, lw.w_v, lw.w_o, *lw.w_g, *lw.w_u, *lw.w_down))
+    out = tmp_path / "out"
+    for pipeline in (train_predictors, infer_report):
+        tracemalloc.start()
+        try:
+            pipeline(cfg, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < weights, (pipeline.__name__, peak, weights)
 
 
 class TestSimulate:

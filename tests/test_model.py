@@ -15,6 +15,7 @@ from slim.model import (
     mha_forward,
     moe_forward,
     route_top_k,
+    synth_layers,
     synth_model,
 )
 from slim.numerics import matmul, silu, softmax
@@ -84,10 +85,6 @@ class ReferenceCache:
         self.capacity = capacity
         self.keys = [[] for _ in range(n_layers)]
         self.values = [[] for _ in range(n_layers)]
-
-    @property
-    def current_len(self):
-        return len(self.keys[0])
 
     def append(self, layer, k, v):
         if len(self.keys[layer]) >= self.capacity:
@@ -164,6 +161,55 @@ def test_synth_deterministic():
     b = synth_model(TOY)
     assert np.array_equal(a[0].w_q, b[0].w_q)
     assert np.array_equal(a[1].w_g[0], b[1].w_g[0])
+
+
+def reference_synth(cfg):
+    """The seeded draw as one eager loop over every layer: per layer w_q,
+    w_k, w_v, w_o, each expert's gate, each expert's up, each expert's down
+    (drawn dim_e x dim_h, stored as its transpose), then the router."""
+    rng = np.random.default_rng([cfg.seed, 0x51])
+    scale, resid = 1.0 / np.sqrt(cfg.dim_e), 1.0 / np.sqrt(2.0 * cfg.n_dec)
+    layers = []
+    for _ in range(cfg.n_dec):
+        attn = [rng.standard_normal((cfg.dim_e, cfg.dim_e)) * g
+                for g in (scale, scale, scale, scale * resid)]
+        gate = [rng.standard_normal((cfg.dim_h, cfg.dim_e)) * scale
+                for _ in range(cfg.n_expert)]
+        up = [rng.standard_normal((cfg.dim_h, cfg.dim_e)) * scale for _ in range(cfg.n_expert)]
+        down = [(rng.standard_normal((cfg.dim_e, cfg.dim_h)) * (resid / np.sqrt(cfg.dim_h))).T
+                for _ in range(cfg.n_expert)]
+        router = (rng.standard_normal((cfg.n_expert, cfg.dim_e)) * scale
+                  if cfg.n_expert > 1 else None)
+        layers.append((*attn, gate, up, down, router))
+    return layers
+
+
+def assert_layer_bits(lw, want):
+    *attn, gate, up, down, router = want
+    for got, w in zip((lw.w_q, lw.w_k, lw.w_v, lw.w_o), attn, strict=True):
+        assert got.dtype == np.float64 and np.array_equal(got, w)
+    for got, ws in ((lw.w_g, gate), (lw.w_u, up), (lw.w_down, down)):
+        assert len(got) == len(ws)
+        assert all(g.dtype == np.float64 and g.flags.c_contiguous and np.array_equal(g, w)
+                   for g, w in zip(got, ws))
+    assert (lw.router is None) == (router is None)
+    assert router is None or np.array_equal(lw.router, router)
+
+
+@given(decode_cases())
+@settings(max_examples=40, deadline=None)
+def test_synth_layers_match_eager_draw(case):
+    # layers drawn one at a time, dense or MoE with a router, carry the bits
+    # of the eager draw, as do synth_model's; two sources drawn in turn do
+    # not share a generator
+    cfg, _ = case
+    want = reference_synth(cfg)
+    first, second = synth_layers(cfg), synth_layers(cfg)
+    for lw, layer in zip(synth_model(cfg), want, strict=True):
+        assert_layer_bits(next(first), layer)
+        assert_layer_bits(next(second), layer)
+        assert_layer_bits(lw, layer)
+    assert next(first, None) is None and next(second, None) is None
 
 
 def test_synth_no_router_for_single_expert():
@@ -497,7 +543,7 @@ class TestDecode:
             x = rng.standard_normal((1, cfg.dim_e))
             got = dec.decode_step(x, cache, mask_fn=fn)
             assert np.array_equal(got, reference_decode_step(dec, x, ref, mask_fn=fn))
-            assert cache.current_len == n
+            assert cache.layer_len(0) == n
             for li in range(cfg.n_dec):
                 for a, b in zip(cache.stacked(li), ref.stacked(li)):
                     assert np.array_equal(a, b)
@@ -531,10 +577,40 @@ class TestDecode:
         want = np.vstack([dec.decode_step(xs[i], steps, mask_fn=masks_from(i, False))
                           for i in range(prefix, prefix + n)])
         assert_close(got, want)
-        assert block.current_len == steps.current_len == prefix + n
+        assert all(block.layer_len(li) == steps.layer_len(li) == prefix + n
+                   for li in range(cfg.n_dec))
         for li in range(cfg.n_dec):
             for a, b in zip(block.stacked(li), steps.stacked(li)):
                 assert_close(a, b)
+
+    @given(block_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_layer_major_streams_match_whole_decode(self, case):
+        # a dense and a masked stream, each with its own cache, passing each
+        # layer (drawn one at a time) before the next one is drawn, give the
+        # bits of decoding each stream through every layer at once
+        cfg, prefix, n, _ = case
+        dec = Decoder.synth(cfg)
+        rng = np.random.default_rng([cfg.seed, 3])
+        xs = rng.standard_normal((prefix + n, cfg.dim_e))
+        table = rng.random((cfg.n_dec, cfg.n_expert, n, cfg.dim_h)) < 0.5
+        fns = [None, lambda layer, expert, x: table[layer, expert]]
+        whole = [dec.new_cache() for _ in fns]
+        streamed = [dec.new_cache() for _ in fns]
+        if prefix:
+            for cache in whole + streamed:
+                dec.decode_step(xs[:prefix], cache)
+        want = [dec.decode_step(xs[prefix:], cache, mask_fn=fn)
+                for cache, fn in zip(whole, fns)]
+        got = [xs[prefix:]] * len(fns)
+        for layer in enumerate(synth_layers(cfg)):
+            got = [dec.decode_step(x, cache, mask_fn=fn, layers=(layer,))
+                   for x, cache, fn in zip(got, streamed, fns)]
+        for g, w, a, b in zip(got, want, streamed, whole):
+            assert np.array_equal(g, w)
+            for li in range(cfg.n_dec):
+                assert all(np.array_equal(u, v)
+                           for u, v in zip(a.stacked(li), b.stacked(li)))
 
     def test_block_over_capacity_leaves_cache(self):
         cfg = ModelConfig(n_dec=3, dim_e=16, dim_h=8, n_heads=2, seq_len=8, seed=4)
@@ -551,7 +627,7 @@ class TestDecode:
             cache.append(0, np.ones((4, 16)), np.ones((4, 16)))
         assert len(cache.stacked(0)[0]) == 5
         dec.decode_step(rng.standard_normal((3, 16)), cache)
-        assert cache.current_len == 8
+        assert cache.layer_len(0) == 8
 
     def test_first_token_attention_is_v(self):
         dec = Decoder.synth(TOY)
@@ -635,7 +711,7 @@ class TestDecode:
         x = np.random.default_rng(17).standard_normal((1, 16))
         for n in range(1, 4):
             x = dec.decode_step(x, cache)
-            assert cache.current_len == n
+            assert cache.layer_len(0) == n
             assert all(len(cache.stacked(li)[0]) == n for li in range(TOY.n_dec))
 
     def test_cache_capacity_error(self):
@@ -678,7 +754,7 @@ class TestDecode:
         for rows in (3, 20):  # a block that fits the buffer, and one that grows it
             with pytest.raises(ShapeError):
                 cache.append(0, np.ones((rows, 5)), np.ones((rows, 5)))
-        assert cache.current_len == 2
+        assert cache.layer_len(0) == 2
         cache.append(0, np.ones((20, 4)), np.zeros((20, 4)))
         assert [m.shape for m in cache.stacked(0)] == [(22, 4)] * 2
 
@@ -690,6 +766,14 @@ def test_harvest_shapes():
     assert all(s.shape == (6, TOY.dim_e) for s in sets)
     again = harvest_ffn_inputs(dec, 6, seed=2)
     assert np.array_equal(sets[0], again[0])
+
+
+def test_harvest_from_drawn_layers_matches_resident_model():
+    dec = Decoder.synth(TOY)
+    streamed = harvest_ffn_inputs(Decoder(cfg=TOY), 6, seed=2,
+                                  layers=enumerate(synth_layers(TOY)))
+    for got, want in zip(streamed, harvest_ffn_inputs(dec, 6, seed=2), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_harvest_matches_one_row_stream():

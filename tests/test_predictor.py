@@ -187,7 +187,7 @@ class TestTrain:
              Predictor(l=rng.standard_normal((dim_e, dim_lr)),
                        r=rng.standard_normal((dim_lr, dim_h))))
         x = rng.standard_normal((n, dim_e)) * scale
-        b = _training_basis(p.r, x, w_g)
+        b = _training_basis(p.r, x @ w_g.T, w_g)
         assert b.shape == (dim_h, min(min(n, dim_e) + dim_lr, dim_h))
         np.testing.assert_allclose(b.T @ b, np.eye(b.shape[1]), atol=1e-13)
 
