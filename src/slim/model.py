@@ -3,9 +3,9 @@ over a KV cache, gated FFN / mixture-of-experts, and the generation loop.
 A decode step takes a block of one or more tokens and runs it layer by
 layer, so a known stream (calibration or evaluation inputs) reads each
 layer's weights once. The layers can come from a lazy source
-(``synth_layers``), so a caller that runs its streams layer-major holds
-one layer's weights at a time. The FFN runs on every hidden neuron, or
-zeroes the hidden coordinates a neuron mask skips.
+(``synth_layers``), so a caller that runs its streams layer-major never
+holds the whole model. The FFN runs on every hidden neuron, or zeroes the
+hidden coordinates a neuron mask skips.
 
 Weights are synthetic (seeded Gaussians); there is no tokenizer or sampling.
 Projections apply as ``x @ W.T``, except the FFN's down projection: it is
@@ -68,7 +68,7 @@ class LayerWeights:
 def synth_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
     """Seeded Gaussian weights, one layer at a time in layer order, bitwise
     deterministic for a fixed seed; a layer is drawn when it is asked for,
-    so a caller that visits the layers in order holds one at a time.
+    so a caller that visits the layers in order need not hold them all.
 
     Projections scale by 1/sqrt(fan_in); the residual-branch outputs (w_o and
     the down projection) carry an extra 1/sqrt(2*n_dec). There is no
