@@ -3,14 +3,15 @@ mapping, sparsity-driven read transactions, and channel-level vs die-level
 processing-engine scheduling.
 
 A token is scheduled in one call to ``simulate_ffn_pass``, every layer's pass
-at once as array operations, from its read transactions as columns
-(``TokenReads``). Die-level PEs are closed form per transaction.
-Channel-level PEs share their channel's bus under a per-page rule (the die
-whose page is ready first goes next); each (layer, channel) is one row of a
-table of dies stepped in lockstep, and the rounds in which a row's dies take
-turns on the bus without it idling close in one left-to-right sum of their
-slots. Every time equals, bit for bit, a heap loop over pages. Events are
-recorded as columns (``trace.EventColumns``).
+at once as array operations, from what each die reads in each layer as
+(layer, die) tables (``TokenReads``); a die that reads nothing holds 0
+pages. Die-level PEs are closed form per die. Channel-level PEs share their
+channel's bus under a per-page rule (the die whose page is ready first goes
+next); each (layer, channel) is one row of a table of dies stepped in
+lockstep, and the rounds in which a row's dies take turns on the bus
+without it idling close in one left-to-right sum of their slots. Every
+time equals, bit for bit, a heap loop over pages. Events are recorded as
+columns (``trace.EventColumns``).
 
 A "fused vector" is one hidden neuron's weights (gate column + up column +
 down row, 3*dim_e elements) stored contiguously so a neuron is one storage
@@ -82,8 +83,11 @@ class NandTiming:
     def __post_init__(self):
         if self.pe_level not in ("die", "channel"):
             raise ShapeError(f"pe_level must be 'die' or 'channel', got {self.pe_level!r}")
-        if min(self.t_r_us, self.t_prog_us, self.ch_bus_mbps, self.pe_clock_ghz) <= 0:
-            raise ShapeError("timing parameters must be positive")
+        if not all(0 < v < math.inf for v in (self.t_r_us, self.t_prog_us,
+                                              self.ch_bus_mbps, self.pe_clock_ghz)):
+            raise ShapeError("timing parameters must be finite and positive")
+        if self.pe_macs < 1:
+            raise ShapeError(f"pe_macs must be >= 1, got {self.pe_macs}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +100,8 @@ class NspParams:
     act_bytes_per_elem: int = 1  # activations move quantized
 
     def __post_init__(self):
-        if not (self.ftl_txn_us >= 0 and self.onchip_bus_gbps > 0):
-            raise ShapeError("ftl_txn_us must be >= 0 and onchip_bus_gbps > 0")
+        if not (0 <= self.ftl_txn_us < math.inf and 0 < self.onchip_bus_gbps < math.inf):
+            raise ShapeError("ftl_txn_us must be finite and >= 0, onchip_bus_gbps finite and > 0")
         if min(self.psum_bytes_per_elem, self.act_bytes_per_elem) < 1:
             raise ShapeError("byte widths per element must be >= 1")
 
@@ -197,9 +201,10 @@ def map_weights(cfg: ModelConfig, geo: SsdGeometry, bytes_per_elem: int = 1) -> 
 
 @dataclass(frozen=True, eq=False)
 class TokenReads:
-    """What a token's FFN passes read, as columns: one entry per (layer, die)
-    that reads at least one page, in (layer, die) order; page counts, not
-    pages.
+    """What a token's FFN passes read, as three (n_dec, n_dies) tables of
+    the ``layout`` the token was read on; page counts, not pages. Each layer
+    makes one pass, and a die that reads nothing in it holds 0 in every
+    table.
 
     ``n_pages`` counts the die's pages that hold at least one active vector.
     ``useful_bytes`` prorates each of those pages by the fraction of its
@@ -207,29 +212,30 @@ class TokenReads:
     counts fully, so dense passes read at 100% efficiency and waste appears
     exactly when packed neighbors are skipped). ``active_elems`` counts the
     weights actually multiplied by the PE. The die's channel and the raw
-    bytes follow from ``die``, ``n_pages`` and the geometry of ``layout``,
-    the layout the token was read on. Layers ``0..n_layers-1`` each make one
-    pass, those without an entry reading nothing.
+    bytes follow from the die index, ``n_pages`` and the geometry of
+    ``layout``. Tables of any other shape, or a negative page count, raise
+    ShapeError.
     """
 
-    layer: np.ndarray
-    die: np.ndarray
     n_pages: np.ndarray
     useful_bytes: np.ndarray
     active_elems: np.ndarray
     layout: WeightLayout
 
-    @property
-    def n_layers(self) -> int:
-        return self.layout.n_dec
+    def __post_init__(self):
+        shape = (self.layout.n_dec, self.layout.geo.n_dies)
+        shapes = [np.shape(t) for t in (self.n_pages, self.useful_bytes, self.active_elems)]
+        if shapes != [shape] * 3:
+            raise ShapeError(f"tables of shapes {shapes}, not (n_dec, n_dies) {shape}")
+        if (self.n_pages < 0).any():
+            raise ShapeError("negative page count")
 
 
 def generate_read_transactions(layout: WeightLayout, masks: dict[tuple[int, int], np.ndarray]
                                ) -> TokenReads:
-    """Per-die transactions of one token, given neuron masks keyed by
-    (layer, expert) as ``nested_masks`` returns them; a page is read iff it
-    holds at least one active neuron's data. Layers without a mask read
-    nothing.
+    """Per-die reads of one token, given neuron masks keyed by (layer,
+    expert) as ``nested_masks`` returns them; a page is read iff it holds at
+    least one active neuron's data. Layers without a mask read nothing.
 
     Group j of a slot sits on die ``(d0 + j) mod n_dies``, where ``d0`` is the
     die of the slot's first group (``place(slot, 0)``). So each slot's
@@ -237,28 +243,29 @@ def generate_read_transactions(layout: WeightLayout, masks: dict[tuple[int, int]
     ``n_dies``, put every die's groups in one column, and a layer's slots
     stack down the rows in visiting order (experts ascending, then neurons),
     which the layout makes ascending page order. Column sums give each die's
-    hit groups and active vectors; useful bytes are accumulated left to right
-    down each column, where unhit groups and padding add exact zeros, then
-    multiplied by ``span_pages``. That equals the page by page sum bit for
-    bit: a group spans several pages only with packing factor 1, where every
-    page is wholly useful and the sums are integers below 2**53."""
+    hit groups and active vectors, the layer's row of the tables; useful
+    bytes are accumulated left to right down each column, where unhit groups
+    and padding add exact zeros, then multiplied by ``span_pages``. That
+    equals the page by page sum bit for bit: a group spans several pages
+    only with packing factor 1, where every page is wholly useful and the
+    sums are integers below 2**53."""
     n_dies, span, n_groups = layout.geo.n_dies, layout.span_pages, layout.groups_per_slot
-    by_layer: list[list] = [[] for _ in range(layout.n_dec)]
+    by_layer: dict[int, list] = {}
     for layer, expert in sorted(masks):
         if not (0 <= layer < layout.n_dec and 0 <= expert < layout.n_expert):
             raise ShapeError(f"layer {layer} / expert {expert} outside the layout")
         mask = np.asarray(masks[(layer, expert)], dtype=bool)
         if mask.shape != (layout.dim_h,):
             raise ShapeError(f"mask shape {mask.shape} vs dim_h {layout.dim_h}")
-        by_layer[layer].append((layer * layout.n_expert + expert, mask))
+        by_layer.setdefault(layer, []).append((layer * layout.n_expert + expert, mask))
 
     starts = np.arange(0, layout.dim_h, layout.packing_factor)
     resident = np.minimum(layout.packing_factor, layout.dim_h - starts)
     # rows enough for one slot's groups after any front pad below n_dies
     width = -(-(n_dies - 1 + n_groups) // n_dies) * n_dies
-    empty = np.zeros(0, dtype=np.int64)
-    parts = [(empty, empty, empty, np.zeros(0), empty)]  # typed columns when nothing reads
-    for layer, slot_masks in enumerate(by_layer):
+    n_pages, useful_bytes, active_elems = (np.zeros((layout.n_dec, n_dies), dtype=dt)
+                                           for dt in (np.int64, np.float64, np.int64))
+    for layer, slot_masks in by_layer.items():
         active = np.zeros((len(slot_masks), width), dtype=np.int64)
         useful = np.zeros((len(slot_masks), width))
         for row, (slot, mask) in enumerate(slot_masks):
@@ -269,15 +276,10 @@ def generate_read_transactions(layout: WeightLayout, masks: dict[tuple[int, int]
             active[row, pad:pad + n_groups] = counts
             useful[row, pad:pad + n_groups] = layout.geo.page_bytes * counts / resident
         active, useful = active.reshape(-1, n_dies), useful.reshape(-1, n_dies)
-        pages = np.count_nonzero(active, axis=0)
-        dies = np.flatnonzero(pages)
-        if dies.size:
-            parts.append((np.full(dies.size, layer), dies, pages[dies] * span,
-                          np.add.accumulate(useful, axis=0)[-1][dies] * span,
-                          active.sum(axis=0)[dies] * 3 * layout.dim_e))
-    layer, die, n_pages, useful, elems = map(np.concatenate, zip(*parts))
-    return TokenReads(layer=layer, die=die, n_pages=n_pages, useful_bytes=useful,
-                      active_elems=elems, layout=layout)
+        n_pages[layer] = np.count_nonzero(active, axis=0) * span
+        useful_bytes[layer] = np.add.accumulate(useful, axis=0)[-1] * span
+        active_elems[layer] = active.sum(axis=0) * 3 * layout.dim_e
+    return TokenReads(n_pages, useful_bytes, active_elems, layout)
 
 
 @dataclass(frozen=True)
@@ -473,19 +475,19 @@ def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
                       t_start: float = 0.0) -> FfnPassResult:
     """Schedule a token's FFN passes, one per layer, over the NSP engines.
 
-    ``reads`` holds the token's transactions as ``generate_read_transactions``
-    returns them, one pass per layer of ``reads.n_layers``, read on a layout
-    of ``geo`` (ShapeError otherwise). Each layer's pass starts
-    when the one before ends: layer i's events are offset by ``t_start``
-    plus the latencies of layers 0..i-1, added in layer order.
+    ``reads`` holds what the token reads, as ``generate_read_transactions``
+    returns it: one pass per row of its tables, on a layout of ``geo``
+    (ShapeError otherwise). Each layer's pass starts when the one before
+    ends: layer i's events are offset by ``t_start`` plus the latencies of
+    layers 0..i-1, added in layer order.
 
     Steps of a pass: broadcast the input activations to every PE buffer,
-    translate transactions in the FTL (one fixed-latency issue each, in die
-    order, pipelined with the reads), stream page reads through the PEs
-    (double-buffered, so each page costs max(read, compute)), and finally
-    collect partial sums over the channel bus (die-level PEs, dies in index
-    order on each channel) or the on-chip bus (channel-level PEs, channels
-    in index order).
+    translate transactions in the FTL (one fixed-latency issue per die that
+    reads, in die order, pipelined with the reads), stream page reads
+    through the PEs (double-buffered, so each page costs max(read,
+    compute)), and finally collect partial sums over the channel bus
+    (die-level PEs, dies in index order on each channel) or the on-chip bus
+    (channel-level PEs, channels in index order).
 
     Die-level PEs consume pages in-die: a die finishes at issue + n_pages *
     max(t_R, compute), and no earlier than the broadcast. Channel-level PEs
@@ -498,15 +500,14 @@ def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
     dies take turns bus-bound in one sum (``_channel_bus_ends``); the
     result is bit-identical to a heap loop over every page.
 
-    Within a transaction the per-page compute time uses the transaction's
-    mean active elements per page. Entries must be in (layer, die) order
-    with layers below ``n_layers``, target distinct dies within a layer and
-    hold at least one page each (generate_read_transactions emits at most
-    one per die, never an empty one); ShapeError otherwise.
-    Events go to ``trace`` in each layer's order: broadcast, reads and MACs
-    per transaction, then partial sums. At ``SLIM_LOG=debug`` one line gives
-    the seconds spent on the schedule and on the events, the lockstep steps
-    and the channel rows closed in full and by rounds.
+    A die's per-page compute time uses its mean active elements per page.
+    Die d is die ``d // n_ch`` of channel ``d % n_ch``, so a (layer,
+    channel) row is a reshape of the (layer, die) tables. Events go to
+    ``trace`` in each layer's order: broadcast, reads and MACs per die that
+    reads (die level: in die order; channel level: by channel, then die),
+    then partial sums. At ``SLIM_LOG=debug`` one line gives the seconds
+    spent on the schedule and on the events, the lockstep steps and the
+    channel rows that read, closed in full and by rounds.
     """
     t0 = time.perf_counter()
     if reads.layout.geo != geo:
@@ -521,85 +522,50 @@ def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
     psum_bytes = dim_e * params.psum_bytes_per_elem * batch_tokens
     die_level = timing.pe_level == "die"
 
+    pes_per_ch = geo.chips_per_ch * geo.dies_per_chip
     # step 1: broadcast inputs to PE input SRAMs, done at the same time on every channel
     if die_level:
-        pes_per_ch = geo.chips_per_ch * geo.dies_per_chip
         bcast = pes_per_ch * in_bytes / ch_rate
         psum_s = psum_bytes / ch_rate
     else:
         bcast = geo.n_ch * in_bytes / onchip_rate
         psum_s = psum_bytes / onchip_rate
 
-    n_layers = reads.n_layers
-    layer, die, pages = reads.layer, reads.die, reads.n_pages
-    elems, useful = reads.active_elems, reads.useful_bytes
-    n = len(die)
-    if ((layer < 0) | (layer >= n_layers)).any():
-        raise ShapeError(f"transactions outside layers 0..{n_layers - 1}")
-    same_layer = np.diff(layer) == 0
-    twice = same_layer & (np.diff(die) == 0)
-    if twice.any():
-        raise ShapeError(f"two transactions target die {die[1:][twice][0]}")
-    if (np.diff(layer) < 0).any() or (same_layer & (np.diff(die) < 0)).any():
-        raise ShapeError("transactions out of (layer, die) order")
-    if (pages < 1).any():
-        raise ShapeError(f"transaction for die {die[pages < 1][0]} has no pages")
-    counts = np.bincount(layer, minlength=n_layers)
-    first_txn = np.cumsum(counts) - counts
-    pos = np.arange(n) - first_txn[layer]
-
-    width = int(counts.max(initial=0))
+    n_layers = reads.layout.n_dec
+    pages, elems = reads.n_pages, reads.active_elems
+    reading = pages > 0
+    counts = reading.sum(axis=1)
+    # (layer, die of the channel, channel)
+    by_ch = (n_layers, pes_per_ch, geo.n_ch)
+    ch_reads = reading.reshape(by_ch).any(axis=1)
     # step 2: LPA translation, serialized in firmware
-    issue = np.add.accumulate(np.full(width, ftl))[pos]
-    grid = np.zeros((n_layers, width + 1))  # column 0 starts each layer's sum at 0.0
-    grid[layer, pos + 1] = useful
-    layer_useful = np.add.accumulate(grid, axis=1)[:, -1]
-    compute = elems * batch_tokens / pages / pe_rate
-
-    # rows: one per (layer, channel) with work; columns: its dies in index order
-    ch = die % geo.n_ch
-    order = np.lexsort((die, ch, layer))
-    row_key = (layer * geo.n_ch + ch)[order]
-    new_row = np.diff(row_key, prepend=-1) != 0
-    first_of_row = np.flatnonzero(new_row)
-    row_of = np.cumsum(new_row) - 1
-    col = np.arange(n) - first_of_row[row_of]
-    row_layer = layer[order][first_of_row]
-    n_rows, row_width = len(first_of_row), int(col.max(initial=-1)) + 1
-    row_size = np.diff(first_of_row, append=n)
-    layer_end = np.full(n_layers, bcast)
+    issue = np.add.accumulate(np.full(geo.n_dies, ftl))[np.cumsum(reading, axis=1) - 1]
+    layer_useful = np.add.accumulate(reads.useful_bytes, axis=1)[:, -1]
+    compute = elems * batch_tokens / np.maximum(pages, 1) / pe_rate
     steps = full = by_rounds = 0
 
     if die_level:
         done = np.maximum(issue + pages * np.maximum(t_r, compute), bcast)
         # step 4: each channel bus collects its dies' partial sums in die order
-        table = np.zeros((n_rows, row_width))
-        table[row_of, col] = done[order]
-        bus = np.zeros(n_rows)
-        psum_end = np.empty(n)
-        for c in range(row_width):
-            has = c < row_size
-            bus[has] = np.maximum(bus[has], table[has, c]) + psum_s
-            psum_end[order[first_of_row[has] + c]] = bus[has]
-        np.maximum.at(layer_end, row_layer, bus)
+        has, ends = reading.reshape(by_ch), done.reshape(by_ch)
+        bus, psum_end = np.zeros((n_layers, geo.n_ch)), np.empty(by_ch)
+        for k in range(pes_per_ch):
+            bus = psum_end[:, k] = np.where(has[:, k], np.maximum(bus, ends[:, k]) + psum_s, bus)
+        psum_end = psum_end.reshape(n_layers, geo.n_dies)
+        layer_end = np.maximum(bcast, bus.max(axis=1))
     else:
-        slot = np.maximum(xfer, compute)
-        ready = np.full((n_rows, row_width), np.inf)
-        ready[row_of, col] = (issue + t_r)[order]
-        left = np.zeros((n_rows, row_width), dtype=np.int64)
-        left[row_of, col] = pages[order]
-        slots = np.zeros((n_rows, row_width))
-        slots[row_of, col] = slot[order]
-        bus, steps, full, by_rounds = _channel_bus_ends(ready, left, slots, t_r, bcast)
+        # rows: one per (layer, channel); columns: its dies in index order
+        ready, left, slot = (t.reshape(by_ch).transpose(0, 2, 1).reshape(-1, pes_per_ch)
+                             for t in (np.where(reading, issue + t_r, np.inf), pages,
+                                       np.where(reading, np.maximum(xfer, compute), 0.0)))
+        bus, steps, full, by_rounds = _channel_bus_ends(ready, left, slot, t_r, bcast)
+        bus = bus.reshape(n_layers, geo.n_ch)
         # step 4: the on-chip bus collects the channels' partial sums in channel order
-        row_rank = np.arange(n_rows) - np.searchsorted(row_layer, row_layer)
-        onchip = np.zeros(n_layers)
-        psum_end = np.empty(n_rows)
-        for k in range(int(row_rank.max(initial=-1)) + 1):
-            at = np.flatnonzero(row_rank == k)
-            onchip[row_layer[at]] = np.maximum(onchip[row_layer[at]], bus[at]) + psum_s
-            psum_end[at] = onchip[row_layer[at]]
-        layer_end = np.maximum(layer_end, onchip)
+        onchip, psum_end = np.zeros(n_layers), np.empty((n_layers, geo.n_ch))
+        for c in range(geo.n_ch):
+            onchip = psum_end[:, c] = np.where(ch_reads[:, c],
+                                               np.maximum(onchip, bus[:, c]) + psum_s, onchip)
+        layer_end = np.maximum(bcast, onchip)
 
     t1 = time.perf_counter()
     lat = layer_end.tolist()
@@ -609,7 +575,7 @@ def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
                 for name in ("ch_bus", "onchip_bus", "nand_read", "pe_mac")}
         kind = {name: trace.kind_code(name) for name in ("ch", "die", "fmc", "onchip")}
         block = (geo.n_ch + 3 * counts if die_level
-                 else 1 + 3 * counts + np.bincount(row_layer, minlength=n_layers))
+                 else 1 + 3 * counts + ch_reads.sum(axis=1))
         off = np.cumsum(block) - block
         cols = [np.empty(int(block.sum()), dtype=dt)
                 for dt in (np.float64, np.int64, np.int64, np.int64, np.float64)]
@@ -618,34 +584,42 @@ def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
             for c, v in zip(cols, (t, kind[unit_kind], index, code[event], qty)):
                 c[at] = v
 
+        def rank(layer):
+            """Each cell's place among its layer's, for cells in layer order."""
+            return np.arange(layer.size) - np.searchsorted(layer, layer)
+
         read_bytes = pages * geo.page_bytes
         macs = elems * batch_tokens
         if die_level:
             at = off[:, None] + np.arange(geo.n_ch)
             put(at, bcast, "ch", np.arange(geo.n_ch), "ch_bus", pes_per_ch * in_bytes)
-            at = off[layer] + geo.n_ch + 2 * pos
-            put(at, done, "die", die, "nand_read", read_bytes)
-            put(at + 1, done, "die", die, "pe_mac", macs)
-            at = off[layer] + geo.n_ch + 2 * counts[layer] + pos
-            put(at, psum_end, "ch", ch, "ch_bus", psum_bytes)
+            layer, die = np.nonzero(reading)
+            at = off[layer] + geo.n_ch + 2 * rank(layer)
+            put(at, done[layer, die], "die", die, "nand_read", read_bytes[layer, die])
+            put(at + 1, done[layer, die], "die", die, "pe_mac", macs[layer, die])
+            at = off[layer] + geo.n_ch + 2 * counts[layer] + rank(layer)
+            put(at, psum_end[layer, die], "ch", die % geo.n_ch, "ch_bus", psum_bytes)
         else:
             put(off, bcast, "onchip", -1, "onchip_bus", geo.n_ch * in_bytes)
-            # a channel's transactions in die order, channels in index order
-            # (``order`` moves entries within their layer only)
-            at = off[layer] + 1 + 3 * pos
-            t = bus[row_of]
-            put(at, t, "die", die[order], "nand_read", read_bytes[order])
-            put(at + 1, t, "ch", ch[order], "ch_bus", read_bytes[order])
-            put(at + 2, t, "fmc", ch[order], "pe_mac", macs[order])
-            at = off[row_layer] + 1 + 3 * counts[row_layer] + row_rank
-            put(at, psum_end, "onchip", -1, "onchip_bus", psum_bytes)
+            # a layer's dies by channel, each channel's in die order
+            layer, ch, k = np.nonzero(reading.reshape(by_ch).transpose(0, 2, 1))
+            die = k * geo.n_ch + ch
+            at = off[layer] + 1 + 3 * rank(layer)
+            t = bus[layer, ch]
+            put(at, t, "die", die, "nand_read", read_bytes[layer, die])
+            put(at + 1, t, "ch", ch, "ch_bus", read_bytes[layer, die])
+            put(at + 2, t, "fmc", ch, "pe_mac", macs[layer, die])
+            layer, ch = np.nonzero(ch_reads)
+            at = off[layer] + 1 + 3 * counts[layer] + rank(layer)
+            put(at, psum_end[layer, ch], "onchip", -1, "onchip_bus", psum_bytes)
         t, *rest = cols
         t_ns = np.rint((starts[np.repeat(np.arange(n_layers), block)] + t) * 1e9)
         trace.extend(t_ns.astype(np.int64), *rest, np.ones(len(t), dtype=bool))
     t2 = time.perf_counter()
     log.debug("simulate_ffn_pass: %d layers, schedule %.6f s (%d lockstep steps, "
               "%d of %d channel rows closed in full, %d by rounds), events %.6f s",
-              n_layers, t1 - t0, steps, full, 0 if die_level else n_rows, by_rounds, t2 - t1)
+              n_layers, t1 - t0, steps, full, 0 if die_level else int(ch_reads.sum()),
+              by_rounds, t2 - t1)
     return FfnPassResult(
         latency_s=float(np.add.accumulate(np.array([0.0] + lat))[-1]),
         layer_latency_s=tuple(lat), raw_bytes=int(pages.sum()) * geo.page_bytes,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AccountingError, ShapeError
+from .errors import AccountingError, NumericError, ShapeError
 from .model import ModelConfig
 from .pim import (
     BitSerialCostModel,
@@ -59,26 +59,21 @@ def run_pipelined(phases: PhaseTimes, n_tokens: int) -> tuple[float, float]:
     """Interleave two independent token streams so the DRAM and SSD units
     overlap.
 
-    Event-driven: each stream's next token may enter the DRAM unit once the
-    unit is free and the stream's previous token has left the SSD unit.
-    Steady-state token period approaches max(t_dram, t_ssd).
+    Each stream's next token may enter the DRAM unit once the unit is free
+    and the stream's previous token has left the SSD unit. The slower unit
+    then runs back to back, so the last token leaves the SSD unit at t_dram,
+    plus n - 1 periods of max(t_dram, t_ssd), plus t_ssd. Summed left to
+    right in that order, these are the float additions of the event loop
+    over tokens, and the finish time is bit-identical to it. Steady-state
+    token period approaches max(t_dram, t_ssd).
     """
     if n_tokens < 1:
         raise ShapeError("n_tokens must be >= 1")
-    dram_free = 0.0
-    ssd_free = 0.0
-    stream_prev_done = [0.0, 0.0]
-    finish = 0.0
-    for tok in range(n_tokens):
-        s = tok % 2
-        start = max(dram_free, stream_prev_done[s])
-        dram_done = start + phases.t_dram
-        dram_free = dram_done
-        ssd_start = max(ssd_free, dram_done)
-        ssd_done = ssd_start + phases.t_ssd
-        ssd_free = ssd_done
-        stream_prev_done[s] = ssd_done
-        finish = max(finish, ssd_done)
+    period = max(phases.t_dram, phases.t_ssd)
+    finish = phases.t_dram
+    for _ in range(n_tokens - 1):
+        finish += period
+    finish += phases.t_ssd
     return finish, (n_tokens / finish if finish > 0 else math.inf)
 
 
@@ -322,6 +317,12 @@ def evaluate_slim(model: ModelConfig, timing: NandTiming,
     dram = token_dram_cost(model, dram_geo, dram_timing, cost_model,
                            bits=8 * bytes_per_elem)
     total = dram.total
+    # rates that overflow to inf can leave nothing to time; trace times are
+    # int64 nanoseconds; NaN fails both comparisons
+    if not (0 < t_ssd and (t_ssd + total.seconds) * 1e9 < 2.0 ** 63):
+        raise NumericError(f"token time t_ssd {t_ssd} s + t_dram {total.seconds} s: the SSD "
+                           f"phase is not positive, or the sum not finite or beyond the "
+                           f"trace's int64 nanoseconds")
     t_ns = int(round((t_ssd + total.seconds) * 1e9))
     events.append(t_ns, "dram_pim", "pim_aap", total.aaps)
     events.append(t_ns, "dram_pim", "dram_rw", total.layout_bytes + total.rw_bytes)

@@ -1,15 +1,19 @@
 import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import slim.runner
 from slim.cli import main
@@ -315,7 +319,20 @@ class TestSimulate:
                                      {"cost": {"c_mul": -1}},
                                      {"energy": {"pcie_pj_per_bit": float("nan")}},
                                      {"model": 5}, {"nand": 5}, {"energy": 5},
-                                     {"dram": 5}, {"train": 5}])
+                                     {"dram": 5}, {"train": 5},
+                                     # these used to end in a traceback ...
+                                     {"nand": {"timing": {"t_r_us": float("nan")}}},
+                                     {"nand": {"timing": {"t_r_us": float("inf")}}},
+                                     {"nand": {"timing": {"pe_clock_ghz": float("nan")}}},
+                                     {"nand": {"timing": {"pe_macs": 0}}},
+                                     {"nsp": {"ftl_txn_us": float("inf")}},
+                                     # ... and these in rows of a negative MAC rate, a
+                                     # zero transfer time or an infinite write time
+                                     {"nand": {"timing": {"pe_macs": -3}}},
+                                     {"nand": {"timing": {"ch_bus_mbps": float("inf")}}},
+                                     {"nand": {"timing": {"t_prog_us": float("inf")}}},
+                                     {"pe_level": "channel",
+                                      "nsp": {"onchip_bus_gbps": float("inf")}}])
     def test_bad_value_exits_2_without_traceback(self, tmp_path, bad):
         # a (command, document) pair names the command that used to fail
         cmd, bad = bad if isinstance(bad, tuple) else ("simulate", bad)
@@ -323,6 +340,18 @@ class TestSimulate:
         path.write_text(json.dumps(dict(TOY_DOC, **bad)))
         proc = run_process(cmd, path, tmp_path / "out")
         assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("bad", [{"nand": {"timing": {"ch_bus_mbps": 5e-324}}},
+                                     {"nand": {"timing": {"t_r_us": 1e305}}},
+                                     {"nand": {"timing": {"pe_clock_ghz": 1e-310}}},
+                                     {"nsp": {"ftl_txn_us": 1e308}}])
+    def test_token_time_overflow_exits_3_without_traceback(self, tmp_path, bad):
+        """Finite settings whose token time overflows are a numeric failure."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TOY_DOC, **bad)))
+        proc = run_process("simulate", path, tmp_path / "out")
+        assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("cmd,file,data,message", [
@@ -363,6 +392,38 @@ class TestSimulate:
             assert type(ev.time_ns) is int
             assert type(ev.unit) is str and type(ev.event) is str
             assert type(ev.bytes) in (int, float)
+
+
+# datasheet-like values as well as zeros, negatives, subnormals, NaN and +-inf
+setting = st.floats(1e-3, 1e4) | st.floats(0, exclude_min=True) | st.floats()
+
+
+@given(timing=st.fixed_dictionaries({}, optional={
+           "t_r_us": setting, "t_prog_us": setting, "ch_bus_mbps": setting,
+           "pe_clock_ghz": setting, "pe_macs": st.integers(-4, 256)}),
+       nsp=st.fixed_dictionaries({}, optional={
+           "ftl_txn_us": setting, "onchip_bus_gbps": setting,
+           "psum_bytes_per_elem": st.integers(-1, 8), "act_bytes_per_elem": st.integers(-1, 8)}),
+       pe_level=st.sampled_from(["die", "channel"]))
+# rates that overflow to inf and a t_R that underflows to 0: nothing takes time
+@example(timing={"t_r_us": 5e-324, "ch_bus_mbps": 1e308, "pe_clock_ghz": 1e308},
+         nsp={"ftl_txn_us": 0.0, "onchip_bus_gbps": 1e308}, pe_level="channel")
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_nand_and_nsp_exit_cleanly(timing, nsp, pe_level):
+    """Any NAND timing or NSP section ends in exit 0, 2 or 3, never an
+    exception, and a report written has only finite numbers. The geometry
+    stays fixed: its sizes are allocations."""
+    doc = {"model": "toy", "seed": 5, "sparsity_targets": [0.5], "baselines": [],
+           "pe_level": pe_level, "nand": {"timing": timing}, "nsp": nsp}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            rows = json.loads((out / "report.json").read_text())
+            assert all(math.isfinite(v) for row in rows for v in row.values()
+                       if type(v) in (int, float)), rows
 
 
 def test_rows_fixed_order_without_pool_jitter(cfg_path, tmp_path):

@@ -52,21 +52,23 @@ def hand_layout(geo, n_layers):
 
 
 def token_reads(token, geo):
-    """The columnar record of a token given as one list of rows per layer,
-    each layer's rows in the order given, read on geo."""
-    rows = [(layer, *txn) for layer, txns in enumerate(token) for txn in txns]
-    cols = list(zip(*rows)) or [()] * 5
-    return TokenReads(*(np.array(c, dtype=dt) for c, dt in zip(
-        cols, (np.int64, np.int64, np.int64, np.float64, np.int64))),
-        layout=hand_layout(geo, len(token)))
+    """The (layer, die) tables of a token given as one list of rows per
+    layer, each row one die's reads, read on geo."""
+    shape = (len(token), geo.n_dies)
+    tables = [np.zeros(shape, dtype=np.int64), np.zeros(shape), np.zeros(shape, dtype=np.int64)]
+    for layer, txns in enumerate(token):
+        for txn in txns:
+            for table, value in zip(tables, txn[1:]):
+                table[layer, txn.die_index] = value
+    return TokenReads(*tables, layout=hand_layout(geo, len(token)))
 
 
 def layer_rows(reads, layer):
-    """One layer's entries of a record, as rows of built-in numbers."""
-    at = reads.layer == layer
-    return [Txn(*row) for row in zip(reads.die[at].tolist(), reads.n_pages[at].tolist(),
-                                     reads.useful_bytes[at].tolist(),
-                                     reads.active_elems[at].tolist())]
+    """One layer's dies that read, in die order, as rows of built-in numbers."""
+    dies = np.flatnonzero(reads.n_pages[layer])
+    return [Txn(*row) for row in zip(dies.tolist(), reads.n_pages[layer, dies].tolist(),
+                                     reads.useful_bytes[layer, dies].tolist(),
+                                     reads.active_elems[layer, dies].tolist())]
 
 
 def raw_bytes(txns, geo):
@@ -240,28 +242,6 @@ class TestFfnPass:
         r8 = simulate_ffn_pass(token, timing, geo, 8, dim_e=cfg.dim_e)
         assert r8.raw_bytes == r1.raw_bytes
         assert r8.macs == 8 * r1.macs
-
-    @pytest.mark.parametrize("level", ["die", "channel"])
-    @pytest.mark.parametrize("n_pages, copies", [(10, 2), (0, 1)])
-    def test_one_nonempty_transaction_per_die(self, level, n_pages, copies):
-        # a die listed twice would share one bus stream, an empty one would take a slot
-        geo, timing = nand_preset("slc", level)
-        txn = page_txn(geo, 0, n_pages, 4096)
-        with pytest.raises(ShapeError):
-            simulate_ffn_pass(token_reads([[txn] * copies], geo), timing, geo, dim_e=4096)
-
-    @pytest.mark.parametrize("layer, die", [
-        ([0, 0], [1, 0]),  # dies of a layer out of order
-        ([1, 0], [0, 1]),  # layers out of order
-        ([0, 2], [0, 0]),  # a layer past n_layers
-    ])
-    def test_entries_in_layer_die_order(self, layer, die):
-        geo, timing = nand_preset("slc", "channel")
-        reads = TokenReads(layer=np.array(layer), die=np.array(die), n_pages=np.ones(2, int),
-                           useful_bytes=np.full(2, 4096.0), active_elems=np.ones(2, int),
-                           layout=hand_layout(geo, 2))
-        with pytest.raises(ShapeError):
-            simulate_ffn_pass(reads, timing, geo, dim_e=4096)
 
     def test_reads_of_another_geometry_refused(self):
         # SLC and TLC presets differ in page size: a record read on one never
@@ -439,18 +419,19 @@ def test_closed_form_matches_reference(case):
     assert np.array_equal(got, ref["pages_used_per_die"])
 
     reads = generate_read_transactions(layout, masks)
-    assert reads.n_layers == cfg.n_dec
-    for name in ("layer", "die", "n_pages", "active_elems"):
-        assert getattr(reads, name).dtype == np.int64, name
-    assert reads.useful_bytes.dtype == np.float64
+    for name, dtype in (("n_pages", np.int64), ("useful_bytes", np.float64),
+                        ("active_elems", np.int64)):
+        table = getattr(reads, name)
+        assert table.shape == (cfg.n_dec, geo.n_dies) and table.dtype == dtype, name
     for layer in range(cfg.n_dec):
         got = layer_rows(reads, layer)
         want = reference_transactions(ref, cfg, geo, layer,
                                       {e: m for (li, e), m in masks.items() if li == layer})
         assert got == want
         assert [g.useful_bytes.hex() for g in got] == [w.useful_bytes.hex() for w in want]
-    # entries in (layer, die) order
-    assert np.all(np.diff(reads.layer * geo.n_dies + reads.die) > 0)
+    # a die that reads nothing holds nothing
+    idle = reads.n_pages == 0
+    assert not reads.useful_bytes[idle].any() and not reads.active_elems[idle].any()
 
 
 @pytest.mark.parametrize("slot, length", [
@@ -463,6 +444,36 @@ def test_bad_masks_rejected(slot, length):
     masks = {(0, 0): np.ones(TOY.dim_h, dtype=bool), slot: np.ones(length, dtype=bool)}
     with pytest.raises(ShapeError):
         generate_read_transactions(layout, masks)
+
+
+def hand_tables(n_pages, useful_bytes=None, active_elems=None):
+    """Tables on a 2-layer layout of 4 dies, each defaulting to n_pages'
+    shape: full 64-byte pages and one element per page."""
+    n_pages = np.asarray(n_pages)
+    useful = 64.0 * n_pages if useful_bytes is None else np.asarray(useful_bytes)
+    elems = n_pages if active_elems is None else np.asarray(active_elems)
+    layout = hand_layout(SsdGeometry(n_ch=2, chips_per_ch=2, page_bytes=64), 2)
+    return TokenReads(n_pages, useful, elems, layout=layout)
+
+
+@pytest.mark.parametrize("tables", [
+    dict(n_pages=np.ones((3, 4), dtype=np.int64)),  # a layer too many
+    dict(n_pages=np.ones((1, 4), dtype=np.int64)),  # a layer too few
+    dict(n_pages=np.ones((2, 5), dtype=np.int64)),  # a die too many
+    dict(n_pages=np.ones((2, 2), dtype=np.int64)),  # a die too few
+    dict(n_pages=np.ones(8, dtype=np.int64)),  # 1-D columns, one entry per cell
+    dict(n_pages=np.ones((2, 4, 1), dtype=np.int64)),  # a trailing axis
+    dict(n_pages=np.ones((4, 2), dtype=np.int64)),  # (die, layer), transposed
+    dict(n_pages=np.ones((2, 4), dtype=np.int64), useful_bytes=np.ones((2, 3))),
+    dict(n_pages=np.ones((2, 4), dtype=np.int64), active_elems=np.ones(8, dtype=np.int64)),
+    dict(n_pages=np.array([[1, 0, 2, 0], [0, -1, 0, 3]])),  # a negative page count
+], ids=["layers+1", "layers-1", "dies+1", "dies-1", "1d", "3d", "transposed",
+        "useful-shape", "elems-shape", "negative"])
+def test_reads_tables_checked(tables):
+    """TokenReads holds three tables of shape (n_dec, n_dies) with page
+    counts >= 0: a record of any other shape cannot be scheduled."""
+    with pytest.raises(ShapeError):
+        hand_tables(**tables)
 
 
 # --- reference: the FFN pass as one heap push/pop per channel-level page ---

@@ -1,8 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slim.config import MODEL_PRESETS
@@ -95,6 +96,53 @@ class TestSchedulers:
         ideal = (td + ts) / max(td, ts)
         assert measured <= ideal + 1e-9
         assert abs(measured - ideal) / ideal < 0.05
+
+
+def event_loop_finish(phases, n_tokens):
+    """The two-stream event loop run_pipelined closes: each stream's next
+    token enters the DRAM unit once the unit is free and the stream's
+    previous token has left the SSD unit."""
+    dram_free = 0.0
+    ssd_free = 0.0
+    stream_prev_done = [0.0, 0.0]
+    finish = 0.0
+    for tok in range(n_tokens):
+        s = tok % 2
+        start = max(dram_free, stream_prev_done[s])
+        dram_done = start + phases.t_dram
+        dram_free = dram_done
+        ssd_start = max(ssd_free, dram_done)
+        ssd_done = ssd_start + phases.t_ssd
+        ssd_free = ssd_done
+        stream_prev_done[s] = ssd_done
+        finish = max(finish, ssd_done)
+    return finish
+
+
+finite_times = st.floats(0, 1.7e308, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def phase_pairs(draw):
+    """Phase times that tie, sit one ulp apart, or are drawn apart: zeros,
+    subnormals and values whose sums overflow."""
+    t_dram = draw(finite_times)
+    t_ssd = draw(st.sampled_from([t_dram, math.nextafter(t_dram, math.inf),
+                                  math.nextafter(t_dram, 0.0)]) | finite_times)
+    return PhaseTimes(*draw(st.permutations([t_dram, t_ssd])))
+
+
+@given(phase_pairs(), st.integers(1, 400))
+@example(PhaseTimes(0.1, 0.1 + 2 ** -56), 7)
+@example(PhaseTimes(5e-324, 0.0), 3)
+@example(PhaseTimes(1e308, 1e308), 2)
+@example(PhaseTimes(3e-3, 0.7e-3), 400)
+@settings(max_examples=500, deadline=None)
+def test_pipelined_closed_form_is_the_event_loop(phases, n_tokens):
+    """Bit for bit, including where the sums round or overflow."""
+    finish, throughput = run_pipelined(phases, n_tokens)
+    assert finish.hex() == event_loop_finish(phases, n_tokens).hex()
+    assert throughput == (n_tokens / finish if finish > 0 else math.inf)
 
 
 class TestEnergy:
