@@ -538,10 +538,11 @@ def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
     # (layer, die of the channel, channel)
     by_ch = (n_layers, pes_per_ch, geo.n_ch)
     ch_reads = reading.reshape(by_ch).any(axis=1)
-    # step 2: LPA translation, serialized in firmware
+    # step 2: LPA translation, serialized in firmware: a die's slot is its
+    # place among its layer's dies that read (the cells of the others go unused)
     issue = np.add.accumulate(np.full(geo.n_dies, ftl))[np.cumsum(reading, axis=1) - 1]
     layer_useful = np.add.accumulate(reads.useful_bytes, axis=1)[:, -1]
-    compute = elems * batch_tokens / np.maximum(pages, 1) / pe_rate
+    compute = elems * batch_tokens / np.maximum(pages, 1) / pe_rate  # no 0/0 where idle
     steps = full = by_rounds = 0
 
     if die_level:
