@@ -3,9 +3,10 @@ over a KV cache, gated FFN / mixture-of-experts, and the generation loop.
 A decode step takes a block of one or more tokens and runs it layer by
 layer, so a known stream (calibration or evaluation inputs) reads each
 layer's weights once. The layers can come from a lazy source
-(``synth_layers``), so a caller that runs its streams layer-major never
-holds the whole model. The FFN runs on every hidden neuron, or zeroes the
-hidden coordinates a neuron mask skips.
+(``synth_layers``, which draws the next layer on a worker thread while
+the caller runs the current one), so a caller that runs its streams
+layer-major never holds the whole model. The FFN runs on every hidden
+neuron, or zeroes the hidden coordinates a neuron mask skips.
 
 Weights are synthetic (seeded Gaussians); there is no tokenizer or sampling.
 Projections apply as ``x @ W.T``, except the FFN's down projection: it is
@@ -16,6 +17,7 @@ matrices alike, the fused vector the accelerator stores and fetches.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -67,8 +69,13 @@ class LayerWeights:
 
 def synth_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
     """Seeded Gaussian weights, one layer at a time in layer order, bitwise
-    deterministic for a fixed seed; a layer is drawn when it is asked for,
-    so a caller that visits the layers in order need not hold them all.
+    deterministic for a fixed seed. One worker thread draws each layer: the
+    first when the first is asked for, and every later one while the caller
+    holds the layer before it (``_draw_ahead``), so a caller that visits
+    the layers in order holds at most the layer in use and the one being
+    drawn, and numpy's normal fill, which releases the GIL, runs beside
+    the caller's work. A draw that raises re-raises here; the worker is
+    joined when the source is exhausted, closed or collected.
 
     Projections scale by 1/sqrt(fan_in); the residual-branch outputs (w_o and
     the down projection) carry an extra 1/sqrt(2*n_dec). There is no
@@ -76,6 +83,10 @@ def synth_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
     without the residual damping a multi-layer rollout blows up numerically.
     The down projection is drawn dim_e x dim_h and stored as its transpose.
     """
+    return _draw_ahead(_draw_layers(cfg))
+
+
+def _draw_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
     rng = np.random.default_rng([cfg.seed, 0x51])
     scale = 1.0 / np.sqrt(cfg.dim_e)
     resid = 1.0 / np.sqrt(2.0 * cfg.n_dec)
@@ -95,6 +106,50 @@ def synth_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
                     for _ in range(cfg.n_expert)],
             router=w(cfg.n_expert, cfg.dim_e, scale) if cfg.n_expert > 1 else None,
         )
+
+
+def _draw_ahead(items: Iterator[LayerWeights]) -> Iterator[LayerWeights]:
+    """The items of ``items`` in order, each advanced on one worker thread
+    while the caller holds the item before it. Only the worker advances
+    ``items``, one item per handover, so it never runs more than one item
+    ahead; an exception it raises (other than the end of ``items``) is
+    re-raised here in its place. The worker starts on the first request
+    and is joined when this generator ends, is closed or is collected."""
+    drawn: list = []  # the worker's finished draw: the item or the exception
+    go, ready = threading.Semaphore(1), threading.Semaphore(0)
+    stop = False
+
+    def work():
+        while True:
+            go.acquire()
+            if stop:
+                return
+            try:
+                drawn.append(next(items))
+            except BaseException as exc:  # StopIteration included: it ends the source
+                drawn.append(exc)
+                ready.release()
+                return
+            ready.release()
+
+    worker = threading.Thread(target=work, name="slim-draw-ahead", daemon=True)
+    worker.start()
+    try:
+        while True:
+            ready.acquire()
+            if isinstance(drawn[0], BaseException):
+                exc = drawn.pop(0)
+                if isinstance(exc, StopIteration):
+                    return
+                raise exc
+            go.release()
+            # yielded without a local name, so this frame holds no item
+            # while the caller uses it or asks for the next
+            yield drawn.pop(0)
+    finally:
+        stop = True
+        go.release()
+        worker.join()
 
 
 def synth_model(cfg: ModelConfig) -> list[LayerWeights]:
@@ -317,23 +372,36 @@ class Decoder:
 
 
 def harvest_ffn_inputs(dec: Decoder, n_tokens: int, seed: int = 1,
-                       layers: Iterable[tuple[int, LayerWeights]] | None = None
-                       ) -> list[Matrix]:
-    """Decode a stream of seeded random embeddings as one block and collect
-    each layer's FFN inputs; returns one (n_tokens x dim_e) matrix per
-    layer. Stands in for sampling a text corpus. ``layers`` is passed to
-    ``Decoder.decode_step``, so the layers can come from a lazy source.
+                       layers: Iterable[LayerWeights] | None = None
+                       ) -> Iterator[tuple[int, LayerWeights, Matrix]]:
+    """Pass a stream of seeded random embeddings, decoded as one block,
+    through the decoder layer by layer, and yield (layer index, weights,
+    FFN input) as it passes each layer; the FFN input is n_tokens x dim_e.
+    Stands in for sampling a text corpus.
+
+    ``layers`` gives the weights in layer order, by default ``dec.layers``,
+    so they can come from a lazy source (``synth_layers``). Each layer is
+    one ``decode_step`` call with a fresh cache: a block attends only to
+    its own rows, so the cache rows of a layer it has passed are dead. A
+    layer is asked for only when the caller resumes the generator past the
+    one before, which it no longer holds, so a caller that drops each layer
+    before resuming holds at most the layer in use and the one drawn ahead.
 
     Fresh inputs per token, rather than output feedback, keep activations
     bounded: the gated FFN is quadratic in its input and there is no
     normalization layer to damp a feedback loop.
     """
     rng = np.random.default_rng([seed, 0xCA11])
-    grabbed: list[Matrix | None] = [None] * dec.cfg.n_dec
-
-    def hook(layer, xm):
-        grabbed[layer] = xm
-
-    dec.decode_step(rng.standard_normal((n_tokens, dec.cfg.dim_e)), dec.new_cache(),
-                    ffn_input_hook=hook, layers=layers)
-    return grabbed
+    x = rng.standard_normal((n_tokens, dec.cfg.dim_e))
+    source = iter(dec.layers if layers is None else layers)
+    # indexed by range: enumerate's recycled result tuple would hold the
+    # last layer while the source draws the next
+    for li in range(dec.cfg.n_dec):
+        lw = next(source, None)
+        if lw is None:
+            raise ShapeError(f"layer source ended after {li} of {dec.cfg.n_dec} layers")
+        grabbed = []
+        x = dec.decode_step(x, dec.new_cache(), layers=((li, lw),),
+                            ffn_input_hook=lambda _, xm: grabbed.append(xm))
+        yield li, lw, grabbed[0]
+        del lw, grabbed

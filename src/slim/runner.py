@@ -271,35 +271,27 @@ def _model_layers(cfg: ScenarioConfig) -> Iterable[LayerWeights]:
 def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
     """Calibrate, train and threshold one predictor per (layer, expert); write
     the SLIMWT1 weights and the threshold-table JSON. Returns a summary with
-    loss histories. The calibration stream is harvested while the layers
-    are drawn, and only each layer's gate weights are kept for the fits.
-    At ``SLIM_LOG=debug`` each (layer, expert) gets the ``train:`` line
-    (basis width and the seconds of the basis and the loop), then one line
-    with the wall-clock seconds of the SVD init, ``train`` and the
-    thresholds."""
-    gates = []  # per layer, its experts' w_g: all the fits read of the model
-
-    def keep_gates(layers):
-        for li, lw in enumerate(layers):
-            gates.append(lw.w_g)
-            yield li, lw
-
+    loss histories. The calibration stream runs layer-major
+    (``harvest_ffn_inputs``): each layer's experts are fitted as soon as
+    the stream has passed it, while the next layer is drawn, and the layer
+    is dropped before the next is asked for. At ``SLIM_LOG=debug`` each
+    (layer, expert) gets the ``train:`` line (basis width and the seconds
+    of the basis and the loop), then one line with the wall-clock seconds
+    of the SVD init, ``train`` and the thresholds."""
     tp = cfg.train
     dim_lr = tp.dim_lr or default_dim_lr(cfg.model.dim_e)
-    calib = harvest_ffn_inputs(Decoder(cfg=cfg.model), tp.calib_tokens, seed=cfg.seed + 1,
-                               layers=keep_gates(_model_layers(cfg)))
-
     tensors = {}
     tables = {}
     summary = {"dim_lr": dim_lr, "layers": []}
-    for li, w_g in enumerate(gates):
-        for e in range(cfg.model.n_expert):
+    for li, lw, calib in harvest_ffn_inputs(Decoder(cfg=cfg.model), tp.calib_tokens,
+                                            seed=cfg.seed + 1, layers=_model_layers(cfg)):
+        for e, w_g in enumerate(lw.w_g):
             t0 = time.perf_counter()
-            p0 = init_from_svd(w_g[e], dim_lr)
+            p0 = init_from_svd(w_g, dim_lr)
             t1 = time.perf_counter()
-            p, history = train(p0, calib[li], w_g[e], epochs=tp.epochs, lr=tp.lr)
+            p, history = train(p0, calib, w_g, epochs=tp.epochs, lr=tp.lr)
             t2 = time.perf_counter()
-            tables[(li, e)] = build_threshold_table(p, calib[li], tp.targets)
+            tables[(li, e)] = build_threshold_table(p, calib, tp.targets)
             t3 = time.perf_counter()
             log.debug("train_predictors: layer %d expert %d, svd init %.6f s, "
                       "train %.6f s, thresholds %.6f s",
@@ -314,6 +306,7 @@ def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
             })
             log.info("layer %d expert %d: loss %.4e -> %.4e",
                      li, e, history[0], history[-1])
+        del lw, w_g  # only the layer drawn ahead stays while the next is asked for
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_tensors(out_dir / cfg.paths.predictor, tensors)
@@ -346,8 +339,9 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     calibrated target. Each stream is decoded as one block, and the
     streams run layer-major: the dense reference (decoded once, since it
     does not depend on the target) and every target's masked stream pass a
-    layer, each with a fresh cache, before the next layer is drawn."""
-    layers = _model_layers(cfg)
+    layer, each with a fresh cache, while the next layer is drawn; the
+    layer and its predictors are dropped before the next is asked for."""
+    source = iter(_model_layers(cfg))
     predictors, tables = load_predictors(cfg, out_dir)
     if predictors[(0, 0)].l.shape[0] != cfg.model.dim_e:
         raise ConfigError("predictor dims do not match the model config")
@@ -369,11 +363,19 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
 
     mask_fns = [None] + [masker(t, made) for t, made in zip(targets, sparsities)]
     streams = [inputs] * len(mask_fns)  # the dense stream, then one per target
-    for layer in enumerate(layers):
+    # indexed by range: enumerate's recycled result tuple would hold the
+    # last layer while the source draws the next
+    for li in range(cfg.model.n_dec):
+        layer = (li, next(source))
         # a block attends only to its own rows, so a stream's cache rows for
         # this layer are dead once it has passed it
         streams = [dec.decode_step(x, dec.new_cache(), mask_fn=fn, layers=(layer,))
                    for x, fn in zip(streams, mask_fns)]
+        # the layer and its predictors are dead too: drop them before the
+        # next layer is asked for, so only the one drawn ahead is held
+        del layer
+        for e in range(cfg.model.n_expert):
+            del predictors[(li, e)]
     dense, *masked = streams
 
     report = {"targets": []}

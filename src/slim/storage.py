@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MappingError, ShapeError
+from .errors import MappingError, NumericError, ShapeError
 from .model import ModelConfig
 from .trace import EventColumns
 
@@ -507,7 +507,9 @@ def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
     reads (die level: in die order; channel level: by channel, then die),
     then partial sums. At ``SLIM_LOG=debug`` one line gives the seconds
     spent on the schedule and on the events, the lockstep steps and the
-    channel rows that read, closed in full and by rounds.
+    channel rows that read, closed in full and by rounds. A traced event
+    time that is not finite or does not fit int64 nanoseconds raises
+    NumericError.
     """
     t0 = time.perf_counter()
     if reads.layout.geo != geo:
@@ -614,7 +616,14 @@ def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
             at = off[layer] + 1 + 3 * counts[layer] + rank(layer)
             put(at, psum_end[layer, ch], "onchip", -1, "onchip_bus", psum_bytes)
         t, *rest = cols
-        t_ns = np.rint((starts[np.repeat(np.arange(n_layers), block)] + t) * 1e9)
+        # a time past int64 nanoseconds (inf and nan too) is refused here,
+        # before the cast would wrap it
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_ns = np.rint((starts[np.repeat(np.arange(n_layers), block)] + t) * 1e9)
+            lo, hi = (t_ns.min(), t_ns.max()) if t_ns.size else (0.0, 0.0)
+        if not (-2.0 ** 63 <= lo and hi < 2.0 ** 63):  # nan fails both
+            raise NumericError(f"trace event times span {lo:g} to {hi:g} ns, "
+                               "outside int64 nanoseconds")
         trace.extend(t_ns.astype(np.int64), *rest, np.ones(len(t), dtype=bool))
     t2 = time.perf_counter()
     log.debug("simulate_ffn_pass: %d layers, schedule %.6f s (%d lockstep steps, "

@@ -152,8 +152,8 @@ def test_criterion_3_threshold_semantics():
     # calibration consistency and output-degradation trend at toy scale
     cfg = ModelConfig(n_dec=2, dim_e=64, dim_h=256, n_heads=4, seq_len=128, seed=11)
     dec = Decoder.synth(cfg)
-    calib = harvest_ffn_inputs(dec, 48, seed=12)
-    evalset = harvest_ffn_inputs(dec, 16, seed=13)
+    calib = [x for _, _, x in harvest_ffn_inputs(dec, 48, seed=12)]
+    evalset = [x for _, _, x in harvest_ffn_inputs(dec, 16, seed=13)]
     targets = (0.0, 0.2, 0.4, 0.6)
     calib_ok = True
     mses = []

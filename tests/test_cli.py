@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -8,6 +9,8 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +18,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import slim.model
 import slim.runner
 from slim.cli import main
 from slim.config import config_hash, load_scenario
 from slim.container import read_tensors, write_tensors
 from slim.errors import ShapeError
 from slim.model import Decoder, synth_model
-from slim.predictor import measured_sparsity, predict_mask
+from slim.predictor import (
+    build_threshold_table,
+    default_dim_lr,
+    init_from_svd,
+    measured_sparsity,
+    predict_mask,
+    thresholds_to_json,
+    train,
+)
 from slim.runner import (
     REPORT_FIELDS,
     _model_layers,
@@ -137,6 +149,94 @@ class TestTrain:
                 assert np.array_equal(w_down, w.astype(np.float32).astype(np.float64))
         assert run("train", path, tmp_path / "out") == 0
         assert (tmp_path / "out" / "predictor.slimwt").exists()
+
+
+def reference_train_predictors(cfg, out_dir):
+    """train_predictors as harvest-every-layer-then-fit: one block decode
+    through the whole model collects every layer's FFN inputs, then each
+    (layer, expert) is fitted in layer order."""
+    dec = Decoder(cfg.model, list(_model_layers(cfg)))
+    tp = cfg.train
+    dim_lr = tp.dim_lr or default_dim_lr(cfg.model.dim_e)
+    rng = np.random.default_rng([cfg.seed + 1, 0xCA11])
+    calib = [None] * cfg.model.n_dec
+
+    def hook(layer, xm):
+        calib[layer] = xm
+
+    dec.decode_step(rng.standard_normal((tp.calib_tokens, cfg.model.dim_e)), dec.new_cache(),
+                    ffn_input_hook=hook)
+    tensors, tables = {}, {}
+    summary = {"dim_lr": dim_lr, "layers": []}
+    for li, lw in enumerate(dec.layers):
+        for e in range(cfg.model.n_expert):
+            p, history = train(init_from_svd(lw.w_g[e], dim_lr), calib[li], lw.w_g[e],
+                               epochs=tp.epochs, lr=tp.lr)
+            tables[(li, e)] = build_threshold_table(p, calib[li], tp.targets)
+            pre = f"layer{li:02d}.expert{e:03d}."
+            tensors[pre + "L"] = p.l
+            tensors[pre + "R"] = p.r
+            summary["layers"].append({"layer": li, "expert": e, "init_loss": history[0],
+                                      "final_loss": history[-1], "history": history})
+    out_dir.mkdir(parents=True)
+    write_tensors(out_dir / cfg.paths.predictor, tensors)
+    (out_dir / cfg.paths.thresholds).write_text(thresholds_to_json(tables))
+    return summary
+
+
+@pytest.mark.parametrize("case", ["toy", "toy_moe", "fixture"])
+def test_train_matches_harvest_then_fit(tmp_path, case):
+    # fitting each layer as the calibration stream passes it writes the
+    # bytes of fitting every layer after the whole stream has run
+    doc = dict(TOY_DOC, model="toy_moe" if case == "toy_moe" else "toy")
+    if case == "fixture":
+        fixture = tmp_path / "model.slimwt"
+        save_model_fixture(Decoder.synth(load_scenario(doc).model), fixture)
+        doc["paths"] = {"model_fixture": str(fixture)}
+    cfg = load_scenario(doc)
+    got = train_predictors(cfg, tmp_path / "got")
+    want = reference_train_predictors(cfg, tmp_path / "want")
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    for name in (cfg.paths.predictor, cfg.paths.thresholds):
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+
+@pytest.mark.parametrize("model", ["toy", "toy_moe"])
+def test_pipelines_hold_the_layer_in_use_and_the_one_drawn_ahead(tmp_path, monkeypatch,
+                                                                  model):
+    # every LayerWeights is tracked until it dies; each time a pipeline asks
+    # for a layer, every layer it was handed before must be dead and at most
+    # the one drawn ahead alive, so at most two ever live at once
+    live, tokens, peak = set(), itertools.count(), [0]
+
+    class Tracked(slim.model.LayerWeights):
+        def __init__(self, **weights):
+            super().__init__(**weights)
+            token = next(tokens)
+            live.add(token)
+            weakref.finalize(self, live.discard, token)
+            peak[0] = max(peak[0], len(live))
+
+    real_layers = slim.runner._model_layers
+    asks = []  # per ask: (layers alive, layers handed out before and alive)
+
+    def watched_layers(cfg):
+        source, handed = iter(real_layers(cfg)), []
+        for _ in range(cfg.model.n_dec):
+            asks.append((len(live), sum(ref() is not None for ref in handed)))
+            lw = next(source)
+            handed.append(weakref.ref(lw))
+            yield lw
+            del lw
+
+    monkeypatch.setattr(slim.model, "LayerWeights", Tracked)
+    monkeypatch.setattr(slim.runner, "_model_layers", watched_layers)
+    cfg = load_scenario(dict(TOY_DOC, model=model))
+    train_predictors(cfg, tmp_path)
+    infer_report(cfg, tmp_path)
+    assert len(asks) == 2 * cfg.model.n_dec
+    assert all(alive <= 1 and held == 0 for alive, held in asks), asks
+    assert peak[0] <= 2
 
 
 def reference_infer_report(cfg, out_dir):
@@ -424,6 +524,18 @@ def test_fuzzed_nand_and_nsp_exit_cleanly(timing, nsp, pe_level):
             rows = json.loads((out / "report.json").read_text())
             assert all(math.isfinite(v) for row in rows for v in row.values()
                        if type(v) in (int, float)), rows
+
+
+def test_event_times_past_int64_ns_exit_3(tmp_path):
+    # a t_R so long that the traced times overflow int64 nanoseconds is a
+    # numeric error, caught before numpy would warn of the overflow
+    doc = {"model": "toy", "seed": 5, "sparsity_targets": [0.5], "baselines": [],
+           "nand": {"timing": {"t_r_us": 1e305}}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("simulate", path, tmp_path / "out") == 3
 
 
 def test_rows_fixed_order_without_pool_jitter(cfg_path, tmp_path):

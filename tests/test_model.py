@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +212,45 @@ def test_synth_layers_match_eager_draw(case):
         assert_layer_bits(next(second), layer)
         assert_layer_bits(lw, layer)
     assert next(first, None) is None and next(second, None) is None
+
+
+def test_synth_layers_reraise_a_failed_draw(monkeypatch):
+    # layer 1 is drawn on the worker while the caller holds layer 0; its
+    # error reaches the caller when it asks for layer 1
+    made = []
+
+    class FailSecond(slim.model.LayerWeights):
+        def __init__(self, **weights):
+            if made:
+                raise RuntimeError("draw failed")
+            made.append(1)
+            super().__init__(**weights)
+
+    monkeypatch.setattr(slim.model, "LayerWeights", FailSecond)
+    baseline = threading.active_count()
+    source = synth_layers(TOY)
+    assert isinstance(next(source), FailSecond)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        next(source)
+    assert threading.active_count() == baseline
+
+
+def test_exhausted_source_joins_its_worker():
+    baseline = threading.active_count()
+    assert len(list(synth_layers(TOY))) == TOY.n_dec
+    assert threading.active_count() == baseline
+
+
+def test_closed_or_dropped_source_joins_its_worker():
+    baseline = threading.active_count()
+    closed, dropped = synth_layers(TOY), synth_layers(TOY)
+    next(closed)
+    assert threading.active_count() == baseline + 1  # one worker per source
+    closed.close()
+    assert threading.active_count() == baseline
+    next(dropped)
+    del dropped
+    assert threading.active_count() == baseline
 
 
 def test_synth_no_router_for_single_expert():
@@ -761,19 +802,34 @@ class TestDecode:
 
 def test_harvest_shapes():
     dec = Decoder.synth(TOY)
-    sets = harvest_ffn_inputs(dec, 6, seed=2)
+    items = list(harvest_ffn_inputs(dec, 6, seed=2))
+    # every layer once, in order, with its own weights
+    assert [li for li, _, _ in items] == list(range(TOY.n_dec))
+    assert all(lw is want for (_, lw, _), want in zip(items, dec.layers, strict=True))
+    sets = [x for _, _, x in items]
     assert len(sets) == TOY.n_dec
     assert all(s.shape == (6, TOY.dim_e) for s in sets)
-    again = harvest_ffn_inputs(dec, 6, seed=2)
+    again = [x for _, _, x in harvest_ffn_inputs(dec, 6, seed=2)]
     assert np.array_equal(sets[0], again[0])
 
 
 def test_harvest_from_drawn_layers_matches_resident_model():
     dec = Decoder.synth(TOY)
-    streamed = harvest_ffn_inputs(Decoder(cfg=TOY), 6, seed=2,
-                                  layers=enumerate(synth_layers(TOY)))
-    for got, want in zip(streamed, harvest_ffn_inputs(dec, 6, seed=2), strict=True):
+    layers = reference_synth(TOY)
+    streamed = harvest_ffn_inputs(Decoder(cfg=TOY), 6, seed=2, layers=synth_layers(TOY))
+    for (li, lw, got), (lj, _, want) in zip(streamed, harvest_ffn_inputs(dec, 6, seed=2),
+                                            strict=True):
+        assert li == lj
+        assert_layer_bits(lw, layers[li])
         assert np.array_equal(got, want)
+
+
+def test_harvest_from_short_source_raises():
+    dec = Decoder.synth(TOY)
+    stream = harvest_ffn_inputs(Decoder(cfg=TOY), 6, seed=2, layers=dec.layers[:1])
+    assert next(stream)[0] == 0
+    with pytest.raises(ShapeError, match="after 1 of"):
+        next(stream)
 
 
 def test_harvest_matches_one_row_stream():
@@ -787,5 +843,6 @@ def test_harvest_matches_one_row_stream():
     cache = dec.new_cache()
     for x in rows:
         dec.decode_step(x, cache, ffn_input_hook=lambda li, xm: grabbed[li].append(xm))
-    for got, want in zip(harvest_ffn_inputs(dec, 6, seed=2), grabbed, strict=True):
+    harvested = [x for _, _, x in harvest_ffn_inputs(dec, 6, seed=2)]
+    for got, want in zip(harvested, grabbed, strict=True):
         assert_close(got, np.vstack(want))

@@ -331,8 +331,8 @@ def test_degradation_mse_nondecreasing():
     """Masked-vs-dense FFN error grows with target sparsity (trend check)."""
     cfg = ModelConfig(n_dec=2, dim_e=32, dim_h=64, n_heads=4, seq_len=64, seed=25)
     dec = Decoder.synth(cfg)
-    calib = harvest_ffn_inputs(dec, 24, seed=3)
-    evalset = harvest_ffn_inputs(dec, 16, seed=4)
+    calib = [x for _, _, x in harvest_ffn_inputs(dec, 24, seed=3)]
+    evalset = [x for _, _, x in harvest_ffn_inputs(dec, 16, seed=4)]
     targets = [0.0, 0.2, 0.4, 0.6]
     mses = []
     for t in targets:

@@ -1,5 +1,6 @@
 import heapq
 import math
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slim import storage
-from slim.errors import MappingError, ShapeError
+from slim.errors import MappingError, NumericError, ShapeError
 from slim.model import ModelConfig
 from slim.storage import (
     FfnPassResult,
@@ -829,3 +830,17 @@ def test_tied_ready_times_keep_heap_order():
                         pe_level="channel")
     txns = [page_txn(geo, 0, 6, 2421), page_txn(geo, 1, 8, 3666), page_txn(geo, 2, 6, 661)]
     assert_same_pass(txns, timing, geo, 8, 64, NspParams(ftl_txn_us=3e-10))
+
+
+@pytest.mark.parametrize("pe_level", ["die", "channel"])
+def test_event_times_past_int64_ns_raise(pe_level):
+    """A 1e305 us t_R puts the traced event times past int64 nanoseconds:
+    the pass raises NumericError before the cast, and numpy warns of
+    nothing on the way."""
+    geo = SsdGeometry(n_ch=2, chips_per_ch=2)
+    timing = NandTiming(t_r_us=1e305, pe_level=pe_level)
+    reads = token_reads([[page_txn(geo, 0, 3, 100), page_txn(geo, 3, 2, 50)]], geo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="int64 nanoseconds"):
+            simulate_ffn_pass(reads, timing, geo, dim_e=64, trace=EventColumns())
