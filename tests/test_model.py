@@ -214,6 +214,11 @@ def test_synth_layers_match_eager_draw(case):
     assert next(first, None) is None and next(second, None) is None
 
 
+def new_threads(before):
+    """Threads alive now that were not in ``before``."""
+    return set(threading.enumerate()) - before
+
+
 def test_synth_layers_reraise_a_failed_draw(monkeypatch):
     # layer 1 is drawn on the worker while the caller holds layer 0; its
     # error reaches the caller when it asks for layer 1
@@ -227,30 +232,30 @@ def test_synth_layers_reraise_a_failed_draw(monkeypatch):
             super().__init__(**weights)
 
     monkeypatch.setattr(slim.model, "LayerWeights", FailSecond)
-    baseline = threading.active_count()
+    before = set(threading.enumerate())
     source = synth_layers(TOY)
     assert isinstance(next(source), FailSecond)
     with pytest.raises(RuntimeError, match="draw failed"):
         next(source)
-    assert threading.active_count() == baseline
+    assert not new_threads(before)
 
 
 def test_exhausted_source_joins_its_worker():
-    baseline = threading.active_count()
+    before = set(threading.enumerate())
     assert len(list(synth_layers(TOY))) == TOY.n_dec
-    assert threading.active_count() == baseline
+    assert not new_threads(before)
 
 
 def test_closed_or_dropped_source_joins_its_worker():
-    baseline = threading.active_count()
+    before = set(threading.enumerate())
     closed, dropped = synth_layers(TOY), synth_layers(TOY)
     next(closed)
-    assert threading.active_count() == baseline + 1  # one worker per source
+    assert len(new_threads(before)) == 1  # one worker per source
     closed.close()
-    assert threading.active_count() == baseline
+    assert not new_threads(before)
     next(dropped)
     del dropped
-    assert threading.active_count() == baseline
+    assert not new_threads(before)
 
 
 def test_synth_no_router_for_single_expert():
