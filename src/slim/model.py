@@ -160,17 +160,12 @@ def synth_model(cfg: ModelConfig) -> list[LayerWeights]:
 class KVCache:
     """Per-layer key/value rows, append-only during generation.
 
-    Each layer keeps its keys and its values in one (rows, dim) buffer per
-    kind, and every row is written once, in place. A buffer starts at
-    ``INITIAL_ROWS`` rows and doubles (or grows to fit a larger block), up
-    to ``capacity``, when an append does not fit, so it holds at most
-    ``INITIAL_ROWS`` or twice the rows written, whichever is larger.
+    Each layer keeps its keys and its values in one (capacity, dim) buffer
+    per kind, allocated on the layer's first append, and every row is
+    written once, in place; pages that no row reaches are never touched.
     ``stacked`` returns views of the rows written so far; a later append
-    never changes them, because it writes past them or copies into a new
-    buffer.
+    never changes them, because it writes past them.
     """
-
-    INITIAL_ROWS = 16
 
     def __init__(self, n_layers: int, capacity: int):
         self.capacity = capacity
@@ -187,32 +182,23 @@ class KVCache:
         and values to ``layer``."""
         k, v = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (k, v))
         n = self._lens[layer]
-        if n + k.shape[0] > self.capacity:
+        end = n + k.shape[0]
+        if end > self.capacity:
             raise CapacityError(f"KV cache full at capacity {self.capacity}")
-        self._keys[layer] = _write_rows(self._keys[layer], n, k, self.capacity)
-        self._values[layer] = _write_rows(self._values[layer], n, v, self.capacity)
-        self._lens[layer] = n + k.shape[0]
+        if self._keys[layer] is None:
+            self._keys[layer], self._values[layer] = (np.empty((self.capacity, a.shape[1]))
+                                                      for a in (k, v))
+        keys, values = self._keys[layer], self._values[layer]
+        for buf, rows in ((keys, k), (values, v)):
+            if rows.shape[1] != buf.shape[1]:
+                raise ShapeError(f"KV rows of {rows.shape[1]} values vs cache width "
+                                 f"{buf.shape[1]}")
+        keys[n:end], values[n:end] = k, v
+        self._lens[layer] = end
 
     def stacked(self, layer: int) -> tuple[Matrix, Matrix]:
         n = self._lens[layer]
         return self._keys[layer][:n], self._values[layer][:n]
-
-
-def _write_rows(buf: np.ndarray | None, n: int, rows: Matrix,
-                capacity: int) -> np.ndarray:
-    """Write ``rows`` from row ``n`` of ``buf`` on, first growing a buffer
-    they do not fit (or allocating a missing one) up to ``capacity`` rows."""
-    if buf is not None and rows.shape[1] != buf.shape[1]:
-        raise ShapeError(f"KV rows of {rows.shape[1]} values vs cache width {buf.shape[1]}")
-    end = n + rows.shape[0]
-    if buf is None or end > buf.shape[0]:
-        grown = np.empty((min(capacity, max(KVCache.INITIAL_ROWS, 2 * n, end)),
-                          rows.shape[1]))
-        if buf is not None:
-            grown[:n] = buf[:n]
-        buf = grown
-    buf[n:end] = rows
-    return buf
 
 
 def mha_forward(q: Matrix, k: Matrix, v: Matrix, n_heads: int) -> Matrix:

@@ -397,9 +397,9 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
 
 
 def emit_trace_file(events, out_dir: Path) -> Path:
-    """Write ``events`` (``EventColumns`` or ``TraceEvent`` rows) to
-    ``trace.ldjson``; at ``SLIM_LOG=debug`` one line gives the events
-    written, the file's bytes and the seconds taken."""
+    """Write ``events``, an ``EventColumns``, to ``trace.ldjson``; at
+    ``SLIM_LOG=debug`` one line gives the events written, the file's bytes
+    and the seconds taken."""
     path = out_dir / "trace.ldjson"
     t0 = time.perf_counter()
     write_ldjson(events, path)

@@ -471,15 +471,14 @@ def _channel_bus_ends(ready, left, slot, t_r: float, bcast: float):
 
 def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
                       geo: SsdGeometry, batch_tokens: int = 1, *, dim_e: int,
-                      params: NspParams = NspParams(), trace: EventColumns | None = None,
-                      t_start: float = 0.0) -> FfnPassResult:
+                      params: NspParams = NspParams(), trace: EventColumns) -> FfnPassResult:
     """Schedule a token's FFN passes, one per layer, over the NSP engines.
 
     ``reads`` holds what the token reads, as ``generate_read_transactions``
     returns it: one pass per row of its tables, on a layout of ``geo``
     (ShapeError otherwise). Each layer's pass starts when the one before
-    ends: layer i's events are offset by ``t_start`` plus the latencies of
-    layers 0..i-1, added in layer order.
+    ends: layer i's events are offset by the latencies of layers 0..i-1,
+    added in layer order.
 
     Steps of a pass: broadcast the input activations to every PE buffer,
     translate transactions in the FTL (one fixed-latency issue per die that
@@ -507,9 +506,9 @@ def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
     reads (die level: in die order; channel level: by channel, then die),
     then partial sums. At ``SLIM_LOG=debug`` one line gives the seconds
     spent on the schedule and on the events, the lockstep steps and the
-    channel rows that read, closed in full and by rounds. A traced event
-    time that is not finite or does not fit int64 nanoseconds raises
-    NumericError.
+    channel rows that read, closed in full and by rounds. Event times go to
+    ``trace`` in seconds, which raises NumericError on one that is not
+    finite or does not fit int64 nanoseconds.
     """
     t0 = time.perf_counter()
     if reads.layout.geo != geo:
@@ -544,7 +543,10 @@ def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
     # place among its layer's dies that read (the cells of the others go unused)
     issue = np.add.accumulate(np.full(geo.n_dies, ftl))[np.cumsum(reading, axis=1) - 1]
     layer_useful = np.add.accumulate(reads.useful_bytes, axis=1)[:, -1]
-    compute = elems * batch_tokens / np.maximum(pages, 1) / pe_rate  # no 0/0 where idle
+    with np.errstate(over="ignore"):
+        compute = elems * batch_tokens / np.maximum(pages, 1) / pe_rate  # no 0/0 where idle
+    if not np.isfinite(compute).all():
+        raise NumericError(f"per-page PE compute time is not finite at {pe_rate:g} MAC/s")
     steps = full = by_rounds = 0
 
     if die_level:
@@ -572,59 +574,51 @@ def simulate_ffn_pass(reads: TokenReads, timing: NandTiming,
 
     t1 = time.perf_counter()
     lat = layer_end.tolist()
-    if trace is not None:
-        starts = np.add.accumulate(np.array([t_start] + lat[:-1]))
-        code = {name: trace.event_code(name)
-                for name in ("ch_bus", "onchip_bus", "nand_read", "pe_mac")}
-        kind = {name: trace.kind_code(name) for name in ("ch", "die", "fmc", "onchip")}
-        block = (geo.n_ch + 3 * counts if die_level
-                 else 1 + 3 * counts + ch_reads.sum(axis=1))
-        off = np.cumsum(block) - block
-        cols = [np.empty(int(block.sum()), dtype=dt)
-                for dt in (np.float64, np.int64, np.int64, np.int64, np.float64)]
+    starts = np.add.accumulate(np.array([0.0] + lat[:-1]))
+    code = {name: trace.event_code(name)
+            for name in ("ch_bus", "onchip_bus", "nand_read", "pe_mac")}
+    kind = {name: trace.kind_code(name) for name in ("ch", "die", "fmc", "onchip")}
+    block = (geo.n_ch + 3 * counts if die_level
+             else 1 + 3 * counts + ch_reads.sum(axis=1))
+    off = np.cumsum(block) - block
+    cols = [np.empty(int(block.sum()), dtype=dt)
+            for dt in (np.float64, np.int64, np.int64, np.int64, np.float64)]
 
-        def put(at, t, unit_kind, index, event, qty):
-            for c, v in zip(cols, (t, kind[unit_kind], index, code[event], qty)):
-                c[at] = v
+    def put(at, t, unit_kind, index, event, qty):
+        for c, v in zip(cols, (t, kind[unit_kind], index, code[event], qty)):
+            c[at] = v
 
-        def rank(layer):
-            """Each cell's place among its layer's, for cells in layer order."""
-            return np.arange(layer.size) - np.searchsorted(layer, layer)
+    def rank(layer):
+        """Each cell's place among its layer's, for cells in layer order."""
+        return np.arange(layer.size) - np.searchsorted(layer, layer)
 
-        read_bytes = pages * geo.page_bytes
-        macs = elems * batch_tokens
-        if die_level:
-            at = off[:, None] + np.arange(geo.n_ch)
-            put(at, bcast, "ch", np.arange(geo.n_ch), "ch_bus", pes_per_ch * in_bytes)
-            layer, die = np.nonzero(reading)
-            at = off[layer] + geo.n_ch + 2 * rank(layer)
-            put(at, done[layer, die], "die", die, "nand_read", read_bytes[layer, die])
-            put(at + 1, done[layer, die], "die", die, "pe_mac", macs[layer, die])
-            at = off[layer] + geo.n_ch + 2 * counts[layer] + rank(layer)
-            put(at, psum_end[layer, die], "ch", die % geo.n_ch, "ch_bus", psum_bytes)
-        else:
-            put(off, bcast, "onchip", -1, "onchip_bus", geo.n_ch * in_bytes)
-            # a layer's dies by channel, each channel's in die order
-            layer, ch, k = np.nonzero(reading.reshape(by_ch).transpose(0, 2, 1))
-            die = k * geo.n_ch + ch
-            at = off[layer] + 1 + 3 * rank(layer)
-            t = bus[layer, ch]
-            put(at, t, "die", die, "nand_read", read_bytes[layer, die])
-            put(at + 1, t, "ch", ch, "ch_bus", read_bytes[layer, die])
-            put(at + 2, t, "fmc", ch, "pe_mac", macs[layer, die])
-            layer, ch = np.nonzero(ch_reads)
-            at = off[layer] + 1 + 3 * counts[layer] + rank(layer)
-            put(at, psum_end[layer, ch], "onchip", -1, "onchip_bus", psum_bytes)
-        t, *rest = cols
-        # a time past int64 nanoseconds (inf and nan too) is refused here,
-        # before the cast would wrap it
-        with np.errstate(over="ignore", invalid="ignore"):
-            t_ns = np.rint((starts[np.repeat(np.arange(n_layers), block)] + t) * 1e9)
-            lo, hi = (t_ns.min(), t_ns.max()) if t_ns.size else (0.0, 0.0)
-        if not (-2.0 ** 63 <= lo and hi < 2.0 ** 63):  # nan fails both
-            raise NumericError(f"trace event times span {lo:g} to {hi:g} ns, "
-                               "outside int64 nanoseconds")
-        trace.extend(t_ns.astype(np.int64), *rest, np.ones(len(t), dtype=bool))
+    read_bytes = pages * geo.page_bytes
+    macs = elems * batch_tokens
+    if die_level:
+        at = off[:, None] + np.arange(geo.n_ch)
+        put(at, bcast, "ch", np.arange(geo.n_ch), "ch_bus", pes_per_ch * in_bytes)
+        layer, die = np.nonzero(reading)
+        at = off[layer] + geo.n_ch + 2 * rank(layer)
+        put(at, done[layer, die], "die", die, "nand_read", read_bytes[layer, die])
+        put(at + 1, done[layer, die], "die", die, "pe_mac", macs[layer, die])
+        at = off[layer] + geo.n_ch + 2 * counts[layer] + rank(layer)
+        put(at, psum_end[layer, die], "ch", die % geo.n_ch, "ch_bus", psum_bytes)
+    else:
+        put(off, bcast, "onchip", -1, "onchip_bus", geo.n_ch * in_bytes)
+        # a layer's dies by channel, each channel's in die order
+        layer, ch, k = np.nonzero(reading.reshape(by_ch).transpose(0, 2, 1))
+        die = k * geo.n_ch + ch
+        at = off[layer] + 1 + 3 * rank(layer)
+        t = bus[layer, ch]
+        put(at, t, "die", die, "nand_read", read_bytes[layer, die])
+        put(at + 1, t, "ch", ch, "ch_bus", read_bytes[layer, die])
+        put(at + 2, t, "fmc", ch, "pe_mac", macs[layer, die])
+        layer, ch = np.nonzero(ch_reads)
+        at = off[layer] + 1 + 3 * counts[layer] + rank(layer)
+        put(at, psum_end[layer, ch], "onchip", -1, "onchip_bus", psum_bytes)
+    t, *rest = cols
+    t += starts[np.repeat(np.arange(n_layers), block)]  # in place: a trace can be long
+    trace.extend(t, *rest, np.ones(len(t), dtype=bool))
     t2 = time.perf_counter()
     log.debug("simulate_ffn_pass: %d layers, schedule %.6f s (%d lockstep steps, "
               "%d of %d channel rows closed in full, %d by rounds), events %.6f s",

@@ -28,7 +28,7 @@ from .storage import (
     simulate_ffn_pass,
     write_model,
 )
-from .trace import EventColumns, TraceEvent
+from .trace import EventColumns
 
 log = logging.getLogger(__name__)
 
@@ -129,13 +129,10 @@ class EnergyLedger:
         return sum(self.components.values())
 
 
-def energy_report(events, constants: EnergyConstants) -> EnergyLedger:
-    """Fold a trace, ``TraceEvent`` rows or ``EventColumns``, into
-    per-component joules. Each component is the left-to-right sum of its
-    events' joules in trace order; total equals the component sum by
-    construction."""
-    if not isinstance(events, EventColumns):
-        events = EventColumns.from_rows(events)
+def energy_report(events: EventColumns, constants: EnergyConstants) -> EnergyLedger:
+    """Fold a trace into per-component joules. Each component is the
+    left-to-right sum of its events' joules in trace order; total equals the
+    component sum by construction."""
     _, _, _, event, qty, _ = events.columns()
     joules = np.empty(len(qty))
     component = np.empty(len(qty), dtype=np.int64)
@@ -201,7 +198,7 @@ class BaselineResult:
     compute_s: float
     bytes_moved: float
     energy: EnergyLedger
-    trace: tuple
+    events: EventColumns
 
 
 def run_baseline(cfg: BaselineConfig, model: ModelConfig, sparsity: float,
@@ -217,19 +214,18 @@ def run_baseline(cfg: BaselineConfig, model: ModelConfig, sparsity: float,
     flops = model_flops_per_token(model, sparsity)
     compute = flops / (cfg.gpu_tflops * 1e12)
     latency = transfer + compute
-    t_ns = int(round(latency * 1e9))
-    events = [TraceEvent(t_ns, "pcie", "pcie", n_bytes),
-              TraceEvent(t_ns, "gpu", "gpu_flop", flops)]
+    events = EventColumns()
+    events.append(latency, "pcie", "pcie", n_bytes)
+    events.append(latency, "gpu", "gpu_flop", flops)
     if cfg.kind == "ssd_gpu":
-        events.append(TraceEvent(t_ns, "ssd", "nand_read", n_bytes))
-        events.append(TraceEvent(t_ns, "ssd", "ch_bus", n_bytes))
+        events.append(latency, "ssd", "nand_read", n_bytes)
+        events.append(latency, "ssd", "ch_bus", n_bytes)
     else:
-        events.append(TraceEvent(t_ns, "host_dram", "host_read", n_bytes))
+        events.append(latency, "host_dram", "host_read", n_bytes)
     return BaselineResult(latency_s=latency, throughput=1.0 / latency,
                           transfer_s=transfer, compute_s=compute,
                           bytes_moved=n_bytes,
-                          energy=energy_report(events, constants),
-                          trace=tuple(events))
+                          energy=energy_report(events, constants), events=events)
 
 
 # --- scenario evaluation -----------------------------------------------------
@@ -317,15 +313,12 @@ def evaluate_slim(model: ModelConfig, timing: NandTiming,
     dram = token_dram_cost(model, dram_geo, dram_timing, cost_model,
                            bits=8 * bytes_per_elem)
     total = dram.total
-    # rates that overflow to inf can leave nothing to time; trace times are
-    # int64 nanoseconds; NaN fails both comparisons
-    if not (0 < t_ssd and (t_ssd + total.seconds) * 1e9 < 2.0 ** 63):
-        raise NumericError(f"token time t_ssd {t_ssd} s + t_dram {total.seconds} s: the SSD "
-                           f"phase is not positive, or the sum not finite or beyond the "
-                           f"trace's int64 nanoseconds")
-    t_ns = int(round((t_ssd + total.seconds) * 1e9))
-    events.append(t_ns, "dram_pim", "pim_aap", total.aaps)
-    events.append(t_ns, "dram_pim", "dram_rw", total.layout_bytes + total.rw_bytes)
+    # rates that overflow to inf can leave nothing to time; NaN fails too
+    if not 0 < t_ssd:
+        raise NumericError(f"token time t_ssd {t_ssd} s: the SSD phase is not positive")
+    t_end = t_ssd + total.seconds
+    events.append(t_end, "dram_pim", "pim_aap", total.aaps)
+    events.append(t_end, "dram_pim", "dram_rw", total.layout_bytes + total.rw_bytes)
     phases = PhaseTimes(t_dram=total.seconds, t_ssd=t_ssd)
     if scheduler == "sequential":
         _, throughput = run_sequential(phases, n_tokens)

@@ -3,7 +3,8 @@ accountant. ``bytes`` carries the event's quantity: bytes moved for transfer
 events, operation counts for compute events.
 
 ``TraceEvent`` is the reader's type, one row per event. The simulators record
-events as columns (``EventColumns``); rows are built only when iterated, and
+events as columns (``EventColumns``), with times in seconds that the columns
+store as int64 nanoseconds; rows are built only when iterated, and
 ``write_ldjson`` formats lines straight from the columns."""
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .errors import NumericError
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,8 @@ class TraceEvent:
 
 class EventColumns:
     """An event trace held as columns, in trace order: time in ns, unit kind
-    and index, event code and quantity.
+    and index, event code and quantity. Times are recorded in seconds; the
+    columns alone round them to int64 nanoseconds and bound them.
 
     Unit kinds and event names are interned in ``kinds`` and ``names``, and
     the ``kind`` and ``event`` columns index them. A unit with index -1 is
@@ -53,26 +57,31 @@ class EventColumns:
     def event_code(self, name: str) -> int:
         return self._intern(self.names, name)
 
-    def extend(self, time_ns, kind, index, event, qty, is_int) -> None:
-        """Append events given as equal-length arrays; ``kind`` and ``event``
-        hold codes from ``kind_code`` and ``event_code``."""
-        cols = (np.asarray(time_ns, dtype=np.int64), np.asarray(kind, dtype=np.int64),
+    def extend(self, t_s, kind, index, event, qty, is_int) -> None:
+        """Append events given as equal-length arrays; ``t_s`` holds times in
+        seconds, stored as ``np.rint(t_s * 1e9)`` ns, and ``kind`` and
+        ``event`` hold codes from ``kind_code`` and ``event_code``. A time
+        that is not finite or does not fit int64 nanoseconds raises
+        NumericError, and then nothing is stored."""
+        # a time past int64 nanoseconds (inf and nan too) is refused here,
+        # before the cast would wrap it
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_ns = np.rint(np.asarray(t_s, dtype=np.float64) * 1e9)
+            lo, hi = (t_ns.min(), t_ns.max()) if t_ns.size else (0.0, 0.0)
+        if not (-2.0 ** 63 <= lo and hi < 2.0 ** 63):  # nan fails both
+            raise NumericError(f"trace event times span {lo:g} to {hi:g} ns, "
+                               "outside int64 nanoseconds")
+        cols = (t_ns.astype(np.int64), np.asarray(kind, dtype=np.int64),
                 np.asarray(index, dtype=np.int64), np.asarray(event, dtype=np.int64),
                 np.asarray(qty, dtype=np.float64), np.asarray(is_int, dtype=bool))
         self._blocks.append(cols)
         self._n += len(cols[0])
 
-    def append(self, time_ns: int, unit: str, event: str, qty) -> None:
-        """Append one event by names; the unit is stored whole, as a kind."""
-        self.extend([time_ns], [self.kind_code(unit)], [-1], [self.event_code(event)],
+    def append(self, t_s: float, unit: str, event: str, qty) -> None:
+        """Append one event by names at ``t_s`` seconds; the unit is stored
+        whole, as a kind."""
+        self.extend([t_s], [self.kind_code(unit)], [-1], [self.event_code(event)],
                     [qty], [isinstance(qty, (int, np.integer))])
-
-    @classmethod
-    def from_rows(cls, rows) -> "EventColumns":
-        out = cls()
-        for ev in rows:
-            out.append(ev.time_ns, ev.unit, ev.event, ev.bytes)
-        return out
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """(time_ns, kind, index, event, qty, is_int), each of length ``len(self)``."""
@@ -95,15 +104,13 @@ class EventColumns:
 
 
 def write_ldjson(events, path) -> None:
-    """Write a trace, ``EventColumns`` or ``TraceEvent`` rows, one JSON
-    object per line with sorted keys, as ``json.dumps(row, sort_keys=True)``
-    would write each row. Lines are formatted straight from the columns:
-    each event name and each distinct unit is JSON-encoded once, a quantity
-    recorded as an integer is written as a JSON integer and any other with
-    ``json.dumps`` (so NaN, Infinity and -0.0 keep their spelling). The
-    lines are streamed to the file, never held whole."""
-    if not isinstance(events, EventColumns):
-        events = EventColumns.from_rows(events)
+    """Write ``EventColumns``, one JSON object per line with sorted keys, as
+    ``json.dumps(row, sort_keys=True)`` would write each of its rows. Lines
+    are formatted straight from the columns: each event name and each
+    distinct unit is JSON-encoded once, a quantity recorded as an integer is
+    written as a JSON integer and any other with ``json.dumps`` (so NaN,
+    Infinity and -0.0 keep their spelling). The lines are streamed to the
+    file, never held whole."""
     time_ns, kind, index, event, qty, is_int = (c.tolist() for c in events.columns())
     names = [json.dumps(name) for name in events.names]
     units: dict[tuple[int, int], str] = {}

@@ -445,7 +445,9 @@ class TestSimulate:
     @pytest.mark.parametrize("bad", [{"nand": {"timing": {"ch_bus_mbps": 5e-324}}},
                                      {"nand": {"timing": {"t_r_us": 1e305}}},
                                      {"nand": {"timing": {"pe_clock_ghz": 1e-310}}},
-                                     {"nsp": {"ftl_txn_us": 1e308}}])
+                                     {"nsp": {"ftl_txn_us": 1e308}},
+                                     # the SSD-GPU baseline's token time
+                                     {"nand": {"timing": {"ch_bus_mbps": 1e-12}}}])
     def test_token_time_overflow_exits_3_without_traceback(self, tmp_path, bad):
         """Finite settings whose token time overflows are a numeric failure."""
         path = tmp_path / "cfg.json"
@@ -526,11 +528,15 @@ def test_fuzzed_nand_and_nsp_exit_cleanly(timing, nsp, pe_level):
                        if type(v) in (int, float)), rows
 
 
-def test_event_times_past_int64_ns_exit_3(tmp_path):
-    # a t_R so long that the traced times overflow int64 nanoseconds is a
-    # numeric error, caught before numpy would warn of the overflow
+@pytest.mark.parametrize("pe_level", ["die", "channel"])
+@pytest.mark.parametrize("timing", [{"t_r_us": 1e305}, {"pe_clock_ghz": 1e-320}],
+                         ids=["t_r", "pe_clock"])
+def test_event_times_past_int64_ns_exit_3(tmp_path, timing, pe_level):
+    # a t_R so long, or a PE rate so low, that the traced times overflow
+    # int64 nanoseconds is a numeric error, caught before numpy would warn of
+    # the overflow
     doc = {"model": "toy", "seed": 5, "sparsity_targets": [0.5], "baselines": [],
-           "nand": {"timing": {"t_r_us": 1e305}}}
+           "pe_level": pe_level, "nand": {"timing": timing}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     with warnings.catch_warnings():

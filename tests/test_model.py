@@ -778,7 +778,7 @@ class TestDecode:
             cache.append(0, np.ones(4), np.ones(4))
 
     def test_stacked_view_unchanged_by_append(self):
-        # 40 rows take the buffers through both doublings and up to capacity
+        # 40 rows fill the buffers up to capacity, one row at a time
         cache = KVCache(2, 40)
         rng = np.random.default_rng(18)
         taken = []
@@ -797,7 +797,7 @@ class TestDecode:
     def test_kv_block_width_checked(self):
         cache = KVCache(1, 40)
         cache.append(0, np.ones((2, 4)), np.ones((2, 4)))
-        for rows in (3, 20):  # a block that fits the buffer, and one that grows it
+        for rows in (3, 20):  # a wrong-width block, short or long, writes nothing
             with pytest.raises(ShapeError):
                 cache.append(0, np.ones((rows, 5)), np.ones((rows, 5)))
         assert cache.layer_len(0) == 2

@@ -192,7 +192,7 @@ class TestFfnPass:
         rng = np.random.default_rng(seed)
         masks = {(0, e): rng.random(cfg.dim_h) < mask_frac for e in range(cfg.n_expert)}
         token = generate_read_transactions(layout, masks)
-        return simulate_ffn_pass(token, timing, geo, dim_e=cfg.dim_e)
+        return simulate_ffn_pass(token, timing, geo, dim_e=cfg.dim_e, trace=EventColumns())
 
     def test_die_level_slc_near_peak(self):
         cfg = ModelConfig(n_dec=1, dim_e=4096, dim_h=11008, n_heads=32, seed=0)
@@ -220,7 +220,8 @@ class TestFfnPass:
             mask = np.zeros(cfg.dim_h, dtype=bool)
             mask[perm[: int(frac * cfg.dim_h)]] = True
             token = generate_read_transactions(layout, {(0, 0): mask})
-            lat.append(simulate_ffn_pass(token, timing, geo, dim_e=cfg.dim_e).latency_s)
+            lat.append(simulate_ffn_pass(token, timing, geo, dim_e=cfg.dim_e,
+                                         trace=EventColumns()).latency_s)
         assert all(b <= a + 1e-12 for a, b in zip(lat, lat[1:]))
 
     def test_deterministic_trace(self):
@@ -239,8 +240,8 @@ class TestFfnPass:
         geo, timing = nand_preset("slc", "die")
         layout = map_weights(cfg, geo)
         token = generate_read_transactions(layout, full_masks(cfg))
-        r1 = simulate_ffn_pass(token, timing, geo, 1, dim_e=cfg.dim_e)
-        r8 = simulate_ffn_pass(token, timing, geo, 8, dim_e=cfg.dim_e)
+        r1 = simulate_ffn_pass(token, timing, geo, 1, dim_e=cfg.dim_e, trace=EventColumns())
+        r8 = simulate_ffn_pass(token, timing, geo, 8, dim_e=cfg.dim_e, trace=EventColumns())
         assert r8.raw_bytes == r1.raw_bytes
         assert r8.macs == 8 * r1.macs
 
@@ -252,7 +253,7 @@ class TestFfnPass:
         tlc, timing = nand_preset("tlc", "channel")
         reads = generate_read_transactions(map_weights(cfg, slc), full_masks(cfg))
         with pytest.raises(ShapeError):
-            simulate_ffn_pass(reads, timing, tlc, dim_e=cfg.dim_e)
+            simulate_ffn_pass(reads, timing, tlc, dim_e=cfg.dim_e, trace=EventColumns())
 
 
 class TestWriteModel:
@@ -622,21 +623,21 @@ def ffn_cases(draw):
     return txns, timing, geo, draw(st.integers(1, 64)), draw(st.integers(1, 8192)), params
 
 
-def assert_same_pass(txns, timing, geo, batch, dim_e, params=NspParams(), t_start=0.0):
+def assert_same_pass(txns, timing, geo, batch, dim_e, params=NspParams()):
     """One pass as a one-layer token against the reference."""
     got_events, want_events = EventColumns(), []
     got = simulate_ffn_pass(token_reads([txns], geo), timing, geo, batch, dim_e=dim_e,
-                            params=params, trace=got_events, t_start=t_start)
+                            params=params, trace=got_events)
     want = reference_ffn_pass(txns, timing, geo, batch, dim_e=dim_e, params=params,
-                              trace=want_events, t_start=t_start)
+                              trace=want_events)
     assert got.latency_s.hex() == want.latency_s.hex()
     assert got == want and list(got_events) == want_events
 
 
-@given(ffn_cases(), st.floats(0, 1e-3))
+@given(ffn_cases())
 @settings(max_examples=300, deadline=None)
-def test_ffn_pass_matches_reference(case, t_start):
-    assert_same_pass(*case, t_start=t_start)
+def test_ffn_pass_matches_reference(case):
+    assert_same_pass(*case)
 
 
 @st.composite
@@ -665,12 +666,12 @@ TLC_TOKEN = (
     TLC_GEO, 1, 4096, NspParams())
 
 
-@given(token_cases(), st.floats(0, 1e-3), st.sampled_from([storage._CHUNK, 64, 7]))
-@example(BIG_TOKEN, 0.0, storage._CHUNK)
-@example(TLC_TOKEN, 0.0, 64)
-@example(TLC_TOKEN, 0.0, 7)
+@given(token_cases(), st.sampled_from([storage._CHUNK, 64, 7]))
+@example(BIG_TOKEN, storage._CHUNK)
+@example(TLC_TOKEN, 64)
+@example(TLC_TOKEN, 7)
 @settings(max_examples=60, deadline=None)
-def test_token_matches_reference_layer_by_layer(case, t_start, chunk):
+def test_token_matches_reference_layer_by_layer(case, chunk):
     """A whole token equals the reference pass chained layer by layer: each
     layer starts when the one before ends, and the token's latency and
     useful bytes are the layer values summed in layer order. Small chunks
@@ -680,9 +681,9 @@ def test_token_matches_reference_layer_by_layer(case, t_start, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(storage, "_CHUNK", chunk)
         got = simulate_ffn_pass(token_reads(token, geo), timing, geo, batch, dim_e=dim_e,
-                                params=params, trace=events, t_start=t_start)
+                                params=params, trace=events)
     want_events = []
-    start, latency, useful, raw, elems = t_start, 0.0, 0.0, 0, 0
+    start, latency, useful, raw, elems = 0.0, 0.0, 0.0, 0, 0
     assert len(got.layer_latency_s) == len(token)
     for txns, lat in zip(token, got.layer_latency_s):
         want = reference_ffn_pass(txns, timing, geo, batch, dim_e=dim_e, params=params,

@@ -145,30 +145,37 @@ def test_pipelined_closed_form_is_the_event_loop(phases, n_tokens):
     assert throughput == (n_tokens / finish if finish > 0 else math.inf)
 
 
+def columns(*events) -> EventColumns:
+    """A trace of (unit, event, quantity) triples, every one at time 0."""
+    cols = EventColumns()
+    for unit, event, qty in events:
+        cols.append(0.0, unit, event, qty)
+    return cols
+
+
 class TestEnergy:
     def test_empty_trace_zeros(self):
-        ledger = energy_report([], EnergyConstants())
+        ledger = energy_report(EventColumns(), EnergyConstants())
         assert all(v == 0.0 for v in ledger.components.values())
         assert ledger.total == 0.0
 
     def test_linearity(self):
-        ev = [TraceEvent(0, "d", "nand_read", 1000), TraceEvent(0, "c", "ch_bus", 500),
-              TraceEvent(0, "p", "pe_mac", 2000), TraceEvent(0, "m", "pim_aap", 10)]
-        doubled = [TraceEvent(e.time_ns, e.unit, e.event, 2 * e.bytes) for e in ev]
-        a = energy_report(ev, EnergyConstants())
-        b = energy_report(doubled, EnergyConstants())
+        ev = [("d", "nand_read", 1000), ("c", "ch_bus", 500), ("p", "pe_mac", 2000),
+              ("m", "pim_aap", 10)]
+        a = energy_report(columns(*ev), EnergyConstants())
+        b = energy_report(columns(*((u, e, 2 * q) for u, e, q in ev)), EnergyConstants())
         for k in a.components:
             assert b.components[k] == pytest.approx(2 * a.components[k])
 
     def test_conservation_exact(self):
-        ev = [TraceEvent(0, "d", "nand_read", 12345), TraceEvent(0, "g", "gpu_flop", 777),
-              TraceEvent(0, "h", "host_read", 31), TraceEvent(0, "x", "pcie", 9)]
+        ev = columns(("d", "nand_read", 12345), ("g", "gpu_flop", 777), ("h", "host_read", 31),
+                     ("x", "pcie", 9))
         ledger = energy_report(ev, EnergyConstants())
         assert ledger.total == sum(ledger.components.values())
 
     def test_unknown_event_rejected(self):
         with pytest.raises(AccountingError):
-            energy_report([TraceEvent(0, "u", "teleport", 1)], EnergyConstants())
+            energy_report(columns(("u", "teleport", 1)), EnergyConstants())
 
 
 class TestBaselines:
@@ -354,24 +361,22 @@ def test_columnar_energy_fold_is_the_row_loop(name, batch):
     """energy_report folds event columns per component with np.add.accumulate;
     that must equal, bit for bit, a loop of EnergyConstants.joules over the
     trace's rows in trace order, for SLIM traces of both PE levels and both
-    schedulers and for the baselines' row traces."""
+    schedulers and for the baselines' traces."""
     model = ModelConfig(**MODEL_PRESETS[name], batch=batch, seed=3)
     constants = EnergyConstants(nand_read_pj_per_bit=4.1, ch_bus_pj_per_bit=2.3,
                                 pe_pj_per_mac=0.7, dram_pim_nj_per_aap=29.0)
     masks = masks_at(model, 0.5, 5)
-    results = []  # (result, its trace's rows)
-    for kind in ("ssd_gpu", "dram_gpu"):
-        res = run_baseline(baseline_preset(kind, *SSD), model, 0.5, constants)
-        results.append((res, res.trace))
+    results = [run_baseline(baseline_preset(kind, *SSD), model, 0.5, constants)
+               for kind in ("ssd_gpu", "dram_gpu")]
     for level in ("die", "channel"):
         geo, timing = nand_preset("tlc", level)
         for scheduler in ("sequential", "pipelined"):
             res = evaluate_slim(model, timing, DG, DT, CM, read(model, geo, masks),
                                 scheduler=scheduler, constants=constants)
-            results.append((res, res.events))
-    for res, rows in results:
+            results.append(res)
+    for res in results:
         want = dict.fromkeys(ENERGY_COMPONENTS, 0.0)
-        for ev in rows:
+        for ev in res.events:
             component, joules = constants.joules(ev.event, ev.bytes)
             want[component] += joules
         assert {c: v.hex() for c, v in res.energy.components.items()} == \
@@ -383,7 +388,9 @@ def test_event_columns_give_back_rows():
     keeping their type, so the trace's JSON spells them as before."""
     rows = [TraceEvent(5, "die12", "nand_read", 16384), TraceEvent(7, "onchip", "onchip_bus", 128),
             TraceEvent(9, "dram_pim", "pim_aap", 20608.0), TraceEvent(9, "x", "teleport", 0.5)]
-    cols = EventColumns.from_rows(rows)
+    cols = EventColumns()
+    for ev in rows:
+        cols.append(ev.time_ns / 1e9, ev.unit, ev.event, ev.bytes)
     assert len(cols) == 4
     back = list(cols)
     assert back == rows and [type(ev.bytes) for ev in back] == [int, int, float, float]
