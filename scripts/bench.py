@@ -3,6 +3,7 @@
 and write BENCH_<n>.json, then compare it with the previous BENCH_*.json.
 
     python3 scripts/bench.py --pr N [--repo DIR]
+    python3 scripts/bench.py --against DIR --pairs N --workload W [--seed S]
 
 Each workload runs once per seed of SEEDS (`perfbench/run.py --trace 0
 --seconds <BENCHMARK.json run_seconds>`, each run one perfbench median over
@@ -28,6 +29,18 @@ recorded on one host, in one boot, compare. An existing BENCH_N.json is
 never overwritten. The exit status is 1 when a run was not correct, a
 metric is worse than its bound or the files do not compare, 2 for a bad
 argument, else 0.
+
+`--against DIR` measures a change instead of recording a point: it runs
+perfbench on workload W N times in DIR (say, a clone of the parent commit)
+and N times in this checkout, as N pairs that alternate which side runs
+first, with seeds S, S+1, ... (use seeds no development run used). Both
+sides of a pair run on the same host under the same load, so pairs
+compare where BENCH files recorded at other times may not. Each pair
+prints both sides' end-to-end metrics, their ratio (this checkout over
+DIR) and whether the output digests are equal; the summary prints per
+metric both medians, DIR's interquartile range and the number of pairs
+this checkout won. The exit status is 1 when a run was not correct or a
+pair's digests differ.
 """
 
 from __future__ import annotations
@@ -146,12 +159,56 @@ def compare(old: dict, new: dict, bounds: dict) -> bool:
     return ok
 
 
+def alternate(against: Path, pairs: int, workload: str, first_seed: int, seconds: float,
+              bounds: dict, run=run_perfbench) -> bool:
+    """Run ``pairs`` alternating perfbench pairs of ``against`` and ROOT
+    and print them; False if a run was not correct or a pair's output
+    digests differ. ``run`` is ``run_perfbench`` or a stand-in with its
+    signature."""
+    ok, runs = True, {"against": [], "this": []}
+    for i in range(pairs):
+        seed = first_seed + i
+        sides = [("against", against), ("this", ROOT)]
+        for side, repo in sides[::-1] if i % 2 else sides:
+            runs[side].append(run(repo, workload, seed, seconds))
+        old, new = runs["against"][-1], runs["this"][-1]
+        same = old["digests"] == new["digests"]
+        ok &= old["correct"] and new["correct"] and same
+        print(f"pair {i + 1} seed {seed}: " + ", ".join(
+            f"{m} {old['metrics'][m]['value']:.4g} -> {new['metrics'][m]['value']:.4g} "
+            f"({new['metrics'][m]['value'] / old['metrics'][m]['value']:.3f})"
+            for m in END_TO_END) + f"; digests {'equal' if same else 'DIFFER'}", flush=True)
+    for m in END_TO_END:
+        old, new = ([r["metrics"][m]["value"] for r in runs[side]] for side in ("against", "this"))
+        lower = bounds[m]["better"] == "lower"
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
+        spread = _spread(old)
+        print(f"{m:12s} median {spread['median']:.4g} (IQR {spread['iqr']:.4g}) -> "
+              f"{statistics.median(new):.4g} "
+              f"({statistics.median(new) / spread['median'] - 1:+.1%}), "
+              f"this checkout better in {wins}/{pairs} pairs")
+    return ok
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bounds = {m["name"]: m for m in bench["end_to_end"]}
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--pr", type=int, required=True, help="number n of BENCH_<n>.json")
+    p.add_argument("--pr", type=int, help="number n of BENCH_<n>.json")
     p.add_argument("--repo", type=Path, default=ROOT, help="checkout to benchmark")
+    p.add_argument("--against", type=Path, help="checkout to run pairs against")
+    p.add_argument("--pairs", type=int, default=10, help="number of pairs (with --against)")
+    p.add_argument("--workload", choices=[w["name"] for w in bench["workloads"]],
+                   help="workload of the pairs (with --against)")
+    p.add_argument("--seed", type=int, default=1, help="seed of the first pair (with --against)")
     args = p.parse_args(argv)
+    if args.against is not None:
+        if args.workload is None or args.pairs < 1:
+            p.error("--against needs --workload and --pairs >= 1")
+        return 0 if alternate(args.against, args.pairs, args.workload, args.seed,
+                              bench["run_seconds"], bounds) else 1
+    if args.pr is None:
+        p.error("one of --pr and --against is required")
     out = ROOT / f"BENCH_{args.pr}.json"
     if out.exists():
         p.error(f"{out.name} exists; a BENCH file is written once")
@@ -180,7 +237,6 @@ def main(argv=None) -> int:
     prev = previous_bench(args.pr)
     if prev is not None:
         print(f"against {prev.name}:")
-        bounds = {m["name"]: m for m in bench["end_to_end"]}
         ok &= compare(json.loads(prev.read_text()), record, bounds)
     return 0 if ok else 1
 

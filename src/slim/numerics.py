@@ -30,16 +30,14 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def sigmoid(x):
     # exp(-|x|) never overflows; for x < 0 it is exp(x), so e / (1 + e) is
-    # the same float as the sign-split form's. Two fresh arrays: the rest is
-    # computed in place
+    # the same float as the sign-split form's, and for x >= 0 the numerator
+    # max(e, 1) is 1, since e <= 1 (nan stays nan). Two fresh arrays: the
+    # rest is computed in place
     x = np.asarray(x)
     e = np.abs(x, out=np.empty(x.shape))
     np.exp(np.negative(e, out=e), out=e)
     d = np.add(1.0, e, out=np.empty_like(e))
-    np.divide(e, d, out=e)
-    np.divide(1.0, d, out=d)
-    np.copyto(d, e, where=x < 0)
-    return d
+    return np.divide(np.maximum(e, x >= 0, out=e), d, out=d)
 
 
 def silu(x: Matrix) -> Matrix:

@@ -6,12 +6,13 @@ neurons whose predicted magnitude falls at or below a threshold are skipped.
 Thresholds are calibrated offline per target sparsity and stored in a table so
 sparsity stays tunable at run time.
 
-Training runs in a subspace of the hidden dimension. Gradient descent on R
-only ever adds rows of the target ``x @ w_g.T`` and of R itself, so every
-iterate lies in the span of the initial R's rows and the target's rows; with
-an orthonormal basis B of that span (k = min(n_tokens, dim_e) + dim_lr
-columns, at most dim_h) the loop steps R~ = R B, not R, and the loss and
-gradients come out the same up to rounding.
+Training runs in coordinates of the gate's column space when dim_h >
+dim_e. With the Cholesky factor C of the dim_e x dim_e Gram matrix
+``w_g.T @ w_g`` (C @ C.T), U = w_g C^-T is orthonormal, and a gradient step
+on R only ever adds rows of R and of the target ``x @ w_g.T``, whose rows
+lie in U's span. So if the initial R's rows do too (as the SVD init's do),
+the loop steps R U, dim_e wide, against the target x C, and maps the result
+back once; U is never formed.
 """
 
 from __future__ import annotations
@@ -65,21 +66,6 @@ def reconstruction_loss(p: Predictor, x: Matrix, w_g: Matrix) -> float:
     return float(np.sum(err * err))
 
 
-def _training_basis(r0: Matrix, gate: Matrix, w_g: Matrix) -> Matrix:
-    """Orthonormal basis (dim_h x k) of a subspace that holds every R ``train``
-    visits from ``r0``, given the target ``gate = x @ w_g.T``.
-
-    A gradient step adds to R only combinations of R's own rows and of the
-    target's rows, so R stays in the span of r0's rows and the target's
-    rows. The target's rows also lie in the span of w_g's columns; the
-    smaller of the two sets is taken, so
-    k = min(n_tokens, dim_e) + dim_lr, at most dim_h. One QR factorization;
-    the basis may hold a few directions more than that span needs."""
-    spanning = w_g if gate.shape[0] > w_g.shape[1] else gate.T
-    q, _ = np.linalg.qr(np.concatenate([spanning, r0.T], axis=1))
-    return q
-
-
 def train(p: Predictor, calib: Matrix, w_g: Matrix, epochs: int = 50,
           lr: float = 1e-3) -> tuple[Predictor, list[float]]:
     """Full-batch gradient descent on the reconstruction loss.
@@ -92,75 +78,82 @@ def train(p: Predictor, calib: Matrix, w_g: Matrix, epochs: int = 50,
     a non-finite candidate loss, or one still past DIVERGENCE_FACTOR times
     the initial loss after the step size has collapsed.
 
-    Every product runs in the orthonormal basis B = ``_training_basis(p.r,
-    x @ w_g.T, w_g)``: every iterate is R = R~ B.T, and since B.T B = I and the
-    error's rows lie in span B, ||x L R - target||_F = ||x L R~ - target B||_F
-    and the gradients map over exactly. The loop steps (L, R~), k columns
-    wide instead of dim_h, and returns R~ B.T. At debug level one line gives
-    k and the seconds of the basis and of the loop.
+    R is stepped as R^ = R U in the coordinates of the module docstring,
+    against the target x C, and returned as R^ C^-1 w_g.T. That is exact
+    when p.r's rows lie in w_g's column space, which is checked as
+    ||R^|| = ||p.r||; otherwise, and when dim_h <= dim_e or the Gram matrix
+    is not positive definite (Cholesky fails or leaves a pivot that is
+    rounding), the coordinates are the identity, all of dim_h. L never enters the loop: a step of lr * x.T @ G on L moves x @ L
+    by lr * K @ G, with K = x @ x.T, so the loop carries x @ L, sums the
+    accepted steps' lr * G in phi and returns L - x.T @ phi. At debug level
+    one line gives the coordinates' width and the seconds of the
+    factorization and of the loop.
     """
     x = np.asarray(calib, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != p.l.shape[0]:
         raise ShapeError(f"calibration shape {x.shape} vs dim_e {p.l.shape[0]}")
     if x.shape[0] < 1:
         raise ShapeError("calibration set is empty")
-    n = x.shape[0]
     t0 = time.perf_counter()
-    gate = matmul(x, w_g.T)
-    b = _training_basis(p.r, gate, w_g)
+    c, r = None, p.r.copy()
+    if w_g.shape[0] > w_g.shape[1]:
+        try:
+            c = np.linalg.cholesky(matmul(w_g.T, w_g))
+            r = np.linalg.solve(c, matmul(p.r, w_g).T).T
+        except np.linalg.LinAlgError:
+            c = None
+        # a pivot at or below 1e-3 of the largest marks w_g as rank-deficient
+        # to working precision: a zero pivot comes out as rounding (up to
+        # 5e-6 of the largest on random low-rank gates up to 512 x 2048),
+        # while every pivot is at least 1 / cond(w_g) of the largest
+        if c is None or np.min(np.diag(c)) <= 1e-3 * np.max(np.diag(c)) or not np.isclose(
+                np.linalg.norm(r), np.linalg.norm(p.r), rtol=1e-12, atol=0.0):
+            c, r = None, p.r.copy()
+    target = matmul(x, w_g.T if c is None else c)
     t1 = time.perf_counter()
-    target = matmul(gate, b)
-    del gate
-    l, r = p.l.copy(), matmul(p.r, b)
 
-    xl = matmul(x, l)
+    kern = matmul(x, x.T)
+    xl = matmul(x, p.l)
+    phi = np.zeros_like(xl)
     err = matmul(xl, r) - target
-    loss = float(np.sum(err * err))
-    init = loss
+    loss = float(np.vdot(err, err))
     history = [loss]
     step = lr
     for _ in range(epochs):
-        prod_l, prod_r = _gradient_products(x, xl, r, err)
-        grad_l = (2.0 / n) * prod_l
-        grad_r = (2.0 / n) * prod_r
-        cand_l = l - step * grad_l
-        cand_r = r - step * grad_r
+        scale = 2.0 * step / x.shape[0]  # the per-sample mean's factor times the step
+        g = matmul(err, r.T)  # L's gradient is (2 / n) x.T @ g
+        cand_r = r - scale * matmul(xl.T, err)
         with np.errstate(over="ignore", invalid="ignore"):
-            cand_xl = matmul(x, cand_l)
+            cand_xl = xl - scale * matmul(kern, g)
             cand_err = matmul(cand_xl, cand_r) - target
-            cand_loss = float(np.sum(cand_err * cand_err))
-        hopeless = step <= lr * 2.0 ** -50 and init > 0.0 \
-            and cand_loss > DIVERGENCE_FACTOR * init
+            cand_loss = float(np.vdot(cand_err, cand_err))
+        hopeless = step <= lr * 2.0 ** -50 and history[0] > 0.0 \
+            and cand_loss > DIVERGENCE_FACTOR * history[0]
         if not np.isfinite(cand_loss) or hopeless:
             raise TrainingDivergence(
-                f"loss diverged to {cand_loss:.3e} from initial {init:.3e}",
+                f"loss diverged to {cand_loss:.3e} from initial {history[0]:.3e}",
                 history + [cand_loss])
         if cand_loss > loss:
             step *= 0.5
             continue
-        l, r, xl, err, loss = cand_l, cand_r, cand_xl, cand_err, cand_loss
+        phi += scale * g
+        r, xl, err, loss = cand_r, cand_xl, cand_err, cand_loss
         history.append(loss)
-    log.debug("train: basis width %d, basis %.6f s, loop %.6f s",
-              b.shape[1], t1 - t0, time.perf_counter() - t1)
-    return Predictor(l=l, r=matmul(r, b.T)), history
-
-
-def _gradient_products(x: Matrix, xl: Matrix, r: Matrix, err: Matrix) -> tuple[Matrix, Matrix]:
-    """x.T @ err @ R.T and (x @ L).T @ err, given xl = x @ L: the gradients
-    of sum(err**2) w.r.t. (L, R), where err = x @ L @ R - x @ w_g.T, without
-    their factor 2. ``train`` and ``loss_gradients`` each apply their own
-    scale."""
-    return matmul(x.T, matmul(err, r.T)), matmul(xl.T, err)
+    log.debug("train: coordinates %d wide, factorization %.6f s, loop %.6f s",
+              target.shape[1], t1 - t0, time.perf_counter() - t1)
+    l = p.l - matmul(x.T, phi) if len(history) > 1 else p.l.copy()
+    if c is not None:
+        r = matmul(np.linalg.solve(c.T, r.T).T, w_g.T)
+    return Predictor(l=l, r=r), history
 
 
 def loss_gradients(p: Predictor, x: Matrix, w_g: Matrix) -> tuple[Matrix, Matrix]:
-    """Analytic gradients of the reconstruction loss w.r.t. (L, R), by the
+    """Analytic gradients of the reconstruction loss w.r.t. (L, R), the
     formula ``train`` steps with; checked against central finite
     differences in the tests."""
     xl = matmul(x, p.l)
     err = matmul(xl, p.r) - matmul(x, w_g.T)
-    prod_l, prod_r = _gradient_products(x, xl, p.r, err)
-    return 2.0 * prod_l, 2.0 * prod_r
+    return 2.0 * matmul(x.T, matmul(err, p.r.T)), 2.0 * matmul(xl.T, err)
 
 
 @dataclass(frozen=True)
@@ -211,12 +204,6 @@ def predict_mask(p: Predictor, x: Matrix, threshold: float) -> np.ndarray:
     single = x.ndim == 1
     masks = p.scores(x.reshape(1, -1) if single else x) > threshold
     return masks[0] if single else masks
-
-
-def measured_sparsity(mask: np.ndarray) -> float:
-    """Fraction of hidden neurons skipped (zero bits / dim_h)."""
-    mask = np.asarray(mask, dtype=bool)
-    return float(np.size(mask) - np.count_nonzero(mask)) / float(np.size(mask))
 
 
 def thresholds_to_json(tables: dict[tuple[int, int], ThresholdTable]) -> str:

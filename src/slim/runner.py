@@ -275,9 +275,9 @@ def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
     (``harvest_ffn_inputs``): each layer's experts are fitted as soon as
     the stream has passed it, while the next layer is drawn, and the layer
     is dropped before the next is asked for. At ``SLIM_LOG=debug`` each
-    (layer, expert) gets the ``train:`` line (basis width and the seconds
-    of the basis and the loop), then one line with the wall-clock seconds
-    of the SVD init, ``train`` and the thresholds."""
+    (layer, expert) gets the ``train:`` line (the coordinates' width and
+    the seconds of the factorization and the loop), then one line with the
+    wall-clock seconds of the SVD init, ``train`` and the thresholds."""
     tp = cfg.train
     dim_lr = tp.dim_lr or default_dim_lr(cfg.model.dim_e)
     tensors = {}
@@ -340,7 +340,9 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     streams run layer-major: the dense reference (decoded once, since it
     does not depend on the target) and every target's masked stream pass a
     layer, each with a fresh cache, while the next layer is drawn; the
-    layer and its predictors are dropped before the next is asked for."""
+    layer and its predictors are dropped before the next is asked for.
+    A masked stream is decoded only once it leaves the dense one: while
+    its masks keep every neuron, its output is the dense output."""
     source = iter(_model_layers(cfg))
     predictors, tables = load_predictors(cfg, out_dir)
     if predictors[(0, 0)].l.shape[0] != cfg.model.dim_e:
@@ -349,7 +351,7 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     rng = np.random.default_rng([cfg.seed, 0xE7A1])
     inputs = rng.standard_normal((cfg.train.eval_tokens, cfg.model.dim_e))
     targets = cfg.train.targets
-    # per target, (layer, expert) -> each token's measured_sparsity
+    # per target, (layer, expert) -> each token's measured sparsity
     sparsities = [{} for _ in targets]
 
     def masker(target, made):
@@ -361,22 +363,31 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
             return mask
         return mask_fn
 
-    mask_fns = [None] + [masker(t, made) for t, made in zip(targets, sparsities)]
-    streams = [inputs] * len(mask_fns)  # the dense stream, then one per target
+    mask_fns = [masker(t, made) for t, made in zip(targets, sparsities)]
+    dense, masked = inputs, [inputs] * len(targets)
     # indexed by range: enumerate's recycled result tuple would hold the
     # last layer while the source draws the next
     for li in range(cfg.model.n_dec):
         layer = (li, next(source))
         # a block attends only to its own rows, so a stream's cache rows for
         # this layer are dead once it has passed it
-        streams = [dec.decode_step(x, dec.new_cache(), mask_fn=fn, layers=(layer,))
-                   for x, fn in zip(streams, mask_fns)]
+        ffn_in = []
+        passed = dec.decode_step(dense, dec.new_cache(), layers=(layer,),
+                                 ffn_input_hook=lambda _, xm: ffn_in.append(xm))
+        # a stream that is still the dense one and keeps every neuron of
+        # this layer (target 0 does, unless a score is exactly 0) decodes
+        # to the dense output, so its masks are made, and their sparsity
+        # recorded, on the dense FFN input and not applied
+        masked = [passed if x is dense and all(
+                      fn(li, e, ffn_in[0]).all() for e in range(cfg.model.n_expert))
+                  else dec.decode_step(x, dec.new_cache(), mask_fn=fn, layers=(layer,))
+                  for x, fn in zip(masked, mask_fns)]
+        dense = passed
         # the layer and its predictors are dead too: drop them before the
         # next layer is asked for, so only the one drawn ahead is held
         del layer
         for e in range(cfg.model.n_expert):
             del predictors[(li, e)]
-    dense, *masked = streams
 
     report = {"targets": []}
     for target, out, made in zip(targets, masked, sparsities):

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import measured_sparsity
 from slim.config import load_scenario
 from slim.model import (
     Decoder,
@@ -25,7 +26,6 @@ from slim.predictor import (
     build_threshold_table,
     init_from_svd,
     loss_gradients,
-    measured_sparsity,
     predict_mask,
     reconstruction_loss,
     train,

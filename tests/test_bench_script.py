@@ -7,6 +7,7 @@ serve as records.
 import copy
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,38 @@ def test_existing_record_not_overwritten():
         bench.main(["--pr", "6"])
     assert exc.value.code == 2
     assert (ROOT / "BENCH_6.json").read_bytes() == before
+
+
+def test_pairs_alternate_and_count_wins(capsys, tmp_path):
+    # a stand-in for perfbench: this checkout is 20% faster on run_s and
+    # ties on setup_s; the digests differ in the third pair only
+    order = []
+
+    def stub(repo, workload, seed, seconds):
+        this = repo == bench.ROOT
+        order.append(("this" if this else "against", seed))
+        values = {"setup_s": 0.3, "run_s": (0.8 if this else 1.0) + seed / 100,
+                  "peak_rss_mb": 70.0 if this else 75.0}
+        return {"correct": True, "metrics": {m: {"value": v} for m, v in values.items()},
+                "digests": {"out.json": "b" if this and seed == 3 else "a"}}
+
+    assert not bench.alternate(tmp_path, 3, "train-infer", 1, 2.0, BOUNDS, run=stub)
+    assert order == [("against", 1), ("this", 1), ("this", 2), ("against", 2),
+                     ("against", 3), ("this", 3)]
+    out = capsys.readouterr().out
+    assert "pair 1 seed 1: setup_s 0.3 -> 0.3 (1.000), run_s 1.01 -> 0.81 (0.802)" in out
+    assert "pair 2 seed 2:" in out and "digests equal" in out
+    assert "pair 3 seed 3:" in out and "digests DIFFER" in out
+    assert re.search(r"run_s +median 1\.02 \(IQR 0\.01\) -> 0\.82 \(-19\.6%\), "
+                     r"this checkout better in 3/3 pairs", out), out
+    assert "setup_s" in out and "better in 0/3 pairs" in out
+    assert "peak_rss_mb" in out and "-6.7%" in out
+
+    order.clear()
+    assert bench.alternate(tmp_path, 2, "train-infer", 1, 2.0, BOUNDS, run=stub)
+
+
+def test_pairs_need_a_workload(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--against", str(tmp_path), "--pairs", "2"])
+    assert exc.value.code == 2

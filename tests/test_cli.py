@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import slim.model
 import slim.runner
+from oracles import measured_sparsity
 from slim.cli import main
 from slim.config import config_hash, load_scenario
 from slim.container import read_tensors, write_tensors
@@ -29,7 +30,6 @@ from slim.predictor import (
     build_threshold_table,
     default_dim_lr,
     init_from_svd,
-    measured_sparsity,
     predict_mask,
     thresholds_to_json,
     train,
@@ -314,6 +314,45 @@ class TestInfer:
         target0 = json.loads((out / "infer_report.json").read_text())["targets"][0]
         assert target0["target_sparsity"] == 0.0 and target0["measured_sparsity"] == 0.0
         assert target0["output_mse"] == 0.0
+
+    @pytest.mark.parametrize("model", ["toy", "toy_moe"])
+    def test_stream_equal_to_dense_decoded_once(self, tmp_path, monkeypatch, model):
+        # target 0 keeps every neuron, so its stream is the dense one and is
+        # not decoded again; once a score is exactly 0, threshold 0 skips
+        # that neuron and the stream is decoded from that layer on
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(TOY_DOC, model=model)))
+        out = tmp_path / "out"
+        assert run("train", path, out) == 0
+        cfg = load_scenario(path)
+        calls = []
+        decode_step = slim.model.Decoder.decode_step
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return decode_step(self, *args, **kwargs)
+
+        monkeypatch.setattr(slim.model.Decoder, "decode_step", counted)
+        n_dec, streams = cfg.model.n_dec, len(cfg.train.targets)
+        report = infer_report(cfg, out)
+        assert report == reference_infer_report(cfg, out)
+        assert report["targets"][0]["output_mse"] == 0.0
+        calls.clear()
+        assert infer_report(cfg, out) == report
+        assert len(calls) == n_dec * streams  # the dense stream and 3 masked ones
+
+        tensors = read_tensors(out / cfg.paths.predictor)
+        for e in range(cfg.model.n_expert):
+            tensors[f"layer01.expert{e:03d}.R"][:, 0] = 0.0
+        write_tensors(out / cfg.paths.predictor, tensors)
+        calls.clear()
+        report = infer_report(cfg, out)
+        assert len(calls) == n_dec * streams + n_dec - 1
+        calls.clear()
+        assert report == reference_infer_report(cfg, out)
+        target0 = report["targets"][0]
+        assert target0["target_sparsity"] == 0.0 and target0["measured_sparsity"] > 0.0
+        assert target0["output_mse"] > 0.0
 
     def test_without_training_exits_2(self, cfg_path, tmp_path):
         assert run("infer", cfg_path, tmp_path / "fresh") == 2
@@ -703,9 +742,10 @@ def test_train_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
     # per (layer, expert), in order: train's own line, then the runner's
     assert len(lines) == 2 * len(keys)
     for (fit, done), (li, e) in zip(zip(lines[::2], lines[1::2]), keys):
-        # toy: 48 calibration tokens <= dim_e 64, so k = 48 + dim_lr 16
+        # toy: dim_h 256 > dim_e 64, so the coordinates are dim_e wide
         assert re.fullmatch(
-            r"train: basis width 64, basis \d+\.\d+ s, loop \d+\.\d+ s", fit), fit
+            r"train: coordinates 64 wide, factorization \d+\.\d+ s, loop \d+\.\d+ s",
+            fit), fit
         assert re.fullmatch(
             rf"train_predictors: layer {li} expert {e}, svd init \d+\.\d+ s, "
             r"train \d+\.\d+ s, thresholds \d+\.\d+ s", done), done

@@ -116,6 +116,19 @@ class TestSigmoid:
         x = np.random.default_rng(int(scale * 10)).standard_normal((64, 256)) * scale
         assert sigmoid(x).tobytes() == sign_split_sigmoid(x).tobytes()
 
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_sign_split_on_floats(self, values):
+        # a nan's sign and payload are not pinned: the sign-split form keeps
+        # the input's, the branch-free one does not
+        x = np.array(values + [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0,
+                               1e-310, -1e-310, 5e-324, -5e-324])
+        got, want = sigmoid(x), sign_split_sigmoid(x)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
     def test_nan_stays_nan(self):
         assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
 

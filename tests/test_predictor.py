@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import measured_sparsity
 from slim.errors import RankError, ShapeError, TrainingDivergence
 from slim.model import Decoder, ModelConfig, ffn_forward, harvest_ffn_inputs
 from slim.predictor import (
@@ -11,13 +14,11 @@ from slim.predictor import (
     default_dim_lr,
     init_from_svd,
     loss_gradients,
-    measured_sparsity,
     predict_mask,
     quantile_threshold,
     reconstruction_loss,
     thresholds_from_json,
     thresholds_to_json,
-    _training_basis,
     train,
 )
 
@@ -27,7 +28,8 @@ def rand_gate(dim_h, dim_e, seed):
 
 
 def reference_train(p, x, w_g, epochs, lr):
-    """``train``'s rules stepped in all of dim_h: the oracle for the basis."""
+    """``train``'s rules stepped on (L, R) in all of dim_h: the oracle for
+    its coordinates and for its carried x @ L."""
     n = x.shape[0]
     l, r = p.l.copy(), p.r.copy()
     target = x @ w_g.T
@@ -187,15 +189,68 @@ class TestTrain:
              Predictor(l=rng.standard_normal((dim_e, dim_lr)),
                        r=rng.standard_normal((dim_lr, dim_h))))
         x = rng.standard_normal((n, dim_e)) * scale
-        b = _training_basis(p.r, x @ w_g.T, w_g)
-        assert b.shape == (dim_h, min(min(n, dim_e) + dim_lr, dim_h))
-        np.testing.assert_allclose(b.T @ b, np.eye(b.shape[1]), atol=1e-13)
-
         got, hist = train(p, x, w_g, epochs=epochs, lr=lr)
         want, ref_hist = reference_train(p, x, w_g, epochs=epochs, lr=lr)
         assert len(hist) == len(ref_hist)
         if lr == 5.0:
             assert len(hist) < epochs + 1  # the case does reject steps
+        np.testing.assert_allclose(hist, ref_hist, rtol=1e-12)
+        for a, ref in ((got.l, want.l), (got.r, want.r)):
+            np.testing.assert_allclose(a, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans(),
+           st.booleans(), st.booleans())
+    @example(seed=0, above=True, n_above=False, svd=True, overshoot=False, deficient=True)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_space_loop(self, seed, above, n_above, svd, overshoot, deficient):
+        # dim_h above dim_e (twice or more, so the gate is well conditioned)
+        # or at most dim_e; n above or below dim_e; R0 from the SVD or off
+        # w_g's columns; lr=5.0 rejections; a rank-3 gate such as u @ v.
+        # dim_lr stays below the rank of the target x @ w_g.T, so the loss
+        # keeps a floor well above rounding
+        rng = np.random.default_rng(seed)
+        dim_e = int(rng.integers(4, 17))
+        dim_h = int(rng.integers(2 * dim_e, 4 * dim_e + 1) if above else rng.integers(3, dim_e + 1))
+        n = int(rng.integers(dim_e + 1, 3 * dim_e) if n_above else rng.integers(2, dim_e))
+        if deficient:
+            w_g = rng.standard_normal((dim_h, 3)) @ rng.standard_normal((3, dim_e)) / dim_e
+        else:
+            w_g = rand_gate(dim_h, dim_e, seed)
+        dim_lr = int(rng.integers(1, min(dim_h, dim_e, n, 3 if deficient else 8)))
+        p = (init_from_svd(w_g, dim_lr) if svd else
+             Predictor(l=rng.standard_normal((dim_e, dim_lr)),
+                       r=rng.standard_normal((dim_lr, dim_h))))
+        x = rng.standard_normal((n, dim_e)) * (4.0 if overshoot else 1.0)
+        lr, epochs = (5.0, 15) if overshoot else (1e-3, 30)
+
+        got, hist = train(p, x, w_g, epochs=epochs, lr=lr)
+        want, ref_hist = reference_train(p, x, w_g, epochs=epochs, lr=lr)
+        assert len(hist) == len(ref_hist)
+        np.testing.assert_allclose(hist, ref_hist, rtol=1e-12)
+        for a, ref in ((got.l, want.l), (got.r, want.r)):
+            np.testing.assert_allclose(a, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("case", [
+        # name: dim_h, dim_e, R0 from the SVD, rank of w_g, coordinates' width
+        ("svd init, dim_h > dim_e", 48, 16, True, 16, 16),
+        ("R0 off w_g's columns", 48, 16, False, 16, 48),
+        ("dim_h <= dim_e", 16, 16, True, 16, 16),
+        ("rank-deficient gate", 24, 16, True, 3, 24),  # Cholesky fails
+        ("rank-deficient gate, rounding pivot", 12, 8, True, 7, 12),  # Cholesky succeeds
+    ], ids=lambda c: c[0])
+    def test_coordinates_width(self, caplog, case):
+        _, dim_h, dim_e, svd, rank, width = case
+        rng = np.random.default_rng(dim_h + rank)
+        w_g = rng.standard_normal((dim_h, rank)) @ rng.standard_normal((rank, dim_e)) / dim_e
+        p = (init_from_svd(w_g, 2) if svd else
+             Predictor(l=rng.standard_normal((dim_e, 2)), r=rng.standard_normal((2, dim_h))))
+        x = rng.standard_normal((12, dim_e))
+        caplog.set_level(logging.DEBUG, logger="slim")
+        got, hist = train(p, x, w_g, epochs=20)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("train:")]
+        assert len(lines) == 1 and lines[0].startswith(f"train: coordinates {width} wide,")
+        want, ref_hist = reference_train(p, x, w_g, epochs=20, lr=1e-3)
+        assert len(hist) == len(ref_hist)
         np.testing.assert_allclose(hist, ref_hist, rtol=1e-12)
         for a, ref in ((got.l, want.l), (got.r, want.r)):
             np.testing.assert_allclose(a, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
