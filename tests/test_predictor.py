@@ -231,17 +231,19 @@ class TestTrain:
             np.testing.assert_allclose(a, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("case", [
-        # name: dim_h, dim_e, R0 from the SVD, rank of w_g, coordinates' width
-        ("svd init, dim_h > dim_e", 48, 16, True, 16, 16),
-        ("R0 off w_g's columns", 48, 16, False, 16, 48),
-        ("dim_h <= dim_e", 16, 16, True, 16, 16),
+        # name: dim_h, dim_e, R0 from the SVD, rank of w_g (None: a full-rank
+        # Gaussian gate), coordinates' width
+        ("svd init, dim_h > dim_e", 48, 16, True, None, 16),
+        ("R0 off w_g's columns", 48, 16, False, None, 48),
+        ("dim_h <= dim_e", 16, 16, True, None, 16),
         ("rank-deficient gate", 24, 16, True, 3, 24),  # Cholesky fails
         ("rank-deficient gate, rounding pivot", 12, 8, True, 7, 12),  # Cholesky succeeds
     ], ids=lambda c: c[0])
     def test_coordinates_width(self, caplog, case):
         _, dim_h, dim_e, svd, rank, width = case
-        rng = np.random.default_rng(dim_h + rank)
-        w_g = rng.standard_normal((dim_h, rank)) @ rng.standard_normal((rank, dim_e)) / dim_e
+        rng = np.random.default_rng(dim_h + (rank or 0))
+        w_g = (rand_gate(dim_h, dim_e, dim_h) if rank is None else
+               rng.standard_normal((dim_h, rank)) @ rng.standard_normal((rank, dim_e)) / dim_e)
         p = (init_from_svd(w_g, 2) if svd else
              Predictor(l=rng.standard_normal((dim_e, 2)), r=rng.standard_normal((2, dim_h))))
         x = rng.standard_normal((12, dim_e))
