@@ -207,7 +207,9 @@ class TestTrain:
         # or at most dim_e; n above or below dim_e; R0 from the SVD or off
         # w_g's columns; lr=5.0 rejections; a rank-3 gate such as u @ v.
         # dim_lr stays below the rank of the target x @ w_g.T, so the loss
-        # keeps a floor well above rounding
+        # keeps a floor well above rounding, and lr=5.0 runs 15 epochs: with
+        # more, tiny problems reach a plateau where rounding noise decides
+        # whether a step is accepted
         rng = np.random.default_rng(seed)
         dim_e = int(rng.integers(4, 17))
         dim_h = int(rng.integers(2 * dim_e, 4 * dim_e + 1) if above else rng.integers(3, dim_e + 1))
