@@ -14,6 +14,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .model import ModelConfig
 from .pim import DDR4_2400, BitSerialCostModel, DramGeometry, DramTiming
+from .predictor import default_dim_lr
 from .storage import NandTiming, NspParams, SsdGeometry, nand_preset
 from .system import EnergyConstants
 
@@ -158,16 +159,17 @@ def _tupleize(obj, where: str) -> tuple[float, ...]:
 
 def _check_train(tp: TrainParams, model: ModelConfig) -> None:
     """The counts of ``tp`` must fit ``model``: `train` and `infer` decode
-    calib_tokens/eval_tokens steps into a cache of seq_len rows, and the
-    predictor rank is at most min(dim_e, dim_h). The step size is a finite
-    number > 0 and the targets are sparsities in [0, 1). ``_build`` has
-    checked the JSON types of the scalars."""
-    bounds = {"epochs": (0, math.inf), "calib_tokens": (1, model.seq_len),
-              "eval_tokens": (1, model.seq_len)}
-    if tp.dim_lr is not None:
-        bounds["dim_lr"] = (1, min(model.dim_e, model.dim_h))
-    for name, (lo, hi) in bounds.items():
-        v = getattr(tp, name)
+    calib_tokens/eval_tokens tokens as one block, at most the seq_len
+    positions of the context, and the predictor rank (dim_lr, or
+    ``default_dim_lr`` when it is unset) is at most min(dim_e, dim_h). The
+    step size is a finite number > 0 and the targets are sparsities in
+    [0, 1). ``_build`` has checked the JSON types of the scalars."""
+    dim_lr = default_dim_lr(model.dim_e) if tp.dim_lr is None else tp.dim_lr
+    bounds = {"epochs": (tp.epochs, 0, math.inf),
+              "calib_tokens": (tp.calib_tokens, 1, model.seq_len),
+              "eval_tokens": (tp.eval_tokens, 1, model.seq_len),
+              "dim_lr": (dim_lr, 1, min(model.dim_e, model.dim_h))}
+    for name, (v, lo, hi) in bounds.items():
         if not lo <= v <= hi:
             raise ConfigError(f"train.{name} must be an integer in [{lo}, {hi}], got {v!r}")
     if not 0 < tp.lr < math.inf:

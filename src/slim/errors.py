@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, NumericError -> 3.
+The CLI (``cli.main``) maps these onto exit codes: ConfigError, MappingError
+and ShapeError -> 2; NumericError, TrainingDivergence included, -> 3.
 """
 
 
@@ -14,10 +15,6 @@ class ShapeError(SlimError, ValueError):
 
 class RankError(SlimError, ValueError):
     """Requested decomposition rank is out of range."""
-
-
-class CapacityError(SlimError, RuntimeError):
-    """A bounded resource (KV cache, NAND capacity) would overflow."""
 
 
 class MappingError(SlimError, ValueError):

@@ -1,12 +1,13 @@
-"""Functional (untimed) decoder: QKV projection, causal multi-head attention
-over a KV cache, gated FFN / mixture-of-experts, and the generation loop.
-A decode step takes a block of one or more tokens and runs it layer by
-layer, so a known stream (calibration or evaluation inputs) reads each
-layer's weights once. The layers can come from a lazy source
-(``synth_layers``, which draws the next layer on a worker thread while
-the caller runs the current one), so a caller that runs its streams
-layer-major never holds the whole model. The FFN runs on every hidden
-neuron, or zeroes the hidden coordinates a neuron mask skips.
+"""Functional (untimed) decoder layer: QKV projection, causal multi-head
+attention within a block of tokens, gated FFN / mixture-of-experts. A
+decode step passes a block of one or more tokens through one layer, so a
+known stream (calibration or evaluation inputs) reads each layer's weights
+once, and a caller chains the steps to take the stream through the model.
+The layers can come from a lazy source (``synth_layers``, which draws the
+next layer on a worker thread while the caller runs the current one), so a
+caller that runs its streams layer-major never holds the whole model. The
+FFN runs on every hidden neuron, or zeroes the hidden coordinates a neuron
+mask skips.
 
 Weights are synthetic (seeded Gaussians); there is no tokenizer or sampling.
 Projections apply as ``x @ W.T``, except the FFN's down projection: it is
@@ -19,11 +20,11 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ShapeError
+from .errors import ShapeError
 from .numerics import Matrix, matmul, silu, softmax
 
 
@@ -40,13 +41,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_dec", "dim_e", "dim_h", "n_heads", "seq_len", "batch"):
+            if getattr(self, name) < 1:
+                raise ShapeError(f"{name} must be >= 1")
         if self.dim_e % self.n_heads != 0:
             raise ShapeError(f"dim_e={self.dim_e} not divisible by n_heads={self.n_heads}")
         if not (1 <= self.top_k <= self.n_expert):
             raise ShapeError(f"top_k={self.top_k} out of range for n_expert={self.n_expert}")
-        for name in ("n_dec", "dim_e", "dim_h", "n_heads", "seq_len", "batch"):
-            if getattr(self, name) < 1:
-                raise ShapeError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -80,7 +81,7 @@ def synth_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
     Projections scale by 1/sqrt(fan_in); the residual-branch outputs (w_o and
     the down projection) carry an extra 1/sqrt(2*n_dec). There is no
     normalization layer, and the gated FFN is quadratic in its input, so
-    without the residual damping a multi-layer rollout blows up numerically.
+    without the residual damping a multi-layer decode blows up numerically.
     The down projection is drawn dim_e x dim_h and stored as its transpose.
     """
     return _draw_ahead(_draw_layers(cfg))
@@ -152,68 +153,29 @@ def _draw_ahead(items: Iterator[LayerWeights]) -> Iterator[LayerWeights]:
         worker.join()
 
 
-def synth_model(cfg: ModelConfig) -> list[LayerWeights]:
-    """Every layer of ``synth_layers``, drawn at once."""
-    return list(synth_layers(cfg))
-
-
+# perfbench counts the rows of KVCache.stacked (model.kv_rows_stacked) until ROADMAP item 18
+@dataclass(frozen=True)
 class KVCache:
-    """Per-layer key/value rows, append-only during generation.
+    """The key and value rows of one block, as attention reads them."""
 
-    Each layer keeps its keys and its values in one (capacity, dim) buffer
-    per kind, allocated on the layer's first append, and every row is
-    written once, in place; pages that no row reaches are never touched.
-    ``stacked`` returns views of the rows written so far; a later append
-    never changes them, because it writes past them.
-    """
+    keys: Matrix
+    values: Matrix
 
-    def __init__(self, n_layers: int, capacity: int):
-        self.capacity = capacity
-        self._keys: list[np.ndarray | None] = [None] * n_layers
-        self._values: list[np.ndarray | None] = [None] * n_layers
-        self._lens = [0] * n_layers
-
-    def layer_len(self, layer: int) -> int:
-        """Rows appended to ``layer`` so far."""
-        return self._lens[layer]
-
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Append one row (a vector) or a block of rows (a matrix) of keys
-        and values to ``layer``."""
-        k, v = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (k, v))
-        n = self._lens[layer]
-        end = n + k.shape[0]
-        if end > self.capacity:
-            raise CapacityError(f"KV cache full at capacity {self.capacity}")
-        if self._keys[layer] is None:
-            self._keys[layer], self._values[layer] = (np.empty((self.capacity, a.shape[1]))
-                                                      for a in (k, v))
-        keys, values = self._keys[layer], self._values[layer]
-        for buf, rows in ((keys, k), (values, v)):
-            if rows.shape[1] != buf.shape[1]:
-                raise ShapeError(f"KV rows of {rows.shape[1]} values vs cache width "
-                                 f"{buf.shape[1]}")
-        keys[n:end], values[n:end] = k, v
-        self._lens[layer] = end
-
-    def stacked(self, layer: int) -> tuple[Matrix, Matrix]:
-        n = self._lens[layer]
-        return self._keys[layer][:n], self._values[layer][:n]
+    def stacked(self) -> tuple[Matrix, Matrix]:
+        return self.keys, self.values
 
 
 def mha_forward(q: Matrix, k: Matrix, v: Matrix, n_heads: int) -> Matrix:
     """Causal scaled dot-product attention of every head at once, scores
     scaled by sqrt(head dim); concatenates heads.
 
-    The query rows are the last ``len(q)`` of the ``len(k)`` positions:
-    query row i sits at position ``len(k) - len(q) + i`` and attends the
-    keys up to it. A single query row attends every key, so nothing is
-    masked. Heads are stacked as strided views ``(h, rows, d)`` of q, k
-    and v, so each head's product sees the same operands, strides included,
-    as a slice ``[:, h*d:(h+1)*d]`` would. The output projection is
-    deliberately excluded (decode_step applies it).
+    q, k and v hold one row per position of the same block, and query row i
+    attends keys 0..i. Heads are stacked as strided views ``(h, rows, d)``
+    of q, k and v, so each head's product sees the same operands, strides
+    included, as a slice ``[:, h*d:(h+1)*d]`` would. The output projection
+    is deliberately excluded (decode_step applies it).
     """
-    if q.shape[1] != k.shape[1] or k.shape != v.shape or q.shape[0] > k.shape[0]:
+    if q.shape != k.shape or k.shape != v.shape:
         raise ShapeError(f"mha shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
     dim_e = q.shape[1]
     if dim_e % n_heads != 0:
@@ -224,8 +186,7 @@ def mha_forward(q: Matrix, k: Matrix, v: Matrix, n_heads: int) -> Matrix:
         return m.reshape(m.shape[0], n_heads, d).transpose(1, 0, 2)
 
     scores = matmul(heads(q), heads(k).transpose(0, 2, 1)) / np.sqrt(d)
-    # key j is in query row i's future when j > len(k) - len(q) + i
-    future = np.triu(np.ones(scores.shape[1:], dtype=bool), k.shape[0] - q.shape[0] + 1)
+    future = np.triu(np.ones(scores.shape[1:], dtype=bool), 1)  # key j > query row i
     scores = np.where(future, -np.inf, scores)
     out = matmul(softmax(scores), heads(v))
     return out.transpose(1, 0, 2).reshape(q.shape[0], dim_e)
@@ -297,81 +258,51 @@ def moe_forward(x: Matrix, weights: LayerWeights, top_k: int,
     return out
 
 
-@dataclass
+# perfbench times Decoder.decode_step (model.decode_step.*) until ROADMAP item 18
+@dataclass(frozen=True)
 class Decoder:
-    """Weights plus config; drives the generation loop."""
+    """The decoder layer function for one model config."""
 
     cfg: ModelConfig
-    layers: list[LayerWeights] = field(default_factory=list)
 
-    @classmethod
-    def synth(cls, cfg: ModelConfig) -> "Decoder":
-        return cls(cfg=cfg, layers=synth_model(cfg))
+    def decode_step(self, x: Matrix, layer: tuple[int, LayerWeights],
+                    mask_fn=None) -> tuple[Matrix, Matrix]:
+        """Pass a block of n token embeddings (n x dim_e) through one layer,
+        given as its (index, weights) pair; returns the block's FFN input and
+        the layer's output, both n x dim_e.
 
-    def new_cache(self) -> KVCache:
-        return KVCache(self.cfg.n_dec, self.cfg.seq_len)
-
-    def decode_step(self, x: Matrix, cache: KVCache, mask_fn=None,
-                    ffn_input_hook=None,
-                    layers: Iterable[tuple[int, LayerWeights]] | None = None) -> Matrix:
-        """Decode a block of n token embeddings (n x dim_e), the n tokens
-        that follow those already in ``cache``; returns the n output rows.
-
-        The block runs layer by layer, so each layer's weights are read once
-        for all n tokens. Per layer: project QKV (one product each over the
-        block), append the block's K/V rows to the cache, attend causally
-        over the cache (token i sees the cached tokens and the block's
-        tokens up to i), apply the output projection, residual add,
-        FFN/MoE (masked when ``mask_fn`` supplies masks), residual add. A
-        one-row block is one generation step. Each layer checks the
-        capacity before it appends, so a block that does not fit the first
-        layer leaves the cache as it was.
-
-        ``layers`` gives the (layer index, weights) pairs to run, in order;
-        by default every layer of ``self.layers``. A caller that streams
-        the layers passes one pair (or a lazy source) per call, and the
-        block it returns is the input of the next layer.
+        The layer's weights are read once for all n tokens: project QKV (one
+        product each over the block), attend causally within the block
+        (token i sees tokens 0..i), apply the output projection, residual
+        add, FFN/MoE (masked when ``mask_fn`` supplies masks), residual add.
+        A caller decodes a stream through the model by passing each layer's
+        output to the next layer's call.
 
         mask_fn(layer, expert, x) gets the layer's FFN input block and
         returns a NeuronMask, (dim_h,) or (n x dim_h), or None.
-        ffn_input_hook(layer, x) is invoked with a copy of each layer's FFN
-        input block (used to harvest calibration samples).
         """
+        li, lw = layer
         x = np.asarray(x, dtype=np.float64).reshape(-1, self.cfg.dim_e)
-        for li, lw in enumerate(self.layers) if layers is None else layers:
-            if cache.layer_len(li) + x.shape[0] > self.cfg.seq_len:
-                raise CapacityError(f"{x.shape[0]} tokens after {cache.layer_len(li)} "
-                                    f"exceed seq_len={self.cfg.seq_len}")
-            q = matmul(x, lw.w_q.T)
-            k = matmul(x, lw.w_k.T)
-            v = matmul(x, lw.w_v.T)
-            cache.append(li, k, v)
-            ks, vs = cache.stacked(li)
-            attn = mha_forward(q, ks, vs, self.cfg.n_heads)
-            x = x + matmul(attn, lw.w_o.T)
-            if ffn_input_hook is not None:
-                ffn_input_hook(li, x.copy())
-            masks = None if mask_fn is None else {
-                e: mask_fn(li, e, x) for e in range(self.cfg.n_expert)}
-            x = x + moe_forward(x, lw, self.cfg.top_k, masks)
-        return x
+        q = matmul(x, lw.w_q.T)
+        ks, vs = KVCache(matmul(x, lw.w_k.T), matmul(x, lw.w_v.T)).stacked()
+        x = x + matmul(mha_forward(q, ks, vs, self.cfg.n_heads), lw.w_o.T)
+        masks = None if mask_fn is None else {
+            e: mask_fn(li, e, x) for e in range(self.cfg.n_expert)}
+        return x, x + moe_forward(x, lw, self.cfg.top_k, masks)
 
 
-def harvest_ffn_inputs(dec: Decoder, n_tokens: int, seed: int = 1,
-                       layers: Iterable[LayerWeights] | None = None
-                       ) -> Iterator[tuple[int, LayerWeights, Matrix]]:
+def harvest_ffn_inputs(dec: Decoder, layers: Iterable[LayerWeights], n_tokens: int,
+                       seed: int = 1) -> Iterator[tuple[int, LayerWeights, Matrix]]:
     """Pass a stream of seeded random embeddings, decoded as one block,
     through the decoder layer by layer, and yield (layer index, weights,
     FFN input) as it passes each layer; the FFN input is n_tokens x dim_e.
     Stands in for sampling a text corpus.
 
-    ``layers`` gives the weights in layer order, by default ``dec.layers``,
-    so they can come from a lazy source (``synth_layers``). Each layer is
-    one ``decode_step`` call with a fresh cache: a block attends only to
-    its own rows, so the cache rows of a layer it has passed are dead. A
-    layer is asked for only when the caller resumes the generator past the
-    one before, which it no longer holds, so a caller that drops each layer
-    before resuming holds at most the layer in use and the one drawn ahead.
+    ``layers`` gives the weights in layer order and can be a lazy source
+    (``synth_layers``). A layer is asked for only when the caller resumes
+    the generator past the one before, which it no longer holds, so a
+    caller that drops each layer before resuming holds at most the layer in
+    use and the one drawn ahead.
 
     Fresh inputs per token, rather than output feedback, keep activations
     bounded: the gated FFN is quadratic in its input and there is no
@@ -379,15 +310,13 @@ def harvest_ffn_inputs(dec: Decoder, n_tokens: int, seed: int = 1,
     """
     rng = np.random.default_rng([seed, 0xCA11])
     x = rng.standard_normal((n_tokens, dec.cfg.dim_e))
-    source = iter(dec.layers if layers is None else layers)
+    source = iter(layers)
     # indexed by range: enumerate's recycled result tuple would hold the
     # last layer while the source draws the next
     for li in range(dec.cfg.n_dec):
         lw = next(source, None)
         if lw is None:
             raise ShapeError(f"layer source ended after {li} of {dec.cfg.n_dec} layers")
-        grabbed = []
-        x = dec.decode_step(x, dec.new_cache(), layers=((li, lw),),
-                            ffn_input_hook=lambda _, xm: grabbed.append(xm))
-        yield li, lw, grabbed[0]
-        del lw, grabbed
+        ffn_in, x = dec.decode_step(x, (li, lw))
+        yield li, lw, ffn_in
+        del lw, ffn_in

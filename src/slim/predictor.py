@@ -83,8 +83,10 @@ def train(p: Predictor, calib: Matrix, w_g: Matrix, epochs: int = 50,
     when p.r's rows lie in w_g's column space, which is checked as
     ||R^|| = ||p.r||; otherwise, and when dim_h <= dim_e or the Gram matrix
     is not positive definite (Cholesky fails or leaves a pivot that is
-    rounding), the coordinates are the identity, all of dim_h. L never enters the loop: a step of lr * x.T @ G on L moves x @ L
-    by lr * K @ G, with K = x @ x.T, so the loop carries x @ L, sums the
+    rounding), the coordinates are the identity, all of dim_h.
+
+    L never enters the loop: a step of lr * x.T @ G on L moves x @ L by
+    lr * K @ G, with K = x @ x.T, so the loop carries x @ L, sums the
     accepted steps' lr * G in phi and returns L - x.T @ phi. At debug level
     one line gives the coordinates' width and the seconds of the
     factorization and of the loop.

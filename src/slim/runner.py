@@ -283,8 +283,8 @@ def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
     tensors = {}
     tables = {}
     summary = {"dim_lr": dim_lr, "layers": []}
-    for li, lw, calib in harvest_ffn_inputs(Decoder(cfg=cfg.model), tp.calib_tokens,
-                                            seed=cfg.seed + 1, layers=_model_layers(cfg)):
+    for li, lw, calib in harvest_ffn_inputs(Decoder(cfg=cfg.model), _model_layers(cfg),
+                                            tp.calib_tokens, seed=cfg.seed + 1):
         for e, w_g in enumerate(lw.w_g):
             t0 = time.perf_counter()
             p0 = init_from_svd(w_g, dim_lr)
@@ -339,8 +339,8 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     calibrated target. Each stream is decoded as one block, and the
     streams run layer-major: the dense reference (decoded once, since it
     does not depend on the target) and every target's masked stream pass a
-    layer, each with a fresh cache, while the next layer is drawn; the
-    layer and its predictors are dropped before the next is asked for.
+    layer while the next layer is drawn; the layer and its predictors are
+    dropped before the next is asked for.
     A masked stream is decoded only once it leaves the dense one: while
     its masks keep every neuron, its output is the dense output."""
     source = iter(_model_layers(cfg))
@@ -369,18 +369,14 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     # last layer while the source draws the next
     for li in range(cfg.model.n_dec):
         layer = (li, next(source))
-        # a block attends only to its own rows, so a stream's cache rows for
-        # this layer are dead once it has passed it
-        ffn_in = []
-        passed = dec.decode_step(dense, dec.new_cache(), layers=(layer,),
-                                 ffn_input_hook=lambda _, xm: ffn_in.append(xm))
+        ffn_in, passed = dec.decode_step(dense, layer)
         # a stream that is still the dense one and keeps every neuron of
         # this layer (target 0 does, unless a score is exactly 0) decodes
         # to the dense output, so its masks are made, and their sparsity
         # recorded, on the dense FFN input and not applied
         masked = [passed if x is dense and all(
-                      fn(li, e, ffn_in[0]).all() for e in range(cfg.model.n_expert))
-                  else dec.decode_step(x, dec.new_cache(), mask_fn=fn, layers=(layer,))
+                      fn(li, e, ffn_in).all() for e in range(cfg.model.n_expert))
+                  else dec.decode_step(x, layer, mask_fn=fn)[1]
                   for x, fn in zip(masked, mask_fns)]
         dense = passed
         # the layer and its predictors are dead too: drop them before the

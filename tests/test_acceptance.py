@@ -18,6 +18,7 @@ from slim.model import (
     ModelConfig,
     ffn_forward,
     harvest_ffn_inputs,
+    synth_layers,
 )
 from slim.numerics import silu
 from slim.pim import DDR4_2400, BitSerialCostModel
@@ -151,15 +152,15 @@ def test_criterion_3_threshold_semantics():
 
     # calibration consistency and output-degradation trend at toy scale
     cfg = ModelConfig(n_dec=2, dim_e=64, dim_h=256, n_heads=4, seq_len=128, seed=11)
-    dec = Decoder.synth(cfg)
-    calib = [x for _, _, x in harvest_ffn_inputs(dec, 48, seed=12)]
-    evalset = [x for _, _, x in harvest_ffn_inputs(dec, 16, seed=13)]
+    dec, layers = Decoder(cfg), list(synth_layers(cfg))
+    calib = [x for _, _, x in harvest_ffn_inputs(dec, layers, 48, seed=12)]
+    evalset = [x for _, _, x in harvest_ffn_inputs(dec, layers, 16, seed=13)]
     targets = (0.0, 0.2, 0.4, 0.6)
     calib_ok = True
     mses = []
     for t in targets:
         total = 0.0
-        for li, lw in enumerate(dec.layers):
+        for li, lw in enumerate(layers):
             p = init_from_svd(lw.w_g[0], 16)
             p, _ = train(p, calib[li], lw.w_g[0], epochs=30, lr=1e-3)
             table = build_threshold_table(p, calib[li], targets)

@@ -25,7 +25,7 @@ from slim.cli import main
 from slim.config import config_hash, load_scenario
 from slim.container import read_tensors, write_tensors
 from slim.errors import ShapeError
-from slim.model import Decoder, synth_model
+from slim.model import Decoder, synth_layers
 from slim.predictor import (
     build_threshold_table,
     default_dim_lr,
@@ -85,12 +85,12 @@ def run_process(cmd, cfg_path, out):
 SMALL_MODEL = {"n_dec": 1, "dim_e": 16, "dim_h": 32, "n_heads": 2, "seq_len": 64}
 
 
-def save_model_fixture(dec: Decoder, path) -> None:
-    """Write a decoder's weights as the SLIMWT1 fixture `paths.model_fixture`
+def save_model_fixture(layers, path) -> None:
+    """Write a decoder's layers as the SLIMWT1 fixture `paths.model_fixture`
     loads; w_d is stored dim_e x dim_h, the transpose of the decoder's
     neuron rows."""
     tensors = {}
-    for li, lw in enumerate(dec.layers):
+    for li, lw in enumerate(layers):
         pre = f"layer{li:02d}."
         tensors[pre + "w_q"] = lw.w_q
         tensors[pre + "w_k"] = lw.w_k
@@ -135,15 +135,15 @@ class TestTrain:
 
     def test_trains_from_saved_fixture(self, tmp_path):
         cfg = load_scenario(TOY_DOC)
-        dec = Decoder.synth(cfg.model)
+        layers = list(synth_layers(cfg.model))
         fixture = tmp_path / "model.slimwt"
-        save_model_fixture(dec, fixture)
+        save_model_fixture(layers, fixture)
         doc = dict(TOY_DOC, paths={"model_fixture": str(fixture)})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         # the fixture holds float32 w_d (dim_e x dim_h); it loads as neuron rows
         loaded = _model_layers(load_scenario(path))
-        for lw, want in zip(loaded, dec.layers, strict=True):
+        for lw, want in zip(loaded, layers, strict=True):
             for w_down, w in zip(lw.w_down, want.w_down):
                 assert w_down.flags.c_contiguous
                 assert np.array_equal(w_down, w.astype(np.float32).astype(np.float64))
@@ -155,20 +155,17 @@ def reference_train_predictors(cfg, out_dir):
     """train_predictors as harvest-every-layer-then-fit: one block decode
     through the whole model collects every layer's FFN inputs, then each
     (layer, expert) is fitted in layer order."""
-    dec = Decoder(cfg.model, list(_model_layers(cfg)))
+    dec, layers = Decoder(cfg.model), list(_model_layers(cfg))
     tp = cfg.train
     dim_lr = tp.dim_lr or default_dim_lr(cfg.model.dim_e)
     rng = np.random.default_rng([cfg.seed + 1, 0xCA11])
-    calib = [None] * cfg.model.n_dec
-
-    def hook(layer, xm):
-        calib[layer] = xm
-
-    dec.decode_step(rng.standard_normal((tp.calib_tokens, cfg.model.dim_e)), dec.new_cache(),
-                    ffn_input_hook=hook)
+    x, calib = rng.standard_normal((tp.calib_tokens, cfg.model.dim_e)), []
+    for layer in enumerate(layers):
+        ffn_in, x = dec.decode_step(x, layer)
+        calib.append(ffn_in)
     tensors, tables = {}, {}
     summary = {"dim_lr": dim_lr, "layers": []}
-    for li, lw in enumerate(dec.layers):
+    for li, lw in enumerate(layers):
         for e in range(cfg.model.n_expert):
             p, history = train(init_from_svd(lw.w_g[e], dim_lr), calib[li], lw.w_g[e],
                                epochs=tp.epochs, lr=tp.lr)
@@ -191,7 +188,7 @@ def test_train_matches_harvest_then_fit(tmp_path, case):
     doc = dict(TOY_DOC, model="toy_moe" if case == "toy_moe" else "toy")
     if case == "fixture":
         fixture = tmp_path / "model.slimwt"
-        save_model_fixture(Decoder.synth(load_scenario(doc).model), fixture)
+        save_model_fixture(synth_layers(load_scenario(doc).model), fixture)
         doc["paths"] = {"model_fixture": str(fixture)}
     cfg = load_scenario(doc)
     got = train_predictors(cfg, tmp_path / "got")
@@ -243,7 +240,7 @@ def reference_infer_report(cfg, out_dir):
     """infer_report as a loop that decodes a fresh dense reference next to
     each target's masked decode, and records every token's sparsities as
     the masks are made."""
-    dec = Decoder(cfg.model, list(_model_layers(cfg)))
+    dec, layers = Decoder(cfg.model), list(_model_layers(cfg))
     predictors, tables = load_predictors(cfg, out_dir)
     rng = np.random.default_rng([cfg.seed, 0xE7A1])
     inputs = np.vstack([rng.standard_normal((1, cfg.model.dim_e))
@@ -259,8 +256,10 @@ def reference_infer_report(cfg, out_dir):
                 per_token[t].append(measured_sparsity(row))
             return m
 
-        dense = dec.decode_step(inputs, dec.new_cache())
-        masked = dec.decode_step(inputs, dec.new_cache(), mask_fn=mask_fn)
+        dense = masked = inputs
+        for layer in enumerate(layers):
+            dense = dec.decode_step(dense, layer)[1]
+            masked = dec.decode_step(masked, layer, mask_fn=mask_fn)[1]
         report["targets"].append({
             "target_sparsity": target,
             "output_mse": float(np.sum((dense - masked) ** 2)) / dense.size,
@@ -282,7 +281,7 @@ class TestInfer:
     def test_fixture_model_matches_per_target_dense_loop(self, tmp_path, model):
         # a fixture model is read whole, then run layer-major like a drawn one
         fixture = tmp_path / "model.slimwt"
-        save_model_fixture(Decoder.synth(load_scenario(dict(TOY_DOC, model=model)).model),
+        save_model_fixture(synth_layers(load_scenario(dict(TOY_DOC, model=model)).model),
                            fixture)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(TOY_DOC, model=model,
@@ -361,7 +360,7 @@ def test_train_and_infer_peak_below_model_weights(tmp_path):
     doc = dict(TOY_DOC, model={"n_dec": 8, "dim_e": 64, "dim_h": 256, "n_heads": 4,
                                "seq_len": 64})
     cfg = load_scenario(doc)
-    weights = sum(a.nbytes for lw in synth_model(cfg.model)
+    weights = sum(a.nbytes for lw in synth_layers(cfg.model)
                   for a in (lw.w_q, lw.w_k, lw.w_v, lw.w_o, *lw.w_g, *lw.w_u, *lw.w_down))
     out = tmp_path / "out"
     for pipeline in (train_predictors, infer_report):
@@ -562,6 +561,42 @@ def test_fuzzed_nand_and_nsp_exit_cleanly(timing, nsp, pe_level):
             rows = json.loads((out / "report.json").read_text())
             assert all(math.isfinite(v) for row in rows for v in row.values()
                        if type(v) in (int, float)), rows
+
+
+@st.composite
+def decoder_docs(draw):
+    """Toy-sized inline model and train sections, valid but for, sometimes,
+    one count that takes any small integer; dim_lr may be unset, and a
+    target may be 1, which is out of range."""
+    n_heads, n_expert = draw(st.sampled_from([1, 2, 4])), draw(st.integers(1, 3))
+    model = {"n_dec": draw(st.integers(1, 3)), "dim_e": n_heads * draw(st.integers(1, 6)),
+             "dim_h": draw(st.integers(1, 24)), "n_heads": n_heads, "n_expert": n_expert,
+             "top_k": draw(st.integers(1, n_expert)), "seq_len": draw(st.integers(1, 24))}
+    train = {"calib_tokens": draw(st.integers(1, model["seq_len"])),
+             "eval_tokens": draw(st.integers(1, model["seq_len"])),
+             "dim_lr": draw(st.none() | st.integers(1, 24)), "epochs": draw(st.integers(0, 3)),
+             "targets": draw(st.lists(st.floats(0, 1), min_size=1, max_size=4))}
+    doc = {"model": model, "train": train, "seed": draw(st.integers(0, 2**16))}
+    bad = draw(st.none() | st.sampled_from([("model", k) for k in model]
+                                           + [("train", k) for k in train if k != "targets"]))
+    if bad:
+        doc[bad[0]][bad[1]] = draw(st.integers(-1, 64))
+    return doc
+
+
+@given(decoder_docs())
+# the default rank dim_e // 4 is wider than dim_h
+@example({"model": {"n_dec": 1, "dim_e": 64, "dim_h": 8, "n_heads": 4, "seq_len": 16},
+          "train": {"calib_tokens": 8, "eval_tokens": 4, "targets": [0.0, 0.5]}, "seed": 3})
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_model_and_train_exit_cleanly(doc):
+    """Any toy-sized model and train section ends `slim train` and then
+    `slim infer` in exit 0, 2 or 3, never an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        for cmd in ("train", "infer"):
+            assert main([cmd, "--config", str(path), "--out", str(out)]) in (0, 2, 3)
 
 
 @pytest.mark.parametrize("pe_level", ["die", "channel"])

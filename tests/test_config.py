@@ -56,6 +56,15 @@ def test_sparsity_range_checked():
         load_scenario({"sparsity_targets": [0.5, 1.0]})
 
 
+def test_default_rank_bounded_by_dim_h():
+    # dim_lr unset resolves to dim_e // 4 = 16, wider than dim_h = 8
+    model = {"n_dec": 1, "dim_e": 64, "dim_h": 8, "n_heads": 4, "seq_len": 16}
+    train = {"calib_tokens": 8, "eval_tokens": 4}
+    with pytest.raises(ConfigError, match=r"train\.dim_lr .*\[1, 8\], got 16"):
+        load_scenario({"model": model, "train": train})
+    assert load_scenario({"model": dict(model, dim_h=16), "train": train}).train.dim_lr is None
+
+
 def test_inline_model_and_nand():
     cfg = load_scenario({
         "model": {"n_dec": 2, "dim_e": 32, "dim_h": 64, "n_heads": 4},

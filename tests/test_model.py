@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import slim.model
-from slim.errors import CapacityError, ShapeError
+from slim.errors import ShapeError
 from slim.model import (
     Decoder,
     KVCache,
@@ -18,7 +18,6 @@ from slim.model import (
     moe_forward,
     route_top_k,
     synth_layers,
-    synth_model,
 )
 from slim.numerics import matmul, silu, softmax
 
@@ -80,53 +79,56 @@ def reference_ffn_masked_rows(x, w_g, w_u, w_down, mask=None):
 
 
 class ReferenceCache:
-    """KVCache as one list of rows per layer, stacked by np.vstack on every
-    read."""
+    """A KV cache that grows across decode steps, as one list of rows per
+    layer, stacked by np.vstack on every read."""
 
-    def __init__(self, n_layers, capacity):
-        self.capacity = capacity
+    def __init__(self, n_layers):
         self.keys = [[] for _ in range(n_layers)]
         self.values = [[] for _ in range(n_layers)]
 
     def append(self, layer, k, v):
-        if len(self.keys[layer]) >= self.capacity:
-            raise CapacityError(f"KV cache full at capacity {self.capacity}")
-        self.keys[layer].append(np.asarray(k, dtype=np.float64).reshape(-1))
-        self.values[layer].append(np.asarray(v, dtype=np.float64).reshape(-1))
+        self.keys[layer] += list(k)
+        self.values[layer] += list(v)
 
     def stacked(self, layer):
         return np.vstack(self.keys[layer]), np.vstack(self.values[layer])
 
 
-def reference_decode_step(dec, x, cache, mask_fn=None):
-    """Decoder.decode_step over a ReferenceCache with reference_mha."""
-    cfg = dec.cfg
-    x = np.asarray(x, dtype=np.float64).reshape(1, cfg.dim_e)
-    for li, lw in enumerate(dec.layers):
+def reference_decode_step(cfg, layers, x, cache, mask_fn=None):
+    """A block of rows (n x dim_e), the tokens that follow those already in
+    ``cache``, through every layer of ``layers``: each layer appends the
+    block's K/V rows and attends over the whole cache with reference_mha, so
+    row i sees the cached rows and the block's rows up to i. Over a fresh
+    cache this is the block form; one row at a time over a growing cache it
+    is the incremental decode."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1, cfg.dim_e)
+    for li, lw in enumerate(layers):
         q = matmul(x, lw.w_q.T)
-        k = matmul(x, lw.w_k.T)
-        v = matmul(x, lw.w_v.T)
-        cache.append(li, k[0], v[0])
+        cache.append(li, matmul(x, lw.w_k.T), matmul(x, lw.w_v.T))
         ks, vs = cache.stacked(li)
         x = x + matmul(reference_mha(q, ks, vs, cfg.n_heads), lw.w_o.T)
-        masks = None
-        if mask_fn is not None:
-            masks = {e: m for e in range(cfg.n_expert)
-                     if (m := mask_fn(li, e, x[0])) is not None} or None
+        masks = None if mask_fn is None else {e: mask_fn(li, e, x) for e in range(cfg.n_expert)}
         x = x + moe_forward(x, lw, cfg.top_k, masks)
     return x
 
 
-def rollout(dec, x0, n_tokens, mask_fn=None):
-    """Feed each step's output back as the next input over one cache; returns
-    the sequence of output embeddings."""
-    cache = dec.new_cache()
+def rollout(cfg, layers, x0, n_tokens, mask_fn=None):
+    """Feed each one-row step's output back as the next input over one
+    growing cache; returns the sequence of output embeddings."""
+    cache = ReferenceCache(cfg.n_dec)
     outs = []
     x = x0
     for _ in range(n_tokens):
-        x = dec.decode_step(x, cache, mask_fn=mask_fn)
+        x = reference_decode_step(cfg, layers, x, cache, mask_fn=mask_fn)
         outs.append(x)
     return outs
+
+
+def decode(dec, layers, x, mask_fn=None):
+    """A block through every layer, one decode_step per layer."""
+    for layer in enumerate(layers):
+        x = dec.decode_step(x, layer, mask_fn=mask_fn)[1]
+    return x
 
 
 @st.composite
@@ -148,19 +150,17 @@ def decode_cases(draw):
 def block_cases(draw):
     n_heads = draw(st.sampled_from([1, 2, 4]))
     n_expert = draw(st.sampled_from([1, 3]))
-    seq_len = draw(st.integers(1, 24))
-    prefix = draw(st.integers(0, seq_len - 1))  # tokens already in the cache
     cfg = ModelConfig(n_dec=draw(st.integers(1, 2)),
                       dim_e=n_heads * draw(st.integers(1, 6)),
                       dim_h=draw(st.integers(2, 16)), n_heads=n_heads,
                       n_expert=n_expert, top_k=draw(st.integers(1, n_expert)),
-                      seq_len=seq_len, seed=draw(st.integers(0, 2**16)))
-    return cfg, prefix, draw(st.integers(1, seq_len - prefix)), draw(st.booleans())
+                      seq_len=draw(st.integers(1, 24)), seed=draw(st.integers(0, 2**16)))
+    return cfg, draw(st.integers(1, cfg.seq_len)), draw(st.booleans())
 
 
 def test_synth_deterministic():
-    a = synth_model(TOY)
-    b = synth_model(TOY)
+    a = list(synth_layers(TOY))
+    b = list(synth_layers(TOY))
     assert np.array_equal(a[0].w_q, b[0].w_q)
     assert np.array_equal(a[1].w_g[0], b[1].w_g[0])
 
@@ -202,15 +202,13 @@ def assert_layer_bits(lw, want):
 @settings(max_examples=40, deadline=None)
 def test_synth_layers_match_eager_draw(case):
     # layers drawn one at a time, dense or MoE with a router, carry the bits
-    # of the eager draw, as do synth_model's; two sources drawn in turn do
-    # not share a generator
+    # of the eager draw; two sources drawn in turn do not share a generator
     cfg, _ = case
     want = reference_synth(cfg)
     first, second = synth_layers(cfg), synth_layers(cfg)
-    for lw, layer in zip(synth_model(cfg), want, strict=True):
+    for layer in want:
         assert_layer_bits(next(first), layer)
         assert_layer_bits(next(second), layer)
-        assert_layer_bits(lw, layer)
     assert next(first, None) is None and next(second, None) is None
 
 
@@ -259,12 +257,12 @@ def test_closed_or_dropped_source_joins_its_worker():
 
 
 def test_synth_no_router_for_single_expert():
-    assert synth_model(TOY)[0].router is None
+    assert list(synth_layers(TOY))[0].router is None
 
 
 def test_synth_router_present_for_moe():
     cfg = ModelConfig(n_dec=1, dim_e=16, dim_h=8, n_heads=2, n_expert=4, top_k=2, seed=1)
-    layer = synth_model(cfg)[0]
+    layer = list(synth_layers(cfg))[0]
     assert layer.router is not None and layer.router.shape == (4, 16)
 
 
@@ -274,7 +272,7 @@ def test_synth_frobenius_scaling():
     norms = []
     for seed in range(100):
         cfg = ModelConfig(n_dec=1, dim_e=16, dim_h=8, n_heads=2, seed=seed)
-        norms.append(np.linalg.norm(synth_model(cfg)[0].w_q))
+        norms.append(np.linalg.norm(list(synth_layers(cfg))[0].w_q))
     expected = np.sqrt(rows * cols / 16)
     assert abs(np.mean(norms) - expected) < 3 * np.std(norms) / np.sqrt(len(norms)) + 0.05
 
@@ -286,6 +284,8 @@ def test_config_validation():
         ModelConfig(n_expert=2, top_k=3)
     with pytest.raises(ShapeError):
         ModelConfig(n_dec=0)
+    with pytest.raises(ShapeError):  # before dim_e % n_heads divides by it
+        ModelConfig(n_heads=0)
 
 
 class TestMha:
@@ -295,22 +295,25 @@ class TestMha:
         assert_allclose(mha_forward(q, k, v, 2), v, atol=1e-14)
 
     def test_uniform_scores_average_v(self):
+        # queries orthogonal to every key: row i's scores are equal, so it
+        # averages the values of rows 0..i
         rng = np.random.default_rng(1)
-        q = np.zeros((1, 8))  # orthogonal to every key: all scores equal
+        q = np.zeros((5, 8))
         k = rng.standard_normal((5, 8))
         v = rng.standard_normal((5, 8))
-        assert_allclose(mha_forward(q, k, v, 2), v.mean(axis=0, keepdims=True), atol=1e-12)
+        means = np.cumsum(v, axis=0) / np.arange(1, 6)[:, None]
+        assert_allclose(mha_forward(q, k, v, 2), means, atol=1e-12)
 
     def test_against_naive_oracle(self):
-        # causal: query i of the last L keys sees keys 0 .. n_keys - L + i
+        # causal: query i sees keys 0 .. i
         rng = np.random.default_rng(2)
-        L, n_keys, dim_e, h = 4, 6, 8, 2
+        L, dim_e, h = 6, 8, 2
         q = rng.standard_normal((L, dim_e))
-        k, v = (rng.standard_normal((n_keys, dim_e)) for _ in range(2))
+        k, v = (rng.standard_normal((L, dim_e)) for _ in range(2))
         d = dim_e // h
         out = np.zeros((L, dim_e))
         for i in range(L):
-            seen = range(n_keys - L + i + 1)
+            seen = range(i + 1)
             for head in range(h):
                 sl = slice(head * d, (head + 1) * d)
                 scores = np.array([q[i, sl] @ k[j, sl] for j in seen]) / np.sqrt(d)
@@ -319,10 +322,14 @@ class TestMha:
         assert np.max(np.abs(mha_forward(q, k, v, h) - out)) < 1e-10
 
     def test_more_queries_than_keys_rejected(self):
+        # queries and keys are the same block's rows, so fewer queries are
+        # refused too
         rng = np.random.default_rng(3)
         q, k = rng.standard_normal((3, 8)), rng.standard_normal((2, 8))
         with pytest.raises(ShapeError):
             mha_forward(q, k, k, 2)
+        with pytest.raises(ShapeError):
+            mha_forward(k, q, q, 2)
 
     def test_rows_are_convex_combinations(self):
         rng = np.random.default_rng(4)
@@ -335,15 +342,14 @@ class TestMha:
             assert np.all(out[:, sl] >= lo - 1e-12) and np.all(out[:, sl] <= hi + 1e-12)
 
     @given(st.integers(0, 10_000), st.sampled_from([1, 2, 4, 8]),
-           st.integers(1, 6), st.integers(1, 3), st.integers(1, 40))
+           st.integers(1, 6), st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
-    def test_matches_per_head_loop_bitwise(self, seed, n_heads, d, rows, n):
+    def test_matches_per_head_loop_bitwise(self, seed, n_heads, d, n):
         rng = np.random.default_rng(seed)
         dim_e = n_heads * d
-        q = rng.standard_normal((rows, dim_e)) * 3.0
-        # k and v are row views of larger buffers, as KVCache.stacked returns;
-        # the query rows are the last of at least as many keys
-        n += rows - 1
+        q = rng.standard_normal((n, dim_e)) * 3.0
+        # k and v are row views of larger buffers, and the oracle's are
+        # vstack-ed copies: the products must not depend on the strides
         k = rng.standard_normal((n + 5, dim_e))[:n]
         v = rng.standard_normal((n + 5, dim_e))[:n]
         assert np.array_equal(mha_forward(q, k, v, n_heads),
@@ -353,7 +359,7 @@ class TestMha:
 
 class TestFfn:
     def test_zero_input(self):
-        lw = synth_model(TOY)[0]
+        lw = list(synth_layers(TOY))[0]
         out = ffn_forward(np.zeros((2, 16)), lw.w_g[0], lw.w_u[0], lw.w_down[0])
         assert np.all(out == 0.0)
 
@@ -366,7 +372,7 @@ class TestFfn:
     def test_against_column_major_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 16))
-        lw = synth_model(TOY)[0]
+        lw = list(synth_layers(TOY))[0]
         wg, wu, wd = lw.w_g[0], lw.w_u[0], lw.w_down[0].T.copy()
         # oracle composes per hidden unit, accumulating output columns
         out = np.zeros((3, 16))
@@ -379,7 +385,7 @@ class TestFfn:
 class TestMaskedFfn:
     def _setup(self, seed):
         rng = np.random.default_rng(seed)
-        lw = synth_model(TOY)[0]
+        lw = list(synth_layers(TOY))[0]
         x = rng.standard_normal((2, 16))
         return rng, x, lw.w_g[0], lw.w_u[0], lw.w_down[0]
 
@@ -462,7 +468,7 @@ class TestMaskedFfn:
         top_k = min(2, n_expert)
         cfg = ModelConfig(n_dec=1, dim_e=2 * d, dim_h=dim_h, n_heads=2, n_expert=n_expert,
                           top_k=top_k, seed=seed)
-        lw = synth_model(cfg)[0]
+        lw = list(synth_layers(cfg))[0]
         x = np.random.default_rng(seed).standard_normal((rows, cfg.dim_e))
         ones = np.ones(dim_h, dtype=bool)
         for wg, wu, wdown in zip(lw.w_g, lw.w_u, lw.w_down):
@@ -492,13 +498,13 @@ class TestMaskedFfn:
                 assert_close(got, reference_ffn_masked(x, w_g, w_u, w_d, mask))
 
     def test_layer_down_rows(self):
-        # synth_model draws each down projection dim_e x dim_h, as before the
+        # synth_layers draws each down projection dim_e x dim_h, as before the
         # one layout, and stores it as contiguous neuron rows
         cfg = TestMoe.CFG
         rng = np.random.default_rng([cfg.seed, 0x51])
         rng.standard_normal((4 * cfg.dim_e + 2 * cfg.n_expert * cfg.dim_h, cfg.dim_e))
         gain = 1.0 / np.sqrt(2.0 * cfg.n_dec) / np.sqrt(cfg.dim_h)
-        lw = synth_model(cfg)[0]
+        lw = list(synth_layers(cfg))[0]
         for w_down in lw.w_down:
             drawn = rng.standard_normal((cfg.dim_e, cfg.dim_h)) * gain
             assert w_down.flags.c_contiguous and np.array_equal(w_down, drawn.T)
@@ -508,13 +514,13 @@ class TestMoe:
     CFG = ModelConfig(n_dec=1, dim_e=16, dim_h=8, n_heads=2, n_expert=4, top_k=2, seed=11)
 
     def test_single_expert_reduces_to_ffn(self):
-        lw = synth_model(TOY)[0]
+        lw = list(synth_layers(TOY))[0]
         x = np.random.default_rng(12).standard_normal((3, 16))
         assert np.array_equal(moe_forward(x, lw, 1),
                               ffn_forward(x, lw.w_g[0], lw.w_u[0], lw.w_down[0]))
 
     def test_top_k_equals_all_mixture(self):
-        lw = synth_model(self.CFG)[0]
+        lw = list(synth_layers(self.CFG))[0]
         x = np.random.default_rng(13).standard_normal((2, 16))
         logits = x @ lw.router.T
         full = softmax(logits)
@@ -540,7 +546,7 @@ class TestMoe:
         # expert 3 stays dense; expert 2 keeps every neuron
         masks = {0: rng.random(256) < 0.4, 1: rng.random(256) < 0.8,
                  2: np.ones(256, dtype=bool)}
-        lw = synth_model(cfg)[0]
+        lw = list(synth_layers(cfg))[0]
         # moe_forward's loop with each expert's FFN from an oracle: the
         # zeroing one bitwise, the column gather (on each expert's own down
         # projection) to rounding
@@ -573,137 +579,99 @@ class TestDecode:
     @given(decode_cases())
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_decode_bitwise(self, case):
+        # a block of seq_len tokens, one decode_step per layer, gives the
+        # bits of the reference block decode, masked per token or not
         cfg, threshold = case
-        dec = Decoder.synth(cfg)
+        dec, layers = Decoder(cfg), list(synth_layers(cfg))
         rng = np.random.default_rng([cfg.seed, 1])
         proj = rng.standard_normal((cfg.n_dec, cfg.n_expert, cfg.dim_e, cfg.dim_h))
 
-        def mask_fn(layer, expert, row):
+        def mask_fn(layer, expert, x):
             if expert == 1:
                 return None  # this expert runs dense
-            return np.abs(row @ proj[layer, expert]) > threshold
+            return np.abs(x @ proj[layer, expert]) > threshold
 
         fn = None if threshold is None else mask_fn
-        cache, ref = dec.new_cache(), ReferenceCache(cfg.n_dec, cfg.seq_len)
-        for n in range(1, cfg.seq_len + 1):
-            x = rng.standard_normal((1, cfg.dim_e))
-            got = dec.decode_step(x, cache, mask_fn=fn)
-            assert np.array_equal(got, reference_decode_step(dec, x, ref, mask_fn=fn))
-            assert cache.layer_len(0) == n
-            for li in range(cfg.n_dec):
-                for a, b in zip(cache.stacked(li), ref.stacked(li)):
-                    assert np.array_equal(a, b)
-        with pytest.raises(CapacityError):
-            dec.decode_step(x, cache, mask_fn=fn)
+        x = rng.standard_normal((cfg.seq_len, cfg.dim_e))
+        want = reference_decode_step(cfg, layers, x, ReferenceCache(cfg.n_dec), mask_fn=fn)
+        assert np.array_equal(decode(dec, layers, x, mask_fn=fn), want)
 
     @given(block_cases())
     @settings(max_examples=60, deadline=None)
     def test_block_matches_one_row_steps(self, case):
-        # an n-row block after a cached prefix decodes as n one-row steps do,
+        # an n-row block decodes as n one-row steps over a growing cache do,
         # dense or with a mask per token (expert 1 of an MoE layer dense)
-        cfg, prefix, n, masked = case
-        dec = Decoder.synth(cfg)
+        cfg, n, masked = case
+        dec, layers = Decoder(cfg), list(synth_layers(cfg))
         rng = np.random.default_rng([cfg.seed, 2])
-        xs = rng.standard_normal((prefix + n, cfg.dim_e))
-        table = rng.random((cfg.n_dec, cfg.n_expert, prefix + n, cfg.dim_h)) < 0.5
+        xs = rng.standard_normal((n, cfg.dim_e))
+        table = rng.random((cfg.n_dec, cfg.n_expert, n, cfg.dim_h)) < 0.5
 
-        def masks_from(pos, rows):
+        def masks_from(pos):
             # masks by token position, so block and steps see the same ones
             if not masked:
                 return None
             return lambda layer, expert, x: (
-                None if expert == 1 else
-                table[layer, expert, pos:pos + len(x)] if rows else table[layer, expert, pos])
+                None if expert == 1 else table[layer, expert, pos:pos + len(x)])
 
-        block, steps = dec.new_cache(), dec.new_cache()
-        for cache in (block, steps):
-            for i in range(prefix):
-                dec.decode_step(xs[i], cache, mask_fn=masks_from(i, False))
-        got = dec.decode_step(xs[prefix:], block, mask_fn=masks_from(prefix, True))
-        want = np.vstack([dec.decode_step(xs[i], steps, mask_fn=masks_from(i, False))
-                          for i in range(prefix, prefix + n)])
+        got = decode(dec, layers, xs, mask_fn=masks_from(0))
+        steps = ReferenceCache(cfg.n_dec)
+        want = np.vstack([reference_decode_step(cfg, layers, xs[i], steps, mask_fn=masks_from(i))
+                          for i in range(n)])
         assert_close(got, want)
-        assert all(block.layer_len(li) == steps.layer_len(li) == prefix + n
-                   for li in range(cfg.n_dec))
-        for li in range(cfg.n_dec):
-            for a, b in zip(block.stacked(li), steps.stacked(li)):
-                assert_close(a, b)
 
     @given(block_cases())
     @settings(max_examples=40, deadline=None)
     def test_layer_major_streams_match_whole_decode(self, case):
-        # a dense and a masked stream, each with its own cache, passing each
-        # layer (drawn one at a time) before the next one is drawn, give the
-        # bits of decoding each stream through every layer at once
-        cfg, prefix, n, _ = case
-        dec = Decoder.synth(cfg)
+        # a dense and a masked stream passing each layer (drawn one at a
+        # time) before the next one is drawn give the bits of decoding each
+        # stream alone through the resident layers
+        cfg, n, _ = case
+        dec = Decoder(cfg)
         rng = np.random.default_rng([cfg.seed, 3])
-        xs = rng.standard_normal((prefix + n, cfg.dim_e))
+        xs = rng.standard_normal((n, cfg.dim_e))
         table = rng.random((cfg.n_dec, cfg.n_expert, n, cfg.dim_h)) < 0.5
         fns = [None, lambda layer, expert, x: table[layer, expert]]
-        whole = [dec.new_cache() for _ in fns]
-        streamed = [dec.new_cache() for _ in fns]
-        if prefix:
-            for cache in whole + streamed:
-                dec.decode_step(xs[:prefix], cache)
-        want = [dec.decode_step(xs[prefix:], cache, mask_fn=fn)
-                for cache, fn in zip(whole, fns)]
-        got = [xs[prefix:]] * len(fns)
+        want = [decode(dec, list(synth_layers(cfg)), xs, mask_fn=fn) for fn in fns]
+        got = [xs] * len(fns)
         for layer in enumerate(synth_layers(cfg)):
-            got = [dec.decode_step(x, cache, mask_fn=fn, layers=(layer,))
-                   for x, cache, fn in zip(got, streamed, fns)]
-        for g, w, a, b in zip(got, want, streamed, whole):
+            got = [dec.decode_step(x, layer, mask_fn=fn)[1] for x, fn in zip(got, fns)]
+        for g, w in zip(got, want, strict=True):
             assert np.array_equal(g, w)
-            for li in range(cfg.n_dec):
-                assert all(np.array_equal(u, v)
-                           for u, v in zip(a.stacked(li), b.stacked(li)))
-
-    def test_block_over_capacity_leaves_cache(self):
-        cfg = ModelConfig(n_dec=3, dim_e=16, dim_h=8, n_heads=2, seq_len=8, seed=4)
-        dec = Decoder.synth(cfg)
-        cache = dec.new_cache()
-        rng = np.random.default_rng(5)
-        dec.decode_step(rng.standard_normal((5, 16)), cache)
-        kept = [tuple(m.copy() for m in cache.stacked(li)) for li in range(cfg.n_dec)]
-        with pytest.raises(CapacityError):
-            dec.decode_step(rng.standard_normal((4, 16)), cache)
-        for li in range(cfg.n_dec):
-            assert all(np.array_equal(a, b) for a, b in zip(cache.stacked(li), kept[li]))
-        with pytest.raises(CapacityError):
-            cache.append(0, np.ones((4, 16)), np.ones((4, 16)))
-        assert len(cache.stacked(0)[0]) == 5
-        dec.decode_step(rng.standard_normal((3, 16)), cache)
-        assert cache.layer_len(0) == 8
 
     def test_first_token_attention_is_v(self):
-        dec = Decoder.synth(TOY)
-        cache = dec.new_cache()
-        x = np.random.default_rng(14).standard_normal((1, 16))
-        lw = dec.layers[0]
-        v = x @ lw.w_v.T
-        # after one step the layer-0 cache holds exactly that V row
-        dec.decode_step(x, cache)
-        assert_allclose(cache.stacked(0)[1][0], v[0], atol=1e-14)
+        # token 0 of a block attends only to itself, so its FFN input is x
+        # plus its own V row through the output projection
+        dec, lw = Decoder(TOY), list(synth_layers(TOY))[0]
+        x = np.random.default_rng(14).standard_normal((3, 16))
+        ffn_in, _ = dec.decode_step(x, (0, lw))
+        v = x[:1] @ lw.w_v.T
+        assert_allclose(ffn_in[:1], x[:1] + v @ lw.w_o.T, atol=1e-14)
 
     def test_all_ones_masks_match_dense(self):
-        dec = Decoder.synth(TOY)
-        x = np.random.default_rng(15).standard_normal((1, 16))
-        dense = dec.decode_step(x, dec.new_cache())
-        masked = dec.decode_step(x, dec.new_cache(),
-                                 mask_fn=lambda l, e, row: np.ones(24, dtype=bool))
+        dec, layers = Decoder(TOY), list(synth_layers(TOY))
+        x = np.random.default_rng(15).standard_normal((3, 16))
+        dense = decode(dec, layers, x)
+        masked = decode(dec, layers, x, mask_fn=lambda l, e, row: np.ones(24, dtype=bool))
         assert np.array_equal(dense, masked)
 
     def test_masked_rollout_matches_column_gather_bitwise(self, monkeypatch):
+        # a rollout without a cache: each step decodes the whole sequence so
+        # far as one block and feeds its last output row back
         cfg = ModelConfig(n_dec=2, dim_e=256, dim_h=1024, n_heads=8, seq_len=8, seed=18)
-        dec = Decoder.synth(cfg)
+        dec, layers = Decoder(cfg), list(synth_layers(cfg))
         x0 = np.random.default_rng(19).standard_normal((1, cfg.dim_e))
 
         def masked_rollout():
             # one draw per call, in call order, so both rollouts see the same masks
             rng = np.random.default_rng(20)
             densities = iter([0.0, 1.0, 0.4, 0.6, 0.8, 1.0] * cfg.seq_len)
-            return rollout(dec, x0, 6, mask_fn=lambda layer, expert, row:
-                           rng.random(cfg.dim_h) < next(densities))
+            xs, outs = x0, []
+            for _ in range(6):
+                outs.append(decode(dec, layers, xs, mask_fn=lambda layer, expert, x:
+                                   rng.random(cfg.dim_h) < next(densities))[-1:])
+                xs = np.vstack([xs, outs[-1]])
+            return outs
 
         got = masked_rollout()
         monkeypatch.setattr(slim.model, "ffn_forward", reference_ffn_zeroed)
@@ -714,115 +682,68 @@ class TestDecode:
             assert_close(a, b)
 
     def test_rollout_matches_cache_free_oracle(self):
+        # the incremental rollout, one-row steps over a growing cache, gives
+        # each output the block decode of the inputs so far gives its last row
         cfg = TOY
-        dec = Decoder.synth(cfg)
-        rng = np.random.default_rng(16)
-        x0 = rng.standard_normal((1, cfg.dim_e))
-        outs = rollout(dec, x0, 5)
-
-        # oracle: recompute attention from scratch each step (no cache)
-        def oracle_rollout():
-            inputs = [x0]
-            results = []
-            for _ in range(5):
-                x = inputs[-1]
-                hist = {li: [] for li in range(cfg.n_dec)}
-                for prev in inputs[:-1]:
-                    xx = prev
-                    for li, lw in enumerate(dec.layers):
-                        q = xx @ lw.w_q.T
-                        hist[li].append((xx @ lw.w_k.T, xx @ lw.w_v.T))
-                        ks = np.vstack([k for k, _ in hist[li]])
-                        vs = np.vstack([v for _, v in hist[li]])
-                        xx = xx + mha_forward(q, ks, vs, cfg.n_heads) @ lw.w_o.T
-                        xx = xx + moe_forward(xx, lw, cfg.top_k)
-                for li, lw in enumerate(dec.layers):
-                    q = x @ lw.w_q.T
-                    hist[li].append((x @ lw.w_k.T, x @ lw.w_v.T))
-                    ks = np.vstack([k for k, _ in hist[li]])
-                    vs = np.vstack([v for _, v in hist[li]])
-                    x = x + mha_forward(q, ks, vs, cfg.n_heads) @ lw.w_o.T
-                    x = x + moe_forward(x, lw, cfg.top_k)
-                results.append(x)
-                inputs.append(x)
-            return results
-
-        oracle = oracle_rollout()
-        for got, want in zip(outs, oracle):
+        dec, layers = Decoder(cfg), list(synth_layers(cfg))
+        x0 = np.random.default_rng(16).standard_normal((1, cfg.dim_e))
+        outs = rollout(cfg, layers, x0, 5)
+        inputs = np.vstack([x0] + outs[:-1])
+        for t, got in enumerate(outs):
+            want = decode(dec, layers, inputs[:t + 1])[-1:]
             assert np.max(np.abs(got - want)) < 1e-9
 
-    def test_cache_grows_one_row_per_step(self):
-        dec = Decoder.synth(TOY)
-        cache = dec.new_cache()
-        x = np.random.default_rng(17).standard_normal((1, 16))
-        for n in range(1, 4):
-            x = dec.decode_step(x, cache)
-            assert cache.layer_len(0) == n
+    def test_cache_grows_one_row_per_step(self, monkeypatch):
+        # the incremental decode's cache grows one row per step and ends with
+        # the K/V rows the block form attends over: one KVCache per layer,
+        # holding the block's n rows (perfbench counts these rows)
+        dec, layers = Decoder(TOY), list(synth_layers(TOY))
+        x = np.random.default_rng(17).standard_normal((4, 16))
+        seen = []
+        stacked = KVCache.stacked
+
+        def recorded(self):
+            seen.append(stacked(self))
+            return seen[-1]
+
+        monkeypatch.setattr(KVCache, "stacked", recorded)
+        decode(dec, layers, x)
+        assert len(seen) == TOY.n_dec
+        cache = ReferenceCache(TOY.n_dec)
+        for n in range(1, 5):
+            reference_decode_step(TOY, layers, x[n - 1], cache)
             assert all(len(cache.stacked(li)[0]) == n for li in range(TOY.n_dec))
-
-    def test_cache_capacity_error(self):
-        cfg = ModelConfig(n_dec=1, dim_e=16, dim_h=8, n_heads=2, seq_len=2, seed=3)
-        dec = Decoder.synth(cfg)
-        cache = dec.new_cache()
-        x = np.ones((1, 16)) * 0.1
-        dec.decode_step(x, cache)
-        dec.decode_step(x, cache)
-        with pytest.raises(CapacityError):
-            dec.decode_step(x, cache)
-
-    def test_kv_cache_append_only_guard(self):
-        cache = KVCache(1, 2)
-        cache.append(0, np.ones(4), np.ones(4))
-        cache.append(0, np.ones(4), np.ones(4))
-        with pytest.raises(CapacityError):
-            cache.append(0, np.ones(4), np.ones(4))
-
-    def test_stacked_view_unchanged_by_append(self):
-        # 40 rows fill the buffers up to capacity, one row at a time
-        cache = KVCache(2, 40)
-        rng = np.random.default_rng(18)
-        taken = []
-        for _ in range(40):
-            for li in range(2):
-                cache.append(li, rng.standard_normal(6), rng.standard_normal(6))
-            taken += [(view, view.copy()) for li in range(2) for view in cache.stacked(li)]
-        assert all(np.array_equal(view, snap) for view, snap in taken)
+        for li, block in enumerate(seen):
+            for a, b in zip(block, cache.stacked(li), strict=True):
+                assert a.shape == (4, 16)
+                assert_close(a, b)
 
     def test_kv_row_width_checked(self):
-        cache = KVCache(1, 4)
-        cache.append(0, np.ones(4), np.ones(4))
-        with pytest.raises(ShapeError):
-            cache.append(0, np.ones(5), np.ones(5))
-
-    def test_kv_block_width_checked(self):
-        cache = KVCache(1, 40)
-        cache.append(0, np.ones((2, 4)), np.ones((2, 4)))
-        for rows in (3, 20):  # a wrong-width block, short or long, writes nothing
+        # attention refuses keys or values whose rows are not the queries' width
+        q = np.ones((2, 4))
+        for k, v in ((np.ones((2, 5)), np.ones((2, 5))), (q, np.ones((2, 5)))):
             with pytest.raises(ShapeError):
-                cache.append(0, np.ones((rows, 5)), np.ones((rows, 5)))
-        assert cache.layer_len(0) == 2
-        cache.append(0, np.ones((20, 4)), np.zeros((20, 4)))
-        assert [m.shape for m in cache.stacked(0)] == [(22, 4)] * 2
+                mha_forward(q, k, v, 2)
 
 
 def test_harvest_shapes():
-    dec = Decoder.synth(TOY)
-    items = list(harvest_ffn_inputs(dec, 6, seed=2))
+    dec, layers = Decoder(TOY), list(synth_layers(TOY))
+    items = list(harvest_ffn_inputs(dec, layers, 6, seed=2))
     # every layer once, in order, with its own weights
     assert [li for li, _, _ in items] == list(range(TOY.n_dec))
-    assert all(lw is want for (_, lw, _), want in zip(items, dec.layers, strict=True))
+    assert all(lw is want for (_, lw, _), want in zip(items, layers, strict=True))
     sets = [x for _, _, x in items]
     assert len(sets) == TOY.n_dec
     assert all(s.shape == (6, TOY.dim_e) for s in sets)
-    again = [x for _, _, x in harvest_ffn_inputs(dec, 6, seed=2)]
+    again = [x for _, _, x in harvest_ffn_inputs(dec, layers, 6, seed=2)]
     assert np.array_equal(sets[0], again[0])
 
 
 def test_harvest_from_drawn_layers_matches_resident_model():
-    dec = Decoder.synth(TOY)
+    dec, resident = Decoder(TOY), list(synth_layers(TOY))
     layers = reference_synth(TOY)
-    streamed = harvest_ffn_inputs(Decoder(cfg=TOY), 6, seed=2, layers=synth_layers(TOY))
-    for (li, lw, got), (lj, _, want) in zip(streamed, harvest_ffn_inputs(dec, 6, seed=2),
+    streamed = harvest_ffn_inputs(dec, synth_layers(TOY), 6, seed=2)
+    for (li, lw, got), (lj, _, want) in zip(streamed, harvest_ffn_inputs(dec, resident, 6, seed=2),
                                             strict=True):
         assert li == lj
         assert_layer_bits(lw, layers[li])
@@ -830,8 +751,7 @@ def test_harvest_from_drawn_layers_matches_resident_model():
 
 
 def test_harvest_from_short_source_raises():
-    dec = Decoder.synth(TOY)
-    stream = harvest_ffn_inputs(Decoder(cfg=TOY), 6, seed=2, layers=dec.layers[:1])
+    stream = harvest_ffn_inputs(Decoder(TOY), list(synth_layers(TOY))[:1], 6, seed=2)
     assert next(stream)[0] == 0
     with pytest.raises(ShapeError, match="after 1 of"):
         next(stream)
@@ -840,14 +760,18 @@ def test_harvest_from_short_source_raises():
 def test_harvest_matches_one_row_stream():
     # one (n x dim_e) draw is the n one-row draws of a one-token-at-a-time
     # harvest, and the block decode collects their FFN inputs to rounding
-    dec = Decoder.synth(TOY)
+    layers = list(synth_layers(TOY))
     block_rng, row_rng = (np.random.default_rng([2, 0xCA11]) for _ in range(2))
     rows = [row_rng.standard_normal((1, TOY.dim_e)) for _ in range(6)]
     assert np.array_equal(block_rng.standard_normal((6, TOY.dim_e)), np.vstack(rows))
     grabbed = [[] for _ in range(TOY.n_dec)]
-    cache = dec.new_cache()
+
+    def grab(li, expert, xm):  # records the FFN input and leaves the FFN dense
+        grabbed[li].append(xm.copy())
+
+    cache = ReferenceCache(TOY.n_dec)
     for x in rows:
-        dec.decode_step(x, cache, ffn_input_hook=lambda li, xm: grabbed[li].append(xm))
-    harvested = [x for _, _, x in harvest_ffn_inputs(dec, 6, seed=2)]
+        reference_decode_step(TOY, layers, x, cache, mask_fn=grab)
+    harvested = [x for _, _, x in harvest_ffn_inputs(Decoder(TOY), layers, 6, seed=2)]
     for got, want in zip(harvested, grabbed, strict=True):
         assert_close(got, np.vstack(want))

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import measured_sparsity
 from slim.errors import RankError, ShapeError, TrainingDivergence
-from slim.model import Decoder, ModelConfig, ffn_forward, harvest_ffn_inputs
+from slim.model import Decoder, ModelConfig, ffn_forward, harvest_ffn_inputs, synth_layers
 from slim.predictor import (
     DIVERGENCE_FACTOR,
     Predictor,
@@ -389,14 +389,14 @@ class TestMasks:
 def test_degradation_mse_nondecreasing():
     """Masked-vs-dense FFN error grows with target sparsity (trend check)."""
     cfg = ModelConfig(n_dec=2, dim_e=32, dim_h=64, n_heads=4, seq_len=64, seed=25)
-    dec = Decoder.synth(cfg)
-    calib = [x for _, _, x in harvest_ffn_inputs(dec, 24, seed=3)]
-    evalset = [x for _, _, x in harvest_ffn_inputs(dec, 16, seed=4)]
+    dec, layers = Decoder(cfg), list(synth_layers(cfg))
+    calib = [x for _, _, x in harvest_ffn_inputs(dec, layers, 24, seed=3)]
+    evalset = [x for _, _, x in harvest_ffn_inputs(dec, layers, 16, seed=4)]
     targets = [0.0, 0.2, 0.4, 0.6]
     mses = []
     for t in targets:
         total = 0.0
-        for li, lw in enumerate(dec.layers):
+        for li, lw in enumerate(layers):
             p = init_from_svd(lw.w_g[0], default_dim_lr(cfg.dim_e))
             p, _ = train(p, calib[li], lw.w_g[0], epochs=20, lr=1e-4)
             thr = build_threshold_table(p, calib[li], targets).threshold_for(t)
