@@ -267,9 +267,9 @@ class Decoder:
 
     def decode_step(self, x: Matrix, layer: tuple[int, LayerWeights],
                     mask_fn=None) -> tuple[Matrix, Matrix]:
-        """Pass a block of n token embeddings (n x dim_e) through one layer,
-        given as its (index, weights) pair; returns the block's FFN input and
-        the layer's output, both n x dim_e.
+        """Pass a block of n token embeddings (n x dim_e, ShapeError for any
+        other shape) through one layer, given as its (index, weights) pair;
+        returns the block's FFN input and the layer's output, both n x dim_e.
 
         The layer's weights are read once for all n tokens: project QKV (one
         product each over the block), attend causally within the block
@@ -282,7 +282,9 @@ class Decoder:
         returns a NeuronMask, (dim_h,) or (n x dim_h), or None.
         """
         li, lw = layer
-        x = np.asarray(x, dtype=np.float64).reshape(-1, self.cfg.dim_e)
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.cfg.dim_e:
+            raise ShapeError(f"decode block {x.shape} is not n x dim_e={self.cfg.dim_e}")
         q = matmul(x, lw.w_q.T)
         ks, vs = KVCache(matmul(x, lw.w_k.T), matmul(x, lw.w_v.T)).stacked()
         x = x + matmul(mha_forward(q, ks, vs, self.cfg.n_heads), lw.w_o.T)

@@ -7,14 +7,14 @@ from __future__ import annotations
 import json
 import logging
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 import numpy as np
 
 from .config import ScenarioConfig, config_hash
 from .container import read_tensors, write_tensors
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .model import Decoder, LayerWeights, harvest_ffn_inputs, synth_layers
 from .predictor import (
     Predictor,
@@ -27,9 +27,7 @@ from .predictor import (
     train,
 )
 from .storage import (
-    NandTiming,
     SsdGeometry,
-    TokenReads,
     generate_read_transactions,
     map_weights,
     nand_preset,
@@ -56,40 +54,13 @@ REPORT_FIELDS = (
 )
 
 
+# every (nand, pe_level) pair, in the order a sweep reports them
+DESIGN_POINTS = tuple((nand, level) for level in ("die", "channel") for nand in ("slc", "tlc"))
+
+
 def _round(x: float) -> float:
     # full precision is noise here; 6 significant-ish digits keep reports stable
     return float(f"{x:.6g}")
-
-
-def point_device(cfg: ScenarioConfig, nand: str,
-                 pe_level: str) -> tuple[SsdGeometry, NandTiming]:
-    """The device of one design point: the scenario's own at its own
-    (nand, pe_level), the named preset at any other."""
-    if (nand, pe_level) == (cfg.nand, cfg.pe_level):
-        return cfg.geometry, cfg.nand_timing
-    return nand_preset(nand, pe_level)
-
-
-def read_token(cfg: ScenarioConfig, geometry: SsdGeometry, masks: dict) -> TokenReads:
-    """One token's read transactions on ``geometry``: the scenario's weight
-    layout on that device, read for ``masks``. Which pages a token reads
-    does not depend on the PE level, so every design point on ``geometry``
-    evaluates the same record."""
-    return generate_read_transactions(
-        map_weights(cfg.model, geometry, cfg.bytes_per_elem), masks)
-
-
-def evaluate_point(cfg: ScenarioConfig, nand: str, pe_level: str,
-                   reads: TokenReads) -> SlimResult:
-    """One design point of the scenario on the token's ``reads``, which must
-    be read on the point's geometry (ShapeError otherwise), with every other
-    scenario field as configured."""
-    geometry, timing = point_device(cfg, nand, pe_level)
-    if reads.layout.geo != geometry:
-        raise ShapeError(f"reads were laid out on another geometry than {nand}/{pe_level}'s")
-    return evaluate_slim(cfg.model, timing, cfg.dram_geometry, cfg.dram_timing,
-                         cfg.cost_model, reads, scheduler=cfg.scheduler,
-                         n_tokens=cfg.n_tokens, params=cfg.nsp, constants=cfg.energy)
 
 
 def evaluate_baseline(cfg: ScenarioConfig, kind: str) -> BaselineResult:
@@ -101,10 +72,7 @@ def evaluate_baseline(cfg: ScenarioConfig, kind: str) -> BaselineResult:
 
 
 def _slim_row(cfg: ScenarioConfig, nand: str, pe_level: str, sparsity: float,
-              reads: TokenReads, digest: str, emit_trace_to=None) -> dict:
-    res = evaluate_point(cfg, nand, pe_level, reads)
-    if emit_trace_to is not None:
-        emit_trace_to.append(res.events)
+              res: SlimResult, digest: str) -> dict:
     row = {
         "scenario": cfg.model_name,
         "design_level": pe_level,
@@ -148,70 +116,80 @@ def _baseline_row(cfg: ScenarioConfig, kind: str, digest: str) -> dict:
     return row
 
 
-def _read_sparsity(cfg: ScenarioConfig, ranks: dict, sparsity: float,
-                   by_geometry: dict[SsdGeometry, list]) -> dict[SsdGeometry, TokenReads]:
-    """The token's reads at ``sparsity`` on each geometry of ``by_geometry``
-    (geometry -> the design points on it); the masks are dropped on return,
-    since the points need only the reads."""
-    t0 = time.perf_counter()
-    masks = nested_masks(ranks, sparsity)
-    log.debug("scenario_rows: masks for sparsity %g in %.6f s",
-              sparsity, time.perf_counter() - t0)
-    reads = {}
-    for geometry, sharing in by_geometry.items():
-        t0 = time.perf_counter()
-        reads[geometry] = read_token(cfg, geometry, masks)
-        layout = reads[geometry].layout
-        log.debug("scenario_rows: sparsity %g, %d B pages on %d dies (%d vectors "
-                  "per page, %d pages per vector) read in %.6f s, shared by %s",
-                  sparsity, geometry.page_bytes, geometry.n_dies, layout.packing_factor,
-                  layout.span_pages, time.perf_counter() - t0,
-                  ", ".join(f"{level}-{nand}" for nand, level in sharing))
-    return reads
+def evaluate_points(cfg: ScenarioConfig, points: Iterable[tuple[str, str]],
+                    sparsities: Iterable[float],
+                    project: Callable[[tuple, SlimResult], object]) -> dict:
+    """Evaluate each (nand, pe_level) design point of the scenario at each
+    sparsity, every other scenario field as configured. A point at the
+    scenario's own (nand, pe_level) runs on its own device, any other on
+    the named preset. Returns a dict from each key ``(nand, pe_level,
+    sparsity)`` to ``project(key, result)``. The projection runs as soon as
+    the point is evaluated, so no ``SlimResult`` is held while the next
+    point runs unless the projection keeps it.
 
-
-def scenario_rows(cfg: ScenarioConfig, sweep: bool = False,
-                  trace_sink: list | None = None) -> list[dict]:
-    """Evaluate the scenario's design points over its sparsity grid, plus the
-    selected baselines. ``sweep`` expands to all four design-level/NAND
-    combinations. The neuron order is drawn once (``neuron_ranks`` with the
-    scenario seed); at each sparsity the masks are cut from it once
-    (``nested_masks``) and the token is read once per distinct geometry
-    (``read_token``), keyed by the geometry, since the scenario's own device
-    can differ from the preset. Every design point on a geometry evaluates
-    that record without changing it. The points run sparsity by sparsity, so
-    one sparsity's reads are held at a time, and its masks only while they
-    are read. Rows come in a fixed order (design point-major, then
-    sparsity), followed by the baselines; the first row's ``EventColumns``
-    are appended to ``trace_sink``. At ``SLIM_LOG=debug`` ``scenario_rows:``
-    lines give the seconds of the rank draw and, per sparsity, of the masks
-    and of each geometry's read, with its layout and the points sharing
-    it."""
-    digest = config_hash(cfg)
-    if sweep:
-        points = [(nand, level) for level in ("die", "channel")
-                  for nand in ("slc", "tlc")]
-    else:
-        points = [(cfg.nand, cfg.pe_level)]
-    jobs = [(nand, level, s) for nand, level in points
-            for s in cfg.sparsity_targets]
-    geometry_of = {point: point_device(cfg, *point)[0] for point in points}
+    The neuron order is drawn once (``neuron_ranks`` with the scenario
+    seed). At each sparsity the masks are cut from it once
+    (``nested_masks``) and the token is read once per distinct geometry,
+    since which pages a token reads does not depend on the PE level. The
+    masks are dropped once read, and one sparsity's reads are held while
+    its points run in the order given. At ``SLIM_LOG=debug``
+    ``evaluate_points:`` lines give the seconds of the rank draw and, per
+    sparsity, of the masks and of each geometry's read, with its layout and
+    the points sharing it."""
+    devices = {point: (cfg.geometry, cfg.nand_timing) if point == (cfg.nand, cfg.pe_level)
+               else nand_preset(*point) for point in points}
     by_geometry: dict[SsdGeometry, list] = {}
-    for point, geometry in geometry_of.items():
+    for point, (geometry, _) in devices.items():
         by_geometry.setdefault(geometry, []).append(point)
 
     t0 = time.perf_counter()
     ranks = neuron_ranks(cfg.model, cfg.seed)
-    log.debug("scenario_rows: neuron order of %d slots drawn in %.6f s",
+    log.debug("evaluate_points: neuron order of %d slots drawn in %.6f s",
               len(ranks), time.perf_counter() - t0)
-    by_job = {}
-    for s in dict.fromkeys(cfg.sparsity_targets):
-        reads = _read_sparsity(cfg, ranks, s, by_geometry)
-        for nand, level in points:
-            job = (nand, level, s)
-            by_job[job] = _slim_row(cfg, *job, reads[geometry_of[(nand, level)]], digest,
-                                    emit_trace_to=trace_sink if job == jobs[0] else None)
-    rows = [by_job[job] for job in jobs]
+    records = {}
+    for s in dict.fromkeys(sparsities):
+        t0 = time.perf_counter()
+        masks = nested_masks(ranks, s)
+        log.debug("evaluate_points: masks for sparsity %g in %.6f s",
+                  s, time.perf_counter() - t0)
+        reads = {}
+        for geometry, sharing in by_geometry.items():
+            t0 = time.perf_counter()
+            reads[geometry] = generate_read_transactions(
+                map_weights(cfg.model, geometry, cfg.bytes_per_elem), masks)
+            layout = reads[geometry].layout
+            log.debug("evaluate_points: sparsity %g, %d B pages on %d dies (%d vectors "
+                      "per page, %d pages per vector) read in %.6f s, shared by %s",
+                      s, geometry.page_bytes, geometry.n_dies, layout.packing_factor,
+                      layout.span_pages, time.perf_counter() - t0,
+                      ", ".join(f"{level}-{nand}" for nand, level in sharing))
+        del masks
+        for point, (geometry, timing) in devices.items():
+            records[(*point, s)] = project((*point, s), evaluate_slim(
+                cfg.model, timing, cfg.dram_geometry, cfg.dram_timing, cfg.cost_model,
+                reads[geometry], scheduler=cfg.scheduler, n_tokens=cfg.n_tokens,
+                params=cfg.nsp, constants=cfg.energy))
+    return records
+
+
+def scenario_rows(cfg: ScenarioConfig, sweep: bool = False,
+                  trace_sink: list | None = None) -> list[dict]:
+    """Evaluate the scenario's design points over its sparsity grid
+    (``evaluate_points``), plus the selected baselines, as report rows.
+    ``sweep`` expands to all four DESIGN_POINTS. Rows come in a fixed order
+    (design point-major, then sparsity), followed by the baselines; the
+    first row's ``EventColumns`` are appended to ``trace_sink``."""
+    digest = config_hash(cfg)
+    points = DESIGN_POINTS if sweep else ((cfg.nand, cfg.pe_level),)
+    first = (*points[0], cfg.sparsity_targets[0])
+
+    def row(key, res):
+        if key == first and trace_sink is not None:
+            trace_sink.append(res.events)
+        return _slim_row(cfg, *key, res, digest)
+
+    by_key = evaluate_points(cfg, points, cfg.sparsity_targets, row)
+    rows = [by_key[(*point, s)] for point in points for s in cfg.sparsity_targets]
     for kind in cfg.baselines:
         rows.append(_baseline_row(cfg, kind, digest))
     return rows

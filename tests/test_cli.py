@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import itertools
 import json
 import logging
@@ -24,7 +25,6 @@ from oracles import measured_sparsity
 from slim.cli import main
 from slim.config import config_hash, load_scenario
 from slim.container import read_tensors, write_tensors
-from slim.errors import ShapeError
 from slim.model import Decoder, synth_layers
 from slim.predictor import (
     build_threshold_table,
@@ -37,16 +37,13 @@ from slim.predictor import (
 from slim.runner import (
     REPORT_FIELDS,
     _model_layers,
-    evaluate_point,
     infer_report,
     load_predictors,
-    read_token,
     scenario_rows,
     train_predictors,
     write_report,
 )
 from slim.storage import SLC_GEOMETRY, TLC_GEOMETRY, SsdGeometry
-from slim.system import nested_masks, neuron_ranks
 from slim.trace import EventColumns, read_ldjson
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -634,9 +631,9 @@ def counting(monkeypatch, name):
     """The argument tuples of every call the runner makes to ``name``."""
     calls, func = [], getattr(slim.runner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return func(*args)
+        return func(*args, **kwargs)
 
     monkeypatch.setattr(slim.runner, name, counted)
     return calls
@@ -688,12 +685,26 @@ def test_own_geometry_read_apart_from_presets(monkeypatch):
                                   for row in scenario_rows(ch_slc)[:n]]
 
 
-def test_reads_of_another_geometry_refused():
-    cfg = load_scenario({"model": "toy", "seed": 4})
-    reads = read_token(cfg, TLC_GEOMETRY, nested_masks(neuron_ranks(cfg.model, 4), 0.5))
-    with pytest.raises(ShapeError):
-        evaluate_point(cfg, "slc", "die", reads)
-    evaluate_point(cfg, "tlc", "channel", reads)
+def load_trends_script():
+    """scripts/reproduce_trends.py as a module loaded in this process, so
+    ``counting`` sees the runner calls its ``main`` makes."""
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_trends", ROOT / "scripts" / "reproduce_trends.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("flags,counts", [([], (4, 18, 36)), (["--quick"], (1, 8, 16))],
+                         ids=["full", "quick"])
+def test_trends_read_each_token_once(flags, counts, monkeypatch, tmp_path):
+    """The trends script draws each shape's neuron order once and reads the
+    token once per (geometry, sparsity): a full run evaluates 36 points on
+    18 reads, ``--quick`` 16 on 8."""
+    calls = [counting(monkeypatch, name) for name in (
+        "neuron_ranks", "generate_read_transactions", "evaluate_slim")]
+    load_trends_script().main([*flags, "--out", str(tmp_path)])
+    assert tuple(map(len, calls)) == counts
 
 
 def test_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
@@ -706,7 +717,7 @@ def test_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
     stages = [r.getMessage() for r in caplog.records
               if r.getMessage().startswith("evaluate_slim:")]
     draws = [r.getMessage() for r in caplog.records
-             if r.getMessage().startswith("scenario_rows:")]
+             if r.getMessage().startswith("evaluate_points:")]
     assert len(stages) == 4 * len(TOY_DOC["sparsity_targets"])  # one per design point
     timed = ", ".join(rf"{stage} \d+\.\d+ s" for stage in (
         "ffn passes", "dram cost", "energy fold"))
@@ -734,7 +745,7 @@ def test_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
                         rf"per page, 1 pages per vector\) read in \d+\.\d+ s, "
                         rf"shared by {points}")
     assert len(draws) == len(want)
-    assert all(re.fullmatch(f"scenario_rows: {w}", d) for w, d in zip(want, draws)), draws
+    assert all(re.fullmatch(f"evaluate_points: {w}", d) for w, d in zip(want, draws)), draws
     for name in ("report.csv", "report.json"):
         assert ((tmp_path / "info" / name).read_bytes()
                 == (tmp_path / "debug" / name).read_bytes())

@@ -1,9 +1,9 @@
 """Pins of what the CLI and the trends script write.
 
 Most files under tests/golden/ hold the simulator's reports and traces for
-the scenarios in CASES, and ``trends_quick.json`` holds
-``scripts/reproduce_trends.py --quick``; refactors and perf changes must
-reproduce them byte for byte. ``toy_train_infer.infer_report.json`` is the
+the scenarios in CASES, and ``trends_quick.json`` and ``trends_full.json``
+hold ``scripts/reproduce_trends.py`` with and without ``--quick``;
+refactors and perf changes must reproduce them byte for byte. ``toy_train_infer.infer_report.json`` is the
 one tolerance pin (see its test). Goldens are regenerated only by a change
 that fixes a modeling bug and records the fix and the moved numbers in
 CHANGES.md.
@@ -67,14 +67,16 @@ def test_infer_report_matches_golden_within_tolerance(tmp_path):
         assert abs(g["measured_sparsity"] - w["measured_sparsity"]) <= 1e-9, g
 
 
-def test_quick_trends_match_golden(tmp_path):
-    """`reproduce_trends.py --quick`, run as a script, writes the pinned
-    trends.json byte for byte."""
+@pytest.mark.parametrize("name,flags", [("trends_quick", ["--quick"]), ("trends_full", [])],
+                         ids=["quick", "full"])
+def test_quick_trends_match_golden(tmp_path, name, flags):
+    """`reproduce_trends.py`, run as a script with and without `--quick`,
+    writes the pinned trends.json byte for byte."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, str(ROOT / "scripts" / "reproduce_trends.py"),
-                    "--quick", "--out", str(tmp_path)],
+                    *flags, "--out", str(tmp_path)],
                    env=env, check=True, capture_output=True)
-    golden = GOLDEN / "trends_quick.json"
+    golden = GOLDEN / f"{name}.json"
     assert (tmp_path / "trends.json").read_bytes() == golden.read_bytes(), (
         f"{tmp_path / 'trends.json'} differs from {golden}. Goldens are regenerated "
         "only by a change that fixes a modeling bug and records it in CHANGES.md.")

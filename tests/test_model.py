@@ -648,6 +648,16 @@ class TestDecode:
         v = x[:1] @ lw.w_v.T
         assert_allclose(ffn_in[:1], x[:1] + v @ lw.w_o.T, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(3, 16), (3, 4), (8,), (2, 3, 8)])
+    def test_block_not_n_by_dim_e_refused(self, shape):
+        # a (3 x 16) block on a dim_e=8 model is refused, not decoded as 6 tokens
+        cfg = ModelConfig(n_dec=1, dim_e=8, dim_h=12, n_heads=2, seq_len=8, seed=3)
+        dec, lw = Decoder(cfg), list(synth_layers(cfg))[0]
+        with pytest.raises(ShapeError):
+            dec.decode_step(np.ones(shape), (0, lw))
+        ffn_in, out = dec.decode_step(np.ones((3, 8)), (0, lw))
+        assert ffn_in.shape == out.shape == (3, 8)
+
     def test_all_ones_masks_match_dense(self):
         dec, layers = Decoder(TOY), list(synth_layers(TOY))
         x = np.random.default_rng(15).standard_normal((3, 16))
