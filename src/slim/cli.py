@@ -5,7 +5,8 @@
     slim simulate --config cfg.json [--out DIR] [--seed N]
     slim sweep    --config cfg.json [--out DIR] [--seed N]
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success; 2 configuration error, or a path that cannot be
+read or written; 3 numeric failure.
 Set SLIM_LOG=debug|info|warning for verbosity.
 """
 
@@ -96,7 +97,9 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir, sweep=False)
         return cmd_simulate(cfg, out_dir, sweep=True)
-    except (ConfigError, MappingError, ShapeError) as exc:
+    # OSError and UnicodeDecodeError: a path that cannot be read, decoded
+    # or written, such as a directory given for a file
+    except (ConfigError, MappingError, ShapeError, OSError, UnicodeDecodeError) as exc:
         log.error("%s", exc)
         return 2
     except NumericError as exc:

@@ -1,6 +1,7 @@
 """Scenario configuration: named presets for devices and model shapes, strict
-JSON ingestion (unknown keys are hard errors, no silent defaults), and a
-resolved-config hash carried into every report row."""
+JSON ingestion against one declared schema (unknown keys, wrong JSON types
+and values out of range are hard errors), and a resolved-config hash
+carried into every report row."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
@@ -84,77 +85,113 @@ class ScenarioConfig:
     emit_trace: bool
 
 
-# JSON values a field of each annotation takes (true/false is not a number);
-# other annotations are checked where their values are used
-_JSON_TYPES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-    "int | None": ((int, type(None)), "an integer or null"),
-    "str | None": ((str, type(None)), "a string or null"),
-}
+@dataclass(frozen=True)
+class _Device:
+    """An inline ``nand`` or ``dram`` object."""
 
+    geometry: dict = field(default_factory=dict)
+    timing: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class _Document:
+    """The top level of a scenario document: its keys, their JSON types and
+    their defaults. ``model``, ``nand`` and ``dram`` take a preset name or an
+    inline object; a key whose default is a dataclass is a section."""
+
+    model: str | dict = "toy"
+    nand: str | dict = "slc"
+    pe_level: str = "die"
+    dram: str | dict = "ddr4_2400"
+    sparsity_targets: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75)
+    scheduler: str = "pipelined"
+    baselines: tuple[str, ...] = BASELINE_KINDS
+    baseline_sparsity: float = 0.0
+    seed: int = 0
+    n_tokens: int = 100
+    bytes_per_elem: int = 1
+    train: TrainParams = TrainParams()
+    paths: ScenarioPaths = ScenarioPaths()
+    energy: EnergyConstants = EnergyConstants()
+    cost: BitSerialCostModel = BitSerialCostModel()
+    nsp: NspParams = NspParams()
+    emit_trace: bool = False
+
+
+def _is(*kinds):
+    return lambda v: type(v) in kinds
+
+
+def _list_of(kinds, min_len: int):
+    return lambda v: type(v) in (list, tuple) and len(v) >= min_len and all(
+        type(x) in kinds for x in v)
+
+
+# JSON values a field of each annotation takes (true/false is not a number)
+_JSON_TYPES = {
+    "int": (_is(int), "an integer"),
+    "float": (_is(int, float), "a number"),
+    "bool": (_is(bool), "true or false"),
+    "str": (_is(str), "a string"),
+    "int | None": (_is(int, type(None)), "an integer or null"),
+    "str | None": (_is(str, type(None)), "a string or null"),
+    "str | dict": (_is(str, dict), "a preset name or an object"),
+    "dict": (_is(dict), "an object"),
+    "tuple[float, ...]": (_list_of((int, float), 1), "a non-empty list of numbers"),
+    "tuple[str, ...]": (_list_of((str,), 0), "a list of strings"),
+}
 
 # sections whose every field is a size, clock or cycle count (True: > 0) or
 # a cost or energy (False: >= 0); NaN and infinity pass neither
 _POSITIVE = {DramGeometry: True, DramTiming: True, BitSerialCostModel: False,
              EnergyConstants: False}
+# [lo, hi) of a field's value, or of each entry of a list field
+_RANGES = {"seed": (0, math.inf), "n_tokens": (1, math.inf), "bytes_per_elem": (1, math.inf),
+           "train.epochs": (0, math.inf), "baseline_sparsity": (0, 1),
+           "sparsity_targets": (0, 1), "train.targets": (0, 1)}
+# the names a string field, or each entry of a list field, is one of
+_NAMES = {"model": MODEL_PRESETS, "nand": NAND_NAMES, "dram": DRAM_PRESETS,
+          "pe_level": PE_LEVELS, "scheduler": SCHEDULERS, "baselines": BASELINE_KINDS}
 
 
-def _object(value, where: str) -> dict:
-    """A JSON object, where a section is written inline."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object, got {value!r}")
-    return value
-
-
-def _build(cls, data: dict, where: str, **extra):
-    """Instantiate a dataclass from a dict, rejecting unknown keys, values
-    of the wrong JSON type and, for the sections in _POSITIVE, values out
-    of range. Values are checked, not converted, so the resolved config and
-    its hash stay as written."""
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(_object(data, where)) - set(types)
+def _build(cls, data, where: str = "", **derived):
+    """Instantiate the dataclass ``cls`` from the JSON object ``data``,
+    rejecting unknown keys and values of the wrong JSON type, out of range
+    or not one of their names (the tables above). A field whose default is
+    a dataclass is a section, built by the same rule. ``derived`` fields are
+    set from the top level, so ``data`` may not set them. Values are
+    checked, not converted, so the resolved config and its hash stay as
+    written."""
+    label = where or "the document"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{label} must be an object, got {data!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    merged = dict(data)
-    merged.update(extra)
+        raise ConfigError(f"unknown keys in {label}: {sorted(unknown)}")
     positive = _POSITIVE.get(cls)
-    for name, value in merged.items():
-        rule = _JSON_TYPES.get(types[name])
-        if rule and type(value) not in rule[0]:
-            raise ConfigError(f"{where}.{name} must be {rule[1]}, got {value!r}")
-        if positive is not None and not (0 < value < math.inf or value == 0 and not positive):
-            raise ConfigError(f"{where}.{name} must be finite and {'>' if positive else '>='} 0, "
-                              f"got {value!r}")
-    try:
-        return cls(**merged)
-    except TypeError as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
-
-
-def _number(value, where: str) -> float:
-    """A JSON number (int or float, not a bool or a string) as a float."""
-    if type(value) not in (int, float):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, where: str) -> int:
-    """A JSON integer, returned as it is: 1.0, 1.7, "1" and true are errors."""
-    if type(value) is not int:
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _tupleize(obj, where: str) -> tuple[float, ...]:
-    if not isinstance(obj, (list, tuple)) or not obj:
-        raise ConfigError(f"{where} must be a non-empty list")
-    vals = tuple(_number(v, where) for v in obj)
-    for v in vals:
-        if not (0.0 <= v < 1.0):
-            raise ConfigError(f"{where} entries must lie in [0, 1), got {v}")
-    return vals
+    values = {}
+    for name, value in {**data, **derived}.items():
+        key = f"{where}.{name}" if where else name
+        if name in data and name in derived:
+            raise ConfigError(f"{key} is not a setting; set the top-level {name}")
+        if dataclasses.is_dataclass(fields[name].default):
+            values[name] = _build(type(fields[name].default), value, key)
+            continue
+        accepts, what = _JSON_TYPES[fields[name].type]
+        if not accepts(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        for v in value if type(value) in (list, tuple) else [value]:
+            if key in _NAMES and type(v) is str and v not in _NAMES[key]:
+                raise ConfigError(f"{key} must be one of {sorted(_NAMES[key])}, got {v!r}")
+            lo, hi = _RANGES.get(key, (None, None))
+            if lo is not None and not lo <= v < hi:
+                raise ConfigError(f"{key} must lie in [{lo}, {hi}), got {v!r}")
+            if positive is not None and not (0 < v < math.inf or v == 0 and not positive):
+                raise ConfigError(f"{key} must be finite and {'>' if positive else '>='} 0, "
+                                  f"got {v!r}")
+        values[name] = value
+    return cls(**values)
 
 
 def _check_train(tp: TrainParams, model: ModelConfig) -> None:
@@ -162,31 +199,35 @@ def _check_train(tp: TrainParams, model: ModelConfig) -> None:
     calib_tokens/eval_tokens tokens as one block, at most the seq_len
     positions of the context, and the predictor rank (dim_lr, or
     ``default_dim_lr`` when it is unset) is at most min(dim_e, dim_h). The
-    step size is a finite number > 0 and the targets are sparsities in
-    [0, 1). ``_build`` has checked the JSON types of the scalars."""
+    step size is a finite number > 0. ``_build`` has checked the JSON types
+    and every range that does not need the model."""
     dim_lr = default_dim_lr(model.dim_e) if tp.dim_lr is None else tp.dim_lr
-    bounds = {"epochs": (tp.epochs, 0, math.inf),
-              "calib_tokens": (tp.calib_tokens, 1, model.seq_len),
-              "eval_tokens": (tp.eval_tokens, 1, model.seq_len),
-              "dim_lr": (dim_lr, 1, min(model.dim_e, model.dim_h))}
-    for name, (v, lo, hi) in bounds.items():
-        if not lo <= v <= hi:
-            raise ConfigError(f"train.{name} must be an integer in [{lo}, {hi}], got {v!r}")
+    bounds = {"calib_tokens": (tp.calib_tokens, model.seq_len),
+              "eval_tokens": (tp.eval_tokens, model.seq_len),
+              "dim_lr": (dim_lr, min(model.dim_e, model.dim_h))}
+    for name, (v, hi) in bounds.items():
+        if not 1 <= v <= hi:
+            raise ConfigError(f"train.{name} must be an integer in [1, {hi}], got {v!r}")
     if not 0 < tp.lr < math.inf:
         raise ConfigError(f"train.lr must be a finite number > 0, got {tp.lr!r}")
-    _tupleize(tp.targets, "train.targets")
 
 
-_TOP_KEYS = {"model", "nand", "pe_level", "dram", "sparsity_targets", "scheduler",
-             "baselines", "baseline_sparsity", "seed", "n_tokens",
-             "bytes_per_elem", "train", "paths", "energy", "cost", "nsp",
-             "emit_trace"}
+def _device(spec: str | dict, where: str, presets: dict, geometry_cls, timing_cls,
+            **derived) -> tuple:
+    """(name, geometry, timing) of a preset device or of an inline
+    ``{geometry, timing}`` object, which is named "custom"."""
+    if isinstance(spec, str):
+        return (spec, *presets[spec])
+    device = _build(_Device, spec, where)
+    return ("custom", _build(geometry_cls, device.geometry, f"{where}.geometry"),
+            _build(timing_cls, device.timing, f"{where}.timing", **derived))
 
 
 def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> ScenarioConfig:
     """Resolve a JSON document (or path to one) into a fully-populated
     ScenarioConfig. Presets are referenced by name; inline objects are
-    accepted wherever a preset name is."""
+    accepted wherever a preset name is. ``seed_override`` replaces the
+    document's seed and is checked like it."""
     if not isinstance(doc, dict):
         path = Path(doc)
         if not path.exists():
@@ -195,110 +236,41 @@ def load_scenario(doc: dict | str | Path, seed_override: int | None = None) -> S
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-
-    seed = _integer(doc.get("seed", 0), "seed")
+    top = _build(_Document, doc)
     if seed_override is not None:
-        seed = seed_override
-
-    model_spec = doc.get("model", "toy")
-    if isinstance(model_spec, str):
-        if model_spec not in MODEL_PRESETS:
-            raise ConfigError(f"unknown model preset {model_spec!r}; "
-                              f"have {sorted(MODEL_PRESETS)}")
-        model = _build(ModelConfig, MODEL_PRESETS[model_spec], "model", seed=seed)
-        model_name = model_spec
-    else:
-        spec = dict(_object(model_spec, "model"))
-        spec.setdefault("seed", seed)
-        model = _build(ModelConfig, spec, "model")
-        model_name = "custom"
-
-    pe_level = doc.get("pe_level", "die")
-    if pe_level not in PE_LEVELS:
-        raise ConfigError(f"pe_level must be one of {PE_LEVELS}, got {pe_level!r}")
-
-    nand_spec = doc.get("nand", "slc")
-    if isinstance(nand_spec, str):
-        if nand_spec not in NAND_NAMES:
-            raise ConfigError(f"nand must be one of {NAND_NAMES}, got {nand_spec!r}")
-        geometry, nand_timing = nand_preset(nand_spec, pe_level)
-        nand_name = nand_spec
-    else:
-        extra = set(_object(nand_spec, "nand")) - {"geometry", "timing"}
-        if extra:
-            raise ConfigError(f"unknown keys in nand: {sorted(extra)}")
-        geometry = _build(SsdGeometry, nand_spec.get("geometry", {}), "nand.geometry")
-        timing_spec = nand_spec.get("timing", {})
-        if "pe_level" in timing_spec:
-            raise ConfigError("nand.timing.pe_level is not a setting; set the top-level pe_level")
-        nand_timing = _build(NandTiming, timing_spec, "nand.timing", pe_level=pe_level)
-        nand_name = "custom"
-
-    dram_spec = doc.get("dram", "ddr4_2400")
-    if isinstance(dram_spec, str):
-        if dram_spec not in DRAM_PRESETS:
-            raise ConfigError(f"unknown dram preset {dram_spec!r}")
-        dram_geometry, dram_timing = DRAM_PRESETS[dram_spec]
-        dram_name = dram_spec
-    else:
-        extra = set(_object(dram_spec, "dram")) - {"geometry", "timing"}
-        if extra:
-            raise ConfigError(f"unknown keys in dram: {sorted(extra)}")
-        dram_geometry = _build(DramGeometry, dram_spec.get("geometry", {}), "dram.geometry")
-        dram_timing = _build(DramTiming, dram_spec.get("timing", {}), "dram.timing")
-        dram_name = "custom"
-
-    scheduler = doc.get("scheduler", "pipelined")
-    if scheduler not in SCHEDULERS:
-        raise ConfigError(f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
-
-    baselines = tuple(doc.get("baselines", ["ssd_gpu", "dram_gpu"]))
-    for b in baselines:
-        if b not in BASELINE_KINDS:
-            raise ConfigError(f"unknown baseline {b!r}; have {BASELINE_KINDS}")
-
-    baseline_sparsity = _number(doc.get("baseline_sparsity", 0.0), "baseline_sparsity")
-    if not (0.0 <= baseline_sparsity < 1.0):
-        raise ConfigError(f"baseline_sparsity must lie in [0, 1)")
-
-    bytes_per_elem = _integer(doc.get("bytes_per_elem", 1), "bytes_per_elem")
-    if bytes_per_elem < 1:
-        raise ConfigError(f"bytes_per_elem must be >= 1, got {bytes_per_elem}")
-
-    train = _build(TrainParams, doc.get("train", {}), "train")
-    _check_train(train, model)
-
-    emit_trace = doc.get("emit_trace", False)
-    if type(emit_trace) is not bool:
-        raise ConfigError(f"emit_trace must be true or false, got {emit_trace!r}")
-
+        top = _build(_Document, dict(doc, seed=seed_override))
+    inline_model = isinstance(top.model, dict)
+    model = _build(ModelConfig, top.model if inline_model else MODEL_PRESETS[top.model],
+                   "model", seed=top.seed)
+    _check_train(top.train, model)
+    nand, geometry, nand_timing = _device(
+        top.nand, "nand", {name: nand_preset(name, top.pe_level) for name in NAND_NAMES},
+        SsdGeometry, NandTiming, pe_level=top.pe_level)
+    dram, dram_geometry, dram_timing = _device(top.dram, "dram", DRAM_PRESETS,
+                                               DramGeometry, DramTiming)
     return ScenarioConfig(
-        model_name=model_name,
+        model_name="custom" if inline_model else top.model,
         model=model,
-        nand=nand_name,
-        pe_level=pe_level,
+        nand=nand,
+        pe_level=top.pe_level,
         geometry=geometry,
         nand_timing=nand_timing,
-        dram_name=dram_name,
+        dram_name=dram,
         dram_geometry=dram_geometry,
         dram_timing=dram_timing,
-        cost_model=_build(BitSerialCostModel, doc.get("cost", {}), "cost"),
-        nsp=_build(NspParams, doc.get("nsp", {}), "nsp"),
-        energy=_build(EnergyConstants, doc.get("energy", {}), "energy"),
-        sparsity_targets=_tupleize(doc.get("sparsity_targets", [0.0, 0.25, 0.5, 0.75]),
-                                   "sparsity_targets"),
-        scheduler=scheduler,
-        baselines=baselines,
-        baseline_sparsity=baseline_sparsity,
-        seed=seed,
-        n_tokens=_integer(doc.get("n_tokens", 100), "n_tokens"),
-        bytes_per_elem=bytes_per_elem,
-        train=train,
-        paths=_build(ScenarioPaths, doc.get("paths", {}), "paths"),
-        emit_trace=emit_trace,
+        cost_model=top.cost,
+        nsp=top.nsp,
+        energy=top.energy,
+        sparsity_targets=tuple(map(float, top.sparsity_targets)),
+        scheduler=top.scheduler,
+        baselines=tuple(top.baselines),
+        baseline_sparsity=float(top.baseline_sparsity),
+        seed=top.seed,
+        n_tokens=top.n_tokens,
+        bytes_per_elem=top.bytes_per_elem,
+        train=top.train,
+        paths=top.paths,
+        emit_trace=top.emit_trace,
     )
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI (``cli.main``) maps these onto exit codes: ConfigError, MappingError
-and ShapeError -> 2; NumericError, TrainingDivergence included, -> 3.
+The CLI (``cli.main``) maps these onto exit codes: ConfigError, MappingError,
+ShapeError, and the OSError or UnicodeDecodeError of a path that cannot be
+read or written -> 2; NumericError, TrainingDivergence included, -> 3.
 """
 
 

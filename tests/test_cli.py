@@ -69,12 +69,12 @@ def run(cmd, cfg_path, out):
     return main([cmd, "--config", str(cfg_path), "--out", str(out)])
 
 
-def run_process(cmd, cfg_path, out):
+def run_process(cmd, cfg_path, out, *args):
     """`python -m slim.cli` in a child process, so stderr shows any traceback."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "slim.cli", cmd,
-                           "--config", str(cfg_path), "--out", str(out)],
+                           "--config", str(cfg_path), "--out", str(out), *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -464,13 +464,49 @@ class TestSimulate:
                                      {"nand": {"timing": {"ch_bus_mbps": float("inf")}}},
                                      {"nand": {"timing": {"t_prog_us": float("inf")}}},
                                      {"pe_level": "channel",
-                                      "nsp": {"onchip_bus_gbps": float("inf")}}])
+                                      "nsp": {"onchip_bus_gbps": float("inf")}},
+                                     # these ended in a TypeError ...
+                                     ("simulate", 5), ("simulate", None),
+                                     {"nand": {"timing": None}}, {"nand": {"timing": 5}},
+                                     {"baselines": 5}, {"baselines": None},
+                                     # ... a ValueError of numpy's seeding ...
+                                     {"seed": -1}, ("simulate", {}, "--seed", "-1"),
+                                     # ... or exit 0, with a run length that `train`
+                                     # never reads and a second seed that --seed
+                                     # could not reach
+                                     ("train", {"n_tokens": 0}),
+                                     ("train", {"model": dict(SMALL_MODEL, seed=3)})])
     def test_bad_value_exits_2_without_traceback(self, tmp_path, bad):
-        # a (command, document) pair names the command that used to fail
-        cmd, bad = bad if isinstance(bad, tuple) else ("simulate", bad)
+        # a (command, document, *arguments) tuple names the command that used
+        # to fail; a document that is not an object replaces TOY_DOC whole
+        cmd, bad, *args = bad if isinstance(bad, tuple) else ("simulate", bad)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(dict(TOY_DOC, **bad)))
-        proc = run_process(cmd, path, tmp_path / "out")
+        path.write_text(json.dumps(dict(TOY_DOC, **bad) if isinstance(bad, dict) else bad))
+        proc = run_process(cmd, path, tmp_path / "out", *args)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf8",
+                                      "out-is-a-file", "fixture-is-a-directory",
+                                      "predictor-in-a-missing-directory"])
+    def test_unusable_path_exits_2_without_traceback(self, tmp_path, case):
+        # these used to end in an IsADirectoryError, a UnicodeDecodeError, a
+        # FileExistsError, an IsADirectoryError and a FileNotFoundError
+        cmd, doc = "simulate", dict(TOY_DOC)
+        path, out = tmp_path / "cfg.json", tmp_path / "out"
+        if case == "config-is-a-directory":
+            path.mkdir()
+        elif case == "out-is-a-file":
+            out.write_text("")
+        elif case == "fixture-is-a-directory":
+            cmd, doc["paths"] = "train", {"model_fixture": str(tmp_path)}
+        elif case == "predictor-in-a-missing-directory":
+            cmd, doc["paths"] = "train", {"predictor": "sub/p.slimwt"}
+        if case == "config-not-utf8":
+            path.write_bytes(json.dumps(doc).encode("utf-16"))
+        elif not path.exists():
+            path.write_text(json.dumps(doc))
+        proc = run_process(cmd, path, out)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
 

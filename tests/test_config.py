@@ -1,15 +1,28 @@
 import copy
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from slim.config import MODEL_PRESETS, ScenarioConfig, config_hash, load_scenario
+from slim.config import (
+    MODEL_PRESETS,
+    ScenarioConfig,
+    ScenarioPaths,
+    TrainParams,
+    config_hash,
+    load_scenario,
+)
 from slim.errors import ConfigError, MappingError, ShapeError
+from slim.model import ModelConfig
 from slim.pim import BitSerialCostModel, DramGeometry, DramTiming
 from slim.runner import scenario_rows
 from slim.storage import NandTiming, NspParams, SsdGeometry
-from slim.system import EnergyConstants
+from slim.system import EnergyConstants, PhaseTimes, run_sequential
 
 
 def test_defaults_resolve():
@@ -79,6 +92,14 @@ def test_inline_model_and_nand():
 def test_seed_override_flows_into_model():
     cfg = load_scenario({"model": "toy", "seed": 3}, seed_override=11)
     assert cfg.seed == 11 and cfg.model.seed == 11
+    # an inline model takes the top-level seed too, and sets none of its own
+    inline = {"n_dec": 1, "dim_e": 16, "dim_h": 32, "n_heads": 2}
+    cfg = load_scenario({"model": inline, "seed": 3}, seed_override=11)
+    assert cfg.seed == 11 and cfg.model.seed == 11
+    with pytest.raises(ConfigError, match="model.seed is not a setting; set the top-level seed"):
+        load_scenario({"model": dict(inline, seed=3)})
+    with pytest.raises(ConfigError, match=r"seed must lie in \[0, inf\), got -1"):
+        load_scenario({"seed": 3}, seed_override=-1)
 
 
 def test_pe_level_sets_mac_budget():
@@ -122,7 +143,6 @@ def test_hash_stable_and_sensitive():
 
 
 def test_ships_with_working_sample_configs():
-    from pathlib import Path
     root = Path(__file__).resolve().parents[1] / "configs"
     for name in ("toy.json", "llama2_7b.json"):
         cfg = load_scenario(root / name)
@@ -198,3 +218,56 @@ def test_every_device_field_is_read(field):
     assert isinstance(before, list), f"the guard document itself exits 2: {before}"
     assert _outcome(_with(base, field, PERTURB[field])) != before, (
         f"{field} = {PERTURB[field]!r} changes no report column")
+
+
+# --- any JSON value at any path of the document loads or is refused ---------
+
+TOP_KEYS = ["model", "nand", "pe_level", "dram", "sparsity_targets", "scheduler",
+            "baselines", "baseline_sparsity", "seed", "n_tokens", "bytes_per_elem",
+            "train", "paths", "energy", "cost", "nsp", "emit_trace"]
+DOC_PATHS = ["", *TOP_KEYS, "nand.geometry", "nand.timing", "dram.geometry", "dram.timing",
+             *(f"{section}.{f.name}"
+               for section, cls in {**SECTIONS, "model": ModelConfig, "train": TrainParams,
+                                    "paths": ScenarioPaths}.items()
+               for f in dataclasses.fields(cls))]
+NAMES = sorted({*DOC_PATHS, *(p.rsplit(".", 1)[-1] for p in DOC_PATHS), "toy", "slc",
+                "ddr4_2400", "channel", "sequential", "ssd_gpu"} - {""})
+# null, booleans, integers, floats with NaN and +-inf, strings, lists and
+# objects; strings and keys are often a name the document knows
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(NAMES),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(NAMES) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@given(path=st.sampled_from(DOC_PATHS), value=json_values)
+# each of these ended in a TypeError, a numpy ValueError or a config whose
+# run length the schedulers refuse or whose model has a second seed
+@example(path="", value=5)
+@example(path="", value=None)
+@example(path="nand.timing", value=None)
+@example(path="nand.timing", value=5)
+@example(path="baselines", value=5)
+@example(path="baselines", value=None)
+@example(path="seed", value=-1)
+@example(path="n_tokens", value=0)
+@example(path="model.seed", value=3)
+@settings(max_examples=250, deadline=None)
+def test_any_value_at_any_path_loads_or_is_refused(path, value):
+    """A document with any one JSON value at any one path ("" is the whole
+    document) either loads into a config the commands can run, or is
+    refused with an error the CLI exits 2 on."""
+    doc = _with({}, path, value) if path else value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        try:
+            cfg = load_scenario(cfg_path)
+        except (ConfigError, ShapeError, MappingError):
+            return
+    assert cfg.model.seed == cfg.seed
+    np.random.default_rng(cfg.seed)
+    run_sequential(PhaseTimes(t_dram=0.0, t_ssd=1.0), cfg.n_tokens)
+    assert len(config_hash(cfg)) == 12
