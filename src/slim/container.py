@@ -22,24 +22,27 @@ MAGIC = b"SLIMWT1\x00"
 
 
 def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named 2-D arrays; float64 inputs are narrowed to float32."""
-    buf = bytearray(MAGIC)
-    buf += struct.pack("<I", len(tensors))
+    """Write named 2-D arrays; float64 inputs are narrowed to float32. Every
+    rank and name is checked before the file is opened, and each tensor is
+    narrowed and written in turn, so no copy of the whole file is built."""
+    heads = []
     for name, arr in tensors.items():
-        a = np.ascontiguousarray(arr, dtype=np.float32)
-        if a.ndim != 2:
-            raise ValueError(f"tensor {name!r} must be 2-D, got ndim={a.ndim}")
+        if np.ndim(arr) != 2:
+            raise ValueError(f"tensor {name!r} must be 2-D, got ndim={np.ndim(arr)}")
         nb = name.encode("utf-8")
-        buf += struct.pack("<H", len(nb)) + nb
-        buf += struct.pack("<II", a.shape[0], a.shape[1])
-        buf += a.tobytes(order="C")
-    Path(path).write_bytes(bytes(buf))
+        heads.append(struct.pack("<H", len(nb)) + nb + struct.pack("<II", *np.shape(arr)))
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<I", len(tensors)))
+        for head, arr in zip(heads, tensors.values()):
+            f.write(head)
+            f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
-    """Read a container written by ``write_tensors`` as float64 arrays; a
-    malformed file (bad magic, truncated anywhere, trailing bytes, a name
-    that is not UTF-8) raises ValueError."""
+    """Read a container written by ``write_tensors``: each tensor is a
+    read-only float32 view of its payload, at its offset in the file's
+    bytes. A malformed file (bad magic, truncated anywhere, trailing bytes,
+    a name that is not UTF-8) raises ValueError."""
     data = Path(path).read_bytes()
     if data[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: bad magic, not a SLIMWT1 container")
@@ -56,9 +59,12 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             rows, cols = struct.unpack_from("<II", data, off)
             off += 8
             n = rows * cols * 4
-            arr = np.frombuffer(data[off : off + n], dtype="<f4").reshape(rows, cols)
+            if off + n > len(data):
+                raise ValueError(f"{path}: truncated SLIMWT1 container ({name!r} needs "
+                                 f"{n} bytes at offset {off}, "
+                                 f"actual buffer size is {len(data)})")
+            out[name] = np.frombuffer(data, "<f4", rows * cols, off).reshape(rows, cols)
             off += n
-            out[name] = arr.astype(np.float64)
     except struct.error as exc:
         raise ValueError(f"{path}: truncated SLIMWT1 container ({exc})") from exc
     if off != len(data):

@@ -82,7 +82,8 @@ def synth_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
     the down projection) carry an extra 1/sqrt(2*n_dec). There is no
     normalization layer, and the gated FFN is quadratic in its input, so
     without the residual damping a multi-layer decode blows up numerically.
-    The down projection is drawn dim_e x dim_h and stored as its transpose.
+    The down projection is drawn dim_e x dim_h, 32 rows at a time, and
+    stored as its transpose; each weight is scaled in place.
     """
     return _draw_ahead(_draw_layers(cfg))
 
@@ -93,7 +94,17 @@ def _draw_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
     resid = 1.0 / np.sqrt(2.0 * cfg.n_dec)
 
     def w(rows, cols, gain):
-        return rng.standard_normal((rows, cols)) * gain
+        a = rng.standard_normal((rows, cols))
+        a *= gain  # the product of ``* gain``, without a second array
+        return a
+
+    def down():
+        # 32 rows at a time draw the same normals in the same order as one
+        # dim_e x dim_h draw, and need no full-size copy for the transpose
+        gain, wt = resid / np.sqrt(cfg.dim_h), np.empty((cfg.dim_h, cfg.dim_e))
+        for r in range(0, cfg.dim_e, 32):
+            wt[:, r : r + 32] = w(min(32, cfg.dim_e - r), cfg.dim_h, gain).T
+        return wt
 
     for _ in range(cfg.n_dec):
         yield LayerWeights(
@@ -103,8 +114,7 @@ def _draw_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
             w_o=w(cfg.dim_e, cfg.dim_e, scale * resid),
             w_g=[w(cfg.dim_h, cfg.dim_e, scale) for _ in range(cfg.n_expert)],
             w_u=[w(cfg.dim_h, cfg.dim_e, scale) for _ in range(cfg.n_expert)],
-            w_down=[w(cfg.dim_e, cfg.dim_h, resid / np.sqrt(cfg.dim_h)).T.copy()
-                    for _ in range(cfg.n_expert)],
+            w_down=[down() for _ in range(cfg.n_expert)],
             router=w(cfg.n_expert, cfg.dim_e, scale) if cfg.n_expert > 1 else None,
         )
 
@@ -294,17 +304,19 @@ class Decoder:
 
 
 def harvest_ffn_inputs(dec: Decoder, layers: Iterable[LayerWeights], n_tokens: int,
-                       seed: int = 1) -> Iterator[tuple[int, LayerWeights, Matrix]]:
+                       seed: int = 1) -> Iterator[tuple[int, list[Matrix], Matrix]]:
     """Pass a stream of seeded random embeddings, decoded as one block,
-    through the decoder layer by layer, and yield (layer index, weights,
-    FFN input) as it passes each layer; the FFN input is n_tokens x dim_e.
+    through the decoder layer by layer, and yield (layer index, the
+    layer's gates ``w_g``, FFN input) as it passes each layer; the FFN
+    input is n_tokens x dim_e.
     Stands in for sampling a text corpus.
 
     ``layers`` gives the weights in layer order and can be a lazy source
     (``synth_layers``). A layer is asked for only when the caller resumes
-    the generator past the one before, which it no longer holds, so a
-    caller that drops each layer before resuming holds at most the layer in
-    use and the one drawn ahead.
+    the generator past the one before, and this generator drops every
+    reference to a layer but its gates before yielding them, so a caller
+    that drops the gates before resuming holds at most one layer's gates,
+    the layer being decoded and the one drawn ahead.
 
     Fresh inputs per token, rather than output feedback, keep activations
     bounded: the gated FFN is quadratic in its input and there is no
@@ -320,5 +332,7 @@ def harvest_ffn_inputs(dec: Decoder, layers: Iterable[LayerWeights], n_tokens: i
         if lw is None:
             raise ShapeError(f"layer source ended after {li} of {dec.cfg.n_dec} layers")
         ffn_in, x = dec.decode_step(x, (li, lw))
-        yield li, lw, ffn_in
-        del lw, ffn_in
+        gates = lw.w_g
+        del lw  # the caller's fit reads only the gates
+        yield li, gates, ffn_in
+        del gates, ffn_in

@@ -219,9 +219,15 @@ def thresholds_to_json(tables: dict[tuple[int, int], ThresholdTable]) -> str:
 
 
 def thresholds_from_json(text: str) -> dict[tuple[int, int], ThresholdTable]:
+    """Parse the interchange document; text that is not JSON, or not a
+    list of ``{"layer", "expert", "entries": [[target, threshold], ...]}``
+    objects, raises ValueError."""
     doc = json.loads(text)
-    return {
-        (int(d["layer"]), int(d["expert"])): ThresholdTable(
-            entries=tuple((float(s), float(t)) for s, t in d["entries"]))
-        for d in doc
-    }
+    try:
+        return {
+            (int(d["layer"]), int(d["expert"])): ThresholdTable(
+                entries=tuple((float(s), float(t)) for s, t in d["entries"]))
+            for d in doc
+        }
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"not a list of layer/expert threshold entries ({exc!r})") from exc

@@ -7,17 +7,19 @@ from __future__ import annotations
 import json
 import logging
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, config_hash
+from .config import ScenarioConfig, TrainParams, config_hash
 from .container import read_tensors, write_tensors
 from .errors import ConfigError
 from .model import Decoder, LayerWeights, harvest_ffn_inputs, synth_layers
+from .numerics import Matrix
 from .predictor import (
     Predictor,
+    ThresholdTable,
     build_threshold_table,
     default_dim_lr,
     init_from_svd,
@@ -217,9 +219,11 @@ def _read_container(path: Path, what: str) -> dict:
         raise ConfigError(f"{what} is not a valid SLIMWT1 file: {exc}") from exc
 
 
-def _model_layers(cfg: ScenarioConfig) -> Iterable[LayerWeights]:
+def _model_layers(cfg: ScenarioConfig) -> Iterator[LayerWeights]:
     """The model's layers in order: drawn one at a time from the seed
-    (``synth_layers``), or the ``paths.model_fixture`` file's, read whole."""
+    (``synth_layers``), or built one at a time from the
+    ``paths.model_fixture`` file, which is read whole and kept at its
+    float32 until a layer is built and widened to float64."""
     fixture = cfg.paths.model_fixture
     if fixture is None:
         return synth_layers(cfg.model)
@@ -227,32 +231,58 @@ def _model_layers(cfg: ScenarioConfig) -> Iterable[LayerWeights]:
     if not path.exists():
         raise ConfigError(f"model fixture not found: {path}")
     tensors = _read_container(path, "model fixture")
-    layers = []
     m = cfg.model
-    try:
-        for li in range(m.n_dec):
-            pre = f"layer{li:02d}."
-            layers.append(LayerWeights(
-                w_q=tensors[pre + "w_q"], w_k=tensors[pre + "w_k"],
-                w_v=tensors[pre + "w_v"], w_o=tensors[pre + "w_o"],
-                w_g=[tensors[f"{pre}expert{e:03d}.w_g"] for e in range(m.n_expert)],
-                w_u=[tensors[f"{pre}expert{e:03d}.w_u"] for e in range(m.n_expert)],
+    experts = [f"expert{e:03d}." for e in range(m.n_expert)]
+
+    def layer(li: int) -> LayerWeights:
+        pre = f"layer{li:02d}."
+
+        def wide(name):
+            return tensors[pre + name].astype(np.float64)
+
+        try:
+            return LayerWeights(
+                w_q=wide("w_q"), w_k=wide("w_k"), w_v=wide("w_v"), w_o=wide("w_o"),
+                w_g=[wide(ex + "w_g") for ex in experts],
+                w_u=[wide(ex + "w_u") for ex in experts],
                 # SLIMWT1 keeps w_d as dim_e x dim_h; the decoder holds neuron rows
-                w_down=[tensors[f"{pre}expert{e:03d}.w_d"].T.copy() for e in range(m.n_expert)],
-                router=tensors.get(pre + "router"),
-            ))
-    except KeyError as exc:
-        raise ConfigError(f"fixture {path} is missing tensor {exc}") from exc
-    return layers
+                w_down=[np.ascontiguousarray(tensors[pre + ex + "w_d"].T, dtype=np.float64)
+                        for ex in experts],
+                router=wide("router") if pre + "router" in tensors else None,
+            )
+        except KeyError as exc:
+            raise ConfigError(f"fixture {path} is missing tensor {exc}") from exc
+
+    return map(layer, range(m.n_dec))
+
+
+def _fit_expert(w_g: Matrix, calib: Matrix, dim_lr: int, tp: TrainParams,
+                li: int, e: int) -> tuple[Matrix, Matrix, ThresholdTable, list[float]]:
+    """One expert's predictor fitted to its gate ``w_g`` on the layer's
+    calibration inputs: (L, R) narrowed to the file's float32, the
+    threshold table and the loss history, both from the float64 fit. The
+    float64 fit dies on return, before the next layer is decoded."""
+    t0 = time.perf_counter()
+    p0 = init_from_svd(w_g, dim_lr)
+    t1 = time.perf_counter()
+    p, history = train(p0, calib, w_g, epochs=tp.epochs, lr=tp.lr)
+    t2 = time.perf_counter()
+    table = build_threshold_table(p, calib, tp.targets)
+    t3 = time.perf_counter()
+    log.debug("train_predictors: layer %d expert %d, svd init %.6f s, "
+              "train %.6f s, thresholds %.6f s", li, e, t1 - t0, t2 - t1, t3 - t2)
+    return p.l.astype(np.float32), p.r.astype(np.float32), table, history
 
 
 def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
     """Calibrate, train and threshold one predictor per (layer, expert); write
     the SLIMWT1 weights and the threshold-table JSON. Returns a summary with
     loss histories. The calibration stream runs layer-major
-    (``harvest_ffn_inputs``): each layer's experts are fitted as soon as
-    the stream has passed it, while the next layer is drawn, and the layer
-    is dropped before the next is asked for. At ``SLIM_LOG=debug`` each
+    (``harvest_ffn_inputs``): each layer's experts are fitted from its
+    gates as soon as the stream has passed it, while the next layer is
+    drawn, and the gates are dropped before the next layer is asked for.
+    The thresholds and the summary come from the float64 fit; the fitted L
+    and R are kept at the file's float32. At ``SLIM_LOG=debug`` each
     (layer, expert) gets the ``train:`` line (the coordinates' width and
     the seconds of the factorization and the loop), then one line with the
     wall-clock seconds of the SVD init, ``train`` and the thresholds."""
@@ -261,22 +291,12 @@ def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
     tensors = {}
     tables = {}
     summary = {"dim_lr": dim_lr, "layers": []}
-    for li, lw, calib in harvest_ffn_inputs(Decoder(cfg=cfg.model), _model_layers(cfg),
-                                            tp.calib_tokens, seed=cfg.seed + 1):
-        for e, w_g in enumerate(lw.w_g):
-            t0 = time.perf_counter()
-            p0 = init_from_svd(w_g, dim_lr)
-            t1 = time.perf_counter()
-            p, history = train(p0, calib, w_g, epochs=tp.epochs, lr=tp.lr)
-            t2 = time.perf_counter()
-            tables[(li, e)] = build_threshold_table(p, calib, tp.targets)
-            t3 = time.perf_counter()
-            log.debug("train_predictors: layer %d expert %d, svd init %.6f s, "
-                      "train %.6f s, thresholds %.6f s",
-                      li, e, t1 - t0, t2 - t1, t3 - t2)
+    for li, gates, calib in harvest_ffn_inputs(Decoder(cfg=cfg.model), _model_layers(cfg),
+                                               tp.calib_tokens, seed=cfg.seed + 1):
+        for e, w_g in enumerate(gates):
             pre = f"layer{li:02d}.expert{e:03d}."
-            tensors[pre + "L"] = p.l
-            tensors[pre + "R"] = p.r
+            tensors[pre + "L"], tensors[pre + "R"], tables[(li, e)], history = _fit_expert(
+                w_g, calib, dim_lr, tp, li, e)
             summary["layers"].append({
                 "layer": li, "expert": e,
                 "init_loss": history[0], "final_loss": history[-1],
@@ -284,7 +304,7 @@ def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
             })
             log.info("layer %d expert %d: loss %.4e -> %.4e",
                      li, e, history[0], history[-1])
-        del lw, w_g  # only the layer drawn ahead stays while the next is asked for
+        del gates, w_g  # only the layer drawn ahead stays while the next is asked for
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_tensors(out_dir / cfg.paths.predictor, tensors)
@@ -293,6 +313,10 @@ def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
 
 
 def load_predictors(cfg: ScenarioConfig, out_dir: Path):
+    """The trained predictors, at the file's float32, and their threshold
+    tables. A malformed predictor or threshold file, or one without a
+    predictor or a threshold for some (layer, expert) and configured
+    target, raises ConfigError naming the file."""
     ppath = out_dir / cfg.paths.predictor
     tpath = out_dir / cfg.paths.thresholds
     if not ppath.exists() or not tpath.exists():
@@ -307,7 +331,17 @@ def load_predictors(cfg: ScenarioConfig, out_dir: Path):
                 predictors[(li, e)] = Predictor(l=tensors[pre + "L"], r=tensors[pre + "R"])
     except KeyError as exc:
         raise ConfigError(f"predictor {ppath} is missing tensor {exc}") from exc
-    tables = thresholds_from_json(tpath.read_text())
+    try:
+        tables = thresholds_from_json(tpath.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"thresholds {tpath} is not a threshold table: {exc}") from exc
+    for li, e in predictors:
+        for target in cfg.train.targets:
+            try:
+                tables[(li, e)].threshold_for(target)
+            except KeyError:
+                raise ConfigError(f"thresholds {tpath} has no threshold for layer {li} "
+                                  f"expert {e} at target {target}") from None
     return predictors, tables
 
 
@@ -318,7 +352,8 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     streams run layer-major: the dense reference (decoded once, since it
     does not depend on the target) and every target's masked stream pass a
     layer while the next layer is drawn; the layer and its predictors are
-    dropped before the next is asked for.
+    dropped before the next is asked for. Predictors stay at the file's
+    float32 until their layer runs, and are widened to float64 for it.
     A masked stream is decoded only once it leaves the dense one: while
     its masks keep every neuron, its output is the dense output."""
     source = iter(_model_layers(cfg))
@@ -346,6 +381,10 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     # indexed by range: enumerate's recycled result tuple would hold the
     # last layer while the source draws the next
     for li in range(cfg.model.n_dec):
+        # widening float32 is exact, so every mask keeps its bits
+        for e in range(cfg.model.n_expert):
+            p = predictors[(li, e)]
+            predictors[(li, e)] = Predictor(l=p.l.astype(np.float64), r=p.r.astype(np.float64))
         layer = (li, next(source))
         ffn_in, passed = dec.decode_step(dense, layer)
         # a stream that is still the dense one and keeps every neuron of

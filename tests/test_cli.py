@@ -335,7 +335,8 @@ class TestInfer:
         assert report == reference_infer_report(cfg, out)
         assert report["targets"][0]["output_mse"] == 0.0
 
-        tensors = read_tensors(out / cfg.paths.predictor)
+        # read_tensors returns read-only views of the file's bytes
+        tensors = {name: a.copy() for name, a in read_tensors(out / cfg.paths.predictor).items()}
         for e in range(cfg.model.n_expert):
             tensors[f"layer01.expert{e:03d}.R"][:, 0] = 0.0
         write_tensors(out / cfg.paths.predictor, tensors)
@@ -349,6 +350,39 @@ class TestInfer:
 
     def test_without_training_exits_2(self, cfg_path, tmp_path):
         assert run("infer", cfg_path, tmp_path / "fresh") == 2
+
+    @pytest.mark.parametrize("case", ["junk", "empty-list", "entry-without-expert",
+                                      "uncalibrated-target"])
+    def test_bad_thresholds_exit_2_without_traceback(self, cfg_path, tmp_path, case):
+        # these used to end in a JSONDecodeError, a KeyError (0, 0), a
+        # KeyError 'expert' and a KeyError for target 0.3
+        out = tmp_path / "out"
+        assert run("train", cfg_path, out) == 0
+        thresholds = out / "thresholds.json"
+        texts = {"junk": "junk", "empty-list": "[]", "entry-without-expert": '[{"layer": 0}]'}
+        if case in texts:
+            thresholds.write_text(texts[case])
+        else:
+            cfg_path.write_text(json.dumps(dict(TOY_DOC, train=dict(TOY_DOC["train"],
+                                                                    targets=[0.0, 0.3]))))
+        proc = run_process("infer", cfg_path, out)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert str(thresholds) in proc.stderr
+
+    def test_predictors_load_at_file_precision(self, cfg_path, tmp_path):
+        # infer widens a layer's predictors only when the layer runs
+        out = tmp_path / "out"
+        assert run("train", cfg_path, out) == 0
+        cfg = load_scenario(cfg_path)
+        tensors = read_tensors(out / cfg.paths.predictor)
+        predictors, _ = load_predictors(cfg, out)
+        assert len(predictors) == cfg.model.n_dec * cfg.model.n_expert
+        for (li, e), p in predictors.items():
+            pre = f"layer{li:02d}.expert{e:03d}."
+            for got, name in ((p.l, "L"), (p.r, "R")):
+                assert got.dtype == np.float32
+                assert np.array_equal(got, tensors[pre + name])
 
 
 def test_train_and_infer_peak_below_model_weights(tmp_path):
@@ -529,7 +563,9 @@ class TestSimulate:
         ("train", "model.slimwt", b"SLIMWT1\x00\x01\x00", "not a valid SLIMWT1 file"),
         ("infer", "predictor.slimwt", b"not a container", "not a valid SLIMWT1 file"),
         ("infer", "predictor.slimwt", b"SLIMWT1\x00" + bytes(4), "missing tensor"),
-    ], ids=["junk-fixture", "truncated-fixture", "junk-predictor", "empty-predictor"])
+        ("train", "model.slimwt", b"SLIMWT1\x00" + bytes(4), "missing tensor"),
+    ], ids=["junk-fixture", "truncated-fixture", "junk-predictor", "empty-predictor",
+            "empty-fixture"])
     def test_malformed_container_exits_2_without_traceback(self, tmp_path, cmd, file, data,
                                                            message):
         out = tmp_path / "out"

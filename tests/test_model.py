@@ -1,8 +1,11 @@
+import dataclasses
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -199,6 +202,8 @@ def assert_layer_bits(lw, want):
 
 
 @given(decode_cases())
+# the down projection is drawn 32 rows at a time: two blocks, the last short
+@example((ModelConfig(n_dec=1, dim_e=40, dim_h=8, n_heads=4, seq_len=8, seed=3), None))
 @settings(max_examples=40, deadline=None)
 def test_synth_layers_match_eager_draw(case):
     # layers drawn one at a time, dense or MoE with a router, carry the bits
@@ -739,9 +744,9 @@ class TestDecode:
 def test_harvest_shapes():
     dec, layers = Decoder(TOY), list(synth_layers(TOY))
     items = list(harvest_ffn_inputs(dec, layers, 6, seed=2))
-    # every layer once, in order, with its own weights
+    # every layer once, in order, with its own gates
     assert [li for li, _, _ in items] == list(range(TOY.n_dec))
-    assert all(lw is want for (_, lw, _), want in zip(items, layers, strict=True))
+    assert all(gates is want.w_g for (_, gates, _), want in zip(items, layers, strict=True))
     sets = [x for _, _, x in items]
     assert len(sets) == TOY.n_dec
     assert all(s.shape == (6, TOY.dim_e) for s in sets)
@@ -751,13 +756,40 @@ def test_harvest_shapes():
 
 def test_harvest_from_drawn_layers_matches_resident_model():
     dec, resident = Decoder(TOY), list(synth_layers(TOY))
-    layers = reference_synth(TOY)
-    streamed = harvest_ffn_inputs(dec, synth_layers(TOY), 6, seed=2)
-    for (li, lw, got), (lj, _, want) in zip(streamed, harvest_ffn_inputs(dec, resident, 6, seed=2),
-                                            strict=True):
+    layers, drawn = reference_synth(TOY), []
+
+    def keep(lw):  # the streamed layers, kept to check every weight's bits
+        drawn.append(lw)
+        return lw
+
+    streamed = harvest_ffn_inputs(dec, map(keep, synth_layers(TOY)), 6, seed=2)
+    for (li, gates, got), (lj, _, want) in zip(streamed,
+                                               harvest_ffn_inputs(dec, resident, 6, seed=2),
+                                               strict=True):
         assert li == lj
-        assert_layer_bits(lw, layers[li])
+        assert gates is drawn[li].w_g
+        assert_layer_bits(drawn[li], layers[li])
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cfg", [TOY, dataclasses.replace(TOY, n_expert=3, top_k=2)],
+                         ids=["dense", "moe"])
+def test_harvest_holds_only_the_gates_of_a_passed_layer(cfg):
+    # the caller fits from the gates alone, so once a layer is passed
+    # nothing else of it may stay alive through the fit
+    layer_refs, gate_refs = [], []
+
+    def track(lw):  # fresh from the draw, and held by nothing but the harvest
+        layer_refs.append(weakref.ref(lw))
+        gate_refs.append([weakref.ref(g) for g in lw.w_g])
+        return lw
+
+    for li, gates, _ in harvest_ffn_inputs(Decoder(cfg), map(track, synth_layers(cfg)), 6,
+                                           seed=2):
+        gc.collect()
+        assert len(layer_refs) == li + 1
+        assert layer_refs[li]() is None
+        assert all(ref() is g for ref, g in zip(gate_refs[li], gates, strict=True))
 
 
 def test_harvest_from_short_source_raises():
