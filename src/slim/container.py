@@ -13,7 +13,9 @@ per tensor:
 
 from __future__ import annotations
 
+import os
 import struct
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -21,21 +23,36 @@ import numpy as np
 MAGIC = b"SLIMWT1\x00"
 
 
-def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named 2-D arrays; float64 inputs are narrowed to float32. Every
-    rank and name is checked before the file is opened, and each tensor is
-    narrowed and written in turn, so no copy of the whole file is built."""
-    heads = []
-    for name, arr in tensors.items():
-        if np.ndim(arr) != 2:
-            raise ValueError(f"tensor {name!r} must be 2-D, got ndim={np.ndim(arr)}")
-        nb = name.encode("utf-8")
-        heads.append(struct.pack("<H", len(nb)) + nb + struct.pack("<II", *np.shape(arr)))
-    with open(path, "wb") as f:
-        f.write(MAGIC + struct.pack("<I", len(tensors)))
-        for head, arr in zip(heads, tensors.values()):
-            f.write(head)
-            f.write(np.ascontiguousarray(arr, dtype="<f4"))
+def write_tensors(path, tensors: Iterable[tuple[str, np.ndarray]], count: int) -> None:
+    """Write ``count`` named 2-D arrays, given as (name, array) pairs;
+    float64 inputs are narrowed to float32. Each pair is checked, narrowed
+    and written as it arrives, so a caller can hand over each tensor as soon
+    as it is made, and no copy of the whole file is built. The file is
+    written beside ``path`` and renamed to it once all ``count`` are
+    written: a pair that is not 2-D or a count that does not match
+    (ValueError), or an exception from ``tensors``, leaves no file at
+    ``path``."""
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "wb") as f:
+            f.write(MAGIC + struct.pack("<I", count))
+            written = 0
+            for name, arr in tensors:
+                if written == count:
+                    raise ValueError(f"more than the {count} tensors declared")
+                if np.ndim(arr) != 2:
+                    raise ValueError(f"tensor {name!r} must be 2-D, got ndim={np.ndim(arr)}")
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<H", len(nb)) + nb + struct.pack("<II", *np.shape(arr)))
+                f.write(np.ascontiguousarray(arr, dtype="<f4"))
+                written += 1
+            if written != count:
+                raise ValueError(f"{written} tensors given, {count} declared")
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:

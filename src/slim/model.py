@@ -1,13 +1,14 @@
 """Functional (untimed) decoder layer: QKV projection, causal multi-head
-attention within a block of tokens, gated FFN / mixture-of-experts. A
-decode step passes a block of one or more tokens through one layer, so a
-known stream (calibration or evaluation inputs) reads each layer's weights
-once, and a caller chains the steps to take the stream through the model.
-The layers can come from a lazy source (``synth_layers``, which draws the
-next layer on a worker thread while the caller runs the current one), so a
-caller that runs its streams layer-major never holds the whole model. The
-FFN runs on every hidden neuron, or zeroes the hidden coordinates a neuron
-mask skips.
+attention within a block of tokens, gated FFN / mixture-of-experts. Each
+layer comes in two halves, its attention and its FFN, and a decode step
+passes a block of one or more tokens through one half, so a known stream
+(calibration or evaluation inputs) reads each half's weights once, and a
+caller chains the steps to take the stream through the model. The halves
+can come from a lazy source (``synth_layers``, which draws the next half
+on a worker thread while the caller runs the current one), so a caller
+that runs its streams half by half never holds more than a half in use
+and the one drawn ahead. The FFN runs on every hidden neuron, or zeroes
+the hidden coordinates a neuron mask skips.
 
 Weights are synthetic (seeded Gaussians); there is no tokenizer or sampling.
 Projections apply as ``x @ W.T``, except the FFN's down projection: it is
@@ -51,32 +52,43 @@ class ModelConfig:
 
 
 @dataclass
-class LayerWeights:
-    """One decoder layer. w_q/k/v/o are dim_e x dim_e; per expert e,
-    w_g[e], w_u[e] and w_down[e] are dim_h x dim_e, one row per hidden
-    neuron, so row j of the three is neuron j's fused vector (w_down[e] is
-    the usual dim_e x dim_h down projection, transposed).
-    router (n_expert x dim_e) is None when n_expert == 1."""
+class AttentionWeights:
+    """A decoder layer's attention half: w_q, w_k, w_v and w_o, each
+    dim_e x dim_e."""
 
     w_q: Matrix
     w_k: Matrix
     w_v: Matrix
     w_o: Matrix
+
+
+@dataclass
+class FfnWeights:
+    """A decoder layer's FFN half. Per expert e, w_g[e], w_u[e] and
+    w_down[e] are dim_h x dim_e, one row per hidden neuron, so row j of the
+    three is neuron j's fused vector (w_down[e] is the usual dim_e x dim_h
+    down projection, transposed). router (n_expert x dim_e) is None when
+    n_expert == 1."""
+
     w_g: list[Matrix]
     w_u: list[Matrix]
     w_down: list[Matrix]
     router: Matrix | None = None
 
 
-def synth_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
-    """Seeded Gaussian weights, one layer at a time in layer order, bitwise
-    deterministic for a fixed seed. One worker thread draws each layer: the
-    first when the first is asked for, and every later one while the caller
-    holds the layer before it (``_draw_ahead``), so a caller that visits
-    the layers in order holds at most the layer in use and the one being
-    drawn, and numpy's normal fill, which releases the GIL, runs beside
-    the caller's work. A draw that raises re-raises here; the worker is
-    joined when the source is exhausted, closed or collected.
+LayerHalf = AttentionWeights | FfnWeights
+
+
+def synth_layers(cfg: ModelConfig) -> Iterator[LayerHalf]:
+    """Seeded Gaussian weights, half a layer at a time: each layer's
+    attention half, then its FFN half, in layer order, bitwise
+    deterministic for a fixed seed. One worker thread draws each half: the
+    first when the first is asked for, and every later one while the
+    caller holds the half before it (``_draw_ahead``), so a caller that
+    visits the halves in order holds at most the half in use and the one
+    being drawn, and numpy's normal fill, which releases the GIL, runs
+    beside the caller's work. A draw that raises re-raises here; the worker
+    is joined when the source is exhausted, closed or collected.
 
     Projections scale by 1/sqrt(fan_in); the residual-branch outputs (w_o and
     the down projection) carry an extra 1/sqrt(2*n_dec). There is no
@@ -88,7 +100,7 @@ def synth_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
     return _draw_ahead(_draw_layers(cfg))
 
 
-def _draw_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
+def _draw_layers(cfg: ModelConfig) -> Iterator[LayerHalf]:
     rng = np.random.default_rng([cfg.seed, 0x51])
     scale = 1.0 / np.sqrt(cfg.dim_e)
     resid = 1.0 / np.sqrt(2.0 * cfg.n_dec)
@@ -107,11 +119,13 @@ def _draw_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
         return wt
 
     for _ in range(cfg.n_dec):
-        yield LayerWeights(
+        yield AttentionWeights(
             w_q=w(cfg.dim_e, cfg.dim_e, scale),
             w_k=w(cfg.dim_e, cfg.dim_e, scale),
             w_v=w(cfg.dim_e, cfg.dim_e, scale),
             w_o=w(cfg.dim_e, cfg.dim_e, scale * resid),
+        )
+        yield FfnWeights(
             w_g=[w(cfg.dim_h, cfg.dim_e, scale) for _ in range(cfg.n_expert)],
             w_u=[w(cfg.dim_h, cfg.dim_e, scale) for _ in range(cfg.n_expert)],
             w_down=[down() for _ in range(cfg.n_expert)],
@@ -119,7 +133,7 @@ def _draw_layers(cfg: ModelConfig) -> Iterator[LayerWeights]:
         )
 
 
-def _draw_ahead(items: Iterator[LayerWeights]) -> Iterator[LayerWeights]:
+def _draw_ahead(items: Iterator[LayerHalf]) -> Iterator[LayerHalf]:
     """The items of ``items`` in order, each advanced on one worker thread
     while the caller holds the item before it. Only the worker advances
     ``items``, one item per handover, so it never runs more than one item
@@ -195,9 +209,11 @@ def mha_forward(q: Matrix, k: Matrix, v: Matrix, n_heads: int) -> Matrix:
     def heads(m):
         return m.reshape(m.shape[0], n_heads, d).transpose(1, 0, 2)
 
-    scores = matmul(heads(q), heads(k).transpose(0, 2, 1)) / np.sqrt(d)
+    # scaled and masked in place, so one scores array is alive at a time
+    scores = matmul(heads(q), heads(k).transpose(0, 2, 1))
+    scores /= np.sqrt(d)
     future = np.triu(np.ones(scores.shape[1:], dtype=bool), 1)  # key j > query row i
-    scores = np.where(future, -np.inf, scores)
+    np.copyto(scores, -np.inf, where=future)
     out = matmul(softmax(scores), heads(v))
     return out.transpose(1, 0, 2).reshape(q.shape[0], dim_e)
 
@@ -242,7 +258,7 @@ def route_top_k(logits: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]
     return chosen, weights
 
 
-def moe_forward(x: Matrix, weights: LayerWeights, top_k: int,
+def moe_forward(x: Matrix, weights: FfnWeights, top_k: int,
                 masks: dict[int, NeuronMask] | None = None) -> Matrix:
     """Route each token to its top-k experts and mix their FFN outputs.
 
@@ -275,48 +291,53 @@ class Decoder:
 
     cfg: ModelConfig
 
-    def decode_step(self, x: Matrix, layer: tuple[int, LayerWeights],
-                    mask_fn=None) -> tuple[Matrix, Matrix]:
+    def decode_step(self, x: Matrix, half: tuple[int, LayerHalf], mask_fn=None) -> Matrix:
         """Pass a block of n token embeddings (n x dim_e, ShapeError for any
-        other shape) through one layer, given as its (index, weights) pair;
-        returns the block's FFN input and the layer's output, both n x dim_e.
+        other shape) through one half of a layer, given as its (layer
+        index, weights) pair; returns the block's output, n x dim_e.
 
-        The layer's weights are read once for all n tokens: project QKV (one
-        product each over the block), attend causally within the block
-        (token i sees tokens 0..i), apply the output projection, residual
-        add, FFN/MoE (masked when ``mask_fn`` supplies masks), residual add.
-        A caller decodes a stream through the model by passing each layer's
-        output to the next layer's call.
+        The half's weights are read once for all n tokens. The attention
+        half projects QKV (one product each over the block), attends
+        causally within the block (token i sees tokens 0..i), applies the
+        output projection and adds the residual: its output is the block's
+        FFN input. The FFN half runs the FFN/MoE (masked when ``mask_fn``
+        supplies masks) and adds the residual. A caller decodes a stream
+        through the model by passing each half's output to the next half's
+        call.
 
-        mask_fn(layer, expert, x) gets the layer's FFN input block and
-        returns a NeuronMask, (dim_h,) or (n x dim_h), or None.
+        mask_fn(layer, expert, x) gets the FFN half's input block and
+        returns a NeuronMask, (dim_h,) or (n x dim_h), or None; the
+        attention half does not call it.
         """
-        li, lw = layer
+        li, w = half
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.cfg.dim_e:
             raise ShapeError(f"decode block {x.shape} is not n x dim_e={self.cfg.dim_e}")
-        q = matmul(x, lw.w_q.T)
-        ks, vs = KVCache(matmul(x, lw.w_k.T), matmul(x, lw.w_v.T)).stacked()
-        x = x + matmul(mha_forward(q, ks, vs, self.cfg.n_heads), lw.w_o.T)
+        if isinstance(w, AttentionWeights):
+            q = matmul(x, w.w_q.T)
+            ks, vs = KVCache(matmul(x, w.w_k.T), matmul(x, w.w_v.T)).stacked()
+            return x + matmul(mha_forward(q, ks, vs, self.cfg.n_heads), w.w_o.T)
         masks = None if mask_fn is None else {
             e: mask_fn(li, e, x) for e in range(self.cfg.n_expert)}
-        return x, x + moe_forward(x, lw, self.cfg.top_k, masks)
+        return x + moe_forward(x, w, self.cfg.top_k, masks)
 
 
-def harvest_ffn_inputs(dec: Decoder, layers: Iterable[LayerWeights], n_tokens: int,
+def harvest_ffn_inputs(dec: Decoder, halves: Iterable[LayerHalf], n_tokens: int,
                        seed: int = 1) -> Iterator[tuple[int, list[Matrix], Matrix]]:
     """Pass a stream of seeded random embeddings, decoded as one block,
-    through the decoder layer by layer, and yield (layer index, the
-    layer's gates ``w_g``, FFN input) as it passes each layer; the FFN
-    input is n_tokens x dim_e.
+    through the decoder half a layer at a time, and yield (layer index, the
+    layer's gates ``w_g``, FFN input) once the stream has passed the layer
+    and the next layer's attention half; the FFN input is n_tokens x dim_e.
     Stands in for sampling a text corpus.
 
-    ``layers`` gives the weights in layer order and can be a lazy source
-    (``synth_layers``). A layer is asked for only when the caller resumes
-    the generator past the one before, and this generator drops every
-    reference to a layer but its gates before yielding them, so a caller
-    that drops the gates before resuming holds at most one layer's gates,
-    the layer being decoded and the one drawn ahead.
+    ``halves`` gives each layer's attention half, then its FFN half, in
+    layer order, and can be a lazy source (``synth_layers``). A half is
+    asked for only once the stream has passed the half before, and every
+    reference to a passed half but its gates is dropped before the next
+    half is asked for. Since the next attention half has run before the
+    yield, a caller that fits from the gates while the source draws the
+    next FFN half, and drops the gates before resuming, holds at most one
+    layer's gates and the half being drawn through its fit.
 
     Fresh inputs per token, rather than output feedback, keep activations
     bounded: the gated FFN is quadratic in its input and there is no
@@ -324,15 +345,22 @@ def harvest_ffn_inputs(dec: Decoder, layers: Iterable[LayerWeights], n_tokens: i
     """
     rng = np.random.default_rng([seed, 0xCA11])
     x = rng.standard_normal((n_tokens, dec.cfg.dim_e))
-    source = iter(layers)
-    # indexed by range: enumerate's recycled result tuple would hold the
-    # last layer while the source draws the next
+    source, n_halves = iter(halves), 2 * dec.cfg.n_dec
+
+    def take(k):
+        w = next(source, None)
+        if w is None:
+            raise ShapeError(f"layer source ended after {k} of {n_halves} halves")
+        return k // 2, w
+
+    # attention halves go straight into their step, so none outlives it
+    x = dec.decode_step(x, take(0))
     for li in range(dec.cfg.n_dec):
-        lw = next(source, None)
-        if lw is None:
-            raise ShapeError(f"layer source ended after {li} of {dec.cfg.n_dec} layers")
-        ffn_in, x = dec.decode_step(x, (li, lw))
-        gates = lw.w_g
-        del lw  # the caller's fit reads only the gates
+        ffn_in, ffn = x, take(2 * li + 1)
+        x = dec.decode_step(ffn_in, ffn)
+        gates = ffn[1].w_g
+        del ffn  # the caller's fit reads only the gates
+        if li + 1 < dec.cfg.n_dec:
+            x = dec.decode_step(x, take(2 * li + 2))
         yield li, gates, ffn_in
         del gates, ffn_in

@@ -41,16 +41,18 @@ def sigmoid(x):
 
 
 def silu(x: Matrix) -> Matrix:
-    """Elementwise x * sigmoid(x)."""
+    """Elementwise x * sigmoid(x), multiplied into the sigmoid's array."""
     x = np.asarray(x, dtype=np.float64)
-    return x * sigmoid(x)
+    s = sigmoid(x)
+    return np.multiply(x, s, out=s)
 
 
 def softmax(v: Matrix) -> Matrix:
     """Max-shifted softmax along rows (the last axis); each row sums to 1."""
     v = np.asarray(v, dtype=np.float64)
-    e = np.exp(v - np.max(v, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.subtract(v, np.max(v, axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    return np.divide(e, np.sum(e, axis=-1, keepdims=True), out=e)
 
 
 def truncated_svd(m: Matrix, r: int) -> tuple[Matrix, np.ndarray, Matrix]:

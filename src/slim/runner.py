@@ -15,7 +15,14 @@ import numpy as np
 from .config import ScenarioConfig, TrainParams, config_hash
 from .container import read_tensors, write_tensors
 from .errors import ConfigError
-from .model import Decoder, LayerWeights, harvest_ffn_inputs, synth_layers
+from .model import (
+    AttentionWeights,
+    Decoder,
+    FfnWeights,
+    LayerHalf,
+    harvest_ffn_inputs,
+    synth_layers,
+)
 from .numerics import Matrix
 from .predictor import (
     Predictor,
@@ -219,11 +226,13 @@ def _read_container(path: Path, what: str) -> dict:
         raise ConfigError(f"{what} is not a valid SLIMWT1 file: {exc}") from exc
 
 
-def _model_layers(cfg: ScenarioConfig) -> Iterator[LayerWeights]:
-    """The model's layers in order: drawn one at a time from the seed
-    (``synth_layers``), or built one at a time from the
-    ``paths.model_fixture`` file, which is read whole and kept at its
-    float32 until a layer is built and widened to float64."""
+def _model_layers(cfg: ScenarioConfig) -> Iterator[LayerHalf]:
+    """The model's layers in order, each as its attention half and then its
+    FFN half: drawn one half at a time from the seed (``synth_layers``), or
+    built one half at a time from the ``paths.model_fixture`` file, which
+    is read whole and kept at its float32 until a half is built and
+    widened to float64. A missing tensor (the router too, when the model
+    has more than one expert) raises ConfigError as its half is built."""
     fixture = cfg.paths.model_fixture
     if fixture is None:
         return synth_layers(cfg.model)
@@ -234,26 +243,28 @@ def _model_layers(cfg: ScenarioConfig) -> Iterator[LayerWeights]:
     m = cfg.model
     experts = [f"expert{e:03d}." for e in range(m.n_expert)]
 
-    def layer(li: int) -> LayerWeights:
-        pre = f"layer{li:02d}."
+    def half(k: int) -> LayerHalf:
+        pre = f"layer{k // 2:02d}."
 
         def wide(name):
             return tensors[pre + name].astype(np.float64)
 
         try:
-            return LayerWeights(
-                w_q=wide("w_q"), w_k=wide("w_k"), w_v=wide("w_v"), w_o=wide("w_o"),
+            if k % 2 == 0:
+                return AttentionWeights(w_q=wide("w_q"), w_k=wide("w_k"), w_v=wide("w_v"),
+                                        w_o=wide("w_o"))
+            return FfnWeights(
                 w_g=[wide(ex + "w_g") for ex in experts],
                 w_u=[wide(ex + "w_u") for ex in experts],
                 # SLIMWT1 keeps w_d as dim_e x dim_h; the decoder holds neuron rows
                 w_down=[np.ascontiguousarray(tensors[pre + ex + "w_d"].T, dtype=np.float64)
                         for ex in experts],
-                router=wide("router") if pre + "router" in tensors else None,
+                router=wide("router") if m.n_expert > 1 else None,
             )
         except KeyError as exc:
             raise ConfigError(f"fixture {path} is missing tensor {exc}") from exc
 
-    return map(layer, range(m.n_dec))
+    return map(half, range(2 * m.n_dec))
 
 
 def _fit_expert(w_g: Matrix, calib: Matrix, dim_lr: int, tp: TrainParams,
@@ -277,37 +288,43 @@ def _fit_expert(w_g: Matrix, calib: Matrix, dim_lr: int, tp: TrainParams,
 def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
     """Calibrate, train and threshold one predictor per (layer, expert); write
     the SLIMWT1 weights and the threshold-table JSON. Returns a summary with
-    loss histories. The calibration stream runs layer-major
+    loss histories. The calibration stream runs half a layer at a time
     (``harvest_ffn_inputs``): each layer's experts are fitted from its
-    gates as soon as the stream has passed it, while the next layer is
-    drawn, and the gates are dropped before the next layer is asked for.
-    The thresholds and the summary come from the float64 fit; the fitted L
-    and R are kept at the file's float32. At ``SLIM_LOG=debug`` each
-    (layer, expert) gets the ``train:`` line (the coordinates' width and
-    the seconds of the factorization and the loop), then one line with the
-    wall-clock seconds of the SVD init, ``train`` and the thresholds."""
+    gates once the stream has passed the layer and the next layer's
+    attention half, while the next FFN half is drawn, and the gates are
+    dropped before that half is asked for. Each fitted L and R goes into
+    the container at the file's float32 as soon as it is fitted; the
+    thresholds and the summary come from the float64 fit. At
+    ``SLIM_LOG=debug`` each (layer, expert) gets the ``train:`` line (the
+    coordinates' width and the seconds of the factorization and the loop),
+    then one line with the wall-clock seconds of the SVD init, ``train``
+    and the thresholds."""
     tp = cfg.train
     dim_lr = tp.dim_lr or default_dim_lr(cfg.model.dim_e)
-    tensors = {}
+    layers = _model_layers(cfg)
     tables = {}
     summary = {"dim_lr": dim_lr, "layers": []}
-    for li, gates, calib in harvest_ffn_inputs(Decoder(cfg=cfg.model), _model_layers(cfg),
-                                               tp.calib_tokens, seed=cfg.seed + 1):
-        for e, w_g in enumerate(gates):
-            pre = f"layer{li:02d}.expert{e:03d}."
-            tensors[pre + "L"], tensors[pre + "R"], tables[(li, e)], history = _fit_expert(
-                w_g, calib, dim_lr, tp, li, e)
-            summary["layers"].append({
-                "layer": li, "expert": e,
-                "init_loss": history[0], "final_loss": history[-1],
-                "history": history,
-            })
-            log.info("layer %d expert %d: loss %.4e -> %.4e",
-                     li, e, history[0], history[-1])
-        del gates, w_g  # only the layer drawn ahead stays while the next is asked for
+
+    def fitted():
+        for li, gates, calib in harvest_ffn_inputs(Decoder(cfg=cfg.model), layers,
+                                                   tp.calib_tokens, seed=cfg.seed + 1):
+            for e, w_g in enumerate(gates):
+                pre = f"layer{li:02d}.expert{e:03d}."
+                l, r, tables[(li, e)], history = _fit_expert(w_g, calib, dim_lr, tp, li, e)
+                summary["layers"].append({
+                    "layer": li, "expert": e,
+                    "init_loss": history[0], "final_loss": history[-1],
+                    "history": history,
+                })
+                log.info("layer %d expert %d: loss %.4e -> %.4e",
+                         li, e, history[0], history[-1])
+                yield pre + "L", l
+                yield pre + "R", r
+            del gates, w_g, calib  # only the half drawn ahead stays while the next is asked for
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_tensors(out_dir / cfg.paths.predictor, tensors)
+    write_tensors(out_dir / cfg.paths.predictor, fitted(),
+                  2 * cfg.model.n_dec * cfg.model.n_expert)
     (out_dir / cfg.paths.thresholds).write_text(thresholds_to_json(tables))
     return summary
 
@@ -349,13 +366,16 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     """Dense vs predictor-masked decode on held-out tokens: output MSE and
     measured sparsity, averaged over (token, layer, expert), for every
     calibrated target. Each stream is decoded as one block, and the
-    streams run layer-major: the dense reference (decoded once, since it
-    does not depend on the target) and every target's masked stream pass a
-    layer while the next layer is drawn; the layer and its predictors are
+    streams run half a layer at a time: the dense reference (decoded once,
+    since it does not depend on the target) and every target's masked
+    stream pass a layer's attention half while its FFN half is drawn, then
+    its FFN half while the next attention half is drawn; each half is
     dropped before the next is asked for. Predictors stay at the file's
-    float32 until their layer runs, and are widened to float64 for it.
-    A masked stream is decoded only once it leaves the dense one: while
-    its masks keep every neuron, its output is the dense output."""
+    float32 until their layer's FFN half runs, are widened to float64 for
+    it and dropped after it. A masked stream is decoded only once it leaves
+    the dense one: while its input is the dense input, its FFN input is
+    the dense FFN input, and while its masks also keep every neuron, its
+    output is the dense output."""
     source = iter(_model_layers(cfg))
     predictors, tables = load_predictors(cfg, out_dir)
     if predictors[(0, 0)].l.shape[0] != cfg.model.dim_e:
@@ -364,6 +384,7 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     rng = np.random.default_rng([cfg.seed, 0xE7A1])
     inputs = rng.standard_normal((cfg.train.eval_tokens, cfg.model.dim_e))
     targets = cfg.train.targets
+    experts = range(cfg.model.n_expert)
     # per target, (layer, expert) -> each token's measured sparsity
     sparsities = [{} for _ in targets]
 
@@ -379,27 +400,30 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     mask_fns = [masker(t, made) for t, made in zip(targets, sparsities)]
     dense, masked = inputs, [inputs] * len(targets)
     # indexed by range: enumerate's recycled result tuple would hold the
-    # last layer while the source draws the next
+    # last half while the source draws the next
     for li in range(cfg.model.n_dec):
+        attn = (li, next(source))
+        ffn_in = dec.decode_step(dense, attn)
+        masked = [ffn_in if x is dense else dec.decode_step(x, attn) for x in masked]
+        del attn
         # widening float32 is exact, so every mask keeps its bits
-        for e in range(cfg.model.n_expert):
+        for e in experts:
             p = predictors[(li, e)]
             predictors[(li, e)] = Predictor(l=p.l.astype(np.float64), r=p.r.astype(np.float64))
-        layer = (li, next(source))
-        ffn_in, passed = dec.decode_step(dense, layer)
+        ffn = (li, next(source))
+        passed = dec.decode_step(ffn_in, ffn)
         # a stream that is still the dense one and keeps every neuron of
         # this layer (target 0 does, unless a score is exactly 0) decodes
         # to the dense output, so its masks are made, and their sparsity
         # recorded, on the dense FFN input and not applied
-        masked = [passed if x is dense and all(
-                      fn(li, e, ffn_in).all() for e in range(cfg.model.n_expert))
-                  else dec.decode_step(x, layer, mask_fn=fn)[1]
+        masked = [passed if x is ffn_in and all(fn(li, e, x).all() for e in experts)
+                  else dec.decode_step(x, ffn, mask_fn=fn)
                   for x, fn in zip(masked, mask_fns)]
         dense = passed
-        # the layer and its predictors are dead too: drop them before the
-        # next layer is asked for, so only the one drawn ahead is held
-        del layer
-        for e in range(cfg.model.n_expert):
+        # the half and its predictors are dead too: drop them before the
+        # next half is asked for, so only the one drawn ahead is held
+        del ffn
+        for e in experts:
             del predictors[(li, e)]
 
     report = {"targets": []}

@@ -160,7 +160,7 @@ def test_criterion_3_threshold_semantics():
     mses = []
     for t in targets:
         total = 0.0
-        for li, lw in enumerate(layers):
+        for li, lw in enumerate(layers[1::2]):  # each layer's FFN half
             p = init_from_svd(lw.w_g[0], 16)
             p, _ = train(p, calib[li], lw.w_g[0], epochs=30, lr=1e-3)
             table = build_threshold_table(p, calib[li], targets)

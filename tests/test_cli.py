@@ -78,28 +78,43 @@ def run_process(cmd, cfg_path, out, *args):
                           capture_output=True, text=True, env=env)
 
 
+def write_doc(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
 # an inline model that fits TOY_DOC's train counts
 SMALL_MODEL = {"n_dec": 1, "dim_e": 16, "dim_h": 32, "n_heads": 2, "seq_len": 64}
 
 
-def save_model_fixture(layers, path) -> None:
-    """Write a decoder's layers as the SLIMWT1 fixture `paths.model_fixture`
-    loads; w_d is stored dim_e x dim_h, the transpose of the decoder's
-    neuron rows."""
+def save_model_fixture(halves, path, routers=True) -> None:
+    """Write a decoder's layers, given as each layer's attention half and
+    then its FFN half, as the SLIMWT1 fixture `paths.model_fixture` loads;
+    w_d is stored dim_e x dim_h, the transpose of the decoder's neuron rows.
+    ``routers=False`` leaves out every layer's router."""
     tensors = {}
-    for li, lw in enumerate(layers):
+    halves = iter(halves)
+    for li, (attn, ffn) in enumerate(zip(halves, halves)):
         pre = f"layer{li:02d}."
-        tensors[pre + "w_q"] = lw.w_q
-        tensors[pre + "w_k"] = lw.w_k
-        tensors[pre + "w_v"] = lw.w_v
-        tensors[pre + "w_o"] = lw.w_o
-        for e in range(len(lw.w_g)):
-            tensors[f"{pre}expert{e:03d}.w_g"] = lw.w_g[e]
-            tensors[f"{pre}expert{e:03d}.w_u"] = lw.w_u[e]
-            tensors[f"{pre}expert{e:03d}.w_d"] = lw.w_down[e].T
-        if lw.router is not None:
-            tensors[pre + "router"] = lw.router
-    write_tensors(path, tensors)
+        tensors[pre + "w_q"] = attn.w_q
+        tensors[pre + "w_k"] = attn.w_k
+        tensors[pre + "w_v"] = attn.w_v
+        tensors[pre + "w_o"] = attn.w_o
+        for e in range(len(ffn.w_g)):
+            tensors[f"{pre}expert{e:03d}.w_g"] = ffn.w_g[e]
+            tensors[f"{pre}expert{e:03d}.w_u"] = ffn.w_u[e]
+            tensors[f"{pre}expert{e:03d}.w_d"] = ffn.w_down[e].T
+        if ffn.router is not None and routers:
+            tensors[pre + "router"] = ffn.router
+    write_tensors(path, tensors.items(), len(tensors))
+
+
+def half_arrays(half):
+    """(field name, array) for every weight array of a layer's half."""
+    for name, value in vars(half).items():
+        for a in value if isinstance(value, list) else [value]:
+            if a is not None:
+                yield name, a
 
 
 class TestTrain:
@@ -139,9 +154,9 @@ class TestTrain:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         # the fixture holds float32 w_d (dim_e x dim_h); it loads as neuron rows
-        loaded = _model_layers(load_scenario(path))
-        for lw, want in zip(loaded, layers, strict=True):
-            for w_down, w in zip(lw.w_down, want.w_down):
+        loaded = list(_model_layers(load_scenario(path)))
+        for lw, want in zip(loaded[1::2], layers[1::2], strict=True):
+            for w_down, w in zip(lw.w_down, want.w_down, strict=True):
                 assert w_down.flags.c_contiguous
                 assert np.array_equal(w_down, w.astype(np.float32).astype(np.float64))
         assert run("train", path, tmp_path / "out") == 0
@@ -157,12 +172,13 @@ def reference_train_predictors(cfg, out_dir):
     dim_lr = tp.dim_lr or default_dim_lr(cfg.model.dim_e)
     rng = np.random.default_rng([cfg.seed + 1, 0xCA11])
     x, calib = rng.standard_normal((tp.calib_tokens, cfg.model.dim_e)), []
-    for layer in enumerate(layers):
-        ffn_in, x = dec.decode_step(x, layer)
-        calib.append(ffn_in)
+    for k, half in enumerate(layers):
+        x = dec.decode_step(x, (k // 2, half))
+        if k % 2 == 0:  # the attention half's output is the FFN input
+            calib.append(x)
     tensors, tables = {}, {}
     summary = {"dim_lr": dim_lr, "layers": []}
-    for li, lw in enumerate(layers):
+    for li, lw in enumerate(layers[1::2]):
         for e in range(cfg.model.n_expert):
             p, history = train(init_from_svd(lw.w_g[e], dim_lr), calib[li], lw.w_g[e],
                                epochs=tp.epochs, lr=tp.lr)
@@ -173,7 +189,7 @@ def reference_train_predictors(cfg, out_dir):
             summary["layers"].append({"layer": li, "expert": e, "init_loss": history[0],
                                       "final_loss": history[-1], "history": history})
     out_dir.mkdir(parents=True)
-    write_tensors(out_dir / cfg.paths.predictor, tensors)
+    write_tensors(out_dir / cfg.paths.predictor, tensors.items(), len(tensors))
     (out_dir / cfg.paths.thresholds).write_text(thresholds_to_json(tables))
     return summary
 
@@ -196,40 +212,51 @@ def test_train_matches_harvest_then_fit(tmp_path, case):
 
 
 @pytest.mark.parametrize("model", ["toy", "toy_moe"])
-def test_pipelines_hold_the_layer_in_use_and_the_one_drawn_ahead(tmp_path, monkeypatch,
-                                                                  model):
-    # every LayerWeights is tracked until it dies; each time a pipeline asks
-    # for a layer, every layer it was handed before must be dead and at most
-    # the one drawn ahead alive, so at most two ever live at once
+def test_pipelines_hold_the_half_in_use_and_the_one_drawn_ahead(tmp_path, monkeypatch,
+                                                                 model):
+    # every half of a layer is tracked until it dies, and so is each of its
+    # arrays; each time a pipeline asks for a half, nothing of a half it was
+    # handed before may be alive but the gates train keeps for its fit, and
+    # at most the one half drawn ahead, so at most two ever live at once
     live, tokens, peak = set(), itertools.count(), [0]
 
-    class Tracked(slim.model.LayerWeights):
-        def __init__(self, **weights):
-            super().__init__(**weights)
-            token = next(tokens)
-            live.add(token)
-            weakref.finalize(self, live.discard, token)
-            peak[0] = max(peak[0], len(live))
+    def tracked(cls):
+        class Tracked(cls):
+            def __init__(self, **weights):
+                super().__init__(**weights)
+                token = next(tokens)
+                live.add(token)
+                weakref.finalize(self, live.discard, token)
+                peak[0] = max(peak[0], len(live))
+        return Tracked
 
     real_layers = slim.runner._model_layers
-    asks = []  # per ask: (layers alive, layers handed out before and alive)
+    pipeline = [None]
+    asks = []  # per ask: (pipeline, half index, halves alive, names of arrays handed and alive)
 
     def watched_layers(cfg):
-        source, handed = iter(real_layers(cfg)), []
-        for _ in range(cfg.model.n_dec):
-            asks.append((len(live), sum(ref() is not None for ref in handed)))
-            lw = next(source)
-            handed.append(weakref.ref(lw))
-            yield lw
-            del lw
+        source, handed = iter(real_layers(cfg)), []  # (weakref, field name) per array
+        for k in range(2 * cfg.model.n_dec):
+            held = [name for ref, name in handed if ref() is not None]
+            asks.append((pipeline[0], k, len(live), held))
+            half = next(source)
+            handed += [(weakref.ref(a), name) for name, a in half_arrays(half)]
+            yield half
+            del half
 
-    monkeypatch.setattr(slim.model, "LayerWeights", Tracked)
+    monkeypatch.setattr(slim.model, "AttentionWeights", tracked(slim.model.AttentionWeights))
+    monkeypatch.setattr(slim.model, "FfnWeights", tracked(slim.model.FfnWeights))
     monkeypatch.setattr(slim.runner, "_model_layers", watched_layers)
     cfg = load_scenario(dict(TOY_DOC, model=model))
-    train_predictors(cfg, tmp_path)
-    infer_report(cfg, tmp_path)
-    assert len(asks) == 2 * cfg.model.n_dec
-    assert all(alive <= 1 and held == 0 for alive, held in asks), asks
+    for pipeline[0] in (train_predictors, infer_report):
+        pipeline[0](cfg, tmp_path)
+    assert len(asks) == 2 * 2 * cfg.model.n_dec
+    assert all(alive <= 1 for _, _, alive, _ in asks), asks
+    # train fits layer i from its gates while the stream passes layer i+1's
+    # attention half, and drops them before it asks for the FFN half
+    assert all(held == [] or (fn is train_predictors and k % 2 == 0
+                              and held == ["w_g"] * cfg.model.n_expert)
+               for fn, k, _, held in asks), asks
     assert peak[0] <= 2
 
 
@@ -254,9 +281,9 @@ def reference_infer_report(cfg, out_dir):
             return m
 
         dense = masked = inputs
-        for layer in enumerate(layers):
-            dense = dec.decode_step(dense, layer)[1]
-            masked = dec.decode_step(masked, layer, mask_fn=mask_fn)[1]
+        for k, half in enumerate(layers):
+            dense = dec.decode_step(dense, (k // 2, half))
+            masked = dec.decode_step(masked, (k // 2, half), mask_fn=mask_fn)
         report["targets"].append({
             "target_sparsity": target,
             "output_mse": float(np.sum((dense - masked) ** 2)) / dense.size,
@@ -315,7 +342,7 @@ class TestInfer:
     def test_stream_equal_to_dense_decoded_once(self, tmp_path, monkeypatch, model):
         # target 0 keeps every neuron, so its stream is the dense one and is
         # not decoded again; once a score is exactly 0, threshold 0 skips
-        # that neuron and the stream is decoded from that layer on
+        # that neuron and the stream is decoded from that layer's FFN half on
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(TOY_DOC, model=model)))
         out = tmp_path / "out"
@@ -331,7 +358,10 @@ class TestInfer:
         monkeypatch.setattr(slim.model.Decoder, "decode_step", counted)
         n_dec, n_targets = cfg.model.n_dec, len(cfg.train.targets)
         report = infer_report(cfg, out)
-        assert len(calls) == n_dec * n_targets  # the dense stream and 3 masked ones
+        # two halves per layer for the dense stream and 3 masked ones, less
+        # the masked streams' layer 0 attention: every stream starts from
+        # the dense stream's inputs, so each takes the dense FFN input
+        assert len(calls) == 2 * n_dec * n_targets - (n_targets - 1)
         assert report == reference_infer_report(cfg, out)
         assert report["targets"][0]["output_mse"] == 0.0
 
@@ -339,10 +369,11 @@ class TestInfer:
         tensors = {name: a.copy() for name, a in read_tensors(out / cfg.paths.predictor).items()}
         for e in range(cfg.model.n_expert):
             tensors[f"layer01.expert{e:03d}.R"][:, 0] = 0.0
-        write_tensors(out / cfg.paths.predictor, tensors)
+        write_tensors(out / cfg.paths.predictor, tensors.items(), len(tensors))
         calls.clear()
         report = infer_report(cfg, out)
-        assert len(calls) == n_dec * n_targets + n_dec - 1
+        # target 0's stream leaves the dense one at layer 1's FFN half
+        assert len(calls) == 2 * n_dec * n_targets - (n_targets - 1) + 1 + 2 * (n_dec - 2)
         assert report == reference_infer_report(cfg, out)
         target0 = report["targets"][0]
         assert target0["target_sparsity"] == 0.0 and target0["measured_sparsity"] > 0.0
@@ -386,22 +417,44 @@ class TestInfer:
 
 
 def test_train_and_infer_peak_below_model_weights(tmp_path):
-    # layers are drawn one at a time, so neither pipeline holds the whole
-    # model; tracemalloc counts numpy's data buffers
+    # layers are drawn half a layer at a time, so neither pipeline holds
+    # much more than a layer's weights (1.9-2.1 layers for train on this
+    # shape, 1.75 for infer; 3.2-3.3 and 2.8 when whole layers were drawn);
+    # tracemalloc counts numpy's data buffers. A first run outside
+    # tracemalloc makes the one-time allocations of a fresh process
     doc = dict(TOY_DOC, model={"n_dec": 8, "dim_e": 64, "dim_h": 256, "n_heads": 4,
                                "seq_len": 64})
     cfg = load_scenario(doc)
-    weights = sum(a.nbytes for lw in synth_layers(cfg.model)
-                  for a in (lw.w_q, lw.w_k, lw.w_v, lw.w_o, *lw.w_g, *lw.w_u, *lw.w_down))
+    weights = sum(a.nbytes for half in synth_layers(cfg.model) for _, a in half_arrays(half))
+    layer = weights / cfg.model.n_dec
     out = tmp_path / "out"
     for pipeline in (train_predictors, infer_report):
+        pipeline(cfg, out)
         tracemalloc.start()
         try:
             pipeline(cfg, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < weights, (pipeline.__name__, peak, weights)
+        assert peak < 2.5 * layer, (pipeline.__name__, peak / layer)
+
+
+@pytest.mark.parametrize("command", ["train", "infer"])
+def test_moe_fixture_without_routers_exits_2(tmp_path, command):
+    # these used to end in AttributeError: 'NoneType' object has no
+    # attribute 'T' from moe_forward (exit 1)
+    doc = dict(TOY_DOC, model="toy_moe")
+    bare, path, out = tmp_path / "bare.slimwt", tmp_path / "cfg.json", tmp_path / "out"
+    save_model_fixture(synth_layers(load_scenario(doc).model), bare, routers=False)
+    if command == "infer":  # trained on the model with its routers
+        assert run("train", write_doc(path, doc), out) == 0
+    proc = run_process(command, write_doc(path, dict(doc, paths={"model_fixture": str(bare)})),
+                       out)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "missing tensor 'layer00.router'" in proc.stderr
+    if command == "train":  # the container is written aside and never renamed into place
+        assert not any(out.iterdir())
 
 
 class TestSimulate:

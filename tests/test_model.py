@@ -99,19 +99,20 @@ class ReferenceCache:
 
 def reference_decode_step(cfg, layers, x, cache, mask_fn=None):
     """A block of rows (n x dim_e), the tokens that follow those already in
-    ``cache``, through every layer of ``layers``: each layer appends the
-    block's K/V rows and attends over the whole cache with reference_mha, so
-    row i sees the cached rows and the block's rows up to i. Over a fresh
-    cache this is the block form; one row at a time over a growing cache it
-    is the incremental decode."""
+    ``cache``, through every layer of ``layers`` (a list of each layer's
+    attention half, then its FFN half) in one loop body per layer: each
+    layer appends the block's K/V rows and attends over the whole cache
+    with reference_mha, so row i sees the cached rows and the block's rows
+    up to i. Over a fresh cache this is the block form; one row at a time
+    over a growing cache it is the incremental decode."""
     x = np.asarray(x, dtype=np.float64).reshape(-1, cfg.dim_e)
-    for li, lw in enumerate(layers):
-        q = matmul(x, lw.w_q.T)
-        cache.append(li, matmul(x, lw.w_k.T), matmul(x, lw.w_v.T))
+    for li, (attn, ffn) in enumerate(zip(layers[::2], layers[1::2], strict=True)):
+        q = matmul(x, attn.w_q.T)
+        cache.append(li, matmul(x, attn.w_k.T), matmul(x, attn.w_v.T))
         ks, vs = cache.stacked(li)
-        x = x + matmul(reference_mha(q, ks, vs, cfg.n_heads), lw.w_o.T)
+        x = x + matmul(reference_mha(q, ks, vs, cfg.n_heads), attn.w_o.T)
         masks = None if mask_fn is None else {e: mask_fn(li, e, x) for e in range(cfg.n_expert)}
-        x = x + moe_forward(x, lw, cfg.top_k, masks)
+        x = x + moe_forward(x, ffn, cfg.top_k, masks)
     return x
 
 
@@ -127,10 +128,10 @@ def rollout(cfg, layers, x0, n_tokens, mask_fn=None):
     return outs
 
 
-def decode(dec, layers, x, mask_fn=None):
-    """A block through every layer, one decode_step per layer."""
-    for layer in enumerate(layers):
-        x = dec.decode_step(x, layer, mask_fn=mask_fn)[1]
+def decode(dec, halves, x, mask_fn=None):
+    """A block through every half of every layer, one decode_step per half."""
+    for k, half in enumerate(halves):
+        x = dec.decode_step(x, (k // 2, half), mask_fn=mask_fn)
     return x
 
 
@@ -169,9 +170,10 @@ def test_synth_deterministic():
 
 
 def reference_synth(cfg):
-    """The seeded draw as one eager loop over every layer: per layer w_q,
-    w_k, w_v, w_o, each expert's gate, each expert's up, each expert's down
-    (drawn dim_e x dim_h, stored as its transpose), then the router."""
+    """The seeded draw as one eager loop over every layer, one tuple per
+    layer: w_q, w_k, w_v, w_o, each expert's gate, each expert's up, each
+    expert's down (drawn dim_e x dim_h, stored as its transpose), then the
+    router."""
     rng = np.random.default_rng([cfg.seed, 0x51])
     scale, resid = 1.0 / np.sqrt(cfg.dim_e), 1.0 / np.sqrt(2.0 * cfg.n_dec)
     layers = []
@@ -189,16 +191,16 @@ def reference_synth(cfg):
     return layers
 
 
-def assert_layer_bits(lw, want):
-    *attn, gate, up, down, router = want
-    for got, w in zip((lw.w_q, lw.w_k, lw.w_v, lw.w_o), attn, strict=True):
+def assert_layer_bits(attn, ffn, want):
+    *wants, gate, up, down, router = want
+    for got, w in zip((attn.w_q, attn.w_k, attn.w_v, attn.w_o), wants, strict=True):
         assert got.dtype == np.float64 and np.array_equal(got, w)
-    for got, ws in ((lw.w_g, gate), (lw.w_u, up), (lw.w_down, down)):
+    for got, ws in ((ffn.w_g, gate), (ffn.w_u, up), (ffn.w_down, down)):
         assert len(got) == len(ws)
         assert all(g.dtype == np.float64 and g.flags.c_contiguous and np.array_equal(g, w)
                    for g, w in zip(got, ws))
-    assert (lw.router is None) == (router is None)
-    assert router is None or np.array_equal(lw.router, router)
+    assert (ffn.router is None) == (router is None)
+    assert router is None or np.array_equal(ffn.router, router)
 
 
 @given(decode_cases())
@@ -206,14 +208,15 @@ def assert_layer_bits(lw, want):
 @example((ModelConfig(n_dec=1, dim_e=40, dim_h=8, n_heads=4, seq_len=8, seed=3), None))
 @settings(max_examples=40, deadline=None)
 def test_synth_layers_match_eager_draw(case):
-    # layers drawn one at a time, dense or MoE with a router, carry the bits
-    # of the eager draw; two sources drawn in turn do not share a generator
+    # layers drawn half a layer at a time, dense or MoE with a router, carry
+    # the bits of the eager draw; two sources drawn in turn do not share a
+    # generator
     cfg, _ = case
     want = reference_synth(cfg)
     first, second = synth_layers(cfg), synth_layers(cfg)
     for layer in want:
-        assert_layer_bits(next(first), layer)
-        assert_layer_bits(next(second), layer)
+        assert_layer_bits(next(first), next(first), layer)
+        assert_layer_bits(next(second), next(second), layer)
     assert next(first, None) is None and next(second, None) is None
 
 
@@ -223,21 +226,22 @@ def new_threads(before):
 
 
 def test_synth_layers_reraise_a_failed_draw(monkeypatch):
-    # layer 1 is drawn on the worker while the caller holds layer 0; its
-    # error reaches the caller when it asks for layer 1
+    # layer 1's attention half is drawn on the worker while the caller holds
+    # layer 0's FFN half; its error reaches the caller when it asks for it
     made = []
 
-    class FailSecond(slim.model.LayerWeights):
+    class FailSecond(slim.model.AttentionWeights):
         def __init__(self, **weights):
             if made:
                 raise RuntimeError("draw failed")
             made.append(1)
             super().__init__(**weights)
 
-    monkeypatch.setattr(slim.model, "LayerWeights", FailSecond)
+    monkeypatch.setattr(slim.model, "AttentionWeights", FailSecond)
     before = set(threading.enumerate())
     source = synth_layers(TOY)
     assert isinstance(next(source), FailSecond)
+    assert isinstance(next(source), slim.model.FfnWeights)
     with pytest.raises(RuntimeError, match="draw failed"):
         next(source)
     assert not new_threads(before)
@@ -245,7 +249,7 @@ def test_synth_layers_reraise_a_failed_draw(monkeypatch):
 
 def test_exhausted_source_joins_its_worker():
     before = set(threading.enumerate())
-    assert len(list(synth_layers(TOY))) == TOY.n_dec
+    assert len(list(synth_layers(TOY))) == 2 * TOY.n_dec
     assert not new_threads(before)
 
 
@@ -262,12 +266,12 @@ def test_closed_or_dropped_source_joins_its_worker():
 
 
 def test_synth_no_router_for_single_expert():
-    assert list(synth_layers(TOY))[0].router is None
+    assert list(synth_layers(TOY))[1].router is None
 
 
 def test_synth_router_present_for_moe():
     cfg = ModelConfig(n_dec=1, dim_e=16, dim_h=8, n_heads=2, n_expert=4, top_k=2, seed=1)
-    layer = list(synth_layers(cfg))[0]
+    layer = list(synth_layers(cfg))[1]
     assert layer.router is not None and layer.router.shape == (4, 16)
 
 
@@ -364,7 +368,7 @@ class TestMha:
 
 class TestFfn:
     def test_zero_input(self):
-        lw = list(synth_layers(TOY))[0]
+        lw = list(synth_layers(TOY))[1]
         out = ffn_forward(np.zeros((2, 16)), lw.w_g[0], lw.w_u[0], lw.w_down[0])
         assert np.all(out == 0.0)
 
@@ -377,7 +381,7 @@ class TestFfn:
     def test_against_column_major_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 16))
-        lw = list(synth_layers(TOY))[0]
+        lw = list(synth_layers(TOY))[1]
         wg, wu, wd = lw.w_g[0], lw.w_u[0], lw.w_down[0].T.copy()
         # oracle composes per hidden unit, accumulating output columns
         out = np.zeros((3, 16))
@@ -390,7 +394,7 @@ class TestFfn:
 class TestMaskedFfn:
     def _setup(self, seed):
         rng = np.random.default_rng(seed)
-        lw = list(synth_layers(TOY))[0]
+        lw = list(synth_layers(TOY))[1]
         x = rng.standard_normal((2, 16))
         return rng, x, lw.w_g[0], lw.w_u[0], lw.w_down[0]
 
@@ -473,7 +477,7 @@ class TestMaskedFfn:
         top_k = min(2, n_expert)
         cfg = ModelConfig(n_dec=1, dim_e=2 * d, dim_h=dim_h, n_heads=2, n_expert=n_expert,
                           top_k=top_k, seed=seed)
-        lw = list(synth_layers(cfg))[0]
+        lw = list(synth_layers(cfg))[1]
         x = np.random.default_rng(seed).standard_normal((rows, cfg.dim_e))
         ones = np.ones(dim_h, dtype=bool)
         for wg, wu, wdown in zip(lw.w_g, lw.w_u, lw.w_down):
@@ -509,7 +513,7 @@ class TestMaskedFfn:
         rng = np.random.default_rng([cfg.seed, 0x51])
         rng.standard_normal((4 * cfg.dim_e + 2 * cfg.n_expert * cfg.dim_h, cfg.dim_e))
         gain = 1.0 / np.sqrt(2.0 * cfg.n_dec) / np.sqrt(cfg.dim_h)
-        lw = list(synth_layers(cfg))[0]
+        lw = list(synth_layers(cfg))[1]
         for w_down in lw.w_down:
             drawn = rng.standard_normal((cfg.dim_e, cfg.dim_h)) * gain
             assert w_down.flags.c_contiguous and np.array_equal(w_down, drawn.T)
@@ -519,13 +523,13 @@ class TestMoe:
     CFG = ModelConfig(n_dec=1, dim_e=16, dim_h=8, n_heads=2, n_expert=4, top_k=2, seed=11)
 
     def test_single_expert_reduces_to_ffn(self):
-        lw = list(synth_layers(TOY))[0]
+        lw = list(synth_layers(TOY))[1]
         x = np.random.default_rng(12).standard_normal((3, 16))
         assert np.array_equal(moe_forward(x, lw, 1),
                               ffn_forward(x, lw.w_g[0], lw.w_u[0], lw.w_down[0]))
 
     def test_top_k_equals_all_mixture(self):
-        lw = list(synth_layers(self.CFG))[0]
+        lw = list(synth_layers(self.CFG))[1]
         x = np.random.default_rng(13).standard_normal((2, 16))
         logits = x @ lw.router.T
         full = softmax(logits)
@@ -551,7 +555,7 @@ class TestMoe:
         # expert 3 stays dense; expert 2 keeps every neuron
         masks = {0: rng.random(256) < 0.4, 1: rng.random(256) < 0.8,
                  2: np.ones(256, dtype=bool)}
-        lw = list(synth_layers(cfg))[0]
+        lw = list(synth_layers(cfg))[1]
         # moe_forward's loop with each expert's FFN from an oracle: the
         # zeroing one bitwise, the column gather (on each expert's own down
         # projection) to rounding
@@ -628,9 +632,9 @@ class TestDecode:
     @given(block_cases())
     @settings(max_examples=40, deadline=None)
     def test_layer_major_streams_match_whole_decode(self, case):
-        # a dense and a masked stream passing each layer (drawn one at a
-        # time) before the next one is drawn give the bits of decoding each
-        # stream alone through the resident layers
+        # a dense and a masked stream passing each half of a layer (drawn
+        # one at a time) before the next one is drawn give the bits of
+        # decoding each stream alone through the resident layers
         cfg, n, _ = case
         dec = Decoder(cfg)
         rng = np.random.default_rng([cfg.seed, 3])
@@ -639,8 +643,8 @@ class TestDecode:
         fns = [None, lambda layer, expert, x: table[layer, expert]]
         want = [decode(dec, list(synth_layers(cfg)), xs, mask_fn=fn) for fn in fns]
         got = [xs] * len(fns)
-        for layer in enumerate(synth_layers(cfg)):
-            got = [dec.decode_step(x, layer, mask_fn=fn)[1] for x, fn in zip(got, fns)]
+        for k, half in enumerate(synth_layers(cfg)):
+            got = [dec.decode_step(x, (k // 2, half), mask_fn=fn) for x, fn in zip(got, fns)]
         for g, w in zip(got, want, strict=True):
             assert np.array_equal(g, w)
 
@@ -649,7 +653,7 @@ class TestDecode:
         # plus its own V row through the output projection
         dec, lw = Decoder(TOY), list(synth_layers(TOY))[0]
         x = np.random.default_rng(14).standard_normal((3, 16))
-        ffn_in, _ = dec.decode_step(x, (0, lw))
+        ffn_in = dec.decode_step(x, (0, lw))
         v = x[:1] @ lw.w_v.T
         assert_allclose(ffn_in[:1], x[:1] + v @ lw.w_o.T, atol=1e-14)
 
@@ -657,10 +661,12 @@ class TestDecode:
     def test_block_not_n_by_dim_e_refused(self, shape):
         # a (3 x 16) block on a dim_e=8 model is refused, not decoded as 6 tokens
         cfg = ModelConfig(n_dec=1, dim_e=8, dim_h=12, n_heads=2, seq_len=8, seed=3)
-        dec, lw = Decoder(cfg), list(synth_layers(cfg))[0]
-        with pytest.raises(ShapeError):
-            dec.decode_step(np.ones(shape), (0, lw))
-        ffn_in, out = dec.decode_step(np.ones((3, 8)), (0, lw))
+        dec, (attn, ffn) = Decoder(cfg), list(synth_layers(cfg))
+        for half in (attn, ffn):
+            with pytest.raises(ShapeError):
+                dec.decode_step(np.ones(shape), (0, half))
+        ffn_in = dec.decode_step(np.ones((3, 8)), (0, attn))
+        out = dec.decode_step(ffn_in, (0, ffn))
         assert ffn_in.shape == out.shape == (3, 8)
 
     def test_all_ones_masks_match_dense(self):
@@ -746,7 +752,8 @@ def test_harvest_shapes():
     items = list(harvest_ffn_inputs(dec, layers, 6, seed=2))
     # every layer once, in order, with its own gates
     assert [li for li, _, _ in items] == list(range(TOY.n_dec))
-    assert all(gates is want.w_g for (_, gates, _), want in zip(items, layers, strict=True))
+    assert all(gates is want.w_g
+               for (_, gates, _), want in zip(items, layers[1::2], strict=True))
     sets = [x for _, _, x in items]
     assert len(sets) == TOY.n_dec
     assert all(s.shape == (6, TOY.dim_e) for s in sets)
@@ -758,17 +765,17 @@ def test_harvest_from_drawn_layers_matches_resident_model():
     dec, resident = Decoder(TOY), list(synth_layers(TOY))
     layers, drawn = reference_synth(TOY), []
 
-    def keep(lw):  # the streamed layers, kept to check every weight's bits
-        drawn.append(lw)
-        return lw
+    def keep(half):  # the streamed halves, kept to check every weight's bits
+        drawn.append(half)
+        return half
 
     streamed = harvest_ffn_inputs(dec, map(keep, synth_layers(TOY)), 6, seed=2)
     for (li, gates, got), (lj, _, want) in zip(streamed,
                                                harvest_ffn_inputs(dec, resident, 6, seed=2),
                                                strict=True):
         assert li == lj
-        assert gates is drawn[li].w_g
-        assert_layer_bits(drawn[li], layers[li])
+        assert gates is drawn[2 * li + 1].w_g
+        assert_layer_bits(drawn[2 * li], drawn[2 * li + 1], layers[li])
         assert np.array_equal(got, want)
 
 
@@ -776,26 +783,28 @@ def test_harvest_from_drawn_layers_matches_resident_model():
                          ids=["dense", "moe"])
 def test_harvest_holds_only_the_gates_of_a_passed_layer(cfg):
     # the caller fits from the gates alone, so once a layer is passed
-    # nothing else of it may stay alive through the fit
-    layer_refs, gate_refs = [], []
+    # nothing else of it may stay alive through the fit, nor anything of the
+    # next layer's attention half, which the stream has passed too
+    half_refs, gate_refs = [], []
 
-    def track(lw):  # fresh from the draw, and held by nothing but the harvest
-        layer_refs.append(weakref.ref(lw))
-        gate_refs.append([weakref.ref(g) for g in lw.w_g])
-        return lw
+    def track(half):  # fresh from the draw, and held by nothing but the harvest
+        half_refs.append(weakref.ref(half))
+        if isinstance(half, slim.model.FfnWeights):
+            gate_refs.append([weakref.ref(g) for g in half.w_g])
+        return half
 
     for li, gates, _ in harvest_ffn_inputs(Decoder(cfg), map(track, synth_layers(cfg)), 6,
                                            seed=2):
         gc.collect()
-        assert len(layer_refs) == li + 1
-        assert layer_refs[li]() is None
+        assert len(half_refs) == min(2 * li + 3, 2 * cfg.n_dec)
+        assert all(ref() is None for ref in half_refs)
         assert all(ref() is g for ref, g in zip(gate_refs[li], gates, strict=True))
 
 
 def test_harvest_from_short_source_raises():
-    stream = harvest_ffn_inputs(Decoder(TOY), list(synth_layers(TOY))[:1], 6, seed=2)
+    stream = harvest_ffn_inputs(Decoder(TOY), list(synth_layers(TOY))[:3], 6, seed=2)
     assert next(stream)[0] == 0
-    with pytest.raises(ShapeError, match="after 1 of"):
+    with pytest.raises(ShapeError, match="after 3 of 4 halves"):
         next(stream)
 
 

@@ -396,7 +396,7 @@ def test_degradation_mse_nondecreasing():
     mses = []
     for t in targets:
         total = 0.0
-        for li, lw in enumerate(layers):
+        for li, lw in enumerate(layers[1::2]):  # each layer's FFN half
             p = init_from_svd(lw.w_g[0], default_dim_lr(cfg.dim_e))
             p, _ = train(p, calib[li], lw.w_g[0], epochs=20, lr=1e-4)
             thr = build_threshold_table(p, calib[li], targets).threshold_for(t)
