@@ -19,7 +19,6 @@ matrices alike, the fused vector the accelerator stores and fetches.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -137,44 +136,20 @@ def _draw_ahead(items: Iterator[LayerHalf]) -> Iterator[LayerHalf]:
     """The items of ``items`` in order, each advanced on one worker thread
     while the caller holds the item before it. Only the worker advances
     ``items``, one item per handover, so it never runs more than one item
-    ahead; an exception it raises (other than the end of ``items``) is
-    re-raised here in its place. The worker starts on the first request
-    and is joined when this generator ends, is closed or is collected."""
-    drawn: list = []  # the worker's finished draw: the item or the exception
-    go, ready = threading.Semaphore(1), threading.Semaphore(0)
-    stop = False
+    ahead; an exception it raises is re-raised here in its place. The
+    worker starts on the first request and is joined when this generator
+    ends, is closed or is collected."""
+    # imported here, so the commands that draw no layers do not load it
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work():
-        while True:
-            go.acquire()
-            if stop:
-                return
-            try:
-                drawn.append(next(items))
-            except BaseException as exc:  # StopIteration included: it ends the source
-                drawn.append(exc)
-                ready.release()
-                return
-            ready.release()
-
-    worker = threading.Thread(target=work, name="slim-draw-ahead", daemon=True)
-    worker.start()
-    try:
-        while True:
-            ready.acquire()
-            if isinstance(drawn[0], BaseException):
-                exc = drawn.pop(0)
-                if isinstance(exc, StopIteration):
-                    return
-                raise exc
-            go.release()
-            # yielded without a local name, so this frame holds no item
-            # while the caller uses it or asks for the next
-            yield drawn.pop(0)
-    finally:
-        stop = True
-        go.release()
-        worker.join()
+    end = object()
+    with ThreadPoolExecutor(1, thread_name_prefix="slim-draw-ahead") as worker:
+        ahead = [worker.submit(next, items, end)]
+        while ahead[0].result() is not end:
+            ahead.append(worker.submit(next, items, end))
+            # popped as it is yielded, so this frame holds no item while the
+            # caller uses it or asks for the next
+            yield ahead.pop(0).result()
 
 
 # perfbench counts the rows of KVCache.stacked (model.kv_rows_stacked) until ROADMAP item 18

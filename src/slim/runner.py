@@ -320,7 +320,7 @@ def train_predictors(cfg: ScenarioConfig, out_dir: Path) -> dict:
                          li, e, history[0], history[-1])
                 yield pre + "L", l
                 yield pre + "R", r
-            del gates, w_g, calib  # only the half drawn ahead stays while the next is asked for
+            del gates, w_g, calib  # nothing of the layer outlives its fit
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_tensors(out_dir / cfg.paths.predictor, fitted(),
@@ -371,11 +371,11 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     stream pass a layer's attention half while its FFN half is drawn, then
     its FFN half while the next attention half is drawn; each half is
     dropped before the next is asked for. Predictors stay at the file's
-    float32 until their layer's FFN half runs, are widened to float64 for
-    it and dropped after it. A masked stream is decoded only once it leaves
-    the dense one: while its input is the dense input, its FFN input is
-    the dense FFN input, and while its masks also keep every neuron, its
-    output is the dense output."""
+    float32 and are widened to float64 for each mask. Each masked stream's
+    masks are made once per FFN half, on its FFN input. A masked stream is
+    decoded only once it leaves the dense one: while its input is the
+    dense input and its masks keep every neuron (an attention half makes
+    none), its output is the dense output."""
     source = iter(_model_layers(cfg))
     predictors, tables = load_predictors(cfg, out_dir)
     if predictors[(0, 0)].l.shape[0] != cfg.model.dim_e:
@@ -391,7 +391,10 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     def masker(target, made):
         def mask_fn(layer, expert, x):
             thr = tables[(layer, expert)].threshold_for(target)
-            mask = predict_mask(predictors[(layer, expert)], x, thr)
+            p = predictors[(layer, expert)]
+            # widening float32 is exact, so every mask keeps its bits
+            mask = predict_mask(Predictor(l=p.l.astype(np.float64), r=p.r.astype(np.float64)),
+                                x, thr)
             dim_h = mask.shape[1]
             made[(layer, expert)] = (dim_h - np.count_nonzero(mask, axis=1)) / float(dim_h)
             return mask
@@ -401,30 +404,21 @@ def infer_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     dense, masked = inputs, [inputs] * len(targets)
     # indexed by range: enumerate's recycled result tuple would hold the
     # last half while the source draws the next
-    for li in range(cfg.model.n_dec):
-        attn = (li, next(source))
-        ffn_in = dec.decode_step(dense, attn)
-        masked = [ffn_in if x is dense else dec.decode_step(x, attn) for x in masked]
-        del attn
-        # widening float32 is exact, so every mask keeps its bits
-        for e in experts:
-            p = predictors[(li, e)]
-            predictors[(li, e)] = Predictor(l=p.l.astype(np.float64), r=p.r.astype(np.float64))
-        ffn = (li, next(source))
-        passed = dec.decode_step(ffn_in, ffn)
-        # a stream that is still the dense one and keeps every neuron of
-        # this layer (target 0 does, unless a score is exactly 0) decodes
-        # to the dense output, so its masks are made, and their sparsity
-        # recorded, on the dense FFN input and not applied
-        masked = [passed if x is ffn_in and all(fn(li, e, x).all() for e in experts)
-                  else dec.decode_step(x, ffn, mask_fn=fn)
-                  for x, fn in zip(masked, mask_fns)]
-        dense = passed
-        # the half and its predictors are dead too: drop them before the
-        # next half is asked for, so only the one drawn ahead is held
-        del ffn
-        for e in experts:
-            del predictors[(li, e)]
+    for k in range(2 * cfg.model.n_dec):
+        li = k // 2
+        half = (li, next(source))
+        passed = dec.decode_step(dense, half)
+        streams = []
+        for x, fn in zip(masked, mask_fns):
+            masks = {e: fn(li, e, x) for e in experts} if k % 2 else {}
+            # the masks of target 0 keep every neuron unless a score is exactly 0
+            if x is dense and all(m.all() for m in masks.values()):
+                streams.append(passed)
+            else:
+                streams.append(dec.decode_step(x, half, mask_fn=lambda l, e, _: masks[e]))
+        dense, masked = passed, streams
+        # dropped before the next half is asked for, so only the one drawn ahead is held
+        del half
 
     report = {"targets": []}
     for target, out, made in zip(targets, masked, sparsities):

@@ -379,6 +379,19 @@ class TestInfer:
         assert target0["target_sparsity"] == 0.0 and target0["measured_sparsity"] > 0.0
         assert target0["output_mse"] > 0.0
 
+    @pytest.mark.parametrize("model", ["toy", "toy_moe"])
+    def test_masks_made_once_per_stream_and_ffn_half(self, tmp_path, monkeypatch, model):
+        # a stream still on the dense input used to make its masks twice:
+        # once to test whether they keep every neuron, once to apply them
+        doc = dict(json.loads((ROOT / "configs" / "toy.json").read_text()), model=model)
+        path, out = write_doc(tmp_path / "cfg.json", doc), tmp_path / "out"
+        assert run("train", path, out) == 0
+        cfg = load_scenario(path)
+        calls = counting(monkeypatch, "predict_mask")
+        report = infer_report(cfg, out)
+        assert len(calls) == cfg.model.n_dec * cfg.model.n_expert * len(cfg.train.targets)
+        assert report == reference_infer_report(cfg, out)
+
     def test_without_training_exits_2(self, cfg_path, tmp_path):
         assert run("infer", cfg_path, tmp_path / "fresh") == 2
 
@@ -402,7 +415,7 @@ class TestInfer:
         assert str(thresholds) in proc.stderr
 
     def test_predictors_load_at_file_precision(self, cfg_path, tmp_path):
-        # infer widens a layer's predictors only when the layer runs
+        # infer widens a predictor only while it makes a mask
         out = tmp_path / "out"
         assert run("train", cfg_path, out) == 0
         cfg = load_scenario(cfg_path)
