@@ -29,8 +29,8 @@ def figures(key, r):
     """The figures the tables show of one design point, not its event trace."""
     total = r.phases.t_dram + r.phases.t_ssd
     return {"tok_per_s": r.throughput, "raw_gbps": r.raw_bytes / r.phases.t_ssd / 1e9,
-            "qkvo": r.dram.qkvo.seconds / total, "mha": r.dram.mha.seconds / total,
-            "pred": r.dram.predict.seconds / total, "ffn_ssd": r.phases.t_ssd / total,
+            "qkvo": r.dram["qkvo"].seconds / total, "mha": r.dram["mha"].seconds / total,
+            "pred": r.dram["predict"].seconds / total, "ffn_ssd": r.phases.t_ssd / total,
             "energy_mj": r.energy.total * 1e3}
 
 

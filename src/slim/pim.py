@@ -93,6 +93,10 @@ class PimCost:
                        self.layout_bytes + other.layout_bytes,
                        self.rw_bytes + other.rw_bytes)
 
+    def __mul__(self, times: float) -> "PimCost":
+        return PimCost(self.seconds * times, self.aaps * times,
+                       self.layout_bytes * times, self.rw_bytes * times)
+
 
 ZERO_COST = PimCost()
 
@@ -199,43 +203,46 @@ def kv_append_cost(dim_e: int, bytes_per_elem: int, geo: DramGeometry,
 
 
 @dataclass(frozen=True)
-class TokenDramCost:
-    """Per-token DRAM-side phase breakdown (all layers)."""
+class LayerDramCost:
+    """One decoder layer's DRAM side for one generated token, attending over
+    a ``position``-deep KV cache: the QKVO projections, the three attention
+    steps, the layer's predictor passes (one per activated expert), the
+    router GEMM (zero for a single expert) and the KV append. Every layer
+    of a token has this row."""
 
+    position: int
     qkvo: PimCost
-    mha: PimCost
+    score: PimCost
+    softmax: PimCost
+    output: PimCost
     predict: PimCost
     router: PimCost
     kv: PimCost
 
-    @property
-    def total(self) -> PimCost:
-        return self.qkvo + self.mha + self.predict + self.router + self.kv
-
-    @property
-    def seconds(self) -> float:
-        return self.total.seconds
+    def phases(self) -> dict[str, PimCost]:
+        """The row as the phases a token sums, in the order it sums them:
+        qkvo, mha (score + softmax + output), predict, router and kv."""
+        return {"qkvo": self.qkvo, "mha": self.score + self.softmax + self.output,
+                "predict": self.predict, "router": self.router, "kv": self.kv}
 
 
 def token_dram_cost(cfg: ModelConfig, geo: DramGeometry, timing: DramTiming,
                     cm: BitSerialCostModel, bits: int = 8,
-                    dim_lr: int | None = None) -> TokenDramCost:
-    """QKVO + attention + sparsity prediction (+ routing, KV append) for one
-    generated token across all decoder layers, attending over a full
-    seq_len-deep cache."""
+                    dim_lr: int | None = None) -> LayerDramCost:
+    """One decoder layer's QKVO, attention and sparsity prediction (plus
+    routing and the KV append) for one generated token, attending over a
+    full seq_len-deep cache. It depends only on the model, the DRAM device
+    and the element width, so a scenario costs it once."""
     if dim_lr is None:
         dim_lr = default_dim_lr(cfg.dim_e)
-    qkvo = qkvo_cost(cfg.dim_e, bits, geo, timing, cm, cfg.batch)
-    mha = mha_cost(cfg.seq_len, cfg.dim_e, cfg.n_heads, bits, geo, timing, cm)["total"]
-    pred = predictor_cost(cfg.dim_e, dim_lr, cfg.dim_h, bits, geo, timing, cm, cfg.batch)
-    scale = lambda c, f: PimCost(c.seconds * f, c.aaps * f, c.layout_bytes * f, c.rw_bytes * f)
-    predict = scale(pred, cfg.top_k)
+    mha = mha_cost(cfg.seq_len, cfg.dim_e, cfg.n_heads, bits, geo, timing, cm)
     router = ZERO_COST
     if cfg.n_expert > 1:
         router = bitserial_gemm_cost(cfg.batch, cfg.dim_e, cfg.n_expert, bits,
                                      geo, timing, cm, include_b_layout=False)
-    kv = kv_append_cost(cfg.dim_e, max(1, bits // 8), geo, timing)
-    n = cfg.n_dec
-    return TokenDramCost(qkvo=scale(qkvo, n), mha=scale(mha, n),
-                         predict=scale(predict, n), router=scale(router, n),
-                         kv=scale(kv, n))
+    return LayerDramCost(
+        position=cfg.seq_len, qkvo=qkvo_cost(cfg.dim_e, bits, geo, timing, cm, cfg.batch),
+        score=mha["score"], softmax=mha["softmax"], output=mha["output"],
+        predict=predictor_cost(cfg.dim_e, dim_lr, cfg.dim_h, bits, geo, timing, cm,
+                               cfg.batch) * cfg.top_k,
+        router=router, kv=kv_append_cost(cfg.dim_e, max(1, bits // 8), geo, timing))

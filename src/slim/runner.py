@@ -24,6 +24,7 @@ from .model import (
     synth_layers,
 )
 from .numerics import Matrix
+from .pim import token_dram_cost
 from .predictor import (
     Predictor,
     ThresholdTable,
@@ -136,10 +137,13 @@ def evaluate_points(cfg: ScenarioConfig, points: Iterable[tuple[str, str]],
     the point is evaluated, so no ``SlimResult`` is held while the next
     point runs unless the projection keeps it.
 
-    The neuron order is drawn once (``neuron_ranks`` with the scenario
-    seed). At each sparsity the masks are cut from it once
-    (``nested_masks``) and the token is read once per distinct geometry,
-    since which pages a token reads does not depend on the PE level. The
+    The DRAM side depends only on the model, the DRAM device and the
+    element width, so one decoder layer's DRAM row (``token_dram_cost``) is
+    costed once and passed to every point. The neuron order is drawn once
+    (``neuron_ranks`` with the scenario seed). At each sparsity the masks
+    are cut from it once (``nested_masks``) and the token is read once per
+    distinct geometry, since which pages a token reads does not depend on
+    the PE level. The
     masks are dropped once read, and one sparsity's reads are held while
     its points run in the order given. At ``SLIM_LOG=debug``
     ``evaluate_points:`` lines give the seconds of the rank draw and, per
@@ -151,6 +155,8 @@ def evaluate_points(cfg: ScenarioConfig, points: Iterable[tuple[str, str]],
     for point, (geometry, _) in devices.items():
         by_geometry.setdefault(geometry, []).append(point)
 
+    dram = token_dram_cost(cfg.model, cfg.dram_geometry, cfg.dram_timing, cfg.cost_model,
+                           bits=8 * cfg.bytes_per_elem)
     t0 = time.perf_counter()
     ranks = neuron_ranks(cfg.model, cfg.seed)
     log.debug("evaluate_points: neuron order of %d slots drawn in %.6f s",
@@ -175,9 +181,8 @@ def evaluate_points(cfg: ScenarioConfig, points: Iterable[tuple[str, str]],
         del masks
         for point, (geometry, timing) in devices.items():
             records[(*point, s)] = project((*point, s), evaluate_slim(
-                cfg.model, timing, cfg.dram_geometry, cfg.dram_timing, cfg.cost_model,
-                reads[geometry], scheduler=cfg.scheduler, n_tokens=cfg.n_tokens,
-                params=cfg.nsp, constants=cfg.energy))
+                cfg.model, timing, dram, reads[geometry], scheduler=cfg.scheduler,
+                n_tokens=cfg.n_tokens, params=cfg.nsp, constants=cfg.energy))
     return records
 
 

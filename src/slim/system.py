@@ -13,14 +13,9 @@ import numpy as np
 
 from .errors import AccountingError, NumericError, ShapeError
 from .model import ModelConfig
-from .pim import (
-    BitSerialCostModel,
-    DramGeometry,
-    DramTiming,
-    TokenDramCost,
-    token_dram_cost,
-)
+from .pim import ZERO_COST, LayerDramCost, PimCost
 from .storage import (
+    FfnPassResult,
     NandTiming,
     NspParams,
     SsdGeometry,
@@ -63,18 +58,37 @@ def run_pipelined(phases: PhaseTimes, n_tokens: int) -> tuple[float, float]:
     and the stream's previous token has left the SSD unit. The slower unit
     then runs back to back, so the last token leaves the SSD unit at t_dram,
     plus n - 1 periods of max(t_dram, t_ssd), plus t_ssd. Summed left to
-    right in that order, these are the float additions of the event loop
-    over tokens, and the finish time is bit-identical to it. Steady-state
-    token period approaches max(t_dram, t_ssd).
+    right in that order (``_add_repeatedly``), these are the float additions
+    of the event loop over tokens, and the finish time is bit-identical to
+    it. Steady-state token period approaches max(t_dram, t_ssd).
     """
     if n_tokens < 1:
         raise ShapeError("n_tokens must be >= 1")
     period = max(phases.t_dram, phases.t_ssd)
-    finish = phases.t_dram
-    for _ in range(n_tokens - 1):
-        finish += period
-    finish += phases.t_ssd
+    finish = _add_repeatedly(phases.t_dram, period, n_tokens - 1) + phases.t_ssd
     return finish, (n_tokens / finish if finish > 0 else math.inf)
+
+
+def _add_repeatedly(x: float, p: float, n: int) -> float:
+    """``x`` with ``p`` added ``n`` times, each sum rounded, as a loop of
+    ``x += p`` gives it, bit for bit; ``p`` >= 0. Where the ulp is
+    constant (one binade, or the subnormals with the lowest binade), once
+    one sum has rounded inside, every later sum there adds one fixed number
+    of ulps, ties to even included: they are taken at once, so the cost
+    grows with the binades crossed, not with ``n``."""
+    while n and x < math.inf:  # inf and NaN stay
+        y = x + p
+        n -= 1
+        u = math.ulp(y)
+        if n and math.ulp(x) == u == math.ulp(y + p):
+            # in ulps every value below is an integer under 2^53, the end of
+            # the range, so each operation is exact
+            step = (y + p - y) / u
+            k = min(n, int((2.0 ** 53 - 1 - y / u) // step)) if step else n
+            y += k * step * u
+            n -= k
+        x = y
+    return x
 
 
 # --- energy accounting -------------------------------------------------------
@@ -273,63 +287,69 @@ class SlimResult:
     throughput: float
     raw_bytes: int
     useful_bytes: float
-    dram: TokenDramCost
+    dram: dict[str, PimCost]  # the token's DRAM phases, keyed as LayerDramCost.phases
     energy: EnergyLedger
     events: EventColumns
     weights_write_s: float  # one-time programming, never part of token latency
 
 
-def evaluate_slim(model: ModelConfig, timing: NandTiming,
-                  dram_geo: DramGeometry, dram_timing: DramTiming,
-                  cost_model: BitSerialCostModel, reads: TokenReads,
-                  scheduler: str = "sequential", n_tokens: int = 100,
+def token_phases(model: ModelConfig, dram: LayerDramCost, ffn: FfnPassResult,
+                 scheduler: str, n_tokens: int,
+                 events: EventColumns) -> tuple[dict[str, PimCost], PhaseTimes, float]:
+    """Compose one token of ``model`` from ``dram``, each decoder layer's
+    DRAM row, and ``ffn``, its FFN passes: the token's DRAM phases (each of
+    the row's phases times n_dec), its ``PhaseTimes`` and its throughput
+    over ``n_tokens`` under ``scheduler``. The DRAM side's AAPs and bytes
+    (layout and read/write) are appended to ``events`` as one ``pim_aap``
+    and one ``dram_rw`` event at the token's end."""
+    if scheduler not in ("sequential", "pipelined"):
+        raise ShapeError(f"unknown scheduler {scheduler!r}")
+    totals = {name: cost * model.n_dec for name, cost in dram.phases().items()}
+    total = sum(totals.values(), ZERO_COST)
+    # rates that overflow to inf can leave nothing to time; NaN fails too
+    if not 0 < ffn.latency_s:
+        raise NumericError(f"token time t_ssd {ffn.latency_s} s: the SSD phase is not positive")
+    t_end = ffn.latency_s + total.seconds
+    events.append(t_end, "dram_pim", "pim_aap", total.aaps)
+    events.append(t_end, "dram_pim", "dram_rw", total.layout_bytes + total.rw_bytes)
+    phases = PhaseTimes(t_dram=total.seconds, t_ssd=ffn.latency_s)
+    run = run_sequential if scheduler == "sequential" else run_pipelined
+    return totals, phases, run(phases, n_tokens)[1]
+
+
+def evaluate_slim(model: ModelConfig, timing: NandTiming, dram: LayerDramCost,
+                  reads: TokenReads, scheduler: str = "sequential", n_tokens: int = 100,
                   params: NspParams = NspParams(),
                   constants: EnergyConstants = EnergyConstants()) -> SlimResult:
     """Full per-token model of the heterogeneous design for one token's read
-    transactions, as ``generate_read_transactions`` returns them. The device
-    geometry and element width are those of the layout the reads were made
-    on, which must be ``model``'s (ShapeError otherwise); ``timing`` is the
-    device's. Callers that evaluate several design points on one geometry
-    read the token once and pass the record to each. Energy is accounted
-    over the returned event trace. At ``SLIM_LOG=debug`` one line gives the
-    wall-clock seconds of each stage: FFN passes, DRAM cost and energy
-    fold; ``simulate_ffn_pass`` splits its share into schedule and events."""
-    if scheduler not in ("sequential", "pipelined"):
-        raise ShapeError(f"unknown scheduler {scheduler!r}")
+    transactions, as ``generate_read_transactions`` returns them, and
+    ``dram``, each decoder layer's DRAM row as ``pim.token_dram_cost``
+    returns it. The device geometry and element width are those of the
+    layout the reads were made on, which must be ``model``'s (ShapeError
+    otherwise); ``timing`` is the device's. Callers that evaluate several
+    design points on one geometry read the token once and pass the record
+    to each, and cost the DRAM row once for all of them. Energy is
+    accounted over the returned event trace. At ``SLIM_LOG=debug`` one line
+    gives the wall-clock seconds of each stage: FFN passes, token phases
+    (``token_phases``) and energy fold; ``simulate_ffn_pass`` splits its
+    share into schedule and events."""
     layout = reads.layout
     laid_out = (layout.n_dec, layout.n_expert, layout.dim_h, layout.dim_e)
     if laid_out != (model.n_dec, model.n_expert, model.dim_h, model.dim_e):
         raise ShapeError(f"reads laid out for (n_dec, n_expert, dim_h, dim_e) "
                          f"{laid_out}, not the model's")
-    geo, bytes_per_elem = layout.geo, layout.bytes_per_elem
     t0 = time.perf_counter()
-
     events = EventColumns()
-    ffn = simulate_ffn_pass(reads, timing, geo, model.batch, dim_e=model.dim_e,
+    ffn = simulate_ffn_pass(reads, timing, layout.geo, model.batch, dim_e=model.dim_e,
                             params=params, trace=events)
-    t_ssd = ffn.latency_s
     t1 = time.perf_counter()
-
-    dram = token_dram_cost(model, dram_geo, dram_timing, cost_model,
-                           bits=8 * bytes_per_elem)
-    total = dram.total
-    # rates that overflow to inf can leave nothing to time; NaN fails too
-    if not 0 < t_ssd:
-        raise NumericError(f"token time t_ssd {t_ssd} s: the SSD phase is not positive")
-    t_end = t_ssd + total.seconds
-    events.append(t_end, "dram_pim", "pim_aap", total.aaps)
-    events.append(t_end, "dram_pim", "dram_rw", total.layout_bytes + total.rw_bytes)
-    phases = PhaseTimes(t_dram=total.seconds, t_ssd=t_ssd)
-    if scheduler == "sequential":
-        _, throughput = run_sequential(phases, n_tokens)
-    else:
-        _, throughput = run_pipelined(phases, n_tokens)
+    totals, phases, throughput = token_phases(model, dram, ffn, scheduler, n_tokens, events)
     t2 = time.perf_counter()
     energy = energy_report(events, constants)
     t3 = time.perf_counter()
-    log.debug("evaluate_slim: ffn passes %.6f s, dram cost %.6f s, energy fold %.6f s",
+    log.debug("evaluate_slim: ffn passes %.6f s, token phases %.6f s, energy fold %.6f s",
               t1 - t0, t2 - t1, t3 - t2)
     return SlimResult(phases=phases, latency_s_per_token=1.0 / throughput,
                       throughput=throughput, raw_bytes=ffn.raw_bytes,
-                      useful_bytes=ffn.useful_bytes, dram=dram, energy=energy, events=events,
-                      weights_write_s=write_model(layout, geo, timing))
+                      useful_bytes=ffn.useful_bytes, dram=totals, energy=energy, events=events,
+                      weights_write_s=write_model(layout, layout.geo, timing))

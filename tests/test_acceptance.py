@@ -21,7 +21,7 @@ from slim.model import (
     synth_layers,
 )
 from slim.numerics import silu
-from slim.pim import DDR4_2400, BitSerialCostModel
+from slim.pim import DDR4_2400, BitSerialCostModel, token_dram_cost
 from slim.predictor import (
     Predictor,
     build_threshold_table,
@@ -60,6 +60,7 @@ def check(ok: bool, label: str, detail: str):
 def llama_sweep():
     """All four design points over the sparsity grid, shared across criteria."""
     ranks = neuron_ranks(LLAMA, 7)
+    dram = token_dram_cost(LLAMA, DRAM_GEO, DRAM_TIMING, COST)
     out = {}
     for nand in ("slc", "tlc"):
         geo = nand_preset(nand, "die")[0]  # both PE levels read the same pages
@@ -68,8 +69,8 @@ def llama_sweep():
                                                nested_masks(ranks, s))
             for level in ("die", "channel"):
                 out[(nand, level, s)] = evaluate_slim(
-                    LLAMA, nand_preset(nand, level)[1], DRAM_GEO, DRAM_TIMING, COST,
-                    reads, scheduler="pipelined")
+                    LLAMA, nand_preset(nand, level)[1], dram, reads,
+                    scheduler="pipelined")
     return out
 
 
@@ -257,9 +258,9 @@ def test_criterion_7_sweep_trends(llama_sweep):
         for s in (0.0, 0.25, 0.5):
             reads = generate_read_transactions(
                 map_weights(cfg, geo), nested_masks(neuron_ranks(cfg, 7), s))
-            res = evaluate_slim(cfg, timing, DRAM_GEO, DRAM_TIMING, COST, reads,
-                                scheduler="sequential")
-            share = res.dram.predict.seconds / (res.phases.t_dram + res.phases.t_ssd)
+            res = evaluate_slim(cfg, timing, token_dram_cost(cfg, DRAM_GEO, DRAM_TIMING, COST),
+                                reads, scheduler="sequential")
+            share = res.dram["predict"].seconds / (res.phases.t_dram + res.phases.t_ssd)
             worst_share = max(worst_share, share)
     check(trend_ok and worst_share < 0.10, "criterion 7",
           f"throughput/eff-bandwidth monotone on 4 design points; prediction "

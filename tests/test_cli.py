@@ -858,7 +858,7 @@ def test_stage_timings_logged_at_debug_only(cfg_path, tmp_path, caplog):
              if r.getMessage().startswith("evaluate_points:")]
     assert len(stages) == 4 * len(TOY_DOC["sparsity_targets"])  # one per design point
     timed = ", ".join(rf"{stage} \d+\.\d+ s" for stage in (
-        "ffn passes", "dram cost", "energy fold"))
+        "ffn passes", "token phases", "energy fold"))
     assert all(re.fullmatch(f"evaluate_slim: {timed}", line) for line in stages)
     passes = [re.fullmatch(r"simulate_ffn_pass: 4 layers, schedule \d+\.\d+ s "
                            r"\((\d+) lockstep steps, (\d+) of (\d+) channel rows closed "

@@ -25,12 +25,21 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 TOY_MOE_CHANNEL_TLC = {"model": "toy_moe", "nand": "tlc", "pe_level": "channel",
                        "emit_trace": True}
 TOY_MOE_DIE_SLC = {"model": "toy_moe", "nand": "slc", "pe_level": "die", "emit_trace": True}
+SEQUENTIAL = {"scheduler": "sequential"}
+# the toy_moe shape, inline, with four tokens in flight
+BATCH_4 = {"model": {"n_dec": 2, "dim_e": 64, "dim_h": 128, "n_heads": 4, "n_expert": 4,
+                     "top_k": 2, "seq_len": 64, "batch": 4}}
+TRACED = ["report.json", "trace.ldjson"]
 
 CASES = [
     ("toy_sweep", "sweep", ROOT / "configs" / "toy.json", ["report.json"]),
-    ("toy_moe_channel_tlc", "simulate", TOY_MOE_CHANNEL_TLC,
-     ["report.json", "trace.ldjson"]),
-    ("toy_moe_die_slc", "simulate", TOY_MOE_DIE_SLC, ["report.json", "trace.ldjson"]),
+    ("toy_moe_channel_tlc", "simulate", TOY_MOE_CHANNEL_TLC, TRACED),
+    ("toy_moe_die_slc", "simulate", TOY_MOE_DIE_SLC, TRACED),
+    ("toy_moe_sequential_channel_tlc", "simulate", {**TOY_MOE_CHANNEL_TLC, **SEQUENTIAL},
+     TRACED),
+    ("toy_moe_sequential_die_slc", "simulate", {**TOY_MOE_DIE_SLC, **SEQUENTIAL}, TRACED),
+    ("batch4_channel_tlc", "simulate", {**TOY_MOE_CHANNEL_TLC, **BATCH_4}, TRACED),
+    ("batch4_die_slc", "simulate", {**TOY_MOE_DIE_SLC, **BATCH_4}, TRACED),
     ("llama2_7b_sweep", "sweep", ROOT / "configs" / "llama2_7b.json", ["report.json"]),
 ]
 

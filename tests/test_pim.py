@@ -174,28 +174,37 @@ def test_kv_append_small():
 
 
 def test_token_cost_composition():
+    """The layer's row: qkvo, the three attention steps, prediction, routing
+    and the KV append, each as its own cost."""
     cfg = ModelConfig(n_dec=32, dim_e=4096, dim_h=11008, n_heads=32, seq_len=2048, seed=0)
-    tok = token_dram_cost(cfg, GEO, TIMING, CM)
-    assert tok.seconds == pytest.approx(
-        tok.qkvo.seconds + tok.mha.seconds + tok.predict.seconds
-        + tok.router.seconds + tok.kv.seconds)
-    assert tok.router.seconds == 0.0  # single-expert model
+    row = token_dram_cost(cfg, GEO, TIMING, CM)
+    assert row.position == cfg.seq_len
+    mha = mha_cost(cfg.seq_len, cfg.dim_e, cfg.n_heads, 8, GEO, TIMING, CM)
+    assert (row.score, row.softmax, row.output) == (mha["score"], mha["softmax"], mha["output"])
+    assert row.phases()["mha"] == mha["total"]
+    assert row.qkvo == qkvo_cost(cfg.dim_e, 8, GEO, TIMING, CM)
+    assert list(row.phases()) == ["qkvo", "mha", "predict", "router", "kv"]
+    assert sum(c.seconds for c in row.phases().values()) == pytest.approx(
+        row.qkvo.seconds + row.score.seconds + row.softmax.seconds + row.output.seconds
+        + row.predict.seconds + row.router.seconds + row.kv.seconds)
+    assert row.router.seconds == 0.0  # single-expert model
     moe = ModelConfig(n_dec=4, dim_e=256, dim_h=512, n_heads=4, n_expert=8,
                       top_k=2, seq_len=128, seed=0)
-    tok_moe = token_dram_cost(moe, GEO, TIMING, CM)
-    assert tok_moe.router.seconds > 0.0
+    row_moe = token_dram_cost(moe, GEO, TIMING, CM)
+    assert row_moe.router.seconds > 0.0
     # prediction runs once per activated expert
     single = token_dram_cost(
         ModelConfig(n_dec=4, dim_e=256, dim_h=512, n_heads=4, n_expert=8,
                     top_k=1, seq_len=128, seed=0), GEO, TIMING, CM)
-    assert tok_moe.predict.seconds == pytest.approx(2 * single.predict.seconds)
+    assert row_moe.predict.seconds == pytest.approx(2 * single.predict.seconds)
 
 
 def test_dram_token_time_below_dense_ssd_ffn_time():
     """Llama2-7B-shaped sanity: the DRAM phase stays below the die-level SLC
     FFN phase at sparsity 0, so the SSD side dominates the pipeline."""
     cfg = ModelConfig(n_dec=32, dim_e=4096, dim_h=11008, n_heads=32, seq_len=2048, seed=0)
-    tok = token_dram_cost(cfg, GEO, TIMING, CM)
+    row = token_dram_cost(cfg, GEO, TIMING, CM)
+    t_dram = cfg.n_dec * sum(c.seconds for c in row.phases().values())
     ffn_bytes = cfg.n_dec * 3 * cfg.dim_e * cfg.dim_h
     dense_ssd = ffn_bytes / (64 * 4096 / 3e-6)
-    assert tok.seconds < dense_ssd
+    assert t_dram < dense_ssd

@@ -1,15 +1,17 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slim.config import MODEL_PRESETS
+from slim.config import MODEL_PRESETS, load_scenario
 from slim.errors import AccountingError, ShapeError
 from slim.model import ModelConfig
-from slim.pim import DDR4_2400, BitSerialCostModel
+from slim.pim import DDR4_2400, ZERO_COST, BitSerialCostModel, token_dram_cost
+from slim.runner import evaluate_points
 from slim.storage import generate_read_transactions, map_weights, nand_preset
 from slim.system import (
     ENERGY_COMPONENTS,
@@ -143,6 +145,86 @@ def test_pipelined_closed_form_is_the_event_loop(phases, n_tokens):
     finish, throughput = run_pipelined(phases, n_tokens)
     assert finish.hex() == event_loop_finish(phases, n_tokens).hex()
     assert throughput == (n_tokens / finish if finish > 0 else math.inf)
+
+
+def test_pipelined_is_the_plain_loop_at_a_million_tokens():
+    phases = PhaseTimes(3e-3, 7e-4)
+    finish = phases.t_dram
+    for _ in range(10 ** 6 - 1):
+        finish += phases.t_dram
+    finish += phases.t_ssd
+    assert run_pipelined(phases, 10 ** 6)[0].hex() == finish.hex()
+
+
+def test_pipelined_cost_does_not_grow_with_tokens():
+    """10^12 tokens cross a few dozen binades; a loop over them would take hours."""
+    t0 = time.perf_counter()
+    finish, _ = run_pipelined(PhaseTimes(3e-3, 7e-4), 10 ** 12)
+    assert time.perf_counter() - t0 < 0.1  # a loose bound: it takes under 0.1 ms on a 2-vCPU Xeon
+    # 10^12 rounded sums drift 1.6e-5 below the exact product, as the loop's do
+    assert math.isfinite(finish) and finish == pytest.approx(3e-3 * 10 ** 12, rel=1e-4)
+
+
+def preset_point(name, **doc):
+    """The scenario of a preset model shape (or an inline one, a dict),
+    with its one design point evaluated at sparsity 0.5."""
+    cfg = load_scenario({"model": name, "baselines": [], "sparsity_targets": [0.5], **doc})
+    return cfg, evaluate_points(cfg, [(cfg.nand, cfg.pe_level)], [0.5], lambda k, r: r)
+
+
+@pytest.mark.parametrize("name", list(MODEL_PRESETS))
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("scheduler", ["sequential", "pipelined"])
+def test_layer_rows_sum_to_the_token_totals(name, batch, scheduler):
+    """The n_dec decoder layers' DRAM rows, summed in layer order, are the
+    token's DRAM phases within 1e-12 relative; the trace's pim_aap and
+    dram_rw quantities are the token's AAPs and bytes exactly, and t_dram
+    and the throughput are the token's under its scheduler."""
+    cfg, results = preset_point({**MODEL_PRESETS[name], "batch": batch}, scheduler=scheduler)
+    (res,) = results.values()
+    row = token_dram_cost(cfg.model, cfg.dram_geometry, cfg.dram_timing, cfg.cost_model)
+    summed = dict.fromkeys(row.phases(), ZERO_COST)
+    for _ in range(cfg.model.n_dec):  # every layer has the row, in layer order
+        summed = {phase: summed[phase] + cost for phase, cost in row.phases().items()}
+    assert list(res.dram) == list(summed)
+    for phase, total in res.dram.items():
+        for f in ("seconds", "aaps", "layout_bytes", "rw_bytes"):
+            assert math.isclose(getattr(summed[phase], f), getattr(total, f),
+                                rel_tol=1e-12, abs_tol=0.0), (phase, f)
+    total = sum(res.dram.values(), ZERO_COST)
+    assert res.phases.t_dram == total.seconds
+    dram_side = [(ev.event, ev.bytes) for ev in res.events if ev.unit == "dram_pim"]
+    assert dram_side == [("pim_aap", total.aaps),
+                         ("dram_rw", total.layout_bytes + total.rw_bytes)]
+    run = run_sequential if scheduler == "sequential" else run_pipelined
+    assert res.throughput == run(res.phases, cfg.n_tokens)[1]
+
+
+@pytest.mark.parametrize("name", list(MODEL_PRESETS))
+@pytest.mark.parametrize("level", ["die", "channel"])
+def test_time_scales_exactly(name, level):
+    """Every SSD-side duration times 2^k (t_R and the FTL slot times 2^k; the
+    channel bus rate, the PE clock and the on-chip rate over 2^k) scales
+    t_ssd by exactly 2^k, bit for bit, and leaves t_dram; the DRAM clock
+    over 2^k scales t_dram by exactly 2^k and leaves t_ssd."""
+    base, results = preset_point(name, pe_level=level)
+    (want,) = (r.phases for r in results.values())
+    for k in (-1, 1, 3):
+        f = 2.0 ** k
+        t, nsp, dram = base.nand_timing, base.nsp, base.dram_geometry
+        ssd = dataclasses.replace(
+            base, nand_timing=dataclasses.replace(t, t_r_us=t.t_r_us * f,
+                                                  ch_bus_mbps=t.ch_bus_mbps / f,
+                                                  pe_clock_ghz=t.pe_clock_ghz / f),
+            nsp=dataclasses.replace(nsp, ftl_txn_us=nsp.ftl_txn_us * f,
+                                    onchip_bus_gbps=nsp.onchip_bus_gbps / f))
+        slow_dram = dataclasses.replace(
+            base, dram_geometry=dataclasses.replace(dram, clock_ghz=dram.clock_ghz / f))
+        for cfg, scaled in ((ssd, (want.t_dram, want.t_ssd * f)),
+                            (slow_dram, (want.t_dram * f, want.t_ssd))):
+            (got,) = (r.phases for r in evaluate_points(
+                cfg, [(cfg.nand, cfg.pe_level)], [0.5], lambda key, r: r).values())
+            assert (got.t_dram.hex(), got.t_ssd.hex()) == tuple(x.hex() for x in scaled), k
 
 
 def columns(*events) -> EventColumns:
@@ -282,8 +364,8 @@ def test_rank_masks_are_the_permutation_masks(model, seed, sparsities):
 class TestEvaluateSlim:
     def _eval(self, sparsity=0.5, **kw):
         geo, timing = nand_preset("slc", "die")
-        args = dict(model=TOY, timing=timing, dram_geo=DG, dram_timing=DT,
-                    cost_model=CM, reads=read(TOY, geo, masks_at(TOY, sparsity, 7)))
+        args = dict(model=TOY, timing=timing, dram=token_dram_cost(TOY, DG, DT, CM),
+                    reads=read(TOY, geo, masks_at(TOY, sparsity, 7)))
         args.update(kw)
         return evaluate_slim(**args)
 
@@ -341,7 +423,8 @@ def test_energy_ledger_is_the_trace_fold(name, batch, scheduler, level, nand, sp
     model = ModelConfig(**MODEL_PRESETS[name], batch=batch, seed=3)
     geo, timing = nand_preset(nand, level)
     constants = EnergyConstants()
-    res = evaluate_slim(model, timing, DG, DT, CM, read(model, geo, masks_at(model, sparsity, 5)),
+    res = evaluate_slim(model, timing, token_dram_cost(model, DG, DT, CM),
+                        read(model, geo, masks_at(model, sparsity, 5)),
                         scheduler=scheduler, constants=constants)
     want = dict.fromkeys(ENERGY_COMPONENTS, 0.0)
     for ev in res.events:
@@ -371,8 +454,9 @@ def test_columnar_energy_fold_is_the_row_loop(name, batch):
     for level in ("die", "channel"):
         geo, timing = nand_preset("tlc", level)
         for scheduler in ("sequential", "pipelined"):
-            res = evaluate_slim(model, timing, DG, DT, CM, read(model, geo, masks),
-                                scheduler=scheduler, constants=constants)
+            res = evaluate_slim(model, timing, token_dram_cost(model, DG, DT, CM),
+                                read(model, geo, masks), scheduler=scheduler,
+                                constants=constants)
             results.append(res)
     for res in results:
         want = dict.fromkeys(ENERGY_COMPONENTS, 0.0)
